@@ -124,10 +124,15 @@ def _group_key(trace: Trace, select: Optional[str]):
 
 
 def cmd_check(args) -> int:
-    try:
-        traces = [Trace.from_csv(open(p).read()) for p in args.traces]
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    traces = []
+    for path in args.traces:
+        try:
+            with open(path) as fh:
+                traces.append(Trace.from_csv(fh.read()))
+        except OSError as exc:
+            return _fail(str(exc))
+        except ValueError as exc:  # TraceFormatError names the line
+            return _fail(f"{path}: {exc}")
     prop = args.property
     report_rows: List[str] = []
     failed = False

@@ -32,7 +32,6 @@ from .plb import (
     LutTable,
     PlbConfig,
     WireRef,
-    validate_config,
 )
 
 GateFn = Callable[..., int]
@@ -521,9 +520,3 @@ def emit_truth_tables(f: GateFn, protocol: Protocol) -> Tuple[LutTable, ...]:
     if protocol is Protocol.LEDR:
         return map_ledr_2in(f).config.luts
     return map_edge_2in(f).plbs[1].config.luts
-
-
-def check_mapped(unit: PlbUnit) -> None:
-    diags = validate_config(unit.config)
-    if diags:
-        raise MappingError("; ".join(diags))

@@ -7,7 +7,7 @@ previous state, which keeps it deterministic and testable in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 
@@ -96,11 +96,3 @@ def memory_point_step(
         oa = c_element_step(CElementState(state.out_a, 2), (a0, a1))
         ob = c_element_step(CElementState(state.out_b, 2), (b0, b1))
     return oa, ob, oa ^ ob
-
-
-def memory_point_advance(
-    state: MemoryPointState, in_pairs: Tuple[Tuple[int, int], Tuple[int, int]]
-) -> Tuple[MemoryPointState, int]:
-    """Convenience wrapper returning the updated state and ack_out."""
-    oa, ob, ack = memory_point_step(state, in_pairs)
-    return replace(state, out_a=oa, out_b=ob), ack

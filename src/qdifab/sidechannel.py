@@ -15,7 +15,9 @@ level-encoded two-phase code.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .trace import Trace
@@ -46,30 +48,24 @@ def _check_same_fabric(traces: Iterable[Trace]) -> None:
         raise ComparisonError(f"traces from different configurations: {sorted(prints)}")
 
 
-def _windows(trace: Trace, boundary: str) -> List[Tuple[int, int]]:
-    times = sorted(t for t, s, _ in trace.markers if s == boundary)
-    spans = []
-    prev = -1
-    for t in times:
-        spans.append((prev, t))
-        prev = t
-    return spans
-
-
 def toggles_per_transaction(
     trace: Trace, boundary: Optional[str] = None, wires: Optional[Sequence[str]] = None
 ) -> List[int]:
-    """Wire toggles inside each completed transaction window."""
+    """Wire toggles inside each completed transaction window: from the
+    previous completion (or -1) exclusive to this one inclusive; a
+    completion before -1 closes an empty window."""
     b = _boundary_signal(trace, boundary)
-    wset = set(wires) if wires is not None else None
+    if wires is None:
+        times = sorted(e.time for e in trace.events)
+    else:
+        wset = set(wires)
+        times = sorted(e.time for e in trace.events if e.wire in wset)
     counts = []
-    for lo, hi in _windows(trace, b):
-        n = sum(
-            1
-            for e in trace.events
-            if lo < e.time <= hi and (wset is None or e.wire in wset)
-        )
-        counts.append(n)
+    start = bisect_right(times, -1)
+    for hi in sorted(t for t, s, _ in trace.markers if s == b):
+        end = bisect_right(times, hi)
+        counts.append(max(0, end - start))
+        start = end
     return counts
 
 
@@ -111,8 +107,9 @@ def power_series(trace: Trace, length: Optional[int] = None) -> List[int]:
     end = trace.end_time() if length is None else length
     series = [0] * (end + 1)
     for e in trace.events:
-        if e.time <= end:
-            series[e.time] += 1
+        t = e.time
+        if t <= end:
+            series[t] += 1
     return series
 
 
@@ -151,17 +148,16 @@ def dpa_difference_of_means(
 def _levels_at_markers(trace: Trace, signal: str) -> List[Tuple[int, Tuple[int, ...]]]:
     """(value, resting wire levels) at each completed transaction."""
     info = trace.signals[signal]
+    levels = dict.fromkeys(info.wires, 0)
+    evs = sorted((e for e in trace.events if e.wire in levels), key=attrgetter("time"))
     marks = sorted((t, i) for t, s, i in trace.markers if s == signal)
     values = trace.records.get(signal, [])
-    levels = {w: 0 for w in info.wires}
     out = []
-    ev_iter = iter(sorted(trace.events, key=lambda e: (e.time,)))
-    pending = next(ev_iter, None)
+    k = 0
     for t, idx in marks:
-        while pending is not None and pending.time <= t:
-            if pending.wire in levels:
-                levels[pending.wire] = pending.new
-            pending = next(ev_iter, None)
+        while k < len(evs) and evs[k].time <= t:
+            levels[evs[k].wire] = evs[k].new
+            k += 1
         if idx < len(values):
             out.append((values[idx][0], tuple(levels[w] for w in info.wires)))
     return out

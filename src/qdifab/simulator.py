@@ -16,9 +16,10 @@ time.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .encodings import (
     CodeKind,
@@ -109,16 +110,6 @@ def fabric_from_netlist(net: Netlist) -> Fabric:
         for g in net.gates
     ]
     return Fabric(dict(net.signals), map_netlist(net), gates)
-
-
-def single_gate_fabric(
-    signals: Iterable[SignalSpec], mapped: MappedGate, inputs: Sequence[str],
-    output: str, ack: bool,
-) -> Fabric:
-    """Convenience wrapper for one mapped gate and its environment."""
-    sigs = {s.name: s for s in signals}
-    proto = PROTO_TO_NAME[sigs[output].protocol]
-    return Fabric(sigs, [mapped], [GateInfo(mapped.name, proto, tuple(inputs), output, ack)])
 
 
 # -- runtime pieces -----------------------------------------------------------
@@ -519,9 +510,22 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     additionally requires strict NULL/valid alternation, which catches
     double toggles that land on distinct wires.
     """
+    # One pass over the events fills every signal's list in trace order,
+    # through a wire -> lists-of-its-signals index.
+    evs_of: Dict[str, List[TraceEvent]] = {name: [] for name in trace.signals}
+    sinks: Dict[str, List[List[TraceEvent]]] = {}
+    for name, info in trace.signals.items():
+        for w in set(info.wires):
+            sinks.setdefault(w, []).append(evs_of[name])
+    for e in trace.events:
+        for evs in sinks.get(e.wire, ()):
+            evs.append(e)
+    ends_of: Dict[str, List[int]] = {}  # signal -> its marker times
+    for t, s, _ in trace.markers:
+        ends_of.setdefault(s, []).append(t)
     verdicts: Dict[str, Tuple[bool, str]] = {}
     for name, info in trace.signals.items():
-        evs = trace.events_for(info.wires)
+        evs = evs_of[name]
         ok, msg = True, "ok"
         if info.protocol == "4ph":
             levels = {w: 0 for w in info.wires}
@@ -538,17 +542,21 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
                 state = "valid" if code.kind is CodeKind.VALID else "null"
         if ok:
             expected = 2 if info.protocol == "4ph" else 1
-            bounds = [t for t, s, _ in trace.markers if s == name]
-            prev = -1
-            for b in bounds:
-                n = sum(1 for e in evs if prev < e.time <= b)
+            # Windows in marker order, from the previous marker (or -1)
+            # exclusive to this one inclusive; one that ends before it
+            # starts is empty.
+            times = sorted(e.time for e in evs)
+            start = bisect_right(times, -1)
+            for b in ends_of.get(name, ()):
+                end = bisect_right(times, b)
+                n = max(0, end - start)
+                start = end
                 if n != expected:
                     ok, msg = False, (
                         f"{n} wire changes in transaction ending t={b} "
                         f"(expected {expected})"
                     )
                     break
-                prev = b
         verdicts[name] = (ok, msg)
     return verdicts
 
@@ -587,9 +595,10 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     toggles: Dict[str, int] = {}
     violations: List[str] = []
     for e in trace.events:
-        levels[e.wire] = e.new
-        toggles[e.wire] = toggles.get(e.wire, 0) + 1
-        g = out_wire_gate.get(e.wire)
+        wire = e.wire
+        levels[wire] = e.new
+        toggles[wire] = toggles.get(wire, 0) + 1
+        g = out_wire_gate.get(wire)
         if g is None:
             continue
         if g.protocol == "4ph":
@@ -632,8 +641,3 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                         f"before input {s}"
                     )
     return not violations, violations
-
-
-def decoded_outputs(trace: Trace, fabric: Fabric) -> Dict[str, List[int]]:
-    """Decoded value sequence of every primary output."""
-    return {s: trace.values_of(s) for s in fabric.primary_outputs()}

@@ -1,25 +1,70 @@
 """Simulation traces: ordered wire events plus transaction bookkeeping.
 
 The CSV form is self contained: comment headers describe the signals and
-gates so the property checkers can run on a file alone.  Event rows are
-``time,wire,old,new``; a ``# transaction <signal> <index>`` marker line is
-emitted when a signal completes a value/acknowledge cycle, and a
-``# record`` line keeps the decoded value alongside it.
+gates so the property checkers can run on a file alone.  A
+``# transaction`` marker line is emitted when a signal completes a
+value/acknowledge cycle, and a ``# record`` line keeps the decoded value
+alongside it.
+
+:meth:`Trace.from_csv` accepts these lines, in any order; blank lines and
+whitespace around a line are ignored::
+
+    # signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<wire>,...
+    # gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>
+    # meta <key>=<value>
+    # diagnostic <text>                    (text "deadlock" sets the flag)
+    # transaction <signal> <index>
+    # record <signal> <index> <value> <time>
+    time,wire,old,new                      (column header, skipped)
+    <time>,<wire>,<old>,<new>              (event row)
+
+Signal and gate fields may come in any order and unknown ``key=value``
+fields are ignored.  Every input and the output of a gate must be a declared
+signal.  In an event row, time, old and new are integers and the wire is a
+name without whitespace.  A record gives the completion time to the
+preceding transaction marker with the same signal and index; a marker without
+a record keeps time -1.  Any other line starting with ``#`` is a comment.  A line that
+breaks these rules raises :class:`TraceFormatError`, whose message starts
+with ``line <n>:``.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Tuple
+
+_PROTOCOLS = ("4ph", "ledr", "edge")
+_COLUMNS = "time,wire,old,new"
+
+_USAGE = {
+    "signal": "# signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<wire>,...",
+    "gate": "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>",
+    "meta": "# meta <key>=<value>",
+    "transaction": "# transaction <signal> <index>",
+    "record": "# record <signal> <index> <value> <time>",
+}
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceFormatError(ValueError):
+    """A trace CSV line that breaks the grammar in the module docstring."""
+
+    def __init__(self, lineno: int, msg: str):
+        super().__init__(f"line {lineno}: {msg}")
+
+
+class TraceEvent(NamedTuple):
     time: int
     wire: str
     old: int
     new: int
+
+
+# TraceEvent._make without its length check, which a 4-tuple cannot fail;
+# twice as fast as calling the class.
+_event_from_tuple = partial(tuple.__new__, TraceEvent)
 
 
 @dataclass(frozen=True)
@@ -112,51 +157,105 @@ class Trace:
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
         tr = cls()
-        for raw in text.splitlines():
+        rows: List[str] = []
+        gate_lines: List[int] = []
+        # (signal, index) -> position in tr.markers of the marker whose
+        # completion time the matching record line supplies.
+        awaiting: Dict[Tuple[str, int], int] = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line:
+            if line[:1] != "#":
+                if line and line != _COLUMNS:
+                    rows.append(line)
                 continue
-            if line.startswith("#"):
-                toks = line[1:].split()
-                if not toks:
-                    continue
-                tag = toks[0]
-                if tag == "meta" and len(toks) >= 2 and "=" in toks[1]:
-                    k, v = toks[1].split("=", 1)
-                    tr.meta[k] = v
+            toks = line[1:].split()
+            tag = toks[0] if toks else ""
+            try:
+                if tag == "transaction":
+                    _, sig, idx = toks
+                    key = (sig, int(idx))
+                    awaiting[key] = len(tr.markers)
+                    tr.markers.append((-1, *key))
+                elif tag == "record":
+                    _, sig, idx, value, t = toks
+                    key, t = (sig, int(idx)), int(t)
+                    tr.records.setdefault(sig, []).append((int(value), t))
+                    pos = awaiting.pop(key, None)
+                    if pos is not None:
+                        tr.markers[pos] = (t, *key)
                 elif tag == "signal":
-                    kv = dict(t.split("=", 1) for t in toks[2:])
-                    tr.signals[toks[1]] = SignalInfo(
-                        toks[1], kv["proto"], int(kv["arity"]),
+                    name, kv = _named_fields(toks)
+                    tr.signals[name] = SignalInfo(
+                        name, _protocol(kv), int(kv["arity"]),
                         tuple(kv["wires"].split(",")),
                     )
                 elif tag == "gate":
-                    kv = dict(t.split("=", 1) for t in toks[2:])
+                    name, kv = _named_fields(toks)
                     tr.gates.append(GateInfo(
-                        toks[1], kv["proto"], tuple(kv["in"].split(",")),
+                        name, _protocol(kv), tuple(kv["in"].split(",")),
                         kv["out"], bool(int(kv["ack"])),
                     ))
-                elif tag == "transaction":
-                    # Completion time is attached by the record line; keep a
-                    # placeholder so marker order is preserved.
-                    tr.markers.append((-1, toks[1], int(toks[2])))
-                elif tag == "record":
-                    sig, idx, value, t = toks[1], int(toks[2]), int(toks[3]), int(toks[4])
-                    tr.records.setdefault(sig, []).append((value, t))
-                    for i in range(len(tr.markers) - 1, -1, -1):
-                        mt, msig, midx = tr.markers[i]
-                        if msig == sig and midx == idx and mt == -1:
-                            tr.markers[i] = (t, sig, idx)
-                            break
+                    gate_lines.append(lineno)
+                elif tag == "meta":
+                    k, v = toks[1].split("=", 1)
+                    tr.meta[k] = v
                 elif tag == "diagnostic":
                     text_d = " ".join(toks[1:])
                     if text_d == "deadlock":
                         tr.deadlock = True
                     else:
                         tr.diagnostics.append(text_d)
-                continue
-            if line.startswith("time,"):
-                continue
-            t, wire, old, new = line.split(",")
-            tr.events.append(TraceEvent(int(t), wire, int(old), int(new)))
+            except (IndexError, KeyError, ValueError):
+                raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'") from None
+        for lineno, g in zip(gate_lines, tr.gates):
+            for sig in (*g.inputs, g.output):
+                if sig not in tr.signals:
+                    raise TraceFormatError(
+                        lineno, f"gate {g.name}: {sig!r} is not a declared signal")
+        try:
+            tr.events = _parse_events(rows)
+        except ValueError:
+            _raise_bad_event_row(text)
+            raise
         return tr
+
+
+def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:
+    """``<tag> <name> key=value ...`` -> (name, {key: value})."""
+    return toks[1], dict(t.split("=", 1) for t in toks[2:])
+
+
+def _protocol(kv: Dict[str, str]) -> str:
+    proto = kv["proto"]
+    if proto not in _PROTOCOLS:
+        raise ValueError(proto)
+    return proto
+
+
+def _parse_events(rows: List[str]) -> List[TraceEvent]:
+    """Event rows converted column by column; ValueError unless every row
+    is four fields: integer, wire name, integer, integer."""
+    if set(map(str.count, rows, repeat(","))) - {3}:
+        raise ValueError("event rows need four fields")
+    fields = ",".join(rows).split(",")
+    wires = fields[1::4]
+    if any(w.split() != [w] for w in set(wires)):
+        raise ValueError("bad wire name")
+    columns = zip(map(int, fields[0::4]), wires, map(int, fields[2::4]),
+                  map(int, fields[3::4]))
+    return list(map(_event_from_tuple, columns))
+
+
+def _raise_bad_event_row(text: str) -> None:
+    """Raises TraceFormatError for the first event row of ``text`` that
+    does not parse on its own."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line[:1] == "#" or not line or line == _COLUMNS:
+            continue
+        try:
+            _parse_events([line])
+        except ValueError:
+            raise TraceFormatError(
+                lineno, f"expected an event row '{_COLUMNS}' of integer, wire "
+                        f"name, integer, integer, got {line!r}") from None

@@ -240,3 +240,38 @@ def test_check_ledr_risk_reports(tmp_path, capsys):
     txt = capsys.readouterr().out
     assert "x: correlation 1.0" in txt
     assert "level reveals value" in txt
+
+
+GOOD_TRACE = """# qdifab-trace v1
+# signal x proto=4ph arity=2 wires=x.0,x.1
+# signal o proto=4ph arity=2 wires=o.0,o.1
+# gate g proto=4ph in=x out=o ack=0
+time,wire,old,new
+2,x.1,0,1
+"""
+
+
+@pytest.mark.parametrize("bad_line", [
+    "# signal y proto=4ph wires=y.0,y.1",  # no arity
+    "# signal y proto=zz arity=2 wires=y.0,y.1",
+    "# record o 0 1",  # no completion time
+    "# transaction o first",
+    "# gate h proto=4ph in=zz,x out=o ack=0",  # undeclared input
+    "# meta fabric",
+    "3,x.1,1",  # three fields
+    "3,x.1,1,0,0",
+    "3,x 1,1,0",
+    "t3,x.1,1,0",
+    "3,,1,0",
+], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
+        "gate-undeclared-input", "meta-no-value", "row-3-fields", "row-5-fields",
+        "row-wire-space", "row-time", "row-no-wire"])
+def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
+    good = tmp_path / "good.csv"
+    good.write_text(GOOD_TRACE)
+    assert main(["check", str(good), "--property", "no-early-eval"]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text(GOOD_TRACE + bad_line + "\n")
+    capsys.readouterr()
+    assert main(["check", str(good), str(bad), "--property", "no-early-eval"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 7: ")

@@ -240,15 +240,29 @@ gate g2 fn=6 in=a,b out=o2 ack
 
 
 def test_trace_csv_roundtrip():
-    tr = run(fab(AND_NET), {"x": [1, 0], "y": [1, 1]})
-    text = tr.to_csv()
-    back = Trace.from_csv(text)
-    assert [(e.time, e.wire, e.old, e.new) for e in back.events] == [
-        (e.time, e.wire, e.old, e.new) for e in tr.events
+    jitter = DelayModel(mode="jitter", seed=3)
+    cases = [
+        run(fab(AND_NET), {"x": [1, 0], "y": [1, 1]}),
+        run(fab(LEDR_BUF_NET), {"x": [1, 1, 0], "y": [0, 1, 1]}),
+        run(fab(EDGE_AND_NET), {"a": [1, 0, 1], "b": [1, 1, 0]}),
+        # A forbidden-state diagnostic, then a stall on the starved input.
+        run(fab(AND_NET), {"x": [1, 0], "y": [1]}, delays=jitter,
+            inject=[(3, "x.0", 1)]),
     ]
-    assert back.records == tr.records
-    assert sorted(back.markers) == sorted(tr.markers)
-    assert set(back.signals) == set(tr.signals)
-    assert len(back.gates) == len(tr.gates)
-    v = check_single_toggle(back)
-    assert all(ok for ok, _ in v.values())
+    assert cases[-1].deadlock and len(cases[-1].diagnostics) >= 2
+    for tr in cases:
+        text = tr.to_csv()
+        back = Trace.from_csv(text)
+        assert back.to_csv() == text
+        assert back.events == tr.events
+        assert back.markers == tr.markers
+        assert back.records == tr.records
+        assert back.signals == tr.signals
+        assert back.gates == tr.gates
+        assert back.diagnostics == tr.diagnostics
+        assert back.deadlock == tr.deadlock
+        assert back.meta == tr.meta
+        assert check_single_toggle(back) == check_single_toggle(tr)
+    for tr in cases[:3]:
+        verdicts = check_single_toggle(Trace.from_csv(tr.to_csv()))
+        assert all(ok for ok, _ in verdicts.values()), verdicts
