@@ -135,45 +135,78 @@ def write_bitstream(fabric: Fabric) -> str:
     return "\n".join(lines + hex_lines) + "\n"
 
 
+_USAGE = {
+    "signal": "# signal <name> proto=<4ph|ledr|edge> arity=<int>",
+    "gate": "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>",
+    "internal": "# internal <signal> <width>",
+    "plb": "# plb <index> gate=<name> role=<role> in=<12 pins> out=<4 pins> sout=<2 wires>"
+           " (a pin is - or <signal>:<index>:<width>, pins and wires joined by ;)",
+    "hex": "<hex digits of one block>",
+}
+
+
 def read_bitstream(text: str) -> Fabric:
+    """Inverse of :func:`write_bitstream`.
+
+    A malformed line, such as an unknown protocol, a missing or malformed
+    ``key=value`` field, a bad pin binding or hex digit, or a gate naming an
+    undeclared signal, raises :class:`BitstreamError` whose message starts
+    with ``line <n>:``.
+    """
     signals: dict[str, SignalSpec] = {}
     gates: List[GateInfo] = []
-    internals: dict[str, List[Tuple[str, int]]] = {}
+    gate_lines: List[int] = []
     plb_meta: List[dict] = []
-    hex_lines: List[str] = []
+    hex_lines: List[Tuple[int, List[int]]] = []
     pending_internals: List[Tuple[str, int]] = []
-    proto_by_name = {p.value: p for p in Protocol}
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             toks = line[1:].split()
-            if not toks:
-                continue
-            tag = toks[0]
-            if tag == "signal":
+            tag = toks[0] if toks else ""
+        else:
+            tag = "hex"
+        try:
+            if tag == "hex":
+                hex_lines.append((lineno, hex_to_bits(line)))
+            elif tag == "signal":
                 kv = dict(t.split("=", 1) for t in toks[2:])
                 signals[toks[1]] = SignalSpec(
-                    toks[1], proto_by_name[kv["proto"]], int(kv["arity"])
+                    toks[1], Protocol(kv["proto"]), int(kv["arity"])
                 )
             elif tag == "gate":
                 kv = dict(t.split("=", 1) for t in toks[2:])
                 gates.append(GateInfo(
-                    toks[1], kv["proto"], tuple(kv["in"].split(",")),
+                    toks[1], Protocol(kv["proto"]).value, tuple(kv["in"].split(",")),
                     kv["out"], bool(int(kv["ack"])),
                 ))
+                gate_lines.append(lineno)
             elif tag == "internal":
-                pending_internals.append((toks[1], int(toks[2])))
+                _, name, width = toks
+                pending_internals.append((name, int(width)))
             elif tag == "plb":
                 kv = dict(t.split("=", 1) for t in toks[2:])
-                kv["_internals"] = pending_internals
+                assignment = tuple(_ref_parse(t) for t in kv["in"].split(";"))
+                outs = tuple(_ref_parse(t) for t in kv["out"].split(";"))
+                souts = tuple(None if t == "-" else t for t in kv["sout"].split(";"))
+                if (len(assignment), len(outs), len(souts)) != (12, 4, 2):
+                    raise ValueError("wrong number of bindings")
+                plb_meta.append(dict(
+                    gate=kv["gate"], role=kv["role"], assignment=assignment,
+                    outs=outs, souts=souts, internals=tuple(pending_internals),
+                ))
                 pending_internals = []
-                plb_meta.append(kv)
-        else:
-            hex_lines.append(line)
+        except (IndexError, KeyError, ValueError):
+            raise BitstreamError(f"line {lineno}: expected '{_USAGE[tag]}'") from None
 
+    for lineno, g in zip(gate_lines, gates):
+        for sig in (*g.inputs, g.output):
+            if sig not in signals:
+                raise BitstreamError(
+                    f"line {lineno}: gate {g.name}: {sig!r} is not a declared signal")
     if len(hex_lines) != len(plb_meta):
         raise BitstreamError(
             f"{len(plb_meta)} block headers but {len(hex_lines)} hex lines"
@@ -181,31 +214,25 @@ def read_bitstream(text: str) -> Fabric:
 
     by_gate: dict[str, List[PlbUnit]] = {}
     gate_internals: dict[str, Tuple[Tuple[str, int], ...]] = {}
-    order: List[str] = []
-    for meta, hx in zip(plb_meta, hex_lines):
-        assignment = tuple(_ref_parse(t) for t in meta["in"].split(";"))
-        if len(assignment) != 12:
-            raise BitstreamError("block needs 12 input pin bindings")
-        config = config_from_bits(hex_to_bits(hx), assignment)
-        outs = tuple(_ref_parse(t) for t in meta["out"].split(";"))
-        souts = tuple(None if t == "-" else t for t in meta["sout"].split(";"))
-        unit = PlbUnit(meta["role"], config, outs, souts)
+    for meta, (lineno, bits) in zip(plb_meta, hex_lines):
+        try:
+            config = config_from_bits(bits, meta["assignment"])
+        except BitstreamError as exc:
+            raise BitstreamError(f"line {lineno}: {exc}") from None
         gname = meta["gate"]
-        if gname not in by_gate:
-            by_gate[gname] = []
-            order.append(gname)
-        by_gate[gname].append(unit)
-        if meta["_internals"]:
-            gate_internals[gname] = tuple(meta["_internals"])
+        by_gate.setdefault(gname, []).append(
+            PlbUnit(meta["role"], config, meta["outs"], meta["souts"]))
+        if meta["internals"]:
+            gate_internals[gname] = meta["internals"]
 
     proto_of = {g.name: g.protocol for g in gates}
     mapped = [
         MappedGate(
             name=gname,
-            protocol=proto_by_name[proto_of.get(gname, "4ph")],
-            plbs=tuple(by_gate[gname]),
+            protocol=Protocol(proto_of.get(gname, "4ph")),
+            plbs=tuple(units),
             internal_signals=gate_internals.get(gname, ()),
         )
-        for gname in order
+        for gname, units in by_gate.items()
     ]
     return Fabric(signals, mapped, gates)

@@ -89,10 +89,16 @@ def cmd_map(args) -> int:
 
 def cmd_sim(args) -> int:
     try:
-        fabric = read_bitstream(open(args.bitstream).read())
+        with open(args.bitstream) as fh:
+            fabric = read_bitstream(fh.read())
+    except OSError as exc:
+        return _fail(str(exc))
+    except BitstreamError as exc:  # names the line
+        return _fail(f"{args.bitstream}: {exc}")
+    try:
         stimulus = _parse_stimulus(open(args.stimulus).read())
         delays = _parse_delays(args.delays)
-    except (OSError, BitstreamError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     try:
         trace = run(fabric, stimulus, delays=delays, max_time=args.max_time,

@@ -11,6 +11,14 @@ both acknowledge edges; two-phase producers wait for one acknowledge toggle
 per value), and a consumer per primary output acknowledges every value after
 a configurable delay and records the decoded sequence with its completion
 time.
+
+Each block instance memoises its reactions for the run: a dict from its
+state to a dict from its 12 input levels to (next state, the levels it
+drives).  The memo is exact because ``plb_step`` is a pure function of the
+block's configuration, state and inputs and ``PlbState`` is frozen, so a hit
+returns what recomputing would.  It lives and dies with one
+:class:`Simulation`, and an oscillating step is never stored: the next
+reaction recomputes it, and the block reports the oscillation once.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
+from itertools import count
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .encodings import (
@@ -30,9 +40,9 @@ from .encodings import (
 )
 from .mapper import MappedGate, PlbUnit
 from .netlist import Netlist, PROTO_TO_NAME, map_netlist
-from .plb import OscillationError, plb_reset, plb_step, ack_outputs
+from .plb import OscillationError, PlbState, plb_reset, plb_step, ack_outputs
 from .primitives import CElementState, c_element_step
-from .trace import GateInfo, SignalInfo, Trace, TraceEvent
+from .trace import GateInfo, SignalInfo, Trace, TraceEvent, _event_from_tuple
 
 
 class SimulationInputError(ValueError):
@@ -116,50 +126,74 @@ def fabric_from_netlist(net: Netlist) -> Fabric:
 
 
 class _Wire:
-    __slots__ = ("name", "level", "delay", "sinks", "signal")
+    __slots__ = ("name", "level", "delay", "sinks", "group")
 
-    def __init__(self, name: str, delay: int, signal: Optional[str] = None):
+    def __init__(self, name: str, delay: int):
         self.name = name
         self.level = 0
         self.delay = delay
         self.sinks: List[object] = []
-        self.signal = signal
+        # (signal name, its wires) when the wire carries a four-phase signal,
+        # whose every change is checked for a forbidden pattern.
+        self.group: Optional[Tuple[str, List["_Wire"]]] = None
+
+
+_level = attrgetter("level")
+
+# A reaction: (next state, the memo of that state, the levels of the
+# instance's driven wires).
+_Reaction = Tuple[PlbState, dict, Tuple[int, ...]]
 
 
 class _PlbInst:
-    def __init__(self, name: str, unit: PlbUnit):
+    def __init__(self, name: str, unit: PlbUnit, pins: List[_Wire],
+                 outs: List[Optional[_Wire]]):
         self.name = name
         self.unit = unit
         self.state = plb_reset(unit.config)
-        self.in_wires: List[Optional[_Wire]] = [None] * 12
-        self.out_wires: List[Optional[_Wire]] = [None] * 4
-        self.sout_wires: List[Optional[_Wire]] = [None, None]
-        self.last_driven: Dict[str, int] = {}
+        self.pins = pins  # 12 wires; an unconnected pin reads a wire held at 0
+        # The connected wires among O0..O3, ack A, ack B (``outs``), and
+        # their positions there.
+        self.drive_pos = [i for i, w in enumerate(outs) if w is not None]
+        self.drives = [outs[i] for i in self.drive_pos]
+        self.last_driven: Dict[_Wire, int] = {}
         self.osc_reported = False
+        self.memo: Dict[PlbState, Dict[Tuple[int, ...], _Reaction]] = {self.state: {}}
+        self.reactions = self.memo[self.state]  # those of the current state
 
-    def _drive(self, sim: "Simulation", wire: Optional[_Wire], level: int, t: int):
-        if wire is None:
-            return
-        prev = self.last_driven.get(wire.name, wire.level)
-        if level != prev:
-            self.last_driven[wire.name] = level
-            sim.schedule(wire, level, t + sim.delays.element)
-
-    def react(self, sim: "Simulation", t: int, _wire: _Wire):
-        levels = tuple(w.level if w is not None else 0 for w in self.in_wires)
+    def _settle(self, sim: "Simulation", t: int, levels: Tuple[int, ...]
+                ) -> Optional[_Reaction]:
+        config = self.unit.config
         try:
-            new_state = plb_step(self.unit.config, self.state, levels)
+            state = plb_step(config, self.state, levels)
         except OscillationError:
             if not self.osc_reported:
                 sim.diagnostics.append(f"oscillation in block {self.name} at t={t}")
                 self.osc_reported = True
-            return
-        self.state = new_state
-        for i, wire in enumerate(self.out_wires):
-            self._drive(sim, wire, new_state.mem_out[i], t)
-        ack_a, ack_b = ack_outputs(self.unit.config, new_state)
-        self._drive(sim, self.sout_wires[0], ack_a, t)
-        self._drive(sim, self.sout_wires[1], ack_b, t)
+            return None
+        six = state.mem_out + ack_outputs(config, state)
+        reaction = (
+            state,
+            self.memo.setdefault(state, {}),
+            tuple(six[i] for i in self.drive_pos),
+        )
+        self.reactions[levels] = reaction
+        return reaction
+
+    def react(self, sim: "Simulation", t: int, _wire: _Wire):
+        levels = tuple(map(_level, self.pins))
+        reaction = self.reactions.get(levels)
+        if reaction is None:
+            reaction = self._settle(sim, t, levels)
+            if reaction is None:
+                return
+        self.state, self.reactions, driven = reaction
+        last = self.last_driven
+        when = t + sim.delays.element
+        for wire, level in zip(self.drives, driven):
+            if level != last.get(wire, wire.level):
+                last[wire] = level
+                sim.schedule(wire, level, when)
 
 
 class _CJoin:
@@ -169,15 +203,13 @@ class _CJoin:
         self.name = name
         self.inputs = inputs
         self.out = out
-        self.state = 0
+        self.state = CElementState(0, len(inputs))
         self.last_driven: Optional[int] = None
 
     def react(self, sim: "Simulation", t: int, _wire: _Wire):
-        level = c_element_step(
-            CElementState(self.state, len(self.inputs)),
-            [w.level for w in self.inputs],
-        )
-        self.state = level
+        level = c_element_step(self.state, [w.level for w in self.inputs])
+        if level != self.state.output:
+            self.state = CElementState(level, len(self.inputs))
         prev = self.last_driven if self.last_driven is not None else self.out.level
         if level != prev:
             self.last_driven = level
@@ -305,8 +337,10 @@ class Simulation:
         self.delays = delays or DelayModel()
         self.max_time = max_time
         self.ack_delay = ack_delay
-        self.queue: List[Tuple[int, int, str, int]] = []
-        self._seq = 0
+        # (time, sequence number, wire, level); the unique, rising sequence
+        # number keeps same-tick events in insertion order.
+        self.queue: List[Tuple[int, int, _Wire, int]] = []
+        self._seq = count(1)
         self.wires: Dict[str, _Wire] = {}
         self.events: List[TraceEvent] = []
         self.markers: List[Tuple[int, str, int]] = []
@@ -318,20 +352,19 @@ class Simulation:
 
     # construction ------------------------------------------------------
 
-    def _wire(self, name: str, signal: Optional[str] = None) -> _Wire:
+    def _wire(self, name: str) -> _Wire:
         w = self.wires.get(name)
         if w is None:
-            w = _Wire(name, self.delays.wire_delay(name), signal)
-            self.wires[name] = w
-        elif signal is not None and w.signal is None:
-            w.signal = signal
+            w = self.wires[name] = _Wire(name, self.delays.wire_delay(name))
         return w
 
     def _build(self, stimulus: Dict[str, List[int]]):
         fabric = self.fabric
         for spec in fabric.signals.values():
-            for wn in spec.wire_names():
-                self._wire(wn, spec.name)
+            wires = [self._wire(wn) for wn in spec.wire_names()]
+            if spec.protocol is Protocol.FOUR_PHASE:
+                for w in wires:
+                    w.group = (spec.name, wires)
         for mg in fabric.mapped:
             for name, width in mg.internal_signals:
                 for i in range(width):
@@ -364,22 +397,17 @@ class Simulation:
         def resolve(name: str) -> _Wire:
             return resolution.get(name) or self._wire(name)
 
+        unconnected = _Wire("", 0)  # read by unbound pins; never changes
         for mg in fabric.mapped:
-            for u_idx, unit in enumerate(mg.plbs):
-                inst = _PlbInst(f"{mg.name}/{unit.role}", unit)
-                for i, ref in enumerate(unit.config.input_assignment):
-                    if ref is None:
-                        continue
-                    w = resolve(str(ref))
-                    inst.in_wires[i] = w
-                    if inst not in w.sinks:
+            for unit in mg.plbs:
+                pins = [unconnected if ref is None else resolve(str(ref))
+                        for ref in unit.config.input_assignment]
+                outs = [None if ref is None else self._wire(str(ref))
+                        for ref in (*unit.output_map, *unit.sout_map)]
+                inst = _PlbInst(f"{mg.name}/{unit.role}", unit, pins, outs)
+                for w in pins:
+                    if w is not unconnected and inst not in w.sinks:
                         w.sinks.append(inst)
-                for i, ref in enumerate(unit.output_map):
-                    if ref is not None:
-                        inst.out_wires[i] = self._wire(str(ref))
-                for i, name in enumerate(unit.sout_map):
-                    if name is not None:
-                        inst.sout_wires[i] = self._wire(name)
 
         unknown = set(stimulus) - set(fabric.primary_inputs())
         if unknown:
@@ -404,28 +432,25 @@ class Simulation:
 
     # runtime -----------------------------------------------------------
 
-    def schedule(self, wire: _Wire, level: int, driver_time: int):
-        self._seq += 1
-        heappush(self.queue, (driver_time + wire.delay, self._seq, wire.name, level))
+    def schedule(self, wire: _Wire, level: int, t: int):
+        """Change ``wire`` to ``level`` one wire delay after ``t``."""
+        heappush(self.queue, (t + wire.delay, next(self._seq), wire, level))
 
     def inject(self, time: int, wire_name: str, level: int):
         """Force a raw wire event; used by fault-injection tests."""
-        self._seq += 1
-        heappush(self.queue, (time, self._seq, wire_name, level))
+        wire = self.wires.get(wire_name)
+        if wire is None:
+            raise SimulationInputError(f"cannot inject on unknown wire {wire_name!r}")
+        heappush(self.queue, (time, next(self._seq), wire, level))
 
     def mark(self, signal: str, value: int, t: int):
         recs = self.records.setdefault(signal, [])
         self.markers.append((t, signal, len(recs)))
         recs.append((value, t))
 
-    def _check_forbidden(self, wire: _Wire, t: int):
-        sig = wire.signal
-        if sig is None:
-            return
-        spec = self.fabric.signals.get(sig)
-        if spec is None or spec.protocol is not Protocol.FOUR_PHASE:
-            return
-        levels = [self.wires[w].level for w in spec.wire_names()]
+    def _check_forbidden(self, group: Tuple[str, List[_Wire]], t: int):
+        sig, wires = group
+        levels = [w.level for w in wires]
         if decode_4ph(levels).kind is CodeKind.FORBIDDEN:
             self.diagnostics.append(
                 f"forbidden state on {sig} at t={t}: {tuple(levels)}"
@@ -434,18 +459,20 @@ class Simulation:
     def run(self) -> Trace:
         for p in self.producers:
             p.start(self)
+        queue, events, max_time = self.queue, self.events, self.max_time
         timed_out = False
-        while self.queue:
-            t, _seq, wname, level = heappop(self.queue)
-            if t > self.max_time:
+        while queue:
+            t, _seq, wire, level = heappop(queue)
+            if t > max_time:
                 timed_out = True
                 break
-            wire = self.wires[wname]
-            if wire.level == level:
+            old = wire.level
+            if old == level:
                 continue
-            old, wire.level = wire.level, level
-            self.events.append(TraceEvent(t, wname, old, level))
-            self._check_forbidden(wire, t)
+            wire.level = level
+            events.append(_event_from_tuple((t, wire.name, old, level)))
+            if wire.group is not None:
+                self._check_forbidden(wire.group, t)
             for sink in wire.sinks:
                 sink.react(self, t, wire)
 

@@ -275,3 +275,42 @@ def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     capsys.readouterr()
     assert main(["check", str(good), str(bad), "--property", "no-early-eval"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: line 7: ")
+
+
+@pytest.mark.parametrize("bad_line", [
+    "# signal y proto=zz arity=2",
+    "# signal y proto=4ph",  # no arity
+    "# signal y proto=4ph arity=two",
+    "# signal y proto=4ph arity",  # not key=value
+    "# signal y proto=4ph arity=9",  # arity out of range
+    "# signal proto=4ph arity=2",  # no name
+    "# gate h proto=zz in=a,b out=s ack=0",
+    "# gate h proto=4ph in=a,b out=s",  # no ack
+    "# gate h proto=4ph in=zz,b out=s ack=0",  # undeclared input
+    "# internal c",
+    "# plb 9 gate=g role=main",  # no pin bindings
+    "# plb 9 gate=g role=main in=- out=-;-;-;- sout=-;-",  # one pin of 12
+    "# plb 9 gate=g role=main in=" + ";".join(["a:x:2"] * 12) + " out=-;-;-;- sout=-;-",
+    "0123456789abcdefzz",  # a block line that is not hex
+    "0123456789abcdef",  # a block line that is too short
+], ids=["signal-bad-proto", "signal-no-arity", "signal-arity-text", "signal-bare-key",
+        "signal-arity-range", "signal-no-name", "gate-bad-proto", "gate-no-ack",
+        "gate-undeclared-input", "internal-no-width", "plb-no-fields", "plb-pin-count",
+        "plb-bad-ref", "hex-digit", "hex-short"])
+def test_sim_malformed_bitstream_exits_2_naming_line(files, capsys, bad_line):
+    tmp, net, stim = files
+    good = tmp / "good.bit"
+    assert main(["map", str(net), "-o", str(good)]) == 0
+    assert main(["sim", str(good), "--stimulus", str(stim)]) == 0
+    lines = good.read_text().splitlines()
+    if bad_line.startswith("#"):
+        lines.insert(1, bad_line)
+        where = 2
+    else:  # in place of the first block line, so the counts still match
+        where = next(i for i, ln in enumerate(lines, 1) if not ln.startswith("#"))
+        lines[where - 1] = bad_line
+    bad = tmp / "bad.bit"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: ")

@@ -2,16 +2,20 @@ import itertools
 
 import pytest
 
+from qdifab.encodings import Protocol, SignalSpec
+from qdifab.mapper import MappedGate, PlbUnit
 from qdifab.netlist import parse_netlist
+from qdifab.plb import LutTable, PlbConfig, WireRef
 from qdifab.simulator import (
     DelayModel,
+    Fabric,
     SimulationInputError,
     check_no_early_evaluation,
     check_single_toggle,
     fabric_from_netlist,
     run,
 )
-from qdifab.trace import Trace
+from qdifab.trace import GateInfo, Trace
 from ._oracles import all_16_functions
 
 AND_NET = """
@@ -266,3 +270,39 @@ def test_trace_csv_roundtrip():
     for tr in cases[:3]:
         verdicts = check_single_toggle(Trace.from_csv(tr.to_csv()))
         assert all(ok for ok, _ in verdicts.values()), verdicts
+
+
+def _oscillating_fabric():
+    """One block whose L0 feeds back on itself as ``(x.0 or x.1) and not
+    L0``: quiet at reset, oscillating whenever a rail of x is high."""
+    no_fb = (False,) * 6
+    config = PlbConfig(
+        luts=(LutTable.from_function(lambda l0, a, b, *_: (a | b) & (1 - l0)),
+              LutTable.zero(), LutTable.zero(), LutTable.zero()),
+        feedback_sel=((True,) + (False,) * 5, no_fb, no_fb, no_fb),
+        input_assignment=(None, WireRef("x", 1, 2), WireRef("x", 0, 2)) + (None,) * 9,
+    )
+    unit = PlbUnit("main", config, (WireRef("o", 0, 2), WireRef("o", 1, 2), None, None),
+                   ("o.sout", None))
+    signals = {s: SignalSpec(s, Protocol.FOUR_PHASE, 2) for s in "xo"}
+    return Fabric(signals, [MappedGate("g", Protocol.FOUR_PHASE, (unit,))],
+                  [GateInfo("g", "4ph", ("x",), "o", True)])
+
+
+def test_oscillating_block_reported_once_through_the_kernel():
+    # x.1 rises and the block oscillates; it settles when x.1 falls (a step
+    # the block keeps), and oscillates again when x.0 rises.  The kernel
+    # reports the first oscillation only and drives nothing for either.
+    tr = run(_oscillating_fabric(), {"x": [1]}, inject=[(5, "x.1", 0), (8, "x.0", 1)])
+    osc = [d for d in tr.diagnostics if d.startswith("oscillation")]
+    assert osc == ["oscillation in block g/main at t=2"]
+    assert tr.diagnostics == osc + ["handshake stalled; unfinished producers: x"]
+    assert [tuple(e) for e in tr.events] == [
+        (2, "x.1", 0, 1), (5, "x.1", 1, 0), (8, "x.0", 0, 1),
+    ]
+    assert tr.deadlock
+
+
+def test_inject_on_unknown_wire_rejected():
+    with pytest.raises(SimulationInputError, match="nope"):
+        run(fab(AND_NET), {"x": [1], "y": [1]}, inject=[(3, "nope", 1)])
