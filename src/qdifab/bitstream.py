@@ -151,7 +151,10 @@ def read_bitstream(text: str) -> Fabric:
     A malformed line, such as an unknown protocol, a missing or malformed
     ``key=value`` field, a bad pin binding or hex digit, or a gate naming an
     undeclared signal, raises :class:`BitstreamError` whose message starts
-    with ``line <n>:``.
+    with ``line <n>:``.  So does a block binding a wire of anything but a
+    declared or ``# internal`` signal; besides those, a pin may read
+    ``<signal>.ackin`` and an ack output (``sout``) may drive
+    ``<signal>.sout``, for a declared signal.
     """
     signals: dict[str, SignalSpec] = {}
     gates: List[GateInfo] = []
@@ -195,7 +198,7 @@ def read_bitstream(text: str) -> Fabric:
                 if (len(assignment), len(outs), len(souts)) != (12, 4, 2):
                     raise ValueError("wrong number of bindings")
                 plb_meta.append(dict(
-                    gate=kv["gate"], role=kv["role"], assignment=assignment,
+                    lineno=lineno, gate=kv["gate"], role=kv["role"], assignment=assignment,
                     outs=outs, souts=souts, internals=tuple(pending_internals),
                 ))
                 pending_internals = []
@@ -207,6 +210,20 @@ def read_bitstream(text: str) -> Fabric:
             if sig not in signals:
                 raise BitstreamError(
                     f"line {lineno}: gate {g.name}: {sig!r} is not a declared signal")
+    wire_names = set(signals)
+    for meta in plb_meta:
+        wire_names.update(name for name, _ in meta["internals"])
+    pin_names = wire_names | {f"{s}.ackin" for s in signals}
+    sout_names = {f"{s}.sout" for s in signals}
+    for meta in plb_meta:
+        bound = [(ref.signal, pin_names) for ref in meta["assignment"] if ref is not None]
+        bound += [(ref.signal, wire_names) for ref in meta["outs"] if ref is not None]
+        bound += [(name, sout_names) for name in meta["souts"] if name is not None]
+        for name, legal in bound:
+            if name not in legal:
+                raise BitstreamError(
+                    f"line {meta['lineno']}: block binds {name!r}, which is not "
+                    f"a declared or internal signal or its acknowledge")
     if len(hex_lines) != len(plb_meta):
         raise BitstreamError(
             f"{len(plb_meta)} block headers but {len(hex_lines)} hex lines"

@@ -72,7 +72,8 @@ def _parse_stimulus(text: str) -> Dict[str, List[int]]:
 
 def cmd_map(args) -> int:
     try:
-        text = open(args.netlist).read()
+        with open(args.netlist) as fh:
+            text = fh.read()
     except OSError as exc:
         return _fail(str(exc))
     try:
@@ -96,7 +97,8 @@ def cmd_sim(args) -> int:
     except BitstreamError as exc:  # names the line
         return _fail(f"{args.bitstream}: {exc}")
     try:
-        stimulus = _parse_stimulus(open(args.stimulus).read())
+        with open(args.stimulus) as fh:
+            stimulus = _parse_stimulus(fh.read())
         delays = _parse_delays(args.delays)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))

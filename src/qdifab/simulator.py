@@ -12,13 +12,23 @@ per value), and a consumer per primary output acknowledges every value after
 a configurable delay and records the decoded sequence with its completion
 time.
 
-Each block instance memoises its reactions for the run: a dict from its
-state to a dict from its 12 input levels to (next state, the levels it
-drives).  The memo is exact because ``plb_step`` is a pure function of the
-block's configuration, state and inputs and ``PlbState`` is frozen, so a hit
-returns what recomputing would.  It lives and dies with one
-:class:`Simulation`, and an oscillating step is never stored: the next
-reaction recomputes it, and the block reports the oscillation once.
+Every wire level is 0 or 1 (:meth:`Simulation.inject` refuses anything
+else), which keeps two running summaries exact:
+
+* Each block instance holds its 12 input levels as a pin word, bit ``i``
+  being pin ``i``; a wire change flips the bits of the pins that wire feeds.
+  The instance memoises its reactions for the run: a dict from its state to
+  a dict from its pin word to (next state, the levels it drives).  The memo
+  is exact because ``plb_step`` is a pure function of the block's
+  configuration, state and inputs and ``PlbState`` is frozen, so a hit
+  returns what recomputing would.  It lives and dies with one
+  :class:`Simulation`, and an oscillating step is never stored: the next
+  reaction recomputes it, and the block reports the oscillation once.
+  Block and producer outputs go straight onto the event heap, and a
+  reaction that drives the levels the block last drove schedules nothing.
+* Each four-phase signal keeps the weight of its rails, the number that are
+  high.  Only a weight above 1 can be a forbidden pattern, so only then is
+  the pattern classified with ``decode_4ph`` and reported.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from itertools import count
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .encodings import (
@@ -133,12 +142,20 @@ class _Wire:
         self.level = 0
         self.delay = delay
         self.sinks: List[object] = []
-        # (signal name, its wires) when the wire carries a four-phase signal,
-        # whose every change is checked for a forbidden pattern.
-        self.group: Optional[Tuple[str, List["_Wire"]]] = None
+        # The four-phase signal the wire is a rail of, if any.
+        self.group: Optional[_Group] = None
 
 
-_level = attrgetter("level")
+class _Group:
+    """The rails of one four-phase signal and how many of them are high."""
+
+    __slots__ = ("signal", "wires", "weight")
+
+    def __init__(self, signal: str, wires: List[_Wire]):
+        self.signal = signal
+        self.wires = wires
+        self.weight = 0
+
 
 # A reaction: (next state, the memo of that state, the levels of the
 # instance's driven wires).
@@ -146,24 +163,34 @@ _Reaction = Tuple[PlbState, dict, Tuple[int, ...]]
 
 
 class _PlbInst:
-    def __init__(self, name: str, unit: PlbUnit, pins: List[_Wire],
+    def __init__(self, name: str, unit: PlbUnit, pins: List[Optional[_Wire]],
                  outs: List[Optional[_Wire]]):
         self.name = name
         self.unit = unit
         self.state = plb_reset(unit.config)
-        self.pins = pins  # 12 wires; an unconnected pin reads a wire held at 0
+        # The 12 pin levels, pin i at bit i: all 0 at reset, and an
+        # unconnected (None) pin stays 0.
+        self.word = 0
+        # Each connected wire -> the bits of the pins it feeds.
+        self.mask_of: Dict[_Wire, int] = {}
+        for i, w in enumerate(pins):
+            if w is not None:
+                self.mask_of[w] = self.mask_of.get(w, 0) | 1 << i
         # The connected wires among O0..O3, ack A, ack B (``outs``), and
         # their positions there.
         self.drive_pos = [i for i, w in enumerate(outs) if w is not None]
         self.drives = [outs[i] for i in self.drive_pos]
         self.last_driven: Dict[_Wire, int] = {}
+        # The levels last driven on ``drives``, once every one of them has
+        # been driven; until then None.
+        self.last_levels: Optional[Tuple[int, ...]] = None
         self.osc_reported = False
-        self.memo: Dict[PlbState, Dict[Tuple[int, ...], _Reaction]] = {self.state: {}}
+        self.memo: Dict[PlbState, Dict[int, _Reaction]] = {self.state: {}}
         self.reactions = self.memo[self.state]  # those of the current state
 
-    def _settle(self, sim: "Simulation", t: int, levels: Tuple[int, ...]
-                ) -> Optional[_Reaction]:
+    def _settle(self, sim: "Simulation", t: int, word: int) -> Optional[_Reaction]:
         config = self.unit.config
+        levels = tuple((word >> i) & 1 for i in range(12))
         try:
             state = plb_step(config, self.state, levels)
         except OscillationError:
@@ -177,23 +204,28 @@ class _PlbInst:
             self.memo.setdefault(state, {}),
             tuple(six[i] for i in self.drive_pos),
         )
-        self.reactions[levels] = reaction
+        self.reactions[word] = reaction
         return reaction
 
-    def react(self, sim: "Simulation", t: int, _wire: _Wire):
-        levels = tuple(map(_level, self.pins))
-        reaction = self.reactions.get(levels)
+    def react(self, sim: "Simulation", t: int, wire: _Wire):
+        self.word = word = self.word ^ self.mask_of[wire]
+        reaction = self.reactions.get(word)
         if reaction is None:
-            reaction = self._settle(sim, t, levels)
+            reaction = self._settle(sim, t, word)
             if reaction is None:
                 return
         self.state, self.reactions, driven = reaction
+        if driven == self.last_levels:
+            return
         last = self.last_driven
         when = t + sim.delays.element
-        for wire, level in zip(self.drives, driven):
-            if level != last.get(wire, wire.level):
-                last[wire] = level
-                sim.schedule(wire, level, when)
+        queue, seq = sim.queue, sim._seq
+        for out, level in zip(self.drives, driven):
+            if level != last.get(out, out.level):
+                last[out] = level
+                heappush(queue, (when + out.delay, next(seq), out, level))
+        if len(last) == len(driven):
+            self.last_levels = driven
 
 
 class _CJoin:
@@ -232,7 +264,8 @@ class _Producer:
 
     def _emit_wire(self, sim: "Simulation", wire_idx: int, level: int, t: int):
         self.levels[wire_idx] = level
-        sim.schedule(self.wires[wire_idx], level, t)
+        wire = self.wires[wire_idx]
+        heappush(sim.queue, (t + wire.delay, next(sim._seq), wire, level))
 
     def start(self, sim: "Simulation"):
         if self.done:
@@ -363,8 +396,9 @@ class Simulation:
         for spec in fabric.signals.values():
             wires = [self._wire(wn) for wn in spec.wire_names()]
             if spec.protocol is Protocol.FOUR_PHASE:
+                group = _Group(spec.name, wires)
                 for w in wires:
-                    w.group = (spec.name, wires)
+                    w.group = group
         for mg in fabric.mapped:
             for name, width in mg.internal_signals:
                 for i in range(width):
@@ -397,17 +431,15 @@ class Simulation:
         def resolve(name: str) -> _Wire:
             return resolution.get(name) or self._wire(name)
 
-        unconnected = _Wire("", 0)  # read by unbound pins; never changes
         for mg in fabric.mapped:
             for unit in mg.plbs:
-                pins = [unconnected if ref is None else resolve(str(ref))
+                pins = [None if ref is None else resolve(str(ref))
                         for ref in unit.config.input_assignment]
                 outs = [None if ref is None else self._wire(str(ref))
                         for ref in (*unit.output_map, *unit.sout_map)]
                 inst = _PlbInst(f"{mg.name}/{unit.role}", unit, pins, outs)
-                for w in pins:
-                    if w is not unconnected and inst not in w.sinks:
-                        w.sinks.append(inst)
+                for w in inst.mask_of:
+                    w.sinks.append(inst)
 
         unknown = set(stimulus) - set(fabric.primary_inputs())
         if unknown:
@@ -441,6 +473,10 @@ class Simulation:
         wire = self.wires.get(wire_name)
         if wire is None:
             raise SimulationInputError(f"cannot inject on unknown wire {wire_name!r}")
+        if type(level) is not int or level not in (0, 1):
+            raise SimulationInputError(
+                f"cannot inject level {level!r} on wire {wire_name!r}; a level is 0 or 1"
+            )
         heappush(self.queue, (time, next(self._seq), wire, level))
 
     def mark(self, signal: str, value: int, t: int):
@@ -448,12 +484,11 @@ class Simulation:
         self.markers.append((t, signal, len(recs)))
         recs.append((value, t))
 
-    def _check_forbidden(self, group: Tuple[str, List[_Wire]], t: int):
-        sig, wires = group
-        levels = [w.level for w in wires]
+    def _check_forbidden(self, group: _Group, t: int):
+        levels = [w.level for w in group.wires]
         if decode_4ph(levels).kind is CodeKind.FORBIDDEN:
             self.diagnostics.append(
-                f"forbidden state on {sig} at t={t}: {tuple(levels)}"
+                f"forbidden state on {group.signal} at t={t}: {tuple(levels)}"
             )
 
     def run(self) -> Trace:
@@ -471,8 +506,11 @@ class Simulation:
                 continue
             wire.level = level
             events.append(_event_from_tuple((t, wire.name, old, level)))
-            if wire.group is not None:
-                self._check_forbidden(wire.group, t)
+            group = wire.group
+            if group is not None:
+                group.weight += level - old
+                if group.weight > 1:
+                    self._check_forbidden(group, t)
             for sink in wire.sinks:
                 sink.react(self, t, wire)
 

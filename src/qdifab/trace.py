@@ -235,6 +235,8 @@ def _protocol(kv: Dict[str, str]) -> str:
 def _parse_events(rows: List[str]) -> List[TraceEvent]:
     """Event rows converted column by column; ValueError unless every row
     is four fields: integer, wire name, integer, integer."""
+    if not rows:
+        return []
     if set(map(str.count, rows, repeat(","))) - {3}:
         raise ValueError("event rows need four fields")
     fields = ",".join(rows).split(",")

@@ -17,6 +17,8 @@ from qdifab.netlist import parse_netlist
 from qdifab.simulator import fabric_from_netlist, run
 from qdifab.trace import Trace
 
+from .test_golden_traces import DESIGNS as GOLDEN_DESIGNS
+
 THREE_GATE_NET = """
 # half adder plus a carry tap
 signal a proto=4ph arity=2
@@ -205,12 +207,13 @@ def test_check_timing_fails_on_perturbed_trace(files, capsys):
     tmp, net, _ = files
     paths = _trace_files(tmp, net, count=2)
     # Shift every marker and event of one trace: a value-correlated delay.
-    text = open(paths[1]).read()
-    tr = Trace.from_csv(text)
+    with open(paths[1]) as fh:
+        tr = Trace.from_csv(fh.read())
     tr.events = [type(e)(e.time + 3, e.wire, e.old, e.new) for e in tr.events]
     tr.markers = [(t + 3, s, i) for t, s, i in tr.markers]
     tr.records = {s: [(v, t + 3) for v, t in rs] for s, rs in tr.records.items()}
-    open(paths[1], "w").write(tr.to_csv())
+    with open(paths[1], "w") as fh:
+        fh.write(tr.to_csv())
     rc = main(["check", *paths, "--property", "timing"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
@@ -314,3 +317,51 @@ def test_sim_malformed_bitstream_exits_2_naming_line(files, capsys, bad_line):
     capsys.readouterr()
     assert main(["sim", str(bad), "--stimulus", str(stim)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: ")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("a:0:2", "zz:0:2"),  # a pin reading an undeclared signal
+    ("s.ackin:0:1", "zz.ackin:0:1"),  # the acknowledge of one
+    ("out=s:0:2", "out=zz:0:2"),  # an output driving one
+    ("sout=s.sout", "sout=zz.sout"),
+    ("sout=s.sout", "sout=s"),  # a data signal where an ack wire belongs
+], ids=["pin", "pin-ack", "output", "sout", "sout-not-ack"])
+def test_sim_block_binding_undeclared_signal_exits_2(files, capsys, old, new):
+    tmp, net, stim = files
+    good = tmp / "good.bit"
+    assert main(["map", str(net), "-o", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    where = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# plb 0 "))
+    assert old in lines[where - 1]
+    lines[where - 1] = lines[where - 1].replace(old, new, 1)
+    bad = tmp / "bad.bit"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(stim)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {where}: ")
+    assert repr(new.split("=")[-1].split(":")[0]) in err
+
+
+LEDR_3IN_NET = (
+    "".join(f"signal {n} proto=ledr arity=2\n" for n in "xyzo")
+    + "gate g fn=e8 in=x,y,z out=o\n"
+)
+
+
+@pytest.mark.parametrize("design", [*GOLDEN_DESIGNS, "ledr_3in"])
+def test_bitstream_of_every_mapper_shape_loads(design):
+    text = LEDR_3IN_NET if design == "ledr_3in" else GOLDEN_DESIGNS[design]
+    fabric = fabric_from_netlist(parse_netlist(text))
+    bits = write_bitstream(fabric)
+    assert write_bitstream(read_bitstream(bits)) == bits
+
+
+def test_sim_empty_stimulus_trace_checks(files, capsys):
+    tmp, net, _ = files
+    bit, empty, tracef = tmp / "d.bit", tmp / "empty.stim", tmp / "out.csv"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    empty.write_text("")
+    assert main(["sim", str(bit), "--stimulus", str(empty), "--trace", str(tracef)]) == 0
+    assert Trace.from_csv(tracef.read_text()).events == []
+    assert main(["check", str(tracef), "--property", "single-toggle"]) == 0

@@ -5,8 +5,9 @@ under uniform delays and under jitter seeds 1..10, and compares the sha256 of
 ``Trace.to_csv()`` with the digest recorded here.  The corpus is every shape
 the mapper accepts except the LEDR 3-input gate (its phase blind spot is due
 to be remapped, which will change its traces), a DAG with fan-out per
-protocol, and three fault injections that reach the forbidden-state check and
-a block output driven against its last level.
+protocol, and five fault injections: two drive a four-phase group, an input
+and an output, into the forbidden state and out of it twice; the other three
+raise or pulse a rail and pull a block output against its last level.
 
 A change that is meant to alter simulated behaviour must say so and record
 new digests; print them with ``PYTHONPATH=src python -m tests.test_golden_traces``.
@@ -56,12 +57,19 @@ DESIGNS = {
 }
 
 # (design, forced wire events): a rail raised under a valid input, a rail
-# raised and dropped again, and a block output pulled up while its block
-# holds it low.
+# raised and dropped again, a block output pulled up while its block holds
+# it low, and a second rail pulsed twice under a valid value, once on an
+# input group (b carries 0 over t=2..10 and 18..26) and once on an output
+# group (o carries 0 over t=4..8 and 12..16), so the group enters and
+# leaves the forbidden state twice.
 FAULTS = {
     "fault_input_rail": ("4ph_2in_ack", [(3, "x.0", 1)]),
     "fault_rail_pulse": ("dag_4ph", [(5, "b.0", 1), (9, "b.0", 0)]),
     "fault_block_output": ("4ph_2in_ack", [(2, "o.0", 1)]),
+    "fault_input_forbidden_twice": (
+        "dag_4ph", [(3, "b.1", 1), (7, "b.1", 0), (19, "b.1", 1), (23, "b.1", 0)]),
+    "fault_output_forbidden_twice": (
+        "4ph_2in_ack", [(5, "o.1", 1), (7, "o.1", 0), (13, "o.1", 1), (15, "o.1", 0)]),
 }
 
 
@@ -200,12 +208,26 @@ GOLDEN = {
     'fault_input_rail-uniform': 'c37e794dbd7dc7ab1143f9ae4bf2f514dd6ae72039b29fee884534f6fdfd1fc8',
     'fault_rail_pulse-uniform': '9050d222a7766fbc1d3bd570d724764daef4e8dd9f61f952964d29420cc853d0',
     'fault_block_output-uniform': '1a20ddeefca3636887bc72efd125e079de2acf1b266ed864518fa83724820c8d',
+    'fault_input_forbidden_twice-uniform': 'a9f70ddff96ce4afa2e7b5f4b019fae8dc38828d53c78b310a496adb6cddc1b8',
+    'fault_output_forbidden_twice-uniform': '7429c72f754f270fd186a9febae9e36b6be3dc33483876b83778e2e7339f6c6b',
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_trace_is_golden(case):
     assert _digest(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("fault, signal", [
+    ("fault_input_forbidden_twice", "b"),
+    ("fault_output_forbidden_twice", "o"),
+])
+def test_fault_enters_forbidden_state_twice(fault, signal):
+    design, inject = FAULTS[fault]
+    tr = _trace(design, "uniform", inject)
+    entries = [d for d in tr.diagnostics if d.startswith(f"forbidden state on {signal} ")]
+    assert len(entries) == 2, tr.diagnostics
+    assert all(d.endswith(": (1, 1)") for d in entries)
 
 
 def test_corpus_runs_complete():

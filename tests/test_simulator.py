@@ -306,3 +306,44 @@ def test_oscillating_block_reported_once_through_the_kernel():
 def test_inject_on_unknown_wire_rejected():
     with pytest.raises(SimulationInputError, match="nope"):
         run(fab(AND_NET), {"x": [1], "y": [1]}, inject=[(3, "nope", 1)])
+
+
+@pytest.mark.parametrize("level", [2, -1, 0.5, True])
+def test_inject_level_other_than_0_or_1_rejected(level):
+    with pytest.raises(SimulationInputError, match=r"level .* on wire 'x\.0'"):
+        run(fab(AND_NET), {"x": [1], "y": [1]}, inject=[(3, "x.0", level)])
+
+
+def test_trace_without_events_roundtrips():
+    for tr in (Trace(), run(fab(AND_NET), {"x": [], "y": []})):
+        text = tr.to_csv()
+        back = Trace.from_csv(text)
+        assert back.events == [] and back.to_csv() == text
+        assert back.signals == tr.signals and back.gates == tr.gates
+
+
+def test_4ph_run_evaluates_blocks_and_classifies_through_module_globals(monkeypatch):
+    # Profilers and the benchmark's tracer wrap these two names in the
+    # simulator module; the kernel must call them there.
+    from qdifab import simulator
+
+    calls = {"plb_step": [], "decode_4ph": []}
+
+    def counting(name):
+        real = getattr(simulator, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulator, name, counting(name))
+    tr = run(fab(AND_NET), {"x": [1, 0], "y": [1, 1]})
+    assert tr.values_of("o") == [1, 0]
+    assert calls["plb_step"] and calls["decode_4ph"]
+    # A forbidden pattern is classified by decode_4ph before it is reported.
+    calls["decode_4ph"].clear()
+    tr = run(fab(AND_NET), {"x": [1, 0], "y": [1, 1]}, inject=[(3, "x.0", 1)])
+    assert "forbidden state on x at t=3: (1, 1)" in tr.diagnostics
+    assert ([1, 1],) in calls["decode_4ph"]
