@@ -10,12 +10,31 @@ in insulation mode until the new configuration has committed.
 
 Blocks are fully independent: reconfiguring one cannot disturb another's
 stage states, which the tests check bit for bit.
+
+The chain advances in settle ticks.  Stage 0 is the head, where bits
+enter, and stage ``length - 1`` the tail, where they leave.  A run is a
+maximal stretch of filled stages.  In one tick every run whose tail-side
+neighbour stage is empty at the start of the tick moves one stage tailward
+(only a run that ends on the tail stage stays), and then a bit waiting at
+the input enters stage 0 if that stage is empty.  While draining, the bit on
+the tail stage, if any, leaves just before each tick.  A chain settles when
+no run can move, i.e. when its bits sit packed against the tail.
+
+Bits never overtake one another, so an operation keeps the stored bits as
+one queue (tail first, which is arrival order) and the runs as
+(first stage, length) pairs.  A tick then costs time in proportion to the
+number of runs, not to the chain length.  Loading fills the chain as one
+run and settling leaves one run, so loading, draining or reconfiguring a
+block programmed that way takes time linear in its length (a hand-made
+stage pattern of k runs drains in at most k times that).
+``Block.stages`` is rewritten once, when the operation ends.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 
 class ProgrammingError(ValueError):
@@ -62,72 +81,140 @@ class Block:
         return self.state != "active"
 
 
-def _shift_tick(block: Block, feed: Optional[int]) -> Optional[int]:
-    """One settle tick: bits move one stage tailward, a fed bit enters the
-    head if it is free.  Returns the bit still waiting at the input."""
-    for k in range(block.length - 1, 0, -1):
-        if block.stages[k] is None and block.stages[k - 1] is not None:
-            block.stages[k] = block.stages[k - 1]
-            block.stages[k - 1] = None
-    if feed is not None and block.stages[0] is None:
-        block.stages[0] = feed
+class _Runs:
+    """A block's chain during one operation: its bits, tail first, and its
+    runs as [first stage, length], tail first."""
+
+    def __init__(self, block: Block):
+        self.block = block
+        self.last = block.length - 1  # the tail stage
+        self.bits: Deque[int] = deque()
+        self.runs: List[List[int]] = []
+        for k in range(block.length - 1, -1, -1):
+            bit = block.stages[k]
+            if bit is None:
+                continue
+            run = self.runs[-1] if self.runs else None
+            if run is not None and run[0] == k + 1:
+                run[0] = k
+                run[1] += 1
+            else:
+                self.runs.append([k, 1])
+            self.bits.append(bit)
+
+    def tick(self, feed: Optional[int] = None) -> Optional[int]:
+        """One settle tick; returns ``feed`` if stage 0 could not take it."""
+        runs = self.runs
+        held = bool(runs) and runs[0][0] + runs[0][1] > self.last
+        for run in runs[held:]:
+            run[0] += 1
+        if held and len(runs) > 1 and runs[1][0] + runs[1][1] == runs[0][0]:
+            runs[0][0] = runs[1][0]
+            runs[0][1] += runs[1][1]
+            del runs[1]
+        if feed is None or (runs and runs[-1][0] == 0):
+            return feed
+        if runs and runs[-1][0] == 1:
+            runs[-1][0] = 0
+            runs[-1][1] += 1
+        else:
+            runs.append([0, 1])
+        self.bits.append(feed)
         return None
-    return feed
+
+    def drain(self) -> Tuple[Tuple[int, ...], int]:
+        """With the tail released, take the bit on the tail stage, if any,
+        and tick, until the chain is empty: (the bits out, the ticks)."""
+        runs, out, ticks = self.runs, [], 0
+        while runs:
+            tail = runs[0]
+            if tail[0] + tail[1] > self.last:
+                out.append(self.bits.popleft())
+                tail[1] -= 1
+                if not tail[1]:
+                    del runs[0]
+            self.tick()
+            ticks += 1
+        return tuple(out), ticks
+
+    def feed(self, bits: Sequence[int]) -> int:
+        """Stream ``bits`` in, one tick per attempt: returns the ticks.
+
+        Only called on an empty chain with no more bits than stages, where
+        stage 0 is free again after every tick.
+        """
+        ticks = 0
+        for bit in bits:
+            while bit is not None:
+                bit = self.tick(bit)
+                ticks += 1
+        return ticks
+
+    def settle(self) -> None:
+        """Tick until nothing moves: every bit packed against the tail."""
+        if self.bits:
+            self.runs = [[self.last + 1 - len(self.bits), len(self.bits)]]
+
+    def commit(self) -> None:
+        """Write the chain back into ``block.stages`` (the same list)."""
+        stages: List[Optional[int]] = [None] * self.block.length
+        bits = iter(self.bits)
+        for start, n in self.runs:
+            for k in range(start + n - 1, start - 1, -1):
+                stages[k] = next(bits)
+        self.block.stages[:] = stages
 
 
-def _settle(block: Block) -> None:
-    while True:
-        before = block.snapshot()
-        _shift_tick(block, None)
-        if block.snapshot() == before:
-            return
+def _check_bits(block: Block, bits: Sequence[int]) -> None:
+    if len(bits) > block.length:
+        raise ProgrammingError(
+            f"{len(bits)} bits overflow a {block.length}-stage chain"
+        )
+    for i, b in enumerate(bits):
+        if type(b) is not int or b not in (0, 1):
+            raise ProgrammingError(f"bit {i} is {b!r}; a configuration bit is 0 or 1")
 
 
 def load_block(block: Block, bits: Sequence[int]) -> Block:
     """Stream NULL-separated bits into a reset chain with the tail held.
 
-    Refuses more bits than stages; zero bits leave the block unconfigured.
+    Refuses more bits than stages and any bit other than 0 or 1; zero bits
+    leave the block unconfigured.
     """
     if any(b is not None for b in block.stages):
         raise ProgrammingError("chain must be drained before loading")
     if not block.tail_held:
         raise ProgrammingError("tail acknowledge must be held during loading")
-    if len(bits) > block.length:
-        raise ProgrammingError(
-            f"{len(bits)} bits overflow a {block.length}-stage chain"
-        )
+    _check_bits(block, bits)
     if not bits:
         block.state = "unconfigured"
         return block
     block.state = "programming"
-    pending = list(bits)
-    waiting: Optional[int] = None
-    guard = 0
-    while pending or waiting is not None:
-        if waiting is None:
-            waiting = pending.pop(0)
-        waiting = _shift_tick(block, waiting)
-        guard += 1
-        if guard > 4 * block.length * (len(bits) + 1):
-            raise ProgrammingError("chain did not accept all bits")
-    _settle(block)
+    chain = _Runs(block)
+    chain.feed(bits)
+    chain.settle()
+    chain.commit()
     block.state = "active"
     return block
 
 
-def drain_block(block: Block) -> Tuple[int, ...]:
-    """Release the tail acknowledge and collect the bits in FIFO order."""
+def _drain(block: Block) -> Tuple[_Runs, Tuple[int, ...], int]:
+    """Release the tail acknowledge, drain the chain and hold the tail
+    again: (the empty chain, the bits in FIFO order, the ticks taken)."""
     block.tail_held = False
     block.state = "programming"
-    out: List[int] = []
-    while any(b is not None for b in block.stages):
-        if block.stages[-1] is not None:
-            out.append(block.stages[-1])
-            block.stages[-1] = None
-        _shift_tick(block, None)
+    chain = _Runs(block)
+    out, ticks = chain.drain()
     block.tail_held = True
+    return chain, out, ticks
+
+
+def drain_block(block: Block) -> Tuple[int, ...]:
+    """Release the tail acknowledge and collect the bits in FIFO order."""
+    chain, out, _ticks = _drain(block)
+    chain.commit()
     block.state = "unconfigured"
-    return tuple(out)
+    return out
 
 
 @dataclass
@@ -140,41 +227,19 @@ class ReconfigLog:
 def reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLog:
     """Drain a configured block, stream the new bits, re-hold the tail.
 
-    The block's logic outputs read 0 on every tick of the operation; the
-    switchboxes stay insulated until the load commits.
+    Every drain tick and every feed tick counts, and the final settle counts
+    as one, so a full chain of L stages takes 2L + 1 ticks.  The block's
+    logic outputs read 0 on every tick of the operation, because its state
+    stays "programming" until the last one; the switchboxes stay insulated
+    until the load commits.
     """
     if not block.configured:
         raise ProgrammingError("block is not configured")
-    if len(new_bits) > block.length:
-        raise ProgrammingError(
-            f"{len(new_bits)} bits overflow a {block.length}-stage chain"
-        )
-    zero_log: List[bool] = []
-
-    block.tail_held = False
-    block.state = "programming"
-    drained: List[int] = []
-    while any(b is not None for b in block.stages):
-        if block.stages[-1] is not None:
-            drained.append(block.stages[-1])
-            block.stages[-1] = None
-        _shift_tick(block, None)
-        zero_log.append(block.outputs_forced_zero())
-    block.tail_held = True
-
-    pending = list(new_bits)
-    waiting: Optional[int] = None
-    while pending or waiting is not None:
-        if waiting is None:
-            waiting = pending.pop(0)
-        waiting = _shift_tick(block, waiting)
-        zero_log.append(block.outputs_forced_zero())
-    _settle(block)
-    zero_log.append(block.outputs_forced_zero())
-
+    _check_bits(block, new_bits)
+    chain, drained, ticks = _drain(block)
+    ticks += chain.feed(new_bits) + 1
+    zero = block.outputs_forced_zero()
+    chain.settle()
+    chain.commit()
     block.state = "active" if new_bits else "unconfigured"
-    return ReconfigLog(
-        drained=tuple(drained),
-        ticks=len(zero_log),
-        outputs_zero_every_tick=all(zero_log),
-    )
+    return ReconfigLog(drained=drained, ticks=ticks, outputs_zero_every_tick=zero)

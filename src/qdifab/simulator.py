@@ -12,6 +12,21 @@ per value), and a consumer per primary output acknowledges every value after
 a configurable delay and records the decoded sequence with its completion
 time.
 
+Building a simulation has two parts.  The elaboration depends on the
+fabric alone: the wire names and the four-phase groups; per placed block its
+name, configuration, reset state (one ``plb_reset`` per block), the pins each
+wire feeds and the wires it drives; the acknowledge joins; the producer and
+consumer specs; the primary inputs; the signal table and the fingerprint
+that go into the trace.  It names every wire by an index.  The first
+:class:`Simulation` of a :class:`Fabric` builds it and caches it on that
+fabric, so a fabric is not changed once it has been simulated.  Everything
+else is per run and built from the elaboration by each :class:`Simulation`:
+the wires with this run's delays, the joins, producers, consumers and block
+instances, the name map :meth:`Simulation.inject` uses, and the per-run
+state below (the memos, the levels, the weights, the diagnostics).  The
+stimulus is checked when the simulation is built: every value must be an
+integer from 0 to its signal's arity minus one.
+
 Every wire level is 0 or 1 (:meth:`Simulation.inject` refuses anything
 else), which keeps two running summaries exact:
 
@@ -36,6 +51,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappush, heappop
 from itertools import count
 from typing import Dict, List, Optional, Tuple
@@ -47,9 +63,16 @@ from .encodings import (
     decode_4ph,
     signal_parity,
 )
-from .mapper import MappedGate, PlbUnit
+from .mapper import MappedGate
 from .netlist import Netlist, PROTO_TO_NAME, map_netlist
-from .plb import OscillationError, PlbState, plb_reset, plb_step, ack_outputs
+from .plb import (
+    OscillationError,
+    PlbConfig,
+    PlbState,
+    ack_outputs,
+    plb_reset,
+    plb_step,
+)
 from .primitives import CElementState, c_element_step
 from .trace import GateInfo, SignalInfo, Trace, TraceEvent, _event_from_tuple
 
@@ -86,11 +109,20 @@ class DelayModel:
 
 @dataclass
 class Fabric:
-    """Static description of a mapped design."""
+    """Static description of a mapped design.
+
+    A fabric is not changed once it has been simulated: its first
+    :class:`Simulation` caches the fabric's elaboration on it, and every
+    later one builds from that.
+    """
 
     signals: Dict[str, SignalSpec]
     mapped: List[MappedGate]
     gates: List[GateInfo]
+
+    @cached_property
+    def elaboration(self) -> "_Elaboration":
+        return _Elaboration(self)
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -131,6 +163,100 @@ def fabric_from_netlist(net: Netlist) -> Fabric:
     return Fabric(dict(net.signals), map_netlist(net), gates)
 
 
+# -- elaboration ---------------------------------------------------------------
+
+
+class _Elaboration:
+    """The part of building a :class:`Simulation` that no delay model,
+    stimulus or run changes; every wire is an index into ``wire_names``."""
+
+    def __init__(self, fabric: Fabric):
+        index: Dict[str, int] = {}
+        self.wire_names: List[str] = []
+
+        def wire(name: str) -> int:
+            i = index.get(name)
+            if i is None:
+                i = index[name] = len(self.wire_names)
+                self.wire_names.append(name)
+            return i
+
+        # Each signal's rails, and (signal, its rails) per four-phase signal.
+        rails_of: Dict[str, Tuple[int, ...]] = {}
+        self.groups: List[Tuple[str, Tuple[int, ...]]] = []
+        for s, spec in fabric.signals.items():
+            rails_of[s] = rails = tuple(wire(wn) for wn in spec.wire_names())
+            if spec.protocol is Protocol.FOUR_PHASE:
+                self.groups.append((spec.name, rails))
+        for mg in fabric.mapped:
+            for name, width in mg.internal_signals:
+                for i in range(width):
+                    wire(f"{name}.{i}")
+
+        consumers_of: Dict[str, List[GateInfo]] = {s: [] for s in fabric.signals}
+        for g in fabric.gates:
+            for s in g.inputs:
+                consumers_of[s].append(g)
+        env_consumed = [s for s, gs in consumers_of.items() if not gs]
+
+        # Acknowledge feeds: the rendez-vous of every consumer's ack-out,
+        # as (name, source wires, output wire) per join.
+        resolution: Dict[str, int] = {}
+        self.joins: List[Tuple[str, Tuple[int, ...], int]] = []
+        for s in fabric.signals:
+            sources = [wire(f"{g.output}.sout") for g in consumers_of[s]]
+            if s in env_consumed:
+                sources.append(wire(f"{s}.cack"))
+            feed_name = f"{s}.ackin"
+            if len(sources) == 1:
+                resolution[feed_name] = sources[0]
+            elif len(sources) > 1:
+                out = wire(feed_name)
+                self.joins.append((feed_name, tuple(sources), out))
+                resolution[feed_name] = out
+
+        def resolve(name: str) -> int:
+            i = resolution.get(name)
+            return wire(name) if i is None else i
+
+        # Per placed block: its name, configuration and reset state, each
+        # connected pin wire with the bits of the pins it feeds, and the
+        # connected wires among O0..O3, ack A, ack B with their positions.
+        self.blocks: List[Tuple[str, PlbConfig, PlbState, Tuple[Tuple[int, int], ...],
+                                Tuple[int, ...], Tuple[int, ...]]] = []
+        for mg in fabric.mapped:
+            for unit in mg.plbs:
+                masks: Dict[int, int] = {}
+                for i, ref in enumerate(unit.config.input_assignment):
+                    if ref is not None:
+                        w = resolve(str(ref))
+                        masks[w] = masks.get(w, 0) | 1 << i
+                outs = [None if ref is None else wire(str(ref))
+                        for ref in (*unit.output_map, *unit.sout_map)]
+                drive_pos = tuple(i for i, w in enumerate(outs) if w is not None)
+                self.blocks.append((
+                    f"{mg.name}/{unit.role}", unit.config, plb_reset(unit.config),
+                    tuple(masks.items()), drive_pos, tuple(outs[i] for i in drive_pos),
+                ))
+
+        # (spec, rails, acknowledge feed or None) per primary input and
+        # (spec, rails, acknowledge) per signal the environment consumes.
+        self.inputs = fabric.primary_inputs()
+        self.producers: List[Tuple[SignalSpec, Tuple[int, ...], Optional[int]]] = []
+        for s in self.inputs:
+            self.producers.append(
+                (fabric.signals[s], rails_of[s], resolution.get(f"{s}.ackin")))
+        self.consumers: List[Tuple[SignalSpec, Tuple[int, ...], int]] = []
+        for s in env_consumed:
+            self.consumers.append((fabric.signals[s], rails_of[s], wire(f"{s}.cack")))
+
+        self.signals = {
+            s: SignalInfo(s, PROTO_TO_NAME[spec.protocol], spec.arity, spec.wire_names())
+            for s, spec in fabric.signals.items()
+        }
+        self.fingerprint = fabric.fingerprint()
+
+
 # -- runtime pieces -----------------------------------------------------------
 
 
@@ -163,23 +289,21 @@ _Reaction = Tuple[PlbState, dict, Tuple[int, ...]]
 
 
 class _PlbInst:
-    def __init__(self, name: str, unit: PlbUnit, pins: List[Optional[_Wire]],
-                 outs: List[Optional[_Wire]]):
+    def __init__(self, name: str, config: PlbConfig, state: PlbState,
+                 mask_of: Dict[_Wire, int], drive_pos: Tuple[int, ...],
+                 drives: List[_Wire]):
         self.name = name
-        self.unit = unit
-        self.state = plb_reset(unit.config)
+        self.config = config
+        self.state = state
         # The 12 pin levels, pin i at bit i: all 0 at reset, and an
-        # unconnected (None) pin stays 0.
+        # unconnected pin stays 0.
         self.word = 0
         # Each connected wire -> the bits of the pins it feeds.
-        self.mask_of: Dict[_Wire, int] = {}
-        for i, w in enumerate(pins):
-            if w is not None:
-                self.mask_of[w] = self.mask_of.get(w, 0) | 1 << i
-        # The connected wires among O0..O3, ack A, ack B (``outs``), and
-        # their positions there.
-        self.drive_pos = [i for i, w in enumerate(outs) if w is not None]
-        self.drives = [outs[i] for i in self.drive_pos]
+        self.mask_of = mask_of
+        # The connected wires among O0..O3, ack A, ack B, and their
+        # positions there.
+        self.drive_pos = drive_pos
+        self.drives = drives
         self.last_driven: Dict[_Wire, int] = {}
         # The levels last driven on ``drives``, once every one of them has
         # been driven; until then None.
@@ -189,7 +313,7 @@ class _PlbInst:
         self.reactions = self.memo[self.state]  # those of the current state
 
     def _settle(self, sim: "Simulation", t: int, word: int) -> Optional[_Reaction]:
-        config = self.unit.config
+        config = self.config
         levels = tuple((word >> i) & 1 for i in range(12))
         try:
             state = plb_step(config, self.state, levels)
@@ -256,7 +380,16 @@ class _Producer:
         self.spec = spec
         self.wires = wires
         self.ack = ack
-        self.values = list(values)
+        self.values = vs = list(values)
+        # Two built-in passes check a long stimulus quickly; only a bad one
+        # is scanned value by value, to name its first bad value.
+        if vs and (set(map(type, vs)) != {int} or not set(vs) <= set(range(spec.arity))):
+            i, v = next((i, v) for i, v in enumerate(vs)
+                        if type(v) is not int or not 0 <= v < spec.arity)
+            raise SimulationInputError(
+                f"stimulus for {spec.name!r}: value {v!r} at index {i} "
+                f"is not an integer in 0..{spec.arity - 1}"
+            )
         self.idx = 0
         self.stage = "idle"  # idle | valid_sent | null_sent (4ph) / sent (2ph)
         self.levels = [0] * len(wires)
@@ -274,10 +407,6 @@ class _Producer:
 
     def _send_value(self, sim: "Simulation", t: int):
         v = self.values[self.idx]
-        if v >= self.spec.arity:
-            raise SimulationInputError(
-                f"stimulus value {v} out of range for {self.spec.name}"
-            )
         if self.spec.protocol is Protocol.FOUR_PHASE:
             self._emit_wire(sim, v, 1, t)
             self.stage = "valid_sent"
@@ -374,7 +503,6 @@ class Simulation:
         # number keeps same-tick events in insertion order.
         self.queue: List[Tuple[int, int, _Wire, int]] = []
         self._seq = count(1)
-        self.wires: Dict[str, _Wire] = {}
         self.events: List[TraceEvent] = []
         self.markers: List[Tuple[int, str, int]] = []
         self.records: Dict[str, List[Tuple[int, int]]] = {}
@@ -385,80 +513,40 @@ class Simulation:
 
     # construction ------------------------------------------------------
 
-    def _wire(self, name: str) -> _Wire:
-        w = self.wires.get(name)
-        if w is None:
-            w = self.wires[name] = _Wire(name, self.delays.wire_delay(name))
-        return w
-
     def _build(self, stimulus: Dict[str, List[int]]):
-        fabric = self.fabric
-        for spec in fabric.signals.values():
-            wires = [self._wire(wn) for wn in spec.wire_names()]
-            if spec.protocol is Protocol.FOUR_PHASE:
-                group = _Group(spec.name, wires)
-                for w in wires:
-                    w.group = group
-        for mg in fabric.mapped:
-            for name, width in mg.internal_signals:
-                for i in range(width):
-                    self._wire(f"{name}.{i}")
-
-        consumers_of: Dict[str, List[GateInfo]] = {s: [] for s in fabric.signals}
-        for g in fabric.gates:
-            for s in g.inputs:
-                consumers_of[s].append(g)
-        env_consumed = [s for s, gs in consumers_of.items() if not gs]
-
-        # Acknowledge feeds: the rendez-vous of every consumer's ack-out.
-        resolution: Dict[str, _Wire] = {}
-        joins: List[_CJoin] = []
-        for s in fabric.signals:
-            sources = [self._wire(f"{g.output}.sout") for g in consumers_of[s]]
-            if s in env_consumed:
-                sources.append(self._wire(f"{s}.cack"))
-            feed_name = f"{s}.ackin"
-            if len(sources) == 1:
-                resolution[feed_name] = sources[0]
-            elif len(sources) > 1:
-                out = self._wire(feed_name)
-                join = _CJoin(feed_name, sources, out)
-                joins.append(join)
-                for src in sources:
-                    src.sinks.append(join)
-                resolution[feed_name] = out
-
-        def resolve(name: str) -> _Wire:
-            return resolution.get(name) or self._wire(name)
-
-        for mg in fabric.mapped:
-            for unit in mg.plbs:
-                pins = [None if ref is None else resolve(str(ref))
-                        for ref in unit.config.input_assignment]
-                outs = [None if ref is None else self._wire(str(ref))
-                        for ref in (*unit.output_map, *unit.sout_map)]
-                inst = _PlbInst(f"{mg.name}/{unit.role}", unit, pins, outs)
-                for w in inst.mask_of:
-                    w.sinks.append(inst)
-
-        unknown = set(stimulus) - set(fabric.primary_inputs())
+        """Instantiate the fabric's elaboration for this run."""
+        elab = self.fabric.elaboration
+        unknown = set(stimulus) - set(elab.inputs)
         if unknown:
             raise SimulationInputError(
                 f"stimulus for unknown or non-input signal(s): {sorted(unknown)}"
             )
-        for s in fabric.primary_inputs():
-            spec = fabric.signals[s]
-            wires = [self.wires[w] for w in spec.wire_names()]
-            feed = resolution.get(f"{s}.ackin")
-            prod = _Producer(spec, wires, feed, stimulus.get(s, []))
-            if feed is not None:
-                feed.sinks.append(prod)
+        wire_delay = self.delays.wire_delay
+        wires = [_Wire(name, wire_delay(name)) for name in elab.wire_names]
+        self.wires = dict(zip(elab.wire_names, wires))
+        for signal, rails in elab.groups:
+            group = _Group(signal, [wires[i] for i in rails])
+            for w in group.wires:
+                w.group = group
+        for name, sources, out in elab.joins:
+            join = _CJoin(name, [wires[i] for i in sources], wires[out])
+            for w in join.inputs:
+                w.sinks.append(join)
+        for name, config, reset, masks, drive_pos, drives in elab.blocks:
+            inst = _PlbInst(name, config, reset, {wires[i]: m for i, m in masks},
+                            drive_pos, [wires[i] for i in drives])
+            for w in inst.mask_of:
+                w.sinks.append(inst)
+        for spec, rails, feed in elab.producers:
+            ack = None if feed is None else wires[feed]
+            prod = _Producer(spec, [wires[i] for i in rails], ack,
+                             stimulus.get(spec.name, []))
+            if ack is not None:
+                ack.sinks.append(prod)
             self.producers.append(prod)
-        for s in env_consumed:
-            spec = fabric.signals[s]
-            wires = [self.wires[w] for w in spec.wire_names()]
-            cons = _Consumer(spec, wires, self._wire(f"{s}.cack"), self.ack_delay)
-            for w in wires:
+        for spec, rails, cack in elab.consumers:
+            cons = _Consumer(spec, [wires[i] for i in rails], wires[cack], self.ack_delay)
+            for w in cons.wires:
                 w.sinks.append(cons)
             self.consumers.append(cons)
 
@@ -527,14 +615,9 @@ class Simulation:
         return self._trace(deadlock)
 
     def _trace(self, deadlock: bool) -> Trace:
-        sigs = {
-            s: SignalInfo(
-                s, PROTO_TO_NAME[spec.protocol], spec.arity, spec.wire_names()
-            )
-            for s, spec in self.fabric.signals.items()
-        }
+        elab = self.fabric.elaboration
         meta = {
-            "fabric": self.fabric.fingerprint(),
+            "fabric": elab.fingerprint,
             "delays": self.delays.mode,
             "seed": str(self.delays.seed),
         }
@@ -542,7 +625,7 @@ class Simulation:
             events=self.events,
             markers=sorted(self.markers),
             records=self.records,
-            signals=sigs,
+            signals=dict(elab.signals),
             gates=list(self.fabric.gates),
             diagnostics=self.diagnostics,
             deadlock=deadlock,

@@ -1,10 +1,12 @@
-"""Independent reference models for the handshake equations and the trace
-analyses.
+"""Independent reference models for the handshake equations, the trace
+analyses and the programming chain.
 
 The handshake models deliberately avoid the table/block evaluation path:
 they are direct transcriptions of the output-wire case equations.  The trace
 analysis models are the direct quadratic forms, which count every event again
-for every transaction window.  Both are used as oracles.
+for every transaction window.  The programming-chain models move every stage
+on every tick, which costs time quadratic in the chain length.  All are used
+as oracles.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from qdifab.encodings import CodeKind, decode_4ph
+from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.trace import Trace
 
 
@@ -158,3 +161,117 @@ def level_value_correlation(trace: Trace, signal: str) -> float:
         if all(lv[w] == v for v, lv in samples) or all(lv[w] == v ^ 1 for v, lv in samples):
             return 1.0
     return 0.0
+
+
+# -- programming chain, stage by stage ----------------------------------------
+
+
+def chain_shift_tick(block: Block, feed: Optional[int]) -> Optional[int]:
+    """One settle tick: bits move one stage tailward, a fed bit enters the
+    head if it is free.  Returns the bit still waiting at the input."""
+    for k in range(block.length - 1, 0, -1):
+        if block.stages[k] is None and block.stages[k - 1] is not None:
+            block.stages[k] = block.stages[k - 1]
+            block.stages[k - 1] = None
+    if feed is not None and block.stages[0] is None:
+        block.stages[0] = feed
+        return None
+    return feed
+
+
+def chain_settle(block: Block) -> None:
+    while True:
+        before = block.snapshot()
+        chain_shift_tick(block, None)
+        if block.snapshot() == before:
+            return
+
+
+def chain_load_block(block: Block, bits: Sequence[int]) -> Block:
+    """Stream NULL-separated bits into a reset chain with the tail held.
+
+    Refuses more bits than stages; zero bits leave the block unconfigured.
+    """
+    if any(b is not None for b in block.stages):
+        raise ProgrammingError("chain must be drained before loading")
+    if not block.tail_held:
+        raise ProgrammingError("tail acknowledge must be held during loading")
+    if len(bits) > block.length:
+        raise ProgrammingError(
+            f"{len(bits)} bits overflow a {block.length}-stage chain"
+        )
+    if not bits:
+        block.state = "unconfigured"
+        return block
+    block.state = "programming"
+    pending = list(bits)
+    waiting: Optional[int] = None
+    guard = 0
+    while pending or waiting is not None:
+        if waiting is None:
+            waiting = pending.pop(0)
+        waiting = chain_shift_tick(block, waiting)
+        guard += 1
+        if guard > 4 * block.length * (len(bits) + 1):
+            raise ProgrammingError("chain did not accept all bits")
+    chain_settle(block)
+    block.state = "active"
+    return block
+
+
+def chain_drain_block(block: Block) -> Tuple[int, ...]:
+    """Release the tail acknowledge and collect the bits in FIFO order."""
+    block.tail_held = False
+    block.state = "programming"
+    out: List[int] = []
+    while any(b is not None for b in block.stages):
+        if block.stages[-1] is not None:
+            out.append(block.stages[-1])
+            block.stages[-1] = None
+        chain_shift_tick(block, None)
+    block.tail_held = True
+    block.state = "unconfigured"
+    return tuple(out)
+
+
+def chain_reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLog:
+    """Drain a configured block, stream the new bits, re-hold the tail.
+
+    The block's logic outputs read 0 on every tick of the operation; the
+    switchboxes stay insulated until the load commits.
+    """
+    if not block.configured:
+        raise ProgrammingError("block is not configured")
+    if len(new_bits) > block.length:
+        raise ProgrammingError(
+            f"{len(new_bits)} bits overflow a {block.length}-stage chain"
+        )
+    zero_log: List[bool] = []
+
+    block.tail_held = False
+    block.state = "programming"
+    drained: List[int] = []
+    while any(b is not None for b in block.stages):
+        if block.stages[-1] is not None:
+            drained.append(block.stages[-1])
+            block.stages[-1] = None
+        chain_shift_tick(block, None)
+        zero_log.append(block.outputs_forced_zero())
+    block.tail_held = True
+
+    pending = list(new_bits)
+    waiting: Optional[int] = None
+    while pending or waiting is not None:
+        if waiting is None:
+            waiting = pending.pop(0)
+        waiting = chain_shift_tick(block, waiting)
+        zero_log.append(block.outputs_forced_zero())
+    chain_settle(block)
+    zero_log.append(block.outputs_forced_zero())
+
+    block.state = "active" if new_bits else "unconfigured"
+    return ReconfigLog(
+        drained=tuple(drained),
+        ticks=len(zero_log),
+        outputs_zero_every_tick=all(zero_log),
+    )

@@ -131,6 +131,19 @@ def test_sim_unknown_stimulus_signal(files, capsys):
     assert main(["sim", str(bit), "--stimulus", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("proto, fn", [("4ph", "8"), ("ledr", "6"), ("edge", "8")])
+def test_sim_negative_stimulus_value_exits_2(tmp_path, capsys, proto, fn):
+    net = tmp_path / "g.net"
+    net.write_text("".join(f"signal {s} proto={proto} arity=2\n" for s in "xyo")
+                   + f"gate g fn={fn} in=x,y out=o\n")
+    bit, stim = tmp_path / "g.bit", tmp_path / "neg.stim"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    stim.write_text("x: -1,1\ny: 1,1\n")
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
+    assert "'x': value -1 at index 0 " in capsys.readouterr().err
+
+
 def test_sim_deadlock_sets_exit_one(files, capsys):
     tmp, net, _ = files
     bit = tmp / "d.bit"

@@ -5,9 +5,9 @@ under uniform delays and under jitter seeds 1..10, and compares the sha256 of
 ``Trace.to_csv()`` with the digest recorded here.  The corpus is every shape
 the mapper accepts except the LEDR 3-input gate (its phase blind spot is due
 to be remapped, which will change its traces), a DAG with fan-out per
-protocol, and five fault injections: two drive a four-phase group, an input
-and an output, into the forbidden state and out of it twice; the other three
-raise or pulse a rail and pull a block output against its last level.
+protocol, and five fault injections under uniform delays (see ``FAULTS``).
+Every case runs again on fabrics shared by all the cases of a design, which
+checks that no run leaves state behind on its fabric.
 
 A change that is meant to alter simulated behaviour must say so and record
 new digests; print them with ``PYTHONPATH=src python -m tests.test_golden_traces``.
@@ -56,14 +56,20 @@ DESIGNS = {
     + "gate g3 fn=e in=b,x out=o ack\n",
 }
 
-# (design, forced wire events): a rail raised under a valid input, a rail
-# raised and dropped again, a block output pulled up while its block holds
-# it low, and a second rail pulsed twice under a valid value, once on an
-# input group (b carries 0 over t=2..10 and 18..26) and once on an output
-# group (o carries 0 over t=4..8 and 12..16), so the group enters and
-# leaves the forbidden state twice.
+# (design, forced wire events):
+# - fault_input_rail raises x.1 while the producer holds x.0 high (t=2..6):
+#   x enters the forbidden state, never leaves it, and the handshake stalls;
+# - fault_rail_pulse raises b.0, which the producer already holds high
+#   (t=2..10), so only its fall at t=9, a tick before the producer's, changes
+#   a wire; the run completes without a diagnostic;
+# - fault_block_output pulls o.0 up at t=2, two ticks before its block drives
+#   it, and the consumer records one spurious value (51 for 50 inputs);
+# - the *_forbidden_twice runs pulse a second rail twice under a valid value,
+#   once on an input group (b carries 0 over t=2..10 and 18..26) and once on
+#   an output group (o carries 0 over t=4..8 and 12..16), so the group enters
+#   and leaves the forbidden state twice.
 FAULTS = {
-    "fault_input_rail": ("4ph_2in_ack", [(3, "x.0", 1)]),
+    "fault_input_rail": ("4ph_2in_ack", [(3, "x.1", 1)]),
     "fault_rail_pulse": ("dag_4ph", [(5, "b.0", 1), (9, "b.0", 0)]),
     "fault_block_output": ("4ph_2in_ack", [(2, "o.0", 1)]),
     "fault_input_forbidden_twice": (
@@ -79,14 +85,16 @@ def _delays(case: str) -> DelayModel:
     return DelayModel(mode="jitter", seed=int(case.removeprefix("jitter")))
 
 
-def _trace(design: str, delays: str, inject=None):
+def _trace(design: str, delays: str, inject=None, fabric=None):
+    """A golden run, on ``fabric`` if given (it must be the design's)."""
     net = parse_netlist(DESIGNS[design])
     rng = random.Random(f"golden:{design}")
     stim = {
         s: [rng.randrange(net.signals[s].arity) for _ in range(VALUES)]
         for s in net.primary_inputs()
     }
-    return run(fabric_from_netlist(net), stim, delays=_delays(delays), inject=inject)
+    fabric = fabric or fabric_from_netlist(net)
+    return run(fabric, stim, delays=_delays(delays), inject=inject)
 
 
 def _cases():
@@ -101,8 +109,9 @@ def _cases():
 CASES = dict(_cases())
 
 
-def _digest(case: str) -> str:
-    return hashlib.sha256(_trace(*CASES[case]).to_csv().encode()).hexdigest()
+def _digest(case: str, fabric=None) -> str:
+    trace = _trace(*CASES[case], fabric=fabric)
+    return hashlib.sha256(trace.to_csv().encode()).hexdigest()
 
 
 GOLDEN = {
@@ -205,7 +214,7 @@ GOLDEN = {
     'dag_edge-jitter8': '0b9d2ff038a78fdf2daf0769b17b4a51b1596db24e6395efd1c9c6f5af2c97a4',
     'dag_edge-jitter9': '6ba94f4b0dc292f52f5414ee09703e337a97aa1996c2d0e6f9972eaec91fc31b',
     'dag_edge-jitter10': '2160fcfe6d727a09d62a121e2f05f69ecc22ebc6044f092eaa5c50e4cd9ba0c5',
-    'fault_input_rail-uniform': 'c37e794dbd7dc7ab1143f9ae4bf2f514dd6ae72039b29fee884534f6fdfd1fc8',
+    'fault_input_rail-uniform': 'ec472bcac2dc6fffbe32eff6430097b5816675ae1b916e55be13d0d264d57f6d',
     'fault_rail_pulse-uniform': '9050d222a7766fbc1d3bd570d724764daef4e8dd9f61f952964d29420cc853d0',
     'fault_block_output-uniform': '1a20ddeefca3636887bc72efd125e079de2acf1b266ed864518fa83724820c8d',
     'fault_input_forbidden_twice-uniform': 'a9f70ddff96ce4afa2e7b5f4b019fae8dc38828d53c78b310a496adb6cddc1b8',
@@ -228,6 +237,24 @@ def test_fault_enters_forbidden_state_twice(fault, signal):
     entries = [d for d in tr.diagnostics if d.startswith(f"forbidden state on {signal} ")]
     assert len(entries) == 2, tr.diagnostics
     assert all(d.endswith(": (1, 1)") for d in entries)
+
+
+def test_fault_input_rail_is_forbidden_and_stalls():
+    design, inject = FAULTS["fault_input_rail"]
+    tr = _trace(design, "uniform", inject)
+    assert tr.diagnostics[0] == "forbidden state on x at t=3: (1, 1)"
+    assert tr.deadlock and "stalled" in tr.diagnostics[-1]
+
+
+def test_reused_fabrics_stay_golden():
+    # One fabric per design serves all of its cases, each twice, in a seeded
+    # order that interleaves the designs; state a run left on its fabric,
+    # such as the elaboration cached there, would change a later digest.
+    fabrics = {d: fabric_from_netlist(parse_netlist(src)) for d, src in DESIGNS.items()}
+    order = list(CASES) * 2
+    random.Random("golden:reuse").shuffle(order)
+    for case in order:
+        assert _digest(case, fabrics[CASES[case][0]]) == GOLDEN[case], case
 
 
 def test_corpus_runs_complete():

@@ -2,14 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdifab.progchain import (
     Block,
     ProgrammingError,
+    _Runs,
     drain_block,
     load_block,
     reconfigure_block,
 )
+
+from . import _oracles
 
 
 def test_load_fills_all_stages_and_reads_back():
@@ -116,3 +121,99 @@ def test_partial_reconfiguration_isolation():
     before_a = a.snapshot()
     reconfigure_block(b, [1, 1, 1, 0, 0, 0, 1, 1])
     assert a.snapshot() == before_a
+
+
+@pytest.mark.parametrize("bits, position, shown", [
+    ([1, None, 0], 1, "None"),
+    ([0, 1, 2], 2, "2"),
+    ([-1], 0, "-1"),
+    ([1, True], 1, "True"),
+])
+def test_bit_other_than_0_or_1_rejected(bits, position, shown):
+    with pytest.raises(ProgrammingError, match=f"bit {position} is {shown};"):
+        load_block(Block(4), bits)
+    block = load_block(Block(4), [1, 0, 1])
+    before = block.snapshot()
+    with pytest.raises(ProgrammingError, match=f"bit {position} is {shown};"):
+        reconfigure_block(block, bits)
+    # A refused reconfiguration leaves the block as it was.
+    assert block.snapshot() == before and block.configured and block.tail_held
+
+
+def test_full_chain_reconfigure_takes_2L_plus_1_ticks():
+    rng = random.Random(2216)
+    bits = [rng.randint(0, 1) for _ in range(2216)]
+    block = load_block(Block(len(bits)), bits)
+    new = [b ^ 1 for b in bits]
+    log = reconfigure_block(block, new)
+    assert log.ticks == 2 * len(bits) + 1
+    assert log.drained == tuple(bits)
+    assert block.stored_bits() == tuple(new)
+
+
+# -- the run-based chain against the stage-by-stage oracle ----------------------
+
+OPS = {
+    "load": (load_block, _oracles.chain_load_block),
+    "drain": (drain_block, _oracles.chain_drain_block),
+    "reconfigure": (reconfigure_block, _oracles.chain_reconfigure_block),
+}
+
+
+@st.composite
+def chains(draw):
+    """A block in any state: a random length, and either an empty chain or
+    a random stage pattern."""
+    length = draw(st.integers(min_value=0, max_value=24))
+    stage = st.sampled_from([None, 0, 1])
+    stages = draw(st.one_of(
+        st.just([None] * length),
+        st.lists(stage, min_size=length, max_size=length),
+    ))
+    state = draw(st.sampled_from(["unconfigured", "programming", "active"]))
+    return length, stages, draw(st.booleans()), state
+
+
+def _apply(fn, block, op, bits):
+    try:
+        result = fn(block, bits) if op != "drain" else fn(block)
+    except ProgrammingError as exc:
+        result = ("ProgrammingError", str(exc))
+    if result is block:
+        result = "the block"
+    return result, block.snapshot(), block.state, block.tail_held
+
+
+@settings(max_examples=400, deadline=None)
+@given(chains(), st.lists(st.tuples(
+    st.sampled_from(sorted(OPS)),
+    st.lists(st.integers(min_value=0, max_value=1), max_size=28),
+), min_size=1, max_size=4))
+def test_chain_matches_stage_by_stage_oracle(chain, ops):
+    length, stages, tail_held, state = chain
+    new = Block(length, stages=list(stages), tail_held=tail_held, state=state)
+    old = Block(length, stages=list(stages), tail_held=tail_held, state=state)
+    for op, bits in ops:
+        fn, oracle = OPS[op]
+        # Results (stored or drained bits, ticks, whether outputs read 0 on
+        # every tick, or the error) and the block afterwards all agree.
+        assert _apply(fn, new, op, bits) == _apply(oracle, old, op, bits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chains(), st.lists(st.sampled_from([None, 0, 1]), min_size=1, max_size=30))
+def test_tick_matches_stage_by_stage_oracle(chain, feeds):
+    # Load, drain and reconfigure only reach a few stage patterns (one run
+    # filling from the head, or every run moving); any pattern and any feed
+    # exercise the rest of the rule: a run held at the tail, runs closing
+    # up behind it, and a refused feed.
+    length, stages, _tail_held, _state = chain
+    if length == 0:
+        return  # no stage to tick
+    new = Block(length, stages=list(stages))
+    old = Block(length, stages=list(stages))
+    runs = _Runs(new)
+    for feed in feeds:
+        assert runs.tick(feed) == _oracles.chain_shift_tick(old, feed)
+        runs.commit()
+        assert new.snapshot() == old.snapshot()

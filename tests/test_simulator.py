@@ -9,6 +9,7 @@ from qdifab.plb import LutTable, PlbConfig, WireRef
 from qdifab.simulator import (
     DelayModel,
     Fabric,
+    Simulation,
     SimulationInputError,
     check_no_early_evaluation,
     check_single_toggle,
@@ -80,6 +81,31 @@ def test_stimulus_unknown_signal_rejected():
 def test_stimulus_out_of_range_value():
     with pytest.raises(SimulationInputError):
         run(fab(AND_NET), {"x": [2], "y": [1]})
+
+
+LEDR_XOR_NET = """
+signal x proto=ledr arity=2
+signal y proto=ledr arity=2
+signal o proto=ledr arity=2
+gate g fn=6 in=x,y out=o
+"""
+
+
+@pytest.mark.parametrize("proto, stimulus, signal, index, value", [
+    ("4ph", {"x": [-1, 1], "y": [1, 1]}, "x", 0, "-1"),
+    ("4ph", {"x": [0, 1], "y": [1, 0, 2]}, "y", 2, "2"),
+    ("ledr", {"x": [-1, 1], "y": [1, 1]}, "x", 0, "-1"),
+    ("ledr", {"x": [1, 0], "y": [0, 1.0]}, "y", 1, "1.0"),
+    ("edge", {"a": [0, 1, -2], "b": [1, 1, 1]}, "a", 2, "-2"),
+    ("edge", {"a": [0], "b": [True]}, "b", 0, "True"),
+])
+def test_stimulus_value_outside_arity_rejected_at_build(proto, stimulus, signal, index, value):
+    # Checked for the whole stimulus before anything runs, so a bad value
+    # late in a sequence is refused as early as one at its head.
+    net = {"4ph": AND_NET, "ledr": LEDR_XOR_NET, "edge": EDGE_AND_NET}[proto]
+    with pytest.raises(SimulationInputError,
+                       match=rf"'{signal}': value {value} at index {index} "):
+        Simulation(fab(net), stimulus=stimulus)
 
 
 def test_deadlock_on_starved_input():
