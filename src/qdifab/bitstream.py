@@ -149,14 +149,15 @@ def read_bitstream(text: str) -> Fabric:
     """Inverse of :func:`write_bitstream`.
 
     A malformed line, such as an unknown protocol, a missing or malformed
-    ``key=value`` field, a bad pin binding or hex digit, or a gate naming an
-    undeclared signal, raises :class:`BitstreamError` whose message starts
-    with ``line <n>:``.  So does a block binding a wire of anything but a
-    declared or ``# internal`` signal; besides those, a pin may read
-    ``<signal>.ackin`` and an ack output (``sout``) may drive
-    ``<signal>.sout``, for a declared signal.
+    ``key=value`` field, a bad pin binding or hex digit, a gate naming an
+    undeclared signal or a signal that no gate connects, raises
+    :class:`BitstreamError` whose message starts with ``line <n>:``.  So
+    does a block binding a wire of anything but a declared or ``# internal``
+    signal; besides those, a pin may read ``<signal>.ackin`` and an ack
+    output (``sout``) may drive ``<signal>.sout``, for a declared signal.
     """
     signals: dict[str, SignalSpec] = {}
+    signal_lines: dict[str, int] = {}
     gates: List[GateInfo] = []
     gate_lines: List[int] = []
     plb_meta: List[dict] = []
@@ -180,6 +181,7 @@ def read_bitstream(text: str) -> Fabric:
                 signals[toks[1]] = SignalSpec(
                     toks[1], Protocol(kv["proto"]), int(kv["arity"])
                 )
+                signal_lines[toks[1]] = lineno
             elif tag == "gate":
                 kv = dict(t.split("=", 1) for t in toks[2:])
                 gates.append(GateInfo(
@@ -210,6 +212,10 @@ def read_bitstream(text: str) -> Fabric:
             if sig not in signals:
                 raise BitstreamError(
                     f"line {lineno}: gate {g.name}: {sig!r} is not a declared signal")
+    connected = {s for g in gates for s in (*g.inputs, g.output)}
+    for sig, lineno in signal_lines.items():
+        if sig not in connected:
+            raise BitstreamError(f"line {lineno}: signal {sig!r} connects to no gate")
     wire_names = set(signals)
     for meta in plb_meta:
         wire_names.update(name for name, _ in meta["internals"])

@@ -1,8 +1,17 @@
 """Command-line driver: map, sim, check.
 
+``check`` runs one of the ``PROPERTIES`` over trace files: ``single-toggle``
+(one wire change per value, two for four-phase), ``no-early-eval`` (no gate
+output ahead of its rendez-vous), ``toggle-count`` and ``timing`` (toggles per
+transaction and completion times do not depend on the value of ``--select``,
+or else of the primary inputs), ``dpa`` (a flat difference-of-means power
+series, partitioned on ``--select``) and ``ledr-risk`` (signals whose resting
+levels reveal their value).
+
 Exit codes are a stable contract: 0 success, 1 property violation or
-simulation diagnostic, 2 input or usage error.  The default jitter seed
-comes from the QDIFAB_SEED environment variable.
+simulation diagnostic, 2 input or usage error, an unreadable or unwritable
+file included.  The default jitter seed comes from the QDIFAB_SEED
+environment variable.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from typing import Dict, List, Optional
 
 from .bitstream import BitstreamError, read_bitstream, write_bitstream
 from .mapper import MappingError
-from .netlist import NetlistError, parse_netlist
+from .netlist import NetlistError, parse_netlist, primary_signals
 from .sidechannel import (
     AnalysisError,
     ComparisonError,
@@ -41,6 +50,11 @@ def _fail(msg: str) -> int:
     return USAGE
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _parse_delays(spec: str) -> DelayModel:
     if spec == "uniform":
         return DelayModel()
@@ -62,28 +76,25 @@ def _parse_stimulus(text: str) -> Dict[str, List[int]]:
         if ":" not in line:
             raise ValueError(f"stimulus line {lineno}: expected '<signal>: v1,v2,...'")
         name, values = line.split(":", 1)
+        name = name.strip()
+        if name in stim:
+            raise ValueError(f"stimulus line {lineno}: signal {name!r} given twice")
         vals = [v.strip() for v in values.split(",") if v.strip()]
         try:
-            stim[name.strip()] = [int(v) for v in vals]
+            stim[name] = [int(v) for v in vals]
         except ValueError:
             raise ValueError(f"stimulus line {lineno}: values must be integers") from None
     return stim
 
 
 def cmd_map(args) -> int:
+    with open(args.netlist) as fh:
+        text = fh.read()
     try:
-        with open(args.netlist) as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail(str(exc))
-    try:
-        net = parse_netlist(text)
-        fabric = fabric_from_netlist(net)
+        fabric = fabric_from_netlist(parse_netlist(text))
     except (NetlistError, MappingError, ValueError) as exc:
         return _fail(str(exc))
-    out = write_bitstream(fabric)
-    with open(args.output, "w") as fh:
-        fh.write(out)
+    _write(args.output, write_bitstream(fabric))
     print(f"wrote {args.output}: {sum(len(mg.plbs) for mg in fabric.mapped)} block(s)")
     return OK
 
@@ -92,15 +103,13 @@ def cmd_sim(args) -> int:
     try:
         with open(args.bitstream) as fh:
             fabric = read_bitstream(fh.read())
-    except OSError as exc:
-        return _fail(str(exc))
     except BitstreamError as exc:  # names the line
         return _fail(f"{args.bitstream}: {exc}")
     try:
         with open(args.stimulus) as fh:
             stimulus = _parse_stimulus(fh.read())
         delays = _parse_delays(args.delays)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     try:
         trace = run(fabric, stimulus, delays=delays, max_time=args.max_time,
@@ -108,10 +117,8 @@ def cmd_sim(args) -> int:
     except SimulationInputError as exc:
         return _fail(str(exc))
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace.to_csv())
-    txns = sum(len(v) for s, v in trace.records.items()
-               if s in fabric.primary_outputs())
+        _write(args.trace, trace.to_csv())
+    txns = sum(len(trace.records.get(s, ())) for s in fabric.primary_outputs())
     print(f"simulated to t={trace.end_time()}: {len(trace.events)} events, "
           f"{txns} output transaction(s)")
     for d in trace.diagnostics:
@@ -121,14 +128,91 @@ def cmd_sim(args) -> int:
     return OK
 
 
-def _group_key(trace: Trace, select: Optional[str]):
-    if select:
-        return tuple(trace.values_of(select))
-    produced = {g.output for g in trace.gates}
-    ins = sorted(
-        s for g in trace.gates for s in g.inputs if s not in produced
-    )
-    return tuple((s, tuple(trace.values_of(s))) for s in ins)
+def _status(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
+# Each property checker takes the trace paths, the traces and --select, and
+# returns (the lines it prints, its report rows, whether the property failed).
+def _single_toggle(paths, traces, select):
+    lines, rows, failed = [], [], False
+    for path, tr in zip(paths, traces):
+        for sig, (ok, msg) in sorted(check_single_toggle(tr).items()):
+            lines.append(f"{path}: {sig}: {_status(ok)} ({msg})")
+            rows.append(f"{path},{sig},{_status(ok)},{msg}")
+            failed |= not ok
+    return lines, rows, failed
+
+
+def _no_early_eval(paths, traces, select):
+    lines, rows, failed = [], [], False
+    for path, tr in zip(paths, traces):
+        ok, violations = check_no_early_evaluation(tr)
+        lines += [f"{path}: {_status(ok)}", *(f"  {v}" for v in violations)]
+        rows.append(f"{path},{_status(ok)}")
+        failed |= not ok
+    return lines, rows, failed
+
+
+def _groups(traces, select):
+    """The first trace per value of ``select``, or else of the primary inputs."""
+    groups = {}
+    for tr in traces:
+        if select:
+            key = tuple(tr.values_of(select))
+        else:
+            ins = sorted(primary_signals(tr.signals, tr.gates)[0])
+            key = tuple((s, tuple(tr.values_of(s))) for s in ins)
+        groups.setdefault(key, tr)
+    return groups
+
+
+def _toggle_count(paths, traces, select):
+    profile = toggle_count_profile(_groups(traces, select))
+    depth = min((len(v) for v in profile.values()), default=0)
+    constant = len({v[:depth] for v in profile.values()}) <= 1
+    lines, rows = [], []
+    for key, counts in sorted(profile.items(), key=lambda kv: str(kv[0])):
+        lines.append(f"value {key}: toggles per transaction {list(counts)}")
+        rows.append(f"\"{key}\",{';'.join(map(str, counts))}")
+    lines.append(f"constant across values: {_status(constant)}")
+    return lines, rows, not constant
+
+
+def _timing(paths, traces, select):
+    spread = timing_spread(_groups(traces, select))
+    return ([f"timing spread: {spread} tick(s): {_status(spread == 0)}"],
+            [f"spread,{spread}"], spread != 0)
+
+
+def _dpa(paths, traces, select):
+    if not select:
+        raise AnalysisError("--property dpa needs --select <signal>")
+    series = dpa_difference_of_means(traces, select)
+    peak = max((abs(x) for x in series), default=0.0)
+    rows = ["tick,difference", *(f"{t},{x:g}" for t, x in enumerate(series))]
+    return [f"dpa difference-of-means peak: {peak:g}: {_status(peak == 0)}"], rows, peak != 0
+
+
+def _ledr_risk(paths, traces, select):
+    lines, rows = [], []
+    for path, tr in zip(paths, traces):
+        for sig in sorted(s for s in tr.signals if tr.records.get(s)):
+            corr = level_value_correlation(tr, sig)
+            flag = " (level reveals value)" if corr >= 1.0 else ""
+            lines.append(f"{path}: {sig}: correlation {corr:.1f}{flag}")
+            rows.append(f"{path},{sig},{corr:.1f}")
+    return lines, rows, False
+
+
+PROPERTIES = {
+    "single-toggle": _single_toggle,
+    "no-early-eval": _no_early_eval,
+    "toggle-count": _toggle_count,
+    "timing": _timing,
+    "dpa": _dpa,
+    "ledr-risk": _ledr_risk,
+}
 
 
 def cmd_check(args) -> int:
@@ -137,77 +221,18 @@ def cmd_check(args) -> int:
         try:
             with open(path) as fh:
                 traces.append(Trace.from_csv(fh.read()))
-        except OSError as exc:
-            return _fail(str(exc))
         except ValueError as exc:  # TraceFormatError names the line
             return _fail(f"{path}: {exc}")
-    prop = args.property
-    report_rows: List[str] = []
-    failed = False
-
+        if args.select and args.select not in traces[-1].signals:
+            return _fail(f"{path}: --select {args.select!r} is not a signal of the trace")
     try:
-        if prop == "single-toggle":
-            for path, tr in zip(args.traces, traces):
-                for sig, (ok, msg) in sorted(check_single_toggle(tr).items()):
-                    status = "pass" if ok else "FAIL"
-                    print(f"{path}: {sig}: {status} ({msg})")
-                    report_rows.append(f"{path},{sig},{status},{msg}")
-                    failed |= not ok
-        elif prop == "no-early-eval":
-            for path, tr in zip(args.traces, traces):
-                ok, violations = check_no_early_evaluation(tr)
-                print(f"{path}: {'pass' if ok else 'FAIL'}")
-                for v in violations:
-                    print(f"  {v}")
-                report_rows.append(f"{path},{'pass' if ok else 'FAIL'}")
-                failed |= not ok
-        elif prop == "toggle-count":
-            groups = {}
-            for tr in traces:
-                groups.setdefault(_group_key(tr, args.select), tr)
-            profile = toggle_count_profile(groups)
-            depth = min((len(v) for v in profile.values()), default=0)
-            constant = len({v[:depth] for v in profile.values()}) <= 1
-            for key, counts in sorted(profile.items(), key=lambda kv: str(kv[0])):
-                print(f"value {key}: toggles per transaction {list(counts)}")
-                report_rows.append(f"\"{key}\",{';'.join(map(str, counts))}")
-            print(f"constant across values: {'pass' if constant else 'FAIL'}")
-            failed |= not constant
-        elif prop == "timing":
-            groups = {}
-            for tr in traces:
-                groups.setdefault(_group_key(tr, args.select), tr)
-            spread = timing_spread(groups)
-            print(f"timing spread: {spread} tick(s): {'pass' if spread == 0 else 'FAIL'}")
-            report_rows.append(f"spread,{spread}")
-            failed |= spread != 0
-        elif prop == "dpa":
-            if not args.select:
-                return _fail("--property dpa needs --select <signal>")
-            series = dpa_difference_of_means(traces, args.select)
-            peak = max((abs(x) for x in series), default=0.0)
-            print(f"dpa difference-of-means peak: {peak:g}: "
-                  f"{'pass' if peak == 0 else 'FAIL'}")
-            report_rows.append("tick,difference")
-            report_rows += [f"{t},{x:g}" for t, x in enumerate(series)]
-            failed |= peak != 0
-        elif prop == "ledr-risk":
-            for path, tr in zip(args.traces, traces):
-                for sig in sorted(tr.signals):
-                    if not tr.records.get(sig):
-                        continue
-                    corr = level_value_correlation(tr, sig)
-                    flag = " (level reveals value)" if corr >= 1.0 else ""
-                    print(f"{path}: {sig}: correlation {corr:.1f}{flag}")
-                    report_rows.append(f"{path},{sig},{corr:.1f}")
-        else:
-            return _fail(f"unknown property {prop!r}")
+        lines, rows, failed = PROPERTIES[args.property](args.traces, traces, args.select)
     except (AnalysisError, ComparisonError) as exc:
         return _fail(str(exc))
-
+    for line in lines:
+        print(line)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write("\n".join(report_rows) + "\n")
+        _write(args.report, "\n".join(rows) + "\n")
     return VIOLATION if failed else OK
 
 
@@ -236,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="verify properties over trace files")
     c.add_argument("traces", nargs="+")
-    c.add_argument("--property", required=True,
-                   choices=["single-toggle", "no-early-eval", "toggle-count",
-                            "timing", "dpa", "ledr-risk"])
+    c.add_argument("--property", required=True, choices=list(PROPERTIES))
     c.add_argument("--select", help="signal whose value partitions the traces")
     c.add_argument("--report", help="write a machine-readable report here")
     c.set_defaults(func=cmd_check)
@@ -247,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a file that cannot be read or written
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

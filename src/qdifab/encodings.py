@@ -85,7 +85,9 @@ def encode_4ph(value: int, arity: int) -> Bits:
     """One-hot vector for ``value``; wire ``value`` carries the 1."""
     if not 0 <= value < arity:
         raise EncodingError(f"value {value} out of range for arity {arity}")
-    return tuple(1 if i == value else 0 for i in range(arity))
+    bits = [0] * arity
+    bits[value] = 1
+    return tuple(bits)
 
 
 def encode_4ph_null(arity: int) -> Bits:
@@ -127,7 +129,9 @@ def edge_next(current: Sequence[int], value: int) -> Bits:
     """Toggle wire ``value``; all other wires are unchanged."""
     if not 0 <= value < len(current):
         raise EncodingError(f"edge value {value} out of range for {len(current)} wires")
-    return tuple(b ^ 1 if i == value else b for i, b in enumerate(current))
+    bits = list(current)
+    bits[value] ^= 1
+    return tuple(bits)
 
 
 def signal_parity(wires: Sequence[int]) -> int:

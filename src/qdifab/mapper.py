@@ -45,15 +45,6 @@ def _wire(sig: str, idx: int, width: int) -> WireRef:
     return WireRef(sig, idx, width)
 
 
-def _build_lut(fn: Callable[[Tuple[int, ...]], int]) -> LutTable:
-    bits = 0
-    for idx in range(64):
-        pins = tuple((idx >> i) & 1 for i in range(6))
-        if fn(pins):
-            bits |= 1 << idx
-    return LutTable(bits)
-
-
 def _no_feedback() -> Tuple[Tuple[bool, ...], ...]:
     return tuple((False,) * 6 for _ in range(4))
 
@@ -112,7 +103,7 @@ def map_4ph_2in(
     xn, yn = inputs
 
     def lut(for_wire: int) -> LutTable:
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             hold = p[0] if for_wire == 0 else p[1]
             a = (p[1] if for_wire == 0 else p[0]) if with_ack else None
             x_null, x_forb, xv = _one_hot_value((p[2], p[3]))
@@ -125,7 +116,7 @@ def map_4ph_2in(
                 return 0
             return hold
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     ack_ref = _wire(ack, 0, 1) if with_ack else NC
     assignment = (
@@ -173,7 +164,7 @@ def map_4ph_3in(
     xn, yn, zn = inputs
 
     def lut(func: GateFn, for_wire: int) -> LutTable:
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             x_null, x_forb, xv = _one_hot_value((p[0], p[1]))
             y_null, y_forb, yv = _one_hot_value((p[2], p[3]))
             z_null, z_forb, zv = _one_hot_value((p[4], p[5]))
@@ -183,7 +174,7 @@ def map_4ph_3in(
                 return 1 if func(xv, yv, zv) == for_wire else 0
             return 0
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     data = (
         _wire(xn, 0, 2), _wire(xn, 1, 2),
@@ -236,7 +227,7 @@ def map_4ph_ter_2in(
     xn, yn = inputs
 
     def lut(for_wire: int) -> LutTable:
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             x_null, x_forb, xv = _one_hot_value((p[0], p[1], p[2]))
             y_null, y_forb, yv = _one_hot_value((p[3], p[4], p[5]))
             if x_forb or y_forb:
@@ -245,7 +236,7 @@ def map_4ph_ter_2in(
                 return 1 if f(xv, yv) == for_wire else 0
             return 0
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     data = tuple(_wire(xn, i, 3) for i in range(3)) + tuple(
         _wire(yn, i, 3) for i in range(3)
@@ -284,7 +275,7 @@ def map_ledr_2in(
     xn, yn = inputs
 
     def lut(for_wire: int) -> LutTable:
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             hold = p[0] if for_wire == 0 else p[1]
             a = p[1] if for_wire == 0 else p[0]
             xd, xr, yd, yr = p[2], p[3], p[4], p[5]
@@ -297,7 +288,7 @@ def map_ledr_2in(
                 return v if for_wire == 0 else v ^ 1
             return hold
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     ack_ref = _wire(ack, 0, 1)
     assignment = (
@@ -352,24 +343,24 @@ def map_ledr_3in(
     # Pins 1..5 on both sides: xd, yd, yr, zd, zr.  Pin 0 differs: the
     # acknowledge on the low side, the first repeat wire on the high side.
     def lut_lo(repeat_wire: bool) -> LutTable:
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             a, xd, yd, yr, zd, zr = p
             py, pz = yd ^ yr, zd ^ zr
             if py == pz and a != py:
                 return f(xd, yd, zd) ^ (py if repeat_wire else 0)
             return 0
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     def lut_hi(repeat_wire: bool) -> LutTable:
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             xr, xd, yd, yr, zd, zr = p
             px, py, pz = xd ^ xr, yd ^ yr, zd ^ zr
             if px == py == pz:
                 return f(xd, yd, zd) ^ (px if repeat_wire else 0)
             return 1
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     ack_ref = _wire(ack, 0, 1)
     lo = (
@@ -415,7 +406,7 @@ def _dw_lut(cell: int) -> LutTable:
     """
     i, j = _DW_CELLS[cell]
 
-    def fn(p: Tuple[int, ...]) -> int:
+    def fn(*p: int) -> int:
         if cell == 0:  # pins: C00 C01 C10 B0 A0 A1
             self_, row_n, col_n, b, a = p[0], p[1], p[2], p[3], p[4]
         elif cell == 1:  # pins: C00 C01 B1 C11 A0 A1
@@ -428,7 +419,7 @@ def _dw_lut(cell: int) -> LutTable:
         v = b ^ col_n
         return (u & v) | (self_ & (u | v))
 
-    return _build_lut(fn)
+    return LutTable.from_function(fn)
 
 
 def map_edge_2in(
@@ -472,20 +463,20 @@ def map_edge_2in(
     zeros = [c for c, (i, j) in enumerate(_DW_CELLS) if f(i, j) == 0]
 
     def parity_lut(cells: Sequence[int]) -> LutTable:
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             acc = 0
             for c in cells:
                 acc ^= p[c]
             return acc
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     def dw21_lut(loop_pin: int) -> LutTable:
         # not(output xor acknowledge); re-arms the C-elements after the ack.
-        def fn(p: Tuple[int, ...]) -> int:
+        def fn(*p: int) -> int:
             return 1 ^ p[loop_pin] ^ p[4]
 
-        return _build_lut(fn)
+        return LutTable.from_function(fn)
 
     comp_assignment = (
         _wire(cn, 0, 4), _wire(cn, 1, 4), _wire(cn, 2, 4), _wire(cn, 3, 4), NC, NC,
@@ -511,12 +502,3 @@ def map_edge_2in(
         plbs=(dw, comp),
         internal_signals=((cn, 4),),
     )
-
-
-def emit_truth_tables(f: GateFn, protocol: Protocol) -> Tuple[LutTable, ...]:
-    """The four tables a two-input gate compiles to under ``protocol``."""
-    if protocol is Protocol.FOUR_PHASE:
-        return map_4ph_2in(f).config.luts
-    if protocol is Protocol.LEDR:
-        return map_ledr_2in(f).config.luts
-    return map_edge_2in(f).plbs[1].config.luts

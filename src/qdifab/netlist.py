@@ -6,6 +6,7 @@ The format is line oriented and diff friendly:
     signal <name> proto=<4ph|ledr|edge> arity=<n>
     gate <name> fn=<hex truth table> in=<sig,...> out=<sig> [ack]
 
+Every declared signal must connect to a gate, as an input or as the output.
 The truth table is indexed in mixed radix with the first listed input as the
 least significant digit.  Binary-output gates use one bit per entry (AND2 is
 0x8, XOR2 is 0x6); ternary- and quaternary-output gates use two bits per
@@ -16,7 +17,7 @@ LEDR and edge gates always consume one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .encodings import Protocol, SignalSpec
 from . import mapper
@@ -52,19 +53,25 @@ class GateDecl:
     line: int = 0
 
 
+def primary_signals(signals: Iterable[str], gates) -> Tuple[List[str], List[str]]:
+    """The boundary between a design and its environment: its primary
+    inputs (driven by no gate) and primary outputs (read by no gate), each
+    in ``signals`` order.  ``gates`` need ``inputs`` and ``output``."""
+    driven = {g.output for g in gates}
+    read = {s for g in gates for s in g.inputs}
+    return [s for s in signals if s not in driven], [s for s in signals if s not in read]
+
+
 @dataclass
 class Netlist:
     signals: Dict[str, SignalSpec] = field(default_factory=dict)
     gates: List[GateDecl] = field(default_factory=list)
 
     def primary_inputs(self) -> List[str]:
-        driven = {g.output for g in self.gates}
-        used = {s for g in self.gates for s in g.inputs}
-        return [s for s in self.signals if s not in driven and s in used]
+        return primary_signals(self.signals, self.gates)[0]
 
     def primary_outputs(self) -> List[str]:
-        used = {s for g in self.gates for s in g.inputs}
-        return [s for s in self.signals if s not in used]
+        return primary_signals(self.signals, self.gates)[1]
 
 
 def _parse_kv(tok: str, line: int) -> Tuple[str, str]:
@@ -76,6 +83,7 @@ def _parse_kv(tok: str, line: int) -> Tuple[str, str]:
 
 def parse_netlist(text: str) -> Netlist:
     net = Netlist()
+    declared: Dict[str, int] = {}  # signal -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,6 +108,7 @@ def parse_netlist(text: str) -> Netlist:
                 net.signals[name] = SignalSpec(name, _PROTO_NAMES[proto], arity)
             except ValueError as exc:
                 raise NetlistError(str(exc), lineno) from None
+            declared[name] = lineno
         elif kind == "gate":
             if len(toks) < 5:
                 raise NetlistError("gate needs a name, fn=, in= and out=", lineno)
@@ -123,11 +132,11 @@ def parse_netlist(text: str) -> Netlist:
         else:
             raise NetlistError(f"unknown directive {kind!r}", lineno, raw.index(kind) + 1)
 
-    _check(net)
+    _check(net, declared)
     return net
 
 
-def _check(net: Netlist) -> None:
+def _check(net: Netlist, declared: Dict[str, int]) -> None:
     drivers: Dict[str, str] = {}
     for g in net.gates:
         for s in (*g.inputs, g.output):
@@ -142,6 +151,10 @@ def _check(net: Netlist) -> None:
         protos = {net.signals[s].protocol for s in (*g.inputs, g.output)}
         if len(protos) > 1:
             raise NetlistError(f"gate {g.name!r} mixes protocols", g.line)
+    connected = {s for g in net.gates for s in (*g.inputs, g.output)}
+    for s, line in declared.items():
+        if s not in connected:
+            raise NetlistError(f"signal {s!r} connects to no gate", line)
 
     # Data connections must form a DAG; rings would need explicitly declared
     # feedback, which this fabric does not expose.

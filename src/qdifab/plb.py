@@ -23,10 +23,11 @@ diagnostic instead of silently picking a state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .primitives import CElementState, c_element_step, ack_xor, or6
+from .encodings import signal_parity
+from .primitives import CElementState, c_element_step, or6
 
 ITERATION_BOUND = 16
 
@@ -102,10 +103,6 @@ class PlbState:
 
     lut_out: Tuple[int, int, int, int] = (0, 0, 0, 0)
     mem_out: Tuple[int, int, int, int] = (0, 0, 0, 0)  # O0..O3
-
-    @property
-    def outputs(self) -> Tuple[int, int, int, int]:
-        return self.mem_out
 
 
 class OscillationError(RuntimeError):
@@ -211,12 +208,8 @@ def ack_outputs(config: PlbConfig, state: PlbState) -> Tuple[int, int]:
     """
     o = state.mem_out
     if config.combine_sel:
-        return ack_xor(o), 0
-    return ack_xor(o[0:2]), ack_xor(o[2:4])
-
-
-def lut_eval(table: LutTable, inputs: Sequence[int]) -> int:
-    return table.eval(inputs)
+        return signal_parity(o), 0
+    return signal_parity(o[0:2]), signal_parity(o[2:4])
 
 
 def validate_config(config: PlbConfig) -> List[str]:

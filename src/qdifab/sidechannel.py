@@ -16,7 +16,6 @@ level-encoded two-phase code.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -55,11 +54,8 @@ def toggles_per_transaction(
     previous completion (or -1) exclusive to this one inclusive; a
     completion before -1 closes an empty window."""
     b = _boundary_signal(trace, boundary)
-    if wires is None:
-        times = sorted(e.time for e in trace.events)
-    else:
-        wset = set(wires)
-        times = sorted(e.time for e in trace.events if e.wire in wset)
+    events = trace.events if wires is None else trace.events_for(wires)
+    times = sorted(e.time for e in events)
     counts = []
     start = bisect_right(times, -1)
     for hi in sorted(t for t, s, _ in trace.markers if s == b):
@@ -180,67 +176,3 @@ def level_value_correlation(trace: Trace, signal: str) -> float:
         if all(lv[w] == (v ^ 1) for v, lv in samples):
             return 1.0
     return 0.0
-
-
-@dataclass
-class LeakReport:
-    toggle_counts: Dict[object, Tuple[int, ...]] = field(default_factory=dict)
-    toggle_constant: bool = True
-    timing_spread_ticks: int = 0
-    dpa_series: List[float] = field(default_factory=list)
-    dpa_zero: bool = True
-    level_risk: Dict[str, float] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def data_independent(self) -> bool:
-        return self.toggle_constant and self.timing_spread_ticks == 0 and self.dpa_zero
-
-    def render_text(self) -> str:
-        lines = []
-        status = lambda ok: "pass" if ok else "FAIL"
-        flat = {str(k): v for k, v in self.toggle_counts.items()}
-        lines.append(f"toggle-count constant across values: {status(self.toggle_constant)}")
-        for k in sorted(flat):
-            lines.append(f"  value {k}: {list(flat[k])}")
-        lines.append(
-            f"timing spread: {self.timing_spread_ticks} ticks: "
-            f"{status(self.timing_spread_ticks == 0)}"
-        )
-        if self.dpa_series:
-            peak = max(abs(x) for x in self.dpa_series)
-            lines.append(f"dpa difference-of-means peak: {peak:g}: {status(self.dpa_zero)}")
-        for sig in sorted(self.level_risk):
-            corr = self.level_risk[sig]
-            tag = " (level reveals value)" if corr >= 1.0 else ""
-            lines.append(f"level/value correlation {sig}: {corr:.1f}{tag}")
-        lines.extend(self.notes)
-        return "\n".join(lines)
-
-    def series_csv(self) -> str:
-        rows = ["tick,difference"]
-        rows += [f"{t},{x:g}" for t, x in enumerate(self.dpa_series)]
-        return "\n".join(rows) + "\n"
-
-
-def analyze(
-    traces_by_value: Mapping[object, Trace],
-    dpa_traces: Optional[Sequence[Trace]] = None,
-    dpa_signal: Optional[str] = None,
-    boundary: Optional[str] = None,
-) -> LeakReport:
-    report = LeakReport()
-    report.toggle_counts = toggle_count_profile(traces_by_value, boundary)
-    depth = min((len(v) for v in report.toggle_counts.values()), default=0)
-    trimmed = {k: v[:depth] for k, v in report.toggle_counts.items()}
-    report.toggle_constant = len(set(trimmed.values())) <= 1
-    report.timing_spread_ticks = timing_spread(traces_by_value, boundary)
-    if dpa_traces and dpa_signal:
-        report.dpa_series = dpa_difference_of_means(dpa_traces, dpa_signal)
-        report.dpa_zero = all(x == 0 for x in report.dpa_series)
-    some_trace = next(iter(traces_by_value.values()), None)
-    if some_trace is not None:
-        for sig in some_trace.signals:
-            if some_trace.records.get(sig):
-                report.level_risk[sig] = level_value_correlation(some_trace, sig)
-    return report

@@ -25,7 +25,8 @@ the wires with this run's delays, the joins, producers, consumers and block
 instances, the name map :meth:`Simulation.inject` uses, and the per-run
 state below (the memos, the levels, the weights, the diagnostics).  The
 stimulus is checked when the simulation is built: every value must be an
-integer from 0 to its signal's arity minus one.
+integer from 0 to its signal's arity minus one.  So are ``max_time`` and
+``ack_delay``, which must not be negative.
 
 Every wire level is 0 or 1 (:meth:`Simulation.inject` refuses anything
 else), which keeps two running summaries exact:
@@ -61,10 +62,14 @@ from .encodings import (
     Protocol,
     SignalSpec,
     decode_4ph,
+    edge_next,
+    encode_4ph,
+    encode_4ph_null,
+    ledr_next,
     signal_parity,
 )
 from .mapper import MappedGate
-from .netlist import Netlist, PROTO_TO_NAME, map_netlist
+from .netlist import Netlist, PROTO_TO_NAME, map_netlist, primary_signals
 from .plb import (
     OscillationError,
     PlbConfig,
@@ -136,17 +141,10 @@ class Fabric:
         return h.hexdigest()[:16]
 
     def primary_inputs(self) -> List[str]:
-        driven = set()
-        for mg in self.mapped:
-            for unit in mg.plbs:
-                for ref in unit.output_map:
-                    if ref is not None:
-                        driven.add(ref.signal)
-        return [s for s in self.signals if s not in driven]
+        return primary_signals(self.signals, self.gates)[0]
 
     def primary_outputs(self) -> List[str]:
-        used = {s for g in self.gates for s in g.inputs}
-        return [s for s in self.signals if s not in used]
+        return primary_signals(self.signals, self.gates)[1]
 
 
 def fabric_from_netlist(net: Netlist) -> Fabric:
@@ -197,7 +195,7 @@ class _Elaboration:
         for g in fabric.gates:
             for s in g.inputs:
                 consumers_of[s].append(g)
-        env_consumed = [s for s, gs in consumers_of.items() if not gs]
+        self.inputs, env_consumed = primary_signals(fabric.signals, fabric.gates)
 
         # Acknowledge feeds: the rendez-vous of every consumer's ack-out,
         # as (name, source wires, output wire) per join.
@@ -241,7 +239,6 @@ class _Elaboration:
 
         # (spec, rails, acknowledge feed or None) per primary input and
         # (spec, rails, acknowledge) per signal the environment consumes.
-        self.inputs = fabric.primary_inputs()
         self.producers: List[Tuple[SignalSpec, Tuple[int, ...], Optional[int]]] = []
         for s in self.inputs:
             self.producers.append(
@@ -392,13 +389,21 @@ class _Producer:
             )
         self.idx = 0
         self.stage = "idle"  # idle | valid_sent | null_sent (4ph) / sent (2ph)
-        self.levels = [0] * len(wires)
+        self.levels: Tuple[int, ...] = (0,) * len(wires)  # as last driven
+        if spec.protocol is Protocol.FOUR_PHASE:
+            self.codes = [encode_4ph(v, spec.arity) for v in range(spec.arity)]
+            self.null = encode_4ph_null(spec.arity)
         self.done = not self.values
 
-    def _emit_wire(self, sim: "Simulation", wire_idx: int, level: int, t: int):
-        self.levels[wire_idx] = level
-        wire = self.wires[wire_idx]
-        heappush(sim.queue, (t + wire.delay, next(sim._seq), wire, level))
+    def _drive(self, sim: "Simulation", levels: Tuple[int, ...], t: int):
+        """Schedule the wire on which ``levels`` differs from the last levels
+        driven; each step of every code changes exactly one wire."""
+        old, self.levels = self.levels, levels
+        i = 0
+        while old[i] == levels[i]:
+            i += 1
+        wire = self.wires[i]
+        heappush(sim.queue, (t + wire.delay, next(sim._seq), wire, levels[i]))
 
     def start(self, sim: "Simulation"):
         if self.done:
@@ -407,26 +412,21 @@ class _Producer:
 
     def _send_value(self, sim: "Simulation", t: int):
         v = self.values[self.idx]
-        if self.spec.protocol is Protocol.FOUR_PHASE:
-            self._emit_wire(sim, v, 1, t)
-            self.stage = "valid_sent"
-        elif self.spec.protocol is Protocol.LEDR:
-            d, r = self.levels
-            if v != d:
-                self._emit_wire(sim, 0, v, t)
-            else:
-                self._emit_wire(sim, 1, r ^ 1, t)
-            self.stage = "sent"
-        else:  # edge
-            self._emit_wire(sim, v, self.levels[v] ^ 1, t)
-            self.stage = "sent"
+        proto = self.spec.protocol
+        if proto is Protocol.FOUR_PHASE:
+            levels, self.stage = self.codes[v], "valid_sent"
+        elif proto is Protocol.LEDR:
+            levels, self.stage = ledr_next(self.levels, v), "sent"
+        else:
+            levels, self.stage = edge_next(self.levels, v), "sent"
+        self._drive(sim, levels, t)
 
     def react(self, sim: "Simulation", t: int, wire: _Wire):
         if wire is not self.ack or self.done:
             return
         if self.spec.protocol is Protocol.FOUR_PHASE:
             if self.stage == "valid_sent" and wire.level == 1:
-                self._emit_wire(sim, self.values[self.idx], 0, t + 1)
+                self._drive(sim, self.null, t + 1)
                 self.stage = "null_sent"
             elif self.stage == "null_sent" and wire.level == 0:
                 self._complete(sim, t)
@@ -495,6 +495,9 @@ class Simulation:
         max_time: int = 20000,
         ack_delay: int = 1,
     ):
+        for name, ticks in (("max_time", max_time), ("ack_delay", ack_delay)):
+            if ticks < 0:
+                raise SimulationInputError(f"{name} {ticks} is negative")
         self.fabric = fabric
         self.delays = delays or DelayModel()
         self.max_time = max_time

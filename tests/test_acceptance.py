@@ -11,11 +11,11 @@ import time
 
 import pytest
 
-from qdifab.encodings import decode_4ph, CodeKind
+from qdifab.encodings import decode_4ph, CodeKind, signal_parity
 from qdifab.mapper import map_edge_2in
 from qdifab.netlist import parse_netlist
 from qdifab.plb import plb_reset
-from qdifab.primitives import CElementState, ack_xor, c_element_mux, c_element_step
+from qdifab.primitives import CElementState, c_element_mux, c_element_step
 from qdifab.progchain import Block, drain_block, load_block, reconfigure_block
 from qdifab.sidechannel import (
     dpa_difference_of_means,
@@ -115,7 +115,7 @@ def test_criterion_03_or_equals_xor_on_reachable_domain():
             tuple(1 if i == v else 0 for i in range(width)) for v in range(width)
         ]
         for vec in vectors:
-            assert ack_xor(vec) == (1 if any(vec) else 0)
+            assert signal_parity(vec) == (1 if any(vec) else 0)
             checked += 1
     print(f"criterion  3 PASS OR and XOR agree on all {checked} "
           f"all-zero/one-hot vectors up to width 4")

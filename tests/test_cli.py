@@ -23,7 +23,6 @@ THREE_GATE_NET = """
 # half adder plus a carry tap
 signal a proto=4ph arity=2
 signal b proto=4ph arity=2
-signal c proto=4ph arity=2
 signal s proto=4ph arity=2
 signal t proto=4ph arity=2
 signal o proto=4ph arity=2
@@ -120,6 +119,74 @@ def test_sim_writes_trace_with_transactions(files, capsys):
     assert len(tr.records["o"]) == 4
     assert tr.values_of("o") == [(a ^ b) | (a & b) for a, b in
                                  zip([1, 0, 1, 1], [1, 1, 0, 1])]
+
+
+def test_map_unconnected_signal_exits_2_naming_line(files, capsys):
+    tmp, net, _ = files
+    net.write_text(THREE_GATE_NET.replace("signal o ", "signal z proto=4ph arity=2\nsignal o "))
+    assert main(["map", str(net), "-o", str(tmp / "x.bit")]) == 2
+    assert capsys.readouterr().err == "error: line 7: signal 'z' connects to no gate\n"
+
+
+def test_sim_bitstream_with_unconnected_signal_exits_2_naming_line(files, capsys):
+    tmp, net, stim = files
+    bit = tmp / "d.bit"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    lines = bit.read_text().splitlines()
+    lines.insert(1, "# signal z proto=4ph arity=2")
+    bit.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bit}: line 2: signal 'z' connects to no gate\n")
+
+
+def test_map_unwritable_output_exits_2(files, capsys):
+    tmp, net, _ = files
+    assert main(["map", str(net), "-o", str(tmp / "missing" / "x.bit")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_sim_unwritable_trace_exits_2(files, capsys):
+    tmp, net, stim = files
+    bit = tmp / "d.bit"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim),
+                 "--trace", str(tmp / "missing" / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_check_unwritable_report_exits_2(files, capsys):
+    tmp, net, _ = files
+    paths = _trace_files(tmp, net, count=1)
+    capsys.readouterr()
+    assert main(["check", *paths, "--property", "single-toggle",
+                 "--report", str(tmp / "missing" / "r.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("flag, value", [("--ack-delay", "-5"), ("--max-time", "-1")])
+def test_sim_negative_time_exits_2(files, capsys, flag, value):
+    tmp, net, stim = files
+    bit, tracef = tmp / "d.bit", tmp / "out.csv"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim), flag, value,
+                 "--trace", str(tracef)]) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} {value} is negative\n"
+    assert not tracef.exists()
+
+
+def test_sim_repeated_stimulus_signal_exits_2_naming_line(files, capsys):
+    tmp, net, _ = files
+    bit, stim = tmp / "d.bit", tmp / "twice.stim"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    stim.write_text("a: 0,1,1\nb: 1,1,0\n# again\na: 1\n")
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err == "error: stimulus line 4: signal 'a' given twice\n"
 
 
 def test_sim_unknown_stimulus_signal(files, capsys):
@@ -230,6 +297,16 @@ def test_check_timing_fails_on_perturbed_trace(files, capsys):
     rc = main(["check", *paths, "--property", "timing"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("prop", ["toggle-count", "timing", "dpa"])
+def test_check_unknown_select_exits_2(files, capsys, prop):
+    tmp, net, _ = files
+    paths = _trace_files(tmp, net)
+    capsys.readouterr()
+    assert main(["check", *paths, "--property", prop, "--select", "zz"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths[0]}: --select 'zz' is not a signal of the trace\n")
 
 
 def test_check_missing_property_flag_usage_error(files, capsys):

@@ -67,6 +67,7 @@ def test_signal_parity():
     assert signal_parity((0, 0)) == 0
     assert signal_parity((1, 0)) == 1
     assert signal_parity((1, 1)) == 0
+    assert signal_parity((1, 1, 0, 0)) == 0
 
 
 def test_single_wire_change_everywhere():

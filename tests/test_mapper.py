@@ -2,10 +2,9 @@ import itertools
 
 import pytest
 
-from qdifab.encodings import Protocol, encode_4ph, encode_4ph_null, ledr_next
+from qdifab.encodings import encode_4ph, encode_4ph_null, ledr_next
 from qdifab.mapper import (
     MappingError,
-    emit_truth_tables,
     map_4ph_2in,
     map_4ph_3in,
     map_4ph_ter_2in,
@@ -417,10 +416,10 @@ def test_edge_rejects_non_binary():
 # -- cross-cutting -------------------------------------------------------------
 
 def test_emit_truth_tables_deterministic():
-    for proto in (Protocol.FOUR_PHASE, Protocol.LEDR, Protocol.EDGE):
-        t1 = emit_truth_tables(AND2, proto)
-        t2 = emit_truth_tables(AND2, proto)
-        assert [t.bits for t in t1] == [t.bits for t in t2]
+    for build in (lambda: map_4ph_2in(AND2).config.luts,
+                  lambda: map_ledr_2in(AND2).config.luts,
+                  lambda: map_edge_2in(AND2).plbs[1].config.luts):
+        assert [t.bits for t in build()] == [t.bits for t in build()]
 
 
 def test_constant_zero_function_tables():

@@ -7,6 +7,7 @@ from qdifab.netlist import (
     map_netlist,
     parse_netlist,
 )
+from qdifab.simulator import fabric_from_netlist
 
 
 def test_parse_minimal():
@@ -21,6 +22,29 @@ def test_parse_minimal():
     assert net.gates[0].ack
     assert net.primary_inputs() == ["x", "y"]
     assert net.primary_outputs() == ["o"]
+
+
+def test_unconnected_signal_rejected_naming_its_line():
+    # Without the check, z would be both a primary input and a primary output.
+    with pytest.raises(NetlistError, match=r"^line 3: signal 'z' connects to no gate$"):
+        parse_netlist(
+            "signal x proto=4ph arity=2\nsignal y proto=4ph arity=2\n"
+            "signal z proto=4ph arity=2\nsignal o proto=4ph arity=2\n"
+            "gate g fn=8 in=x,y out=o\n"
+        )
+
+
+def test_netlist_and_fabric_share_one_boundary():
+    # b and p each feed two gates; q and r are read by no gate.
+    net = parse_netlist(
+        "".join(f"signal {n} proto=4ph arity=2\n" for n in "abcdpqr")
+        + "gate g1 fn=6 in=a,b out=p ack\n"
+        + "gate g2 fn=e8 in=p,b,c out=q\n"
+        + "gate g3 fn=8 in=p,d out=r ack\n"
+    )
+    fabric = fabric_from_netlist(net)
+    assert net.primary_inputs() == fabric.primary_inputs() == ["a", "b", "c", "d"]
+    assert net.primary_outputs() == fabric.primary_outputs() == ["q", "r"]
 
 
 def test_parse_error_carries_line():

@@ -8,9 +8,9 @@ from qdifab.plb import (
     LutTable,
     OscillationError,
     PlbConfig,
+    PlbState,
     WireRef,
     ack_outputs,
-    lut_eval,
     plb_reset,
     plb_step,
     validate_config,
@@ -34,13 +34,13 @@ def step_unit(unit, state, **signals):
 def test_lut_eval_all_zero_table():
     t = LutTable.zero()
     for combo in itertools.product((0, 1), repeat=6):
-        assert lut_eval(t, combo) == 0
+        assert t.eval(combo) == 0
 
 
 def test_lut_eval_identity_on_i0():
     t = LutTable.from_function(lambda *p: p[0])
-    assert lut_eval(t, (1, 0, 0, 0, 0, 0)) == 1
-    assert lut_eval(t, (0, 1, 1, 1, 1, 1)) == 0
+    assert t.eval((1, 0, 0, 0, 0, 0)) == 1
+    assert t.eval((0, 1, 1, 1, 1, 1)) == 0
 
 
 def test_lut_eval_and_of_i4_i5():
@@ -51,8 +51,8 @@ def test_lut_eval_and_of_i4_i5():
             expected |= 1 << idx
     t = LutTable.from_function(lambda *p: p[4] & p[5])
     assert t.bits == expected
-    assert lut_eval(t, (0, 0, 0, 0, 1, 1)) == 1
-    assert lut_eval(t, (1, 1, 1, 1, 1, 0)) == 0
+    assert t.eval((0, 0, 0, 0, 1, 1)) == 1
+    assert t.eval((1, 1, 1, 1, 1, 0)) == 0
 
 
 def test_plb_reset_quiescent_and_step_identity():
@@ -92,6 +92,30 @@ def test_plb_ledr_xor_phase_advance():
     od, orr = st.mem_out[0], st.mem_out[1]
     assert (od ^ orr) == 1  # output phase became odd
     assert od == 0  # xor(1, 1)
+
+
+def test_memory_point_bypass_makes_it_transparent():
+    # L0 reads 1 on an all-zero group, where the OR companion reads 0: a
+    # bypassed memory point passes L0 through, an active one holds its 0.
+    luts = (LutTable.from_function(lambda *p: 1 - p[0]),) + (LutTable.zero(),) * 3
+    for bypass, out in ((True, 1), (False, 0)):
+        cfg = PlbConfig(luts=luts, mem_bypass=(bypass, bypass))
+        st = plb_step(cfg, PlbState(), (0,) * 12)
+        assert st.mem_out == (out, 0, 0, 0)
+        assert ack_outputs(cfg, st) == (out, 0)
+
+
+def test_memory_point_latches_against_the_or_companion():
+    # L0 = pin 0 and L1 = pin 2; pin 1 only lifts the OR companion, so O0
+    # rises with L0, holds while the OR stays high and falls with the group.
+    luts = (LutTable.from_function(lambda *p: p[0]), LutTable.from_function(lambda *p: p[2]),
+            LutTable.zero(), LutTable.zero())
+    cfg = PlbConfig(luts=luts)
+    st = PlbState()
+    for pins, out in (((1, 0, 0), (1, 0)), ((0, 1, 0), (1, 0)), ((0, 0, 0), (0, 0))):
+        st = plb_step(cfg, st, pins + (0,) * 9)
+        assert st.mem_out[:2] == out
+        assert ack_outputs(cfg, st)[0] == out[0] ^ out[1]
 
 
 def test_plb_step_deterministic():

@@ -2,14 +2,12 @@ import itertools
 
 import pytest
 
+from qdifab.encodings import signal_parity
 from qdifab.primitives import (
     CElementState,
-    MemoryPointState,
     StructuralError,
-    ack_xor,
     c_element_mux,
     c_element_step,
-    memory_point_step,
     or6,
 )
 
@@ -50,12 +48,6 @@ def test_c_element_no_glitch_within_half_cycle():
             assert state.output == 1
 
 
-def test_ack_xor():
-    assert ack_xor((0, 0)) == 0
-    assert ack_xor((0, 1)) == 1
-    assert ack_xor((1, 1, 0, 0)) == 0
-
-
 def test_or6():
     assert or6((0,) * 6) == 0
     assert or6((0, 0, 1, 0, 0, 0)) == 1
@@ -72,20 +64,5 @@ def test_or_equals_xor_on_one_hot_domain():
             tuple(1 if i == v else 0 for i in range(width)) for v in range(width)
         ]
         for vec in vectors:
-            assert ack_xor(vec) == (1 if any(vec) else 0)
+            assert signal_parity(vec) == (1 if any(vec) else 0)
 
-
-def test_memory_point_transparent():
-    st = MemoryPointState(bypass=1)
-    for x in (0, 1):
-        oa, ob, ack = memory_point_step(st, ((1, x), (0, x)))
-        assert (oa, ob, ack) == (1, 0, 1)
-
-
-def test_memory_point_latching():
-    st = MemoryPointState(0, 0, bypass=0)
-    oa, ob, ack = memory_point_step(st, ((1, 1), (0, 0)))
-    assert (oa, ob, ack) == (1, 0, 1)
-    st = MemoryPointState(1, 0, bypass=0)
-    oa, ob, ack = memory_point_step(st, ((1, 0), (0, 1)))
-    assert (oa, ob, ack) == (1, 0, 1)  # both hold

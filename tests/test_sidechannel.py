@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
+from qdifab.cli import PROPERTIES
 from qdifab.netlist import parse_netlist
 from qdifab.sidechannel import (
     AnalysisError,
     ComparisonError,
-    analyze,
     dpa_difference_of_means,
     level_value_correlation,
     timing_spread,
@@ -162,16 +162,14 @@ def test_constant_value_reports_zero():
     assert level_value_correlation(tr, "x") == 0.0  # no evidence either way
 
 
-def test_analyze_report_summary():
-    groups = traces_per_value(AND_NET)
+def test_check_path_verdicts_on_matched_traces():
+    # The check path's data-independence verdicts, as ``qdifab check`` runs them.
+    traces = list(traces_per_value(AND_NET).values())
     f = fab(AND_NET)
     dpa_traces = [run(f, {"x": [vx, vx], "y": [1, 1]}) for vx in (0, 1, 0, 1)]
-    report = analyze(groups, dpa_traces, "x")
-    assert report.toggle_constant
-    assert report.timing_spread_ticks == 0
-    assert report.dpa_zero
-    assert report.data_independent
-    text = report.render_text()
-    assert "toggle-count constant" in text and "timing spread: 0" in text
-    csv = report.series_csv()
-    assert csv.startswith("tick,difference")
+    lines, _, failed = PROPERTIES["toggle-count"]([], traces, None)
+    assert not failed and lines[-1] == "constant across values: pass"
+    lines, _, failed = PROPERTIES["timing"]([], traces, None)
+    assert not failed and lines == ["timing spread: 0 tick(s): pass"]
+    _, rows, failed = PROPERTIES["dpa"]([], dpa_traces, "x")
+    assert not failed and rows[0] == "tick,difference"

@@ -329,6 +329,13 @@ def test_oscillating_block_reported_once_through_the_kernel():
     assert tr.deadlock
 
 
+@pytest.mark.parametrize("times", [{"ack_delay": -5}, {"max_time": -1}])
+def test_negative_times_rejected_when_built(times):
+    (name, ticks), = times.items()
+    with pytest.raises(SimulationInputError, match=f"^{name} {ticks} is negative$"):
+        Simulation(fab(AND_NET), stimulus={"x": [1], "y": [1]}, **times)
+
+
 def test_inject_on_unknown_wire_rejected():
     with pytest.raises(SimulationInputError, match="nope"):
         run(fab(AND_NET), {"x": [1], "y": [1]}, inject=[(3, "nope", 1)])
