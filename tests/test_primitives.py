@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qdifab.encodings import signal_parity
+from qdifab.plb import LutTable, PlbConfig, PlbState, ack_outputs
 from qdifab.primitives import (
     CElementState,
     StructuralError,
@@ -46,6 +47,21 @@ def test_c_element_no_glitch_within_half_cycle():
                 state = CElementState(new, p)
             assert changes == 1
             assert state.output == 1
+
+
+def test_ack_xor():
+    # The acknowledge XOR is encodings.signal_parity; the block's ack
+    # outputs take it over each memory pair, or over all four when grouped.
+    assert signal_parity((0, 0)) == 0
+    assert signal_parity((0, 1)) == 1
+    assert signal_parity((1, 1, 0, 0)) == 0
+    luts = (LutTable.zero(),) * 4
+    state = PlbState(mem_out=(0, 1, 1, 1))
+    assert ack_outputs(PlbConfig(luts=luts), state) == (1, 0)
+    assert ack_outputs(PlbConfig(luts=luts, combine_sel=True), state) == (1, 0)
+    state = PlbState(mem_out=(1, 1, 0, 1))
+    assert ack_outputs(PlbConfig(luts=luts), state) == (0, 1)
+    assert ack_outputs(PlbConfig(luts=luts, combine_sel=True), state) == (1, 0)
 
 
 def test_or6():
