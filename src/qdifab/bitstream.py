@@ -1,4 +1,4 @@
-"""Bit-exact configuration serialization.
+"""Bit-exact configuration serialization, and the fabric it describes.
 
 Per logic block, in placement order: the four LUT tables (64 bits each,
 entry 0 first, input pin 0 as the least significant bit of the entry
@@ -9,19 +9,35 @@ block, zero-padded to 280 and written as lowercase hex, one block per
 line; the first bit of the stream is the most significant bit of the first
 hex digit.
 
-The pin and output wiring of each block travels in comment headers above
-the hex lines, so a bitstream file is a complete, simulatable design.
+The signals, the gates and the pin and output wiring of each block travel
+in comment headers above the hex lines, so a bitstream file is a complete,
+simulatable design.  Its text is the design's identity:
+:meth:`Fabric.fingerprint` hashes it, and every trace names that hash.
+
+:func:`read_bitstream` holds a file to the design rules of a netlist,
+through the one function that checks both (``netlist._check``): gate names
+are unique, every gate signal is declared, each signal has one driver, a
+gate uses one protocol, the one its ``# gate`` line declares, every
+declared signal connects to a gate, and the gates form a DAG.  On top of
+those, no signal is declared twice, every ``# plb`` names a gate that has
+a ``# gate`` line, and a block binds nothing outside its own gate: its
+pins read only the gate's inputs, its output, its ``# internal`` signals
+(declared above one of the gate's blocks) and ``<output>.ackin``; its
+outputs drive only the output or the internal signals, and its ``sout``
+only ``<output>.sout``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import hashlib
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .encodings import Protocol, SignalSpec
 from .mapper import MappedGate, PlbUnit
+from .netlist import NetlistError, _check, primary_signals
 from .plb import NC, LutTable, PlbConfig, WireRef
-from .simulator import Fabric
-from .trace import GateInfo
+from .trace import GATE_USAGE, GateInfo
 
 CONFIG_BITS = 4 * 64 + 16 + 2 + 2 + 1  # 277
 
@@ -30,58 +46,68 @@ class BitstreamError(ValueError):
     pass
 
 
+@dataclass
+class Fabric:
+    """Static description of a mapped design.
+
+    A fabric is not changed once it has been simulated: its first
+    ``simulator.Simulation`` stores the fabric's elaboration in
+    ``elaboration``, and every later one builds from that.
+    """
+
+    signals: Dict[str, SignalSpec]
+    mapped: List[MappedGate]
+    gates: List[GateInfo]
+    elaboration: object = field(default=None, init=False, repr=False, compare=False)
+
+    def fingerprint(self) -> str:
+        """The first 16 hex digits of the sha256 of the fabric's bitstream."""
+        return hashlib.sha256(write_bitstream(self).encode()).hexdigest()[:16]
+
+    def primary_inputs(self) -> List[str]:
+        return primary_signals(self.signals, self.gates)[0]
+
+    def primary_outputs(self) -> List[str]:
+        return primary_signals(self.signals, self.gates)[1]
+
+
+# Bit characters to bit values and back.
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+_TO_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
 def config_bits(config: PlbConfig) -> List[int]:
-    bits: List[int] = []
-    for lut in config.luts:
-        bits.extend((lut.bits >> i) & 1 for i in range(64))
-    for pin in range(4):
-        for k in range(4):
-            bits.append(1 if config.feedback_sel[k][pin] else 0)
-    bits.extend(1 if b else 0 for b in config.mem_bypass)
-    bits.extend(1 if b else 0 for b in config.or6_bypass_sel)
-    bits.append(1 if config.combine_sel else 0)
+    luts = "".join(f"{lut.bits:064b}"[::-1] for lut in config.luts)
+    bits = list(luts.encode().translate(_TO_BITS))
+    flags = [config.feedback_sel[k][pin] for pin in range(4) for k in range(4)]
+    flags += [*config.mem_bypass, *config.or6_bypass_sel, config.combine_sel]
+    bits.extend(1 if b else 0 for b in flags)
     assert len(bits) == CONFIG_BITS
     return bits
 
 
 def config_from_bits(bits: Sequence[int], assignment) -> PlbConfig:
+    """Inverse of :func:`config_bits` over bits of 0 and 1; bits past
+    ``CONFIG_BITS`` are padding."""
     if len(bits) < CONFIG_BITS:
         raise BitstreamError(f"expected {CONFIG_BITS} bits, got {len(bits)}")
-    pos = 0
-    luts = []
-    for _ in range(4):
-        value = 0
-        for i in range(64):
-            value |= (bits[pos] & 1) << i
-            pos += 1
-        luts.append(LutTable(value))
-    fb = [[False] * 6 for _ in range(4)]
-    for pin in range(4):
-        for k in range(4):
-            fb[k][pin] = bool(bits[pos])
-            pos += 1
-    mem = (bool(bits[pos]), bool(bits[pos + 1]))
-    pos += 2
-    orb = (bool(bits[pos]), bool(bits[pos + 1]))
-    pos += 2
-    combine = bool(bits[pos])
+    luts = bytes(bits[:256]).translate(_TO_CHARS).decode()
+    flags = [bool(b) for b in bits[256:CONFIG_BITS]]
     return PlbConfig(
-        luts=tuple(luts),
-        feedback_sel=tuple(tuple(r) for r in fb),
-        mem_bypass=mem,
-        or6_bypass_sel=orb,
-        combine_sel=combine,
+        luts=tuple(LutTable(int(luts[i:i + 64][::-1], 2)) for i in range(0, 256, 64)),
+        feedback_sel=tuple((*flags[k:16:4], False, False) for k in range(4)),
+        mem_bypass=tuple(flags[16:18]),
+        or6_bypass_sel=tuple(flags[18:20]),
+        combine_sel=flags[20],
         input_assignment=assignment,
     )
 
 
 def bits_to_hex(bits: Sequence[int]) -> str:
-    padded = list(bits) + [0] * (-len(bits) % 4)
-    digits = []
-    for i in range(0, len(padded), 4):
-        b0, b1, b2, b3 = padded[i : i + 4]
-        digits.append(format((b0 << 3) | (b1 << 2) | (b2 << 1) | b3, "x"))
-    return "".join(digits)
+    """Bits of 0 and 1, zero-padded to whole hex digits, first bit most
+    significant."""
+    chars = bytes(bits).translate(_TO_CHARS) + b"0" * (-len(bits) % 4)
+    return f"{int(chars, 2):0{len(chars) // 4}x}" if chars else ""
 
 
 def hex_to_bits(text: str) -> List[int]:
@@ -107,37 +133,25 @@ def _ref_parse(tok: str) -> Optional[WireRef]:
 
 def write_bitstream(fabric: Fabric) -> str:
     lines = ["# qdifab-bitstream v1"]
-    for name in sorted(fabric.signals):
-        spec = fabric.signals[name]
-        lines.append(
-            f"# signal {name} proto={spec.protocol.value} arity={spec.arity}"
-        )
-    for g in fabric.gates:
-        lines.append(
-            f"# gate {g.name} proto={g.protocol} in={','.join(g.inputs)} "
-            f"out={g.output} ack={int(g.ack)}"
-        )
+    lines += [f"# signal {name} proto={spec.protocol.value} arity={spec.arity}"
+              for name, spec in sorted(fabric.signals.items())]
+    lines += [g.header() for g in fabric.gates]
     hex_lines = []
-    idx = 0
     for mg in fabric.mapped:
-        for name, width in mg.internal_signals:
-            lines.append(f"# internal {name} {width}")
+        lines += [f"# internal {name} {width}" for name, width in mg.internal_signals]
         for unit in mg.plbs:
             ins = ";".join(_ref_str(r) for r in unit.config.input_assignment)
             outs = ";".join(_ref_str(r) for r in unit.output_map)
             souts = ";".join(s if s else "-" for s in unit.sout_map)
-            lines.append(
-                f"# plb {idx} gate={mg.name} role={unit.role} "
-                f"in={ins} out={outs} sout={souts}"
-            )
+            lines.append(f"# plb {len(hex_lines)} gate={mg.name} role={unit.role} "
+                         f"in={ins} out={outs} sout={souts}")
             hex_lines.append(bits_to_hex(config_bits(unit.config)))
-            idx += 1
     return "\n".join(lines + hex_lines) + "\n"
 
 
 _USAGE = {
     "signal": "# signal <name> proto=<4ph|ledr|edge> arity=<int>",
-    "gate": "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>",
+    "gate": GATE_USAGE,
     "internal": "# internal <signal> <width>",
     "plb": "# plb <index> gate=<name> role=<role> in=<12 pins> out=<4 pins> sout=<2 wires>"
            " (a pin is - or <signal>:<index>:<width>, pins and wires joined by ;)",
@@ -146,18 +160,11 @@ _USAGE = {
 
 
 def read_bitstream(text: str) -> Fabric:
-    """Inverse of :func:`write_bitstream`.
-
-    A malformed line, such as an unknown protocol, a missing or malformed
-    ``key=value`` field, a bad pin binding or hex digit, a gate naming an
-    undeclared signal or a signal that no gate connects, raises
-    :class:`BitstreamError` whose message starts with ``line <n>:``.  So
-    does a block binding a wire of anything but a declared or ``# internal``
-    signal; besides those, a pin may read ``<signal>.ackin`` and an ack
-    output (``sout``) may drive ``<signal>.sout``, for a declared signal.
-    """
-    signals: dict[str, SignalSpec] = {}
-    signal_lines: dict[str, int] = {}
+    """Inverse of :func:`write_bitstream`.  A malformed line or a broken
+    rule of the module docstring raises :class:`BitstreamError`, whose
+    message starts with ``line <n>:``."""
+    signals: Dict[str, SignalSpec] = {}
+    signal_lines: Dict[str, int] = {}
     gates: List[GateInfo] = []
     gate_lines: List[int] = []
     plb_meta: List[dict] = []
@@ -178,16 +185,9 @@ def read_bitstream(text: str) -> Fabric:
                 hex_lines.append((lineno, hex_to_bits(line)))
             elif tag == "signal":
                 kv = dict(t.split("=", 1) for t in toks[2:])
-                signals[toks[1]] = SignalSpec(
-                    toks[1], Protocol(kv["proto"]), int(kv["arity"])
-                )
-                signal_lines[toks[1]] = lineno
+                spec = SignalSpec(toks[1], Protocol(kv["proto"]), int(kv["arity"]))
             elif tag == "gate":
-                kv = dict(t.split("=", 1) for t in toks[2:])
-                gates.append(GateInfo(
-                    toks[1], Protocol(kv["proto"]).value, tuple(kv["in"].split(",")),
-                    kv["out"], bool(int(kv["ack"])),
-                ))
+                gates.append(GateInfo.from_header(toks))
                 gate_lines.append(lineno)
             elif tag == "internal":
                 _, name, width = toks
@@ -206,56 +206,47 @@ def read_bitstream(text: str) -> Fabric:
                 pending_internals = []
         except (IndexError, KeyError, ValueError):
             raise BitstreamError(f"line {lineno}: expected '{_USAGE[tag]}'") from None
+        if tag == "signal":
+            if spec.name in signals:
+                raise BitstreamError(f"line {lineno}: signal {spec.name!r} declared twice")
+            signals[spec.name] = spec
+            signal_lines[spec.name] = lineno
 
-    for lineno, g in zip(gate_lines, gates):
-        for sig in (*g.inputs, g.output):
-            if sig not in signals:
-                raise BitstreamError(
-                    f"line {lineno}: gate {g.name}: {sig!r} is not a declared signal")
-    connected = {s for g in gates for s in (*g.inputs, g.output)}
-    for sig, lineno in signal_lines.items():
-        if sig not in connected:
-            raise BitstreamError(f"line {lineno}: signal {sig!r} connects to no gate")
-    wire_names = set(signals)
+    try:
+        _check(signals, signal_lines, gates, gate_lines)
+    except NetlistError as exc:
+        raise BitstreamError(str(exc)) from None
+    gate_of = {g.name: g for g in gates}
+    internals: Dict[str, Tuple[Tuple[str, int], ...]] = {}
     for meta in plb_meta:
-        wire_names.update(name for name, _ in meta["internals"])
-    pin_names = wire_names | {f"{s}.ackin" for s in signals}
-    sout_names = {f"{s}.sout" for s in signals}
-    for meta in plb_meta:
-        bound = [(ref.signal, pin_names) for ref in meta["assignment"] if ref is not None]
-        bound += [(ref.signal, wire_names) for ref in meta["outs"] if ref is not None]
-        bound += [(name, sout_names) for name in meta["souts"] if name is not None]
+        g = gate_of.get(meta["gate"])
+        if g is None:
+            raise BitstreamError(f"line {meta['lineno']}: block of gate {meta['gate']!r}, "
+                                 f"which has no '# gate' line")
+        internals[g.name] = internals.get(g.name, ()) + meta["internals"]
+        wires = {g.output, *(name for name, _ in internals[g.name])}
+        bound = [(ref.signal, wires | {*g.inputs, f"{g.output}.ackin"})
+                 for ref in meta["assignment"] if ref is not None]
+        bound += [(ref.signal, wires) for ref in meta["outs"] if ref is not None]
+        bound += [(name, {f"{g.output}.sout"}) for name in meta["souts"] if name is not None]
         for name, legal in bound:
             if name not in legal:
                 raise BitstreamError(
-                    f"line {meta['lineno']}: block binds {name!r}, which is not "
-                    f"a declared or internal signal or its acknowledge")
+                    f"line {meta['lineno']}: block binds {name!r}, which is not a "
+                    f"signal of gate {g.name!r} or its acknowledge")
     if len(hex_lines) != len(plb_meta):
         raise BitstreamError(
             f"{len(plb_meta)} block headers but {len(hex_lines)} hex lines"
         )
 
-    by_gate: dict[str, List[PlbUnit]] = {}
-    gate_internals: dict[str, Tuple[Tuple[str, int], ...]] = {}
+    by_gate: Dict[str, List[PlbUnit]] = {}
     for meta, (lineno, bits) in zip(plb_meta, hex_lines):
         try:
             config = config_from_bits(bits, meta["assignment"])
         except BitstreamError as exc:
             raise BitstreamError(f"line {lineno}: {exc}") from None
-        gname = meta["gate"]
-        by_gate.setdefault(gname, []).append(
+        by_gate.setdefault(meta["gate"], []).append(
             PlbUnit(meta["role"], config, meta["outs"], meta["souts"]))
-        if meta["internals"]:
-            gate_internals[gname] = meta["internals"]
-
-    proto_of = {g.name: g.protocol for g in gates}
-    mapped = [
-        MappedGate(
-            name=gname,
-            protocol=Protocol(proto_of.get(gname, "4ph")),
-            plbs=tuple(units),
-            internal_signals=gate_internals.get(gname, ()),
-        )
-        for gname, units in by_gate.items()
-    ]
+    mapped = [MappedGate(gname, tuple(units), internals[gname])
+              for gname, units in by_gate.items()]
     return Fabric(signals, mapped, gates)

@@ -154,21 +154,26 @@ def _no_early_eval(paths, traces, select):
     return lines, rows, failed
 
 
-def _groups(traces, select):
-    """The first trace per value of ``select``, or else of the primary inputs."""
-    groups = {}
-    for tr in traces:
+def _groups(paths, traces, select):
+    """The trace per value of ``select``, or else of the primary inputs;
+    AnalysisError if two traces carry the same value."""
+    groups, path_of = {}, {}
+    for path, tr in zip(paths, traces):
         if select:
             key = tuple(tr.values_of(select))
         else:
             ins = sorted(primary_signals(tr.signals, tr.gates)[0])
             key = tuple((s, tuple(tr.values_of(s))) for s in ins)
-        groups.setdefault(key, tr)
+        if key in groups:
+            raise AnalysisError(
+                f"{path_of[key]} and {path} carry the same values of "
+                f"{select or 'the primary inputs'}; give one trace per value")
+        groups[key], path_of[key] = tr, path
     return groups
 
 
 def _toggle_count(paths, traces, select):
-    profile = toggle_count_profile(_groups(traces, select))
+    profile = toggle_count_profile(_groups(paths, traces, select))
     depth = min((len(v) for v in profile.values()), default=0)
     constant = len({v[:depth] for v in profile.values()}) <= 1
     lines, rows = [], []
@@ -180,7 +185,7 @@ def _toggle_count(paths, traces, select):
 
 
 def _timing(paths, traces, select):
-    spread = timing_spread(_groups(traces, select))
+    spread = timing_spread(_groups(paths, traces, select))
     return ([f"timing spread: {spread} tick(s): {_status(spread == 0)}"],
             [f"spread,{spread}"], spread != 0)
 

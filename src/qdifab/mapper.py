@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .encodings import Protocol
 from .plb import (
     NC,
     LutTable,
@@ -68,7 +67,6 @@ class PlbUnit:
 @dataclass(frozen=True)
 class MappedGate:
     name: str
-    protocol: Protocol
     plbs: Tuple[PlbUnit, ...]
     # Wires that exist only between the blocks of this gate.
     internal_signals: Tuple[Tuple[str, int], ...] = ()
@@ -436,7 +434,8 @@ def map_edge_2in(
     The second block computes the output toggles as XORs of the C cells
     (wire 1 collects the cells where f is 1, wire 0 the others) and reuses
     its memory C-elements as the 2x1 decision-wait that withholds the
-    output until the acknowledge has toggled.
+    output until the acknowledge has toggled.  The gate and its internal
+    wires take their name from ``prefix``, or else from ``out``.
     """
     an, bn = inputs
     pre = prefix or out
@@ -497,8 +496,7 @@ def map_edge_2in(
         sout_map=(f"{out}.sout", None),
     )
     return MappedGate(
-        name=out,
-        protocol=Protocol.EDGE,
+        name=pre,
         plbs=(dw, comp),
         internal_signals=((cn, 4),),
     )

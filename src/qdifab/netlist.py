@@ -17,7 +17,7 @@ LEDR and edge gates always consume one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .encodings import Protocol, SignalSpec
 from . import mapper
@@ -37,10 +37,6 @@ class NetlistError(ValueError):
         super().__init__(loc + message)
         self.line = line
         self.column = column
-
-
-_PROTO_NAMES = {"4ph": Protocol.FOUR_PHASE, "ledr": Protocol.LEDR, "edge": Protocol.EDGE}
-PROTO_TO_NAME = {v: k for k, v in _PROTO_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,16 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistError(f"signal {name!r} declared twice", lineno)
             kv = dict(_parse_kv(t, lineno) for t in toks[2:])
             proto = kv.get("proto")
-            if proto not in _PROTO_NAMES:
-                raise NetlistError(f"unknown protocol {proto!r}", lineno)
+            try:
+                protocol = Protocol(proto)
+            except ValueError:
+                raise NetlistError(f"unknown protocol {proto!r}", lineno) from None
             try:
                 arity = int(kv.get("arity", ""))
             except ValueError:
                 raise NetlistError("arity must be an integer", lineno) from None
             try:
-                net.signals[name] = SignalSpec(name, _PROTO_NAMES[proto], arity)
+                net.signals[name] = SignalSpec(name, protocol, arity)
             except ValueError as exc:
                 raise NetlistError(str(exc), lineno) from None
             declared[name] = lineno
@@ -132,45 +130,62 @@ def parse_netlist(text: str) -> Netlist:
         else:
             raise NetlistError(f"unknown directive {kind!r}", lineno, raw.index(kind) + 1)
 
-    _check(net, declared)
+    _check(net.signals, declared, net.gates, [g.line for g in net.gates])
     return net
 
 
-def _check(net: Netlist, declared: Dict[str, int]) -> None:
+def _check(signals: Dict[str, SignalSpec], signal_lines: Dict[str, int],
+           gates: Sequence, gate_lines: Sequence[int]) -> None:
+    """The design rules of :func:`parse_netlist` and
+    ``bitstream.read_bitstream``: gate names are unique, every gate signal
+    is declared, each signal has one driver, a gate uses one protocol (its
+    declared ``protocol``, if it has one), every declared signal connects
+    to a gate and the gates form a DAG.  The first rule broken raises
+    :class:`NetlistError` naming the line, from ``signal_lines`` (signal ->
+    line) or ``gate_lines``."""
     drivers: Dict[str, str] = {}
-    for g in net.gates:
+    line_of: Dict[str, int] = {}
+    for g, line in zip(gates, gate_lines):
+        if g.name in line_of:
+            raise NetlistError(f"gate {g.name!r} declared twice", line)
         for s in (*g.inputs, g.output):
-            if s not in net.signals:
-                raise NetlistError(f"gate {g.name!r} references unknown signal {s!r}", g.line)
+            if s not in signals:
+                raise NetlistError(f"gate {g.name!r} references unknown signal {s!r}", line)
         if g.output in drivers:
             raise NetlistError(
                 f"signal {g.output!r} driven by both {drivers[g.output]!r} and {g.name!r}",
-                g.line,
+                line,
             )
         drivers[g.output] = g.name
-        protos = {net.signals[s].protocol for s in (*g.inputs, g.output)}
+        line_of[g.name] = line
+        protos = {signals[s].protocol.value for s in (*g.inputs, g.output)}
         if len(protos) > 1:
-            raise NetlistError(f"gate {g.name!r} mixes protocols", g.line)
-    connected = {s for g in net.gates for s in (*g.inputs, g.output)}
-    for s, line in declared.items():
+            raise NetlistError(f"gate {g.name!r} mixes protocols", line)
+        declared = getattr(g, "protocol", None)
+        if declared is not None and {declared} != protos:
+            raise NetlistError(
+                f"gate {g.name!r} declares proto={declared} but its signals are "
+                f"{protos.pop()}", line)
+    connected = {s for g in gates for s in (*g.inputs, g.output)}
+    for s, line in signal_lines.items():
         if s not in connected:
             raise NetlistError(f"signal {s!r} connects to no gate", line)
 
     # Data connections must form a DAG; rings would need explicitly declared
     # feedback, which this fabric does not expose.
-    adj = {g.name: [drivers[s] for s in g.inputs if s in drivers] for g in net.gates}
+    adj = {g.name: [drivers[s] for s in g.inputs if s in drivers] for g in gates}
     state: Dict[str, int] = {}
 
     def visit(v: str) -> None:
         state[v] = 1
         for u in adj[v]:
             if state.get(u) == 1:
-                raise NetlistError(f"combinational cycle through gate {v!r}")
+                raise NetlistError(f"combinational cycle through gate {v!r}", line_of[v])
             if state.get(u, 0) == 0:
                 visit(u)
         state[v] = 2
 
-    for g in net.gates:
+    for g in gates:
         if state.get(g.name, 0) == 0:
             visit(g.name)
 
@@ -221,7 +236,7 @@ def map_gate(gate: GateDecl, net: Netlist) -> MappedGate:
             return _map_edge(gate, specs, out_spec, f, ack_wire)
     except MappingError as exc:
         raise MappingError(f"gate {gate.name!r}: {exc}") from None
-    return MappedGate(name=gate.name, protocol=proto, plbs=(unit,))
+    return MappedGate(name=gate.name, plbs=(unit,))
 
 
 def _map_4ph(gate, specs, out_spec, f, ack_wire) -> PlbUnit:
@@ -261,12 +276,10 @@ def _map_edge(gate, specs, out_spec, f, ack_wire) -> MappedGate:
     arities = [s.arity for s in specs]
     if arities != [2, 2] or out_spec.arity != 2:
         raise MappingError(f"edge gates take two binary inputs, got {arities}")
-    mg = mapper.map_edge_2in(
+    return mapper.map_edge_2in(
         f, inputs=(specs[0].name, specs[1].name), out=out_spec.name, ack=ack_wire,
         prefix=gate.name,
     )
-    return MappedGate(name=gate.name, protocol=Protocol.EDGE, plbs=mg.plbs,
-                      internal_signals=mg.internal_signals)
 
 
 def map_netlist(net: Netlist) -> List[MappedGate]:

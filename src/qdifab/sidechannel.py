@@ -23,7 +23,7 @@ from .trace import Trace
 
 
 class ComparisonError(ValueError):
-    """Traces being compared do not come from the same configuration."""
+    """Traces being compared do not share a configuration and routing."""
 
 
 class AnalysisError(ValueError):
@@ -41,10 +41,22 @@ def _boundary_signal(trace: Trace, signal: Optional[str]) -> str:
     return marked[0]
 
 
+def _routing(trace: Trace) -> str:
+    """The trace's delay model, with its seed under jitter."""
+    delays = trace.meta.get("delays", "?")
+    return f"jitter:{trace.meta.get('seed', '?')}" if delays == "jitter" else delays
+
+
 def _check_same_fabric(traces: Iterable[Trace]) -> None:
+    """Traces compared must share a configuration (the ``fabric`` meta) and
+    a routing (the ``delays`` meta and, under jitter, the ``seed``)."""
+    traces = list(traces)
     prints = {t.meta.get("fabric", "?") for t in traces}
     if len(prints) > 1:
         raise ComparisonError(f"traces from different configurations: {sorted(prints)}")
+    routings = set(map(_routing, traces))
+    if len(routings) > 1:
+        raise ComparisonError(f"traces under different delays: {sorted(routings)}")
 
 
 def toggles_per_transaction(
@@ -71,7 +83,7 @@ def toggle_count_profile(
     wires: Optional[Sequence[str]] = None,
 ) -> Dict[object, Tuple[int, ...]]:
     """Per-value toggle counts per transaction; input traces must share a
-    configuration and the uniform delay model."""
+    configuration and the routing of the uniform delay model."""
     _check_same_fabric(traces_by_value.values())
     return {
         value: tuple(toggles_per_transaction(tr, boundary, wires))

@@ -18,15 +18,15 @@ name, configuration, reset state (one ``plb_reset`` per block), the pins each
 wire feeds and the wires it drives; the acknowledge joins; the producer and
 consumer specs; the primary inputs; the signal table and the fingerprint
 that go into the trace.  It names every wire by an index.  The first
-:class:`Simulation` of a :class:`Fabric` builds it and caches it on that
-fabric, so a fabric is not changed once it has been simulated.  Everything
-else is per run and built from the elaboration by each :class:`Simulation`:
-the wires with this run's delays, the joins, producers, consumers and block
-instances, the name map :meth:`Simulation.inject` uses, and the per-run
-state below (the memos, the levels, the weights, the diagnostics).  The
-stimulus is checked when the simulation is built: every value must be an
-integer from 0 to its signal's arity minus one.  So are ``max_time`` and
-``ack_delay``, which must not be negative.
+:class:`Simulation` of a :class:`Fabric` stores it in the fabric's
+``elaboration``, so a fabric is not changed once it has been simulated.
+Everything else is per run and built from the elaboration by each
+:class:`Simulation`: the wires with this run's delays, the joins, producers,
+consumers and block instances, the name map :meth:`Simulation.inject` uses,
+and the per-run state below (the memos, the levels, the weights, the
+diagnostics).  The stimulus is checked when the simulation is built: every
+value must be an integer from 0 to its signal's arity minus one.  So are
+``max_time`` and ``ack_delay``, which must not be negative.
 
 Every wire level is 0 or 1 (:meth:`Simulation.inject` refuses anything
 else), which keeps two running summaries exact:
@@ -52,7 +52,6 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heappush, heappop
 from itertools import count
 from typing import Dict, List, Optional, Tuple
@@ -68,8 +67,8 @@ from .encodings import (
     ledr_next,
     signal_parity,
 )
-from .mapper import MappedGate
-from .netlist import Netlist, PROTO_TO_NAME, map_netlist, primary_signals
+from .bitstream import Fabric
+from .netlist import Netlist, map_netlist, primary_signals
 from .plb import (
     OscillationError,
     PlbConfig,
@@ -88,16 +87,15 @@ class SimulationInputError(ValueError):
 
 @dataclass
 class DelayModel:
-    """Wire and element delays in ticks.
+    """Wire delays in ticks; every block, join and producer reacts one tick
+    after its input changes.
 
     Uniform mode models the matched-routing conditions (every wire takes
-    ``base`` ticks); jitter mode violates them with a seeded per-wire draw
-    from ``jitter_range``.  Explicit per-wire overrides win in either mode.
+    one tick); jitter mode violates them with a seeded per-wire draw from
+    ``jitter_range``.  Explicit per-wire overrides win in either mode.
     """
 
     mode: str = "uniform"  # "uniform" | "jitter"
-    base: int = 1
-    element: int = 1
     seed: int = 0
     jitter_range: Tuple[int, int] = (1, 3)
     overrides: Dict[str, int] = field(default_factory=dict)
@@ -106,56 +104,15 @@ class DelayModel:
         if name in self.overrides:
             return self.overrides[name]
         if self.mode == "uniform":
-            return self.base
+            return 1
         lo, hi = self.jitter_range
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         return lo + int.from_bytes(digest[:4], "big") % (hi - lo + 1)
 
 
-@dataclass
-class Fabric:
-    """Static description of a mapped design.
-
-    A fabric is not changed once it has been simulated: its first
-    :class:`Simulation` caches the fabric's elaboration on it, and every
-    later one builds from that.
-    """
-
-    signals: Dict[str, SignalSpec]
-    mapped: List[MappedGate]
-    gates: List[GateInfo]
-
-    @cached_property
-    def elaboration(self) -> "_Elaboration":
-        return _Elaboration(self)
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for s in sorted(self.signals):
-            spec = self.signals[s]
-            h.update(f"{s}:{spec.protocol.value}:{spec.arity};".encode())
-        for mg in self.mapped:
-            for unit in mg.plbs:
-                for lut in unit.config.luts:
-                    h.update(lut.bits.to_bytes(8, "little"))
-        return h.hexdigest()[:16]
-
-    def primary_inputs(self) -> List[str]:
-        return primary_signals(self.signals, self.gates)[0]
-
-    def primary_outputs(self) -> List[str]:
-        return primary_signals(self.signals, self.gates)[1]
-
-
 def fabric_from_netlist(net: Netlist) -> Fabric:
     gates = [
-        GateInfo(
-            g.name,
-            PROTO_TO_NAME[net.signals[g.output].protocol],
-            g.inputs,
-            g.output,
-            g.ack,
-        )
+        GateInfo(g.name, net.signals[g.output].protocol.value, g.inputs, g.output, g.ack)
         for g in net.gates
     ]
     return Fabric(dict(net.signals), map_netlist(net), gates)
@@ -248,7 +205,7 @@ class _Elaboration:
             self.consumers.append((fabric.signals[s], rails_of[s], wire(f"{s}.cack")))
 
         self.signals = {
-            s: SignalInfo(s, PROTO_TO_NAME[spec.protocol], spec.arity, spec.wire_names())
+            s: SignalInfo(s, spec.protocol.value, spec.arity, spec.wire_names())
             for s, spec in fabric.signals.items()
         }
         self.fingerprint = fabric.fingerprint()
@@ -339,7 +296,7 @@ class _PlbInst:
         if driven == self.last_levels:
             return
         last = self.last_driven
-        when = t + sim.delays.element
+        when = t + 1
         queue, seq = sim.queue, sim._seq
         for out, level in zip(self.drives, driven):
             if level != last.get(out, out.level):
@@ -366,7 +323,7 @@ class _CJoin:
         prev = self.last_driven if self.last_driven is not None else self.out.level
         if level != prev:
             self.last_driven = level
-            sim.schedule(self.out, level, t + sim.delays.element)
+            sim.schedule(self.out, level, t + 1)
 
 
 class _Producer:
@@ -519,6 +476,8 @@ class Simulation:
     def _build(self, stimulus: Dict[str, List[int]]):
         """Instantiate the fabric's elaboration for this run."""
         elab = self.fabric.elaboration
+        if elab is None:
+            elab = self.fabric.elaboration = _Elaboration(self.fabric)
         unknown = set(stimulus) - set(elab.inputs)
         if unknown:
             raise SimulationInputError(

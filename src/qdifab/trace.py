@@ -11,7 +11,7 @@ whitespace around a line are ignored::
 
     # signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<wire>,...
     # gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>
-    # meta <key>=<value>
+    # meta <key>=<value>                   (fabric, delays, seed; see below)
     # diagnostic <text>                    (text "deadlock" sets the flag)
     # transaction <signal> <index>
     # record <signal> <index> <value> <time>
@@ -26,6 +26,12 @@ preceding transaction marker with the same signal and index; a marker without
 a record keeps time -1.  Any other line starting with ``#`` is a comment.  A line that
 breaks these rules raises :class:`TraceFormatError`, whose message starts
 with ``line <n>:``.
+
+The simulator writes three meta keys: ``delays`` (``uniform`` or
+``jitter``), ``seed`` (the jitter seed) and ``fabric``, the configuration's
+identity: the first 16 hex digits of the sha256 of its bitstream
+(:meth:`qdifab.bitstream.Fabric.fingerprint`).  Traces compared by the
+side-channel analyses must agree on all three (``seed`` under jitter only).
 """
 
 from __future__ import annotations
@@ -36,12 +42,16 @@ from functools import partial
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Tuple
 
-_PROTOCOLS = ("4ph", "ledr", "edge")
+from .encodings import Protocol
+
 _COLUMNS = "time,wire,old,new"
+
+# The `# gate` line, which traces and bitstreams share.
+GATE_USAGE = "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>"
 
 _USAGE = {
     "signal": "# signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<wire>,...",
-    "gate": "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>",
+    "gate": GATE_USAGE,
     "meta": "# meta <key>=<value>",
     "transaction": "# transaction <signal> <index>",
     "record": "# record <signal> <index> <value> <time>",
@@ -78,10 +88,24 @@ class SignalInfo:
 @dataclass(frozen=True)
 class GateInfo:
     name: str
-    protocol: str
+    protocol: str  # a Protocol value
     inputs: Tuple[str, ...]
     output: str
     ack: bool
+
+    def header(self) -> str:
+        """The `# gate` line (see ``GATE_USAGE``), without a newline."""
+        return (f"# gate {self.name} proto={self.protocol} in={','.join(self.inputs)} "
+                f"out={self.output} ack={int(self.ack)}")
+
+    @classmethod
+    def from_header(cls, toks: List[str]) -> "GateInfo":
+        """Inverse of :meth:`header` over its whitespace-split tokens, the
+        leading ``#`` removed; fields in any order, unknown ones ignored.
+        IndexError, KeyError or ValueError on a malformed line."""
+        name, kv = _named_fields(toks)
+        return cls(name, Protocol(kv["proto"]).value, tuple(kv["in"].split(",")),
+                   kv["out"], bool(int(kv["ack"])))
 
 
 @dataclass
@@ -125,10 +149,7 @@ class Trace:
                 f"wires={','.join(s.wires)}\n"
             )
         for g in self.gates:
-            out.write(
-                f"# gate {g.name} proto={g.protocol} in={','.join(g.inputs)} "
-                f"out={g.output} ack={int(g.ack)}\n"
-            )
+            out.write(g.header() + "\n")
         for d in self.diagnostics:
             out.write(f"# diagnostic {d}\n")
         if self.deadlock:
@@ -186,15 +207,11 @@ class Trace:
                 elif tag == "signal":
                     name, kv = _named_fields(toks)
                     tr.signals[name] = SignalInfo(
-                        name, _protocol(kv), int(kv["arity"]),
+                        name, Protocol(kv["proto"]).value, int(kv["arity"]),
                         tuple(kv["wires"].split(",")),
                     )
                 elif tag == "gate":
-                    name, kv = _named_fields(toks)
-                    tr.gates.append(GateInfo(
-                        name, _protocol(kv), tuple(kv["in"].split(",")),
-                        kv["out"], bool(int(kv["ack"])),
-                    ))
+                    tr.gates.append(GateInfo.from_header(toks))
                     gate_lines.append(lineno)
                 elif tag == "meta":
                     k, v = toks[1].split("=", 1)
@@ -223,13 +240,6 @@ class Trace:
 def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:
     """``<tag> <name> key=value ...`` -> (name, {key: value})."""
     return toks[1], dict(t.split("=", 1) for t in toks[2:])
-
-
-def _protocol(kv: Dict[str, str]) -> str:
-    proto = kv["proto"]
-    if proto not in _PROTOCOLS:
-        raise ValueError(proto)
-    return proto
 
 
 def _parse_events(rows: List[str]) -> List[TraceEvent]:

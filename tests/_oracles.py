@@ -1,12 +1,13 @@
 """Independent reference models for the handshake equations, the trace
-analyses and the programming chain.
+analyses, the programming chain and the bitstream's hex packing.
 
 The handshake models deliberately avoid the table/block evaluation path:
 they are direct transcriptions of the output-wire case equations.  The trace
 analysis models are the direct quadratic forms, which count every event again
 for every transaction window.  The programming-chain models move every stage
-on every tick, which costs time quadratic in the chain length.  All are used
-as oracles.
+on every tick, which costs time quadratic in the chain length.  The hex
+packing model builds each digit from its four bits.  All are used as
+oracles.
 """
 
 from __future__ import annotations
@@ -275,3 +276,13 @@ def chain_reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLo
         ticks=len(zero_log),
         outputs_zero_every_tick=all(zero_log),
     )
+
+
+def bits_to_hex(bits: Sequence[int]) -> str:
+    """Bits zero-padded to whole hex digits, first bit most significant."""
+    padded = list(bits) + [0] * (-len(bits) % 4)
+    digits = []
+    for i in range(0, len(padded), 4):
+        b0, b1, b2, b3 = padded[i : i + 4]
+        digits.append(format((b0 << 3) | (b1 << 2) | (b2 << 1) | b3, "x"))
+    return "".join(digits)

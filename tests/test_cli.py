@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qdifab.bitstream import (
     CONFIG_BITS,
@@ -17,6 +19,7 @@ from qdifab.netlist import parse_netlist
 from qdifab.simulator import fabric_from_netlist, run
 from qdifab.trace import Trace
 
+from . import _oracles
 from .test_golden_traces import DESIGNS as GOLDEN_DESIGNS
 
 THREE_GATE_NET = """
@@ -59,6 +62,12 @@ def test_config_bits_roundtrip():
     assert hex_to_bits(hx)[:CONFIG_BITS] == bits
     back = config_from_bits(bits, unit.config.input_assignment)
     assert back == unit.config
+
+
+@given(st.lists(st.integers(0, 1), max_size=300))
+@example([])  # no bits, no digits
+def test_bits_to_hex_matches_oracle(bits):
+    assert bits_to_hex(bits) == _oracles.bits_to_hex(bits)
 
 
 def test_bitstream_roundtrip_preserves_behaviour():
@@ -415,7 +424,12 @@ def test_sim_malformed_bitstream_exits_2_naming_line(files, capsys, bad_line):
     ("out=s:0:2", "out=zz:0:2"),  # an output driving one
     ("sout=s.sout", "sout=zz.sout"),
     ("sout=s.sout", "sout=s"),  # a data signal where an ack wire belongs
-], ids=["pin", "pin-ack", "output", "sout", "sout-not-ack"])
+    ("a:0:2", "t:0:2"),  # a declared signal, but not one of the gate's
+    ("out=s:0:2", "out=t:0:2"),  # another gate's output
+    ("sout=s.sout", "sout=t.sout"),  # another gate's acknowledge
+    ("gate=g1", "gate=zz"),  # a gate with no `# gate` line
+], ids=["pin", "pin-ack", "output", "sout", "sout-not-ack", "pin-other-gate",
+        "output-other-gate", "sout-other-gate", "gate-without-header"])
 def test_sim_block_binding_undeclared_signal_exits_2(files, capsys, old, new):
     tmp, net, stim = files
     good = tmp / "good.bit"
@@ -431,6 +445,97 @@ def test_sim_block_binding_undeclared_signal_exits_2(files, capsys, old, new):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: line {where}: ")
     assert repr(new.split("=")[-1].split(":")[0]) in err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    # a signal declared twice: the second declaration is named
+    ("# signal t proto=4ph arity=2", "# signal t proto=4ph arity=2\n# signal s proto=4ph arity=2",
+     "# signal s proto=4ph arity=2"),
+    # two gates driving s
+    ("in=a,b out=t", "in=a,b out=s", "# gate g2 proto=4ph in=a,b out=s ack=1"),
+    # a `# gate proto=` that disagrees with its signals
+    ("# gate g1 proto=4ph", "# gate g1 proto=ledr", "# gate g1 proto=ledr in=a,b out=s ack=1"),
+    # a gate cycle, g1 reading o: named at the gate that closes it
+    ("in=a,b out=s", "in=a,o out=s", "# gate g3 proto=4ph in=s,t out=o ack=1"),
+    # g1's header reads t, but its block reads b: named at the block
+    ("in=a,b out=s", "in=a,t out=s", "# plb 0 "),
+    # two gates named g1
+    ("# gate g2 ", "# gate g1 ", "# gate g1 proto=4ph in=a,b out=t"),
+], ids=["signal-twice", "two-drivers", "gate-proto", "cycle", "gate-inputs-vs-pins",
+        "gate-twice"])
+def test_sim_bitstream_breaking_a_design_rule_exits_2_naming_line(
+        files, capsys, old, new, named):
+    tmp, net, stim = files
+    good = tmp / "good.bit"
+    assert main(["map", str(net), "-o", str(good)]) == 0
+    text = good.read_text()
+    assert old in text
+    bad = tmp / "bad.bit"
+    bad.write_text(text.replace(old, new, 1))
+    where = max(i for i, ln in enumerate(bad.read_text().splitlines(), 1)
+                if ln.startswith(named))
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: ")
+
+
+def _sim_trace(tmp, name, net, stim, delays="uniform"):
+    """Maps ``net``, simulates ``stim`` on it and returns the trace path."""
+    (tmp / f"{name}.net").write_text(net)
+    (tmp / f"{name}.stim").write_text(stim)
+    bit, trace = tmp / f"{name}.bit", tmp / f"{name}.csv"
+    assert main(["map", str(tmp / f"{name}.net"), "-o", str(bit)]) == 0
+    assert main(["sim", str(bit), "--stimulus", str(tmp / f"{name}.stim"),
+                 "--delays", delays, "--trace", str(trace)]) == 0
+    return str(trace)
+
+
+AND_NET = (
+    "".join(f"signal {n} proto=4ph arity=2\n" for n in "xyo") + "gate g fn=8 in=x,y out=o ack\n"
+)
+
+
+def test_fingerprint_is_the_bitstream_identity(tmp_path, capsys):
+    # AND is symmetric, so only the pin bindings tell the two fabrics apart.
+    swapped = AND_NET.replace("in=x,y", "in=y,x")
+    fabrics = [fabric_from_netlist(parse_netlist(n)) for n in (AND_NET, swapped)]
+    assert fabrics[0].fingerprint() != fabrics[1].fingerprint()
+    for fabric in fabrics:
+        assert read_bitstream(write_bitstream(fabric)).fingerprint() == fabric.fingerprint()
+    paths = [_sim_trace(tmp_path, f"and{i}", net, f"x: {i}\ny: 1\n")
+             for i, net in enumerate((AND_NET, swapped))]
+    capsys.readouterr()
+    assert main(["check", *paths, "--property", "dpa", "--select", "x"]) == 2
+    assert "different configurations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prop", ["toggle-count", "timing", "dpa"])
+@pytest.mark.parametrize("delays", [("uniform", "jitter:3"), ("jitter:3", "jitter:4")],
+                         ids=["uniform-and-jitter", "two-jitter-seeds"])
+def test_check_traces_under_different_delays_exits_2(tmp_path, capsys, prop, delays):
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n", d)
+             for i, d in enumerate(delays)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    capsys.readouterr()
+    assert main(["check", *paths, "--property", prop, *select]) == 2
+    assert "traces under different delays" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prop", ["toggle-count", "timing", "dpa"])
+def test_check_traces_under_one_jitter_seed_are_compared(tmp_path, prop):
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n", "jitter:3")
+             for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    assert main(["check", *paths, "--property", prop, *select]) in (0, 1)
+
+
+@pytest.mark.parametrize("select", [[], ["--select", "x"]], ids=["inputs", "select"])
+def test_check_timing_two_traces_of_one_value_exits_2(tmp_path, capsys, select):
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, "x: 1\ny: 1\n") for i in range(2)]
+    capsys.readouterr()
+    assert main(["check", *paths, "--property", "timing", *select]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[0]} and {paths[1]} carry the same values")
 
 
 LEDR_3IN_NET = (

@@ -115,110 +115,110 @@ def _digest(case: str, fabric=None) -> str:
 
 
 GOLDEN = {
-    '4ph_2in_ack-uniform': 'c37e794dbd7dc7ab1143f9ae4bf2f514dd6ae72039b29fee884534f6fdfd1fc8',
-    '4ph_2in_ack-jitter1': '54e62d88c2be44f874ba80010465262450cb1f4dc191a5060ba742b1a0bdf388',
-    '4ph_2in_ack-jitter2': 'aba5f08b5ab8213d669b59c10e563da0f34503a463fc67ff887a29099882fdf7',
-    '4ph_2in_ack-jitter3': '1a4eb2b254ebd63c027ae9c2e92ad13eb6e286b81e1ed292a04cc5085d8ebac5',
-    '4ph_2in_ack-jitter4': '883cc420d25d35666d6867fb5cc2eea0cf898cad08f39403d6839d89cfd940e8',
-    '4ph_2in_ack-jitter5': 'bd3ca68d417dbe405caf45efd184797d24a2725b4022003cc0563357196fdde6',
-    '4ph_2in_ack-jitter6': 'e656b0624f89ea317f4a989b36cffe08069b05e409c96fb2bd35b22a2c8e9cc5',
-    '4ph_2in_ack-jitter7': 'c79840afd172471806415aa9e665a268ad34ab410815edee958c957db540e734',
-    '4ph_2in_ack-jitter8': '52efb7b89cdb2195a7b87ce3e1ca7023d1a6bab1c3ca8e7a58c46519a5a413e9',
-    '4ph_2in_ack-jitter9': '07a8955c3b6c2908ae5e4549771440b4bbfa5b11293a09d54f0adc50971c1cf4',
-    '4ph_2in_ack-jitter10': 'e2ca163310c04b917ff52ae0cf6a3b98f77cdc95075eaee030949aeac6b40d94',
-    '4ph_2in-uniform': '37be94ead0503e044d37915ab4ed4a62a9c77770befa25d0f9caa7c5bd85979a',
-    '4ph_2in-jitter1': 'a3aa765bf6766b8f6b0e58357e4c31a7b66437932fdf49770991705aedb1fe08',
-    '4ph_2in-jitter2': '9e8e400c7a1c7d8348078c9063b7f74ab2819831d3816309d20192acc0b73933',
-    '4ph_2in-jitter3': 'a7e9ff295eb1dd64269294451b42aabb939429f9c142891db8294854e8c612cf',
-    '4ph_2in-jitter4': '2cfcf51d70788dcc134b8d280cc328227a5904bd75a6d4aefbbbea57523f8749',
-    '4ph_2in-jitter5': 'a9a11e9573d63f5342dfc45c1f0ed185b2e5c0e8fd0c55764c61c8e6ce9de3b0',
-    '4ph_2in-jitter6': '29b5e610500c9f0da906b3c87c458b246e91120f63262b57a9198f15cd08f18f',
-    '4ph_2in-jitter7': '9bf80416bdf4ae38c86dade29ddd6585b8570862765acc46e76333dea5e03bd2',
-    '4ph_2in-jitter8': 'cdcd11e942fd177d23aec7c8b81423802fa1f07f744c166c24d1ea096970e28b',
-    '4ph_2in-jitter9': 'd304cb0112d89dcd4bf22bec68866ce999b35650810411a8dd55385b020cf096',
-    '4ph_2in-jitter10': '7fef6c9924d7a223f8aa118a0ffaf8f6483f939c546e1ab146b61577282fa921',
-    '4ph_3in-uniform': 'a340dc391c12f00fc9007632bbcf702c19068f925b1b6f8e6248e8715d4e6fcc',
-    '4ph_3in-jitter1': '1ba361aa22e1de5c469eed8cdfbb81e86a00156246b2a3e69835901c3fcaee11',
-    '4ph_3in-jitter2': 'f978a37a00e7496125c74f8e376221e52135c4d6eaaa3008fdcaac0517b8851a',
-    '4ph_3in-jitter3': '5c245da29ab9ef415846ab7202e6935dc6e839dbd0948f8e09c3b01ae3abc263',
-    '4ph_3in-jitter4': '78aea2c083c4174aeee4f92232ce186a05a599b2ee8008d4b0841bc84644f3d1',
-    '4ph_3in-jitter5': '853f01a628f10e4d0365138b018fa9982ad455566f684d6338af0ca4700b8197',
-    '4ph_3in-jitter6': 'f0134fc3f1483d6aebf93138771295431acfa744ce13631cd2b094d1ff100e1e',
-    '4ph_3in-jitter7': 'f1a8e64738e43c34be4afdfb956e850f6132058d8679db2764e564d6c94509f8',
-    '4ph_3in-jitter8': '4d182f9f8942f1053112bac164f61bedb535d4bf0236db1d5d9ec7ade760b966',
-    '4ph_3in-jitter9': '743329c3c4c0200683ec251437901ff020b747befa86035b052b209e79ae17ff',
-    '4ph_3in-jitter10': '010680e752f696948e9b10501874401f2cd4e2c8d32f90fdf85a076c0e14c0fd',
-    '4ph_ter-uniform': '55d89c89be24c771637de8206a765185e09f6b680eea91dfa6f1d5c0142595bc',
-    '4ph_ter-jitter1': '19b1ecc1a7ecd96f1aea11c49b55b4a9b8b9fd7f9800d96028e715bc9db0f98b',
-    '4ph_ter-jitter2': 'ced3de1ff734a310d4a9e414d65e02a9bf4b2b5e330d51b43d8b2f22a3a83a03',
-    '4ph_ter-jitter3': 'e2ce5f672c2223663d6b3a585e324729e5be08b7f9aa28a94a1af32d71714324',
-    '4ph_ter-jitter4': 'c74a09813a8f7bdb9051189bafd1495fd79e96c3997f005a29862becd7883703',
-    '4ph_ter-jitter5': '3e49ffc7a823763ad4d2f717a7e101892eea7db6c8941740056eadbc2bb4730b',
-    '4ph_ter-jitter6': '644243a103ca7c6473ecab80a9dd183966ee8855b1d82666ffadd4256cc72737',
-    '4ph_ter-jitter7': '79291b4633bd4016bcdb72dc8ffeac03b9deedeb4f482dc20c3ff25d95adf8fb',
-    '4ph_ter-jitter8': '88d6cf3927596f9f72cb24db86d9717bc79f42af97c782af557276785edd5c16',
-    '4ph_ter-jitter9': '2f2e7a93d0390cd35800fcea9a946c2d0cb83e761302b96bcfe5cf8f6b826c5d',
-    '4ph_ter-jitter10': '95e017b79c1e9a951880f376fbc0a84dc684604c19504e488f91450cf0842d01',
-    'ledr_2in-uniform': 'f9f5524f7c8eb3e19db147de8969a79cf9c5918cb71f3571d3dbe34be89f1e38',
-    'ledr_2in-jitter1': '2e304f196f1eaed0fb6ddc0ad79728e2bcc0dee614d0626fd100fde9d3c5fd79',
-    'ledr_2in-jitter2': 'dc21617e6c935be61a13380c330162e59a3624c211df90a83bb54a449350f1f9',
-    'ledr_2in-jitter3': '36976eadb88e3a4e301e497e9ee2ad1404c100cd66ccb0908d39edf1a0af1fbb',
-    'ledr_2in-jitter4': 'a85814a94a6c53f488903a056b5aaaab0a93910330c64cea2bbe597245bef33d',
-    'ledr_2in-jitter5': '1ca530e25f3f8c6159b511804811370f78fd59084db47d6de1b5c26bc3f3d71e',
-    'ledr_2in-jitter6': '1eb91fc3981e8cc5fe70d51d808cdc3dd07e73f47e45c7d9b84616fef287eb29',
-    'ledr_2in-jitter7': 'f35427ccf6bf5ca5ff417b1b941a05f00d035d9e658761da96da06dcb60b6847',
-    'ledr_2in-jitter8': '9288fd34e1dd2bf084d271421c30455703a5b73f43f54c597125147a6b72fe8e',
-    'ledr_2in-jitter9': '87fe155b696910c5a0d3bc9d8ebf1911b76423eddd17da84406c8f46cf45d9aa',
-    'ledr_2in-jitter10': 'e94b48808a9beed770499683e6dddd255222eb78ee4775e285741c05f7df5153',
-    'edge_2in-uniform': 'd8146a9c47764048867534cccf7f604547f446ab0ab7c32ecf418d22db1435ad',
-    'edge_2in-jitter1': '0ebb9ed060352460d231f65f8cd276b9921aa12ef422c42a1d0c8e81e142e47a',
-    'edge_2in-jitter2': '19fc03e5d1010f67956fa9d60cd98dcffcb7e9cb709bdde7b5695e7ba8eb5f4c',
-    'edge_2in-jitter3': '1da65869591724985dab7b4de78494d9e7ac858ba341522dd1ed9a82a179afbe',
-    'edge_2in-jitter4': '5a22aae41af606ce030eda1aa44cd4b7641b8d094df42a42a81e1ff05919ecb5',
-    'edge_2in-jitter5': '1bda5969f2b98cfc67d55be10fc7cf251fa59ad2d46d95281b501414e8dc6ce7',
-    'edge_2in-jitter6': 'a6e16cf57d5e4b53c124ce486d066cf001bfb8f815af967f441f0077af124b5d',
-    'edge_2in-jitter7': '593b324b4a8fae8fdf5f629ac3c25c64b5277ef4fcb77663d3f81a839ce5f810',
-    'edge_2in-jitter8': 'c5375abd2f1a50424559f82e1b038d4e67b4c13416d3a53aec80b2dfac4373b6',
-    'edge_2in-jitter9': '28c170b3556cc6c35fdc482e431e04316de29e24a634ea66aa5ff5bc7ce84e73',
-    'edge_2in-jitter10': '1ec9ca4a15faf82d2b06a15a386794dac02b6e1dd2b47fd898f29d595958dfc0',
-    'dag_4ph-uniform': '7fc717080bc98e090e0c5e5bb012fe7263a9b4e4dc8e0aaeab96f5d60bc203c6',
-    'dag_4ph-jitter1': '126ca4242f2820e710f3d572040a0381bd14cd5be79ed7095e78eda118af94dd',
-    'dag_4ph-jitter2': '937daebdfe9acfbb6c0b676f1ff0a04f190b67ffa1f4970a72376f2c86eeded0',
-    'dag_4ph-jitter3': 'e783fec968d615a4820bd44ea7375d061417246c54b106a16e1ac9a6e00f464e',
-    'dag_4ph-jitter4': 'e82c906bb66c97ab08cf0e3b7c70cb17756137e5c8b1497116531adb8f36ff72',
-    'dag_4ph-jitter5': '9a5fa1566d9762a98fa32897f4cb1940b90d0e67b19e7ea760fca6cae52e1897',
-    'dag_4ph-jitter6': 'ef24af8abffad822b908b70a247435acafed7d169b7a72c57d0ab815fe0b9adb',
-    'dag_4ph-jitter7': 'ede6fd4f221fe492ad03767f93d7bc61cb20fd2a9441549d05da73b48b0dec29',
-    'dag_4ph-jitter8': '3784ee4a8c7b9d41dedeee2e240b750e0445ed727b6faadcc3b48a2328cfa32d',
-    'dag_4ph-jitter9': '0759a7288094a7a1a7cef17beb1eddb13ed92c0f80a7f0e5451e2f7402ed6167',
-    'dag_4ph-jitter10': '7d215587cdeed92743d7dc5a4fce7cf9492fb1f2070a7ed6e95b32e2a0841e41',
-    'dag_ledr-uniform': 'fb147f4d46534ea1e469d377a68a01545b89bffc6ed74f36546c09973096cc1f',
-    'dag_ledr-jitter1': 'dea3e7a391c51370e03682254379f949e330bea7bfef1e1e9a68f949ee362f74',
-    'dag_ledr-jitter2': 'ff930eebddee97ecc263230c090042760578dee55282cdd8e2ef85799be3e9c7',
-    'dag_ledr-jitter3': '3598410c8ad3c2b8714bf09574427f07211d9ada4959fba5a3de70e24f3b627c',
-    'dag_ledr-jitter4': '7f1275c4e40594acb0b912a0daa496f73169e0a32bf841e84242646c60d77c9b',
-    'dag_ledr-jitter5': 'b3c062ecb4369bff6948e96ff79854cf5d527e548f0e2ffa6750f8de8a8c26d0',
-    'dag_ledr-jitter6': '7079bfbf03636be54cb2eb02d03bfd4d064737cc30e9cecb0ceacf308163e8a1',
-    'dag_ledr-jitter7': 'eacd0ed319545ec90633edef7f7f40d25fd56a0539cdd8fc99e5cf70ef90bf79',
-    'dag_ledr-jitter8': '1b7cfb2c2ca5ab73b69e7c82f9ef2f86576176d96130ef7fa1558e0278356d3b',
-    'dag_ledr-jitter9': 'ab4908f3de5dab66b935986057e511c31e95a89db7e276278cc413118d58b834',
-    'dag_ledr-jitter10': '4a46f8fcd7eee6f331f370c4a0245e8d87e3a50822d82edc20aa317ac0e421b2',
-    'dag_edge-uniform': '9c15aac4eb94860d5ceba44e7afff426aa693119c888ace1f0046f7288d09774',
-    'dag_edge-jitter1': 'e1579e680d694eca4e82d01abfc31c6e0c46bab87ea72dfdce96a9681f6a073a',
-    'dag_edge-jitter2': '97e3a50a6e998490f9d7c32ec7797b01c96324fbdcc9dede41cbaaf7f89eb426',
-    'dag_edge-jitter3': '1156ea7b9b5c7f73fd7665ba6740201afd1388239990d777d382c38a62248003',
-    'dag_edge-jitter4': '310eebf6e3805ca92db14e4d03a4cda48aa73a90ac3f6ced5e0b67000e56e727',
-    'dag_edge-jitter5': '3fcb495326a0ab9d0e950678f79b5e7eb40d58e5a02e34aeca66c2833ce5c4d5',
-    'dag_edge-jitter6': '49e5afd34d3d63957d71411f27b2d08a30f73c6e494a18bf827790e5969b7dce',
-    'dag_edge-jitter7': 'eb22db7d573e83f64b207971230c89d9ec1f44ba93bda238d92ea6fdec65057e',
-    'dag_edge-jitter8': '0b9d2ff038a78fdf2daf0769b17b4a51b1596db24e6395efd1c9c6f5af2c97a4',
-    'dag_edge-jitter9': '6ba94f4b0dc292f52f5414ee09703e337a97aa1996c2d0e6f9972eaec91fc31b',
-    'dag_edge-jitter10': '2160fcfe6d727a09d62a121e2f05f69ecc22ebc6044f092eaa5c50e4cd9ba0c5',
-    'fault_input_rail-uniform': 'ec472bcac2dc6fffbe32eff6430097b5816675ae1b916e55be13d0d264d57f6d',
-    'fault_rail_pulse-uniform': '9050d222a7766fbc1d3bd570d724764daef4e8dd9f61f952964d29420cc853d0',
-    'fault_block_output-uniform': '1a20ddeefca3636887bc72efd125e079de2acf1b266ed864518fa83724820c8d',
-    'fault_input_forbidden_twice-uniform': 'a9f70ddff96ce4afa2e7b5f4b019fae8dc38828d53c78b310a496adb6cddc1b8',
-    'fault_output_forbidden_twice-uniform': '7429c72f754f270fd186a9febae9e36b6be3dc33483876b83778e2e7339f6c6b',
+    '4ph_2in_ack-uniform': 'b75a8e85a4ee8d1c1d67eb3f082035045320f25d773136ddf9d932144da38b14',
+    '4ph_2in_ack-jitter1': '73477efbcb396191e631c9ffed1fd2b3f22f76d3186ea0e4995c1ded8bfa1063',
+    '4ph_2in_ack-jitter2': 'b65ddcfa10fd048549d07a91652ba3e7dd482aa72a7d61388c1e54a17afe01d2',
+    '4ph_2in_ack-jitter3': 'c1db7af763dc46f682f22562f6019b61753caf8808e2bc1f9ec1ecac73ca5e53',
+    '4ph_2in_ack-jitter4': '29bf1ced4c1be997e294878864bd77d80b42249990d23fdb2b3ab86f06f30091',
+    '4ph_2in_ack-jitter5': '84932bff402fc8d6c9c944da037f3d78a827e369a4b4d9a0614fe34c136d6753',
+    '4ph_2in_ack-jitter6': '9f5d4eefae4db579fac21de59fd6ecca952788afe8620cb2de363cd774a7d6fc',
+    '4ph_2in_ack-jitter7': '223e3c9982da9ea8e0e5f7c6b79044b334566ad16d42061bb4be2a71ad33db1e',
+    '4ph_2in_ack-jitter8': '151c67af9b8abd0362c83c247a4ba5080c50cd3955e6e361219eb7924ff38f4b',
+    '4ph_2in_ack-jitter9': '404453899f34369a33446de8755fc5739ce3e115f8fd7433bd4dbe9dbcdcd1a5',
+    '4ph_2in_ack-jitter10': '845df6660ea810a8f4e68134cca1204009e38f0e409a58157910fdbf9b897925',
+    '4ph_2in-uniform': '98948ac3d4863ed37c47e93d82fd74ed675ed673f7aff36d5dccc4eea60f5fad',
+    '4ph_2in-jitter1': '648b610a17a65adc691ac867ea6efa3f1b5ca461fe7f83e9222566e85ad79e50',
+    '4ph_2in-jitter2': '9bfcecf7bc18d96bf3c333fe924cc8645837ad654219936e85db3978d3dcf562',
+    '4ph_2in-jitter3': '351bee79420cf466d4a37398756295a248b5a663edde1428194fe12df262a182',
+    '4ph_2in-jitter4': '3178e55045cae862021021c3e33994263c01c63d944db126b8eca86ceee49151',
+    '4ph_2in-jitter5': 'ecb9776b06dd3eed7a2e8872fe7ac45dda51c9c024bf769a08a24f952eb20ad5',
+    '4ph_2in-jitter6': 'b4153f1456855ec59b5c1cda778aa0ff9851774738e08a6c8e78b077cfa382d2',
+    '4ph_2in-jitter7': '6a4fe3d4e36ec5fe57730854df477d1498671106002804fac6e05954e8772d54',
+    '4ph_2in-jitter8': 'd04e3dbec847be17d1e0012f5ab5cf1386710d55962311932d6553ea6055523f',
+    '4ph_2in-jitter9': 'f90358d42f46cf1a624f0445afddd4a0745dd2b2110d3c3898fb9aa58a4918f9',
+    '4ph_2in-jitter10': 'cad9e214200cb27f12133869f2be11e44cda2090a7e86829fa0f0263141a79f9',
+    '4ph_3in-uniform': 'f2ff54c9c64c2bcc5fba7a8edbeba80e13528b838b0b77b63c33b4853b6b09e0',
+    '4ph_3in-jitter1': '30c73a5cf049132b3e5f21916293ed32a0de589ed2baadf0456825bf0fa80a55',
+    '4ph_3in-jitter2': '04d76ef233e2c7837c79115812ac6554f11dc883156a1b62744fcc423b5f6e46',
+    '4ph_3in-jitter3': 'f2d19d97bcefce68ecde16e481b71b219bfe0c1ccdc0cd0a15c7f8f03ac72bf2',
+    '4ph_3in-jitter4': '9a8bc7291669e8931afb3e330c7b24b8081bc333dd6bc0aaf192a719b47993e5',
+    '4ph_3in-jitter5': '0250ee47443c2dc19f8ee72b0fc8ba1eabd9a63fdf0105e27feea8d92391c71c',
+    '4ph_3in-jitter6': 'ed3643717e0c4de6b70a1c7033ea1c556ba1c352714eb832e198795983b60f59',
+    '4ph_3in-jitter7': '2af5bbe35f97c0efccbe823d5d42bb51a8b3c91998b14e7184aefce76069f508',
+    '4ph_3in-jitter8': '4ed07b5933c546b689ea7bcb5923287fbfc5002690d4920947a6ad6ecee408ac',
+    '4ph_3in-jitter9': 'e407e906e39f13960c24302b412ac7f86f616b43921a956780b0f2b9fa14965b',
+    '4ph_3in-jitter10': '98563266850fa597e7cde2dd414c48d8303b1681cda21432140940a32d48ade3',
+    '4ph_ter-uniform': 'aca51544ce48d6bbdded516192a445b2198d58d57b7786959fdb39f420f8abdd',
+    '4ph_ter-jitter1': '7908e84b753fe8513a170d1b11af75ea0c7906f8031dd0e87004e46a3d04b46e',
+    '4ph_ter-jitter2': 'bc1f0260855086098a1a2d4e34127b7f99fdc1d4aac9c70a68811add29047a7b',
+    '4ph_ter-jitter3': '7a5f4975b409fe2fc9ea95a3fc114334ed48c0491ee3e864f73cf9a4aa939317',
+    '4ph_ter-jitter4': 'cb50ed20e5dc9d45ddeb4bdf8c45cfa1dc3f2027fcc26df67414fb996b24b5f8',
+    '4ph_ter-jitter5': '72498467aed9e8051272d9190568326481bf16882b16b2e8653f75ed71602494',
+    '4ph_ter-jitter6': '96cbddff3c415fe4112c9274fbcf60078517ef23e07cd6c59cecc8dc682fb49c',
+    '4ph_ter-jitter7': '0e4ed0ef7dff04bb9357696da7c90365230ce31c70d7abc82e4e8c6179116593',
+    '4ph_ter-jitter8': 'd321338817cea809b29ecb7931aa63f6dfc5156a624abb2928a8435f724aab30',
+    '4ph_ter-jitter9': '6fa7bdfac17537ab9fac3d0bedaa7ea57b4539e3d316bb882dbd1fcc7f35133f',
+    '4ph_ter-jitter10': '3df74c6b8bcb0a6f79a794b5f946688a6af8be7013c18028669aeb0d1cb76ed2',
+    'ledr_2in-uniform': 'ed8d85d1ecfdfbef075c2e1356c01e3e14334c1f2c33028794410a451d727f98',
+    'ledr_2in-jitter1': 'd84a348913006605f4b9733e8667ca15941042b3a7d458d79993b38e1f23782c',
+    'ledr_2in-jitter2': '0bba52ff4d99f834204de2ce1345c449eafa4f6bb451ce5e4eb21f4cfabf3bd1',
+    'ledr_2in-jitter3': '421e7ac60fc295b222d64ddc1b49c96dba4118631c34db279de4d03feb666105',
+    'ledr_2in-jitter4': '4f048e62d8dc01cbf1b2dc463ed9f59933055ce959ea8278d1e76623253f5e84',
+    'ledr_2in-jitter5': '3d5a8d0f9dd443a60c619c865eee09b9fc0f48049225bf4ba453f0b3812acf1c',
+    'ledr_2in-jitter6': '24c89c7b0242d6e066a6cd5efeaaa2448648cf928176edd68da63cb041ae6758',
+    'ledr_2in-jitter7': '0bab9a9dfb00d1160a2c5f208e2d7ce9ce82e7dee98fc7893db47e4cc0923135',
+    'ledr_2in-jitter8': '7cfdd871f4d77b2a673bb99cc744a8087211a76d405045d5535e660fc8b1d55a',
+    'ledr_2in-jitter9': 'b5216d1434e520a55519a681c1558baeacf1d007e0a167b5febf52fd65d88bb0',
+    'ledr_2in-jitter10': '59add9cb7a73b27d7b87c15c1ff2ef49874cb8a649242ce074280f6ac730fcd3',
+    'edge_2in-uniform': '5d61a8e76fecbc8e2c9af0f17728eba5b5755e950895c1f22ceb78c6b57f5173',
+    'edge_2in-jitter1': 'fc552efd9573fbb1bb73c00cc990b6eb1986462c9f7dc6472d6414aadbf2d40b',
+    'edge_2in-jitter2': '639e99877699b90399c3896c333c06e7a3edc60afaae84cb08910ce36ed32e70',
+    'edge_2in-jitter3': '00f153e152c8f299864aa58de5fc61f8812969e85f42aa4ee940c06afabe5c1f',
+    'edge_2in-jitter4': 'be80628cfd5a1b56eddae1e6b8e5a146919913857db1ecf3ee1ac92e830baa19',
+    'edge_2in-jitter5': '0f46a071dafaa42a3e46bd3436221b5c0c12e767c30796068669ea5c616196df',
+    'edge_2in-jitter6': 'c4ffdc98c4e01d286260cff3f2fd81b9342f003a3cefd75c8f8d7de5d7bdd7ac',
+    'edge_2in-jitter7': 'a736f19b7f86737f2dea585f45ee27b80602b7fd51f61496975651ee2f00f6db',
+    'edge_2in-jitter8': '05857861b8f0d0be16d6bd90eeb79940e716d678b25b070e6d71eb3b3b1c5519',
+    'edge_2in-jitter9': 'f3192d13b7fb48a42c2ac87247d41fc3e57f4c77d8465d638be3c61c00c03d4d',
+    'edge_2in-jitter10': '875054bb85b66008a2c971a38d089966cbf91850d05a0bca52e89d77eab7ca9f',
+    'dag_4ph-uniform': 'd6ef5aef7ed6d37bd0ec5866454652f43bec2d69af039ed088a15a66990ea72b',
+    'dag_4ph-jitter1': 'fe94eff906c37c8205198ead32e481f8679304124cff628bfb33ee58665b32a9',
+    'dag_4ph-jitter2': '0180b314934004d50469cbbdc77529cc62dcf00bb906f56a090e912f8aaef8c8',
+    'dag_4ph-jitter3': 'ca283e92996858ef6ed898e44387994739c6f9bcd5b970d4cd9ab0a51bc6281c',
+    'dag_4ph-jitter4': '57737487adef721e9642ce76062d5ea54c97ecf966f8b30842eb16960f3ebb6a',
+    'dag_4ph-jitter5': '9362b7aa42683570574d3b1289411a10ff41f91569e941d86fe4e666bf5ce660',
+    'dag_4ph-jitter6': '7e6138e31d29204fb21bec6dd25fb62a188032d778ab238d19e29893d5228d32',
+    'dag_4ph-jitter7': 'b5624ae89b88e57be90e94a702a1020182eb101f060418e0cd582bf3b1061742',
+    'dag_4ph-jitter8': '89bb9d49956bf749bb04e5df4a744781695991d9c3add02b3e83abea91e34264',
+    'dag_4ph-jitter9': 'a4486ee8fc9b9e7b35389331fee5772f42c2fe6030c0ecd2362b1bed4d5c5aac',
+    'dag_4ph-jitter10': '7914e88b90e99eb300e32640745b0c3e695bfd75f375103303e662208778c9b3',
+    'dag_ledr-uniform': 'e60a157ecc3471a5e93121e9767200afd1b02dede7295d23a84d397c9b992413',
+    'dag_ledr-jitter1': '73bcef874570335cc7dbeac0abe5fb1735c5f662fe23fbdb411eebd6fb04c392',
+    'dag_ledr-jitter2': 'ea677ca3e7567517c3c54a6ec07d865ba25e326bb0d2e688df1b35857c962bc6',
+    'dag_ledr-jitter3': '65416f142e483ed86f55cbe9a5ada5c780c90a4c265f553af3b710529c1b2c3c',
+    'dag_ledr-jitter4': '17c62478477ff996d3b3ddb41a79a6752c88947c8fbb77988a912f965f63868f',
+    'dag_ledr-jitter5': 'b4dd396f84a5107ea24c55982ad6adabd9f8c89adb1912fe3d064f50970dc84d',
+    'dag_ledr-jitter6': '3a25ff4a2b65952acd0a698321d1930ead07096826dd9160bf79c5b3bbfc7243',
+    'dag_ledr-jitter7': 'c17ca0341a608173ecc6c16d2f55de511cd7c988f4d6be270ecf4e844ab658a4',
+    'dag_ledr-jitter8': 'c47677f7cf5c5a6963060b1efc2d132fd23870201067bdc361ccbc3cfdf2f228',
+    'dag_ledr-jitter9': '723f533c09cb9d0572d5aa9366bd3a93822874a2a5460c3ed36650a44140601f',
+    'dag_ledr-jitter10': '11af089c79c3fd2a01e7b0c47112ac4092292c3520aa58cf217ca4735893e30b',
+    'dag_edge-uniform': 'f08ffb4fc82958adae5bdd2469c997792c755430127440bef450aafb3412dc49',
+    'dag_edge-jitter1': '818920e086c29aa94d6eba8674b316320b8cae755fb45722997a6130c8e48d13',
+    'dag_edge-jitter2': '948494ccd80076da1909d487c65e47613e90c2f5e61b959aca7ae5b2616d9cf4',
+    'dag_edge-jitter3': '6f5d4258eaca458f7689ffdb57e4e7c6fc694894bfb2a65ae3eca9cdaaa1526b',
+    'dag_edge-jitter4': '07c0f3b7ba86400b2baeebd0d31cdad6031d3544e4e9297cc85a252d074f84d1',
+    'dag_edge-jitter5': 'c9007679e877c3d1ece80e745f00ed7ede5f8a77eb45fc596f11ebe7aea63c3d',
+    'dag_edge-jitter6': '19b02137fefde99a72d8eae0c84b980f46b348380e06be71fbadb00fc6fdeb73',
+    'dag_edge-jitter7': '9a3d6ac0fc2fda96e513ad972dba360854a2f384d5d6ccbe7739bdbe05a25157',
+    'dag_edge-jitter8': '9210c09e480d8ca20ea52ba1f5603cf57bbe566aefc548ec7f8cc7826e9d23ea',
+    'dag_edge-jitter9': 'ffc77273740fa1876411c4d020b3990985b47d28b8589446adcab4f9cf3194bc',
+    'dag_edge-jitter10': '9acd2850201b0fe3f3251869d3cdb4c7a541250e2af02aad296c5fe83d138b65',
+    'fault_input_rail-uniform': '2325b4c455ece5f4f2ebf2c088dc6a19af7725221d4d97af75b56dc997a7d962',
+    'fault_rail_pulse-uniform': '25e77f51f41501795a833f3ce047aefbdb185352bebdde221a39921cf5647273',
+    'fault_block_output-uniform': '915752590fb7a0a76234f6e25f4a7ad643a7366a059bd8f1586c1e5047778547',
+    'fault_input_forbidden_twice-uniform': '209ddec8f2540eb683c26463a2579a193d05321a6ca8710201ab9ff140f3635d',
+    'fault_output_forbidden_twice-uniform': '4ef6938a427800c0c30de43abcbc60df35f4ab00d0f4b164da1f1f686ade52fe',
 }
 
 

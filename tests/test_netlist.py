@@ -83,6 +83,17 @@ def test_duplicate_signal_and_double_driver():
     assert "driven by both" in str(exc.value)
 
 
+def test_duplicate_gate_name_rejected():
+    # Its bitstream would file both blocks under one gate.
+    src = (
+        "".join(f"signal {n} proto=4ph arity=2\n" for n in "abst")
+        + "gate g fn=6 in=a,b out=s ack\ngate g fn=8 in=a,b out=t ack\n"
+    )
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(src)
+    assert str(exc.value) == "line 6: gate 'g' declared twice"
+
+
 def test_unknown_signal_reference():
     with pytest.raises(NetlistError) as exc:
         parse_netlist(
@@ -111,7 +122,8 @@ def test_combinational_cycle_rejected():
     )
     with pytest.raises(NetlistError) as exc:
         parse_netlist(src)
-    assert "cycle" in str(exc.value)
+    # Named at g2, the gate whose input closes the cycle.
+    assert str(exc.value) == "line 5: combinational cycle through gate 'g2'"
 
 
 def test_gate_function_binary_and_ternary():

@@ -311,7 +311,7 @@ def _oscillating_fabric():
     unit = PlbUnit("main", config, (WireRef("o", 0, 2), WireRef("o", 1, 2), None, None),
                    ("o.sout", None))
     signals = {s: SignalSpec(s, Protocol.FOUR_PHASE, 2) for s in "xo"}
-    return Fabric(signals, [MappedGate("g", Protocol.FOUR_PHASE, (unit,))],
+    return Fabric(signals, [MappedGate("g", (unit,))],
                   [GateInfo("g", "4ph", ("x",), "o", True)])
 
 
