@@ -24,7 +24,10 @@ a ``# gate`` line, and a block binds nothing outside its own gate: its
 pins read only the gate's inputs, its output, its ``# internal`` signals
 (declared above one of the gate's blocks) and ``<output>.ackin``; its
 outputs drive only the output or the internal signals, and its ``sout``
-only ``<output>.sout``.
+only ``<output>.sout``.  A binding ``<signal>:<index>:<width>`` has the
+width of its signal (its wire count, the width of an ``# internal`` line,
+or 1 for ``<output>.ackin``) and an index below it.  Every gate has at
+least one block.
 """
 
 from __future__ import annotations
@@ -224,16 +227,26 @@ def read_bitstream(text: str) -> Fabric:
             raise BitstreamError(f"line {meta['lineno']}: block of gate {meta['gate']!r}, "
                                  f"which has no '# gate' line")
         internals[g.name] = internals.get(g.name, ()) + meta["internals"]
-        wires = {g.output, *(name for name, _ in internals[g.name])}
-        bound = [(ref.signal, wires | {*g.inputs, f"{g.output}.ackin"})
-                 for ref in meta["assignment"] if ref is not None]
-        bound += [(ref.signal, wires) for ref in meta["outs"] if ref is not None]
-        bound += [(name, {f"{g.output}.sout"}) for name in meta["souts"] if name is not None]
-        for name, legal in bound:
-            if name not in legal:
+        # The width of each signal the block may drive, and may read.
+        drives = {g.output: signals[g.output].wire_count, **dict(internals[g.name])}
+        reads = {**drives, **{s: signals[s].wire_count for s in g.inputs},
+                 f"{g.output}.ackin": 1}
+        bound = [(ref, reads) for ref in meta["assignment"] if ref is not None]
+        bound += [(ref, drives) for ref in meta["outs"] if ref is not None]
+        bound += [(WireRef(name, 0), {f"{g.output}.sout": 1})
+                  for name in meta["souts"] if name is not None]
+        for ref, widths in bound:
+            if ref.signal not in widths:
                 raise BitstreamError(
-                    f"line {meta['lineno']}: block binds {name!r}, which is not a "
+                    f"line {meta['lineno']}: block binds {ref.signal!r}, which is not a "
                     f"signal of gate {g.name!r} or its acknowledge")
+            if ref.width != widths[ref.signal] or not 0 <= ref.index < ref.width:
+                raise BitstreamError(
+                    f"line {meta['lineno']}: block binds {_ref_str(ref)}, but "
+                    f"{ref.signal!r} has width {widths[ref.signal]}")
+    for g, lineno in zip(gates, gate_lines):
+        if g.name not in internals:
+            raise BitstreamError(f"line {lineno}: gate {g.name!r} has no '# plb' block")
     if len(hex_lines) != len(plb_meta):
         raise BitstreamError(
             f"{len(plb_meta)} block headers but {len(hex_lines)} hex lines"

@@ -10,14 +10,12 @@ levels reveal their value).
 
 Exit codes are a stable contract: 0 success, 1 property violation or
 simulation diagnostic, 2 input or usage error, an unreadable or unwritable
-file included.  The default jitter seed comes from the QDIFAB_SEED
-environment variable.
+file included.  ``--delays jitter`` is ``jitter:0``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Dict, List, Optional
 
@@ -58,12 +56,10 @@ def _write(path: str, text: str) -> None:
 def _parse_delays(spec: str) -> DelayModel:
     if spec == "uniform":
         return DelayModel()
-    if spec == "jitter" or spec.startswith("jitter:"):
-        if ":" in spec:
-            seed = int(spec.split(":", 1)[1])
-        else:
-            seed = int(os.environ.get("QDIFAB_SEED", "0"))
-        return DelayModel(mode="jitter", seed=seed)
+    if spec == "jitter":
+        return DelayModel(mode="jitter", seed=0)
+    if spec.startswith("jitter:"):
+        return DelayModel(mode="jitter", seed=int(spec.split(":", 1)[1]))
     raise ValueError(f"unknown delay model {spec!r} (use uniform or jitter[:seed])")
 
 
@@ -258,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("bitstream")
     s.add_argument("--stimulus", required=True)
     s.add_argument("--delays", default="uniform",
-                   help="uniform | jitter[:seed] (default seed: $QDIFAB_SEED)")
+                   help="uniform | jitter[:seed] (default seed: 0)")
     s.add_argument("--max-time", type=int, default=20000)
     s.add_argument("--ack-delay", type=int, default=1)
     s.add_argument("--trace", help="write the event trace CSV here")

@@ -1,7 +1,12 @@
 """Compilation of logical gates onto the programmable logic block.
 
-Each mapping routine turns a truth function plus a protocol choice into LUT
-tables, programming points and a pin assignment.  The conventions:
+``SHAPES`` is the one list of the gate shapes the block accepts.  It maps
+(protocol, input arities, output arity) to the routine that compiles that
+shape.  Every routine takes ``(name, f, inputs, out, ack)``: the gate's
+name, its truth function over logical values, the names of its input and
+output signals, and the acknowledge wire or ``None``.  It returns a
+:class:`MappedGate`: per block, LUT tables, programming points and a pin
+assignment.  The conventions:
 
 * Four-phase gates fire when every data input has left NULL and the
   acknowledge input (when present) is 0, and return to NULL when every input
@@ -24,8 +29,9 @@ on corrupt data instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from .encodings import Protocol
 from .plb import (
     NC,
     LutTable,
@@ -40,12 +46,9 @@ class MappingError(ValueError):
     """Gate shape or wire budget that the block cannot accommodate."""
 
 
-def _wire(sig: str, idx: int, width: int) -> WireRef:
-    return WireRef(sig, idx, width)
-
-
-def _no_feedback() -> Tuple[Tuple[bool, ...], ...]:
-    return tuple((False,) * 6 for _ in range(4))
+def _refs(signal: str, width: int) -> Tuple[WireRef, ...]:
+    """Every wire of a signal, in index order."""
+    return tuple(WireRef(signal, i, width) for i in range(width))
 
 
 def _feedback(pins_per_lut: Sequence[Sequence[int]]) -> Tuple[Tuple[bool, ...], ...]:
@@ -82,28 +85,53 @@ def _one_hot_value(bits: Tuple[int, ...]) -> Tuple[bool, bool, Optional[int]]:
     return False, True, None
 
 
+def _one_block(name: str, config: PlbConfig, out: str, width: int) -> MappedGate:
+    """A one-block gate driving the ``width`` wires of ``out`` from O0
+    upwards, with its acknowledge on the first XOR."""
+    outputs = _refs(out, width) + (None,) * (4 - width)
+    return MappedGate(name, (PlbUnit("main", config, outputs, (f"{out}.sout", None)),))
+
+
+def _two_input_block(name: str, lut: Callable[[int], LutTable],
+                     inputs: Sequence[str], out: str, ack: Optional[str]) -> MappedGate:
+    """The wiring plan of the two-input dual-rail and LEDR gates.
+
+    ``lut(w)`` is the table of Lw, which drives wire w of ``out`` through a
+    transparent memory point.  The memory effect lives in the LUTs' own
+    feedback (pin 0 for L0, pin 1 for L1); the acknowledge wire, when there
+    is one, is duplicated on the two pins each LUT gives up to its feedback,
+    which keeps the data wires' loads equal.
+    """
+    xn, yn = inputs
+    ack_ref = NC if ack is None else WireRef(ack, 0, 1)
+    config = PlbConfig(
+        luts=(lut(0), lut(1), LutTable.zero(), LutTable.zero()),
+        feedback_sel=_feedback([(0,), (1,), (), ()]),
+        mem_bypass=(True, True),
+        input_assignment=(ack_ref, ack_ref) + _refs(xn, 2) + _refs(yn, 2) + (NC,) * 6,
+    )
+    return _one_block(name, config, out, 2)
+
+
 # -- four-phase, one-of-2, two inputs ---------------------------------------
 
 def map_4ph_2in(
+    name: str,
     f: GateFn,
-    with_ack: bool = True,
     inputs: Tuple[str, str] = ("x", "y"),
     out: str = "o",
-    ack: str = "ack",
-) -> PlbUnit:
-    """Two-input dual-rail gate on L0/L1 with transparent memory points.
+    ack: Optional[str] = None,
+) -> MappedGate:
+    """Two-input dual-rail gate: L0 computes the 0-wire and L1 the 1-wire.
 
-    L0 computes the 0-wire and L1 the 1-wire.  The memory effect lives in
-    the LUTs' own-output feedback (pin 0 for L0, pin 1 for L1); the
-    acknowledge wire is duplicated on the two pins each LUT gives up to its
-    feedback, which keeps the data wires' loads equal.
+    Without an acknowledge the gate fires on valid inputs and returns to
+    NULL on NULL inputs alone.
     """
-    xn, yn = inputs
 
     def lut(for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
             hold = p[0] if for_wire == 0 else p[1]
-            a = (p[1] if for_wire == 0 else p[0]) if with_ack else None
+            a = (p[1] if for_wire == 0 else p[0]) if ack is not None else None
             x_null, x_forb, xv = _one_hot_value((p[2], p[3]))
             y_null, y_forb, yv = _one_hot_value((p[4], p[5]))
             if x_forb or y_forb:
@@ -116,50 +144,30 @@ def map_4ph_2in(
 
         return LutTable.from_function(fn)
 
-    ack_ref = _wire(ack, 0, 1) if with_ack else NC
-    assignment = (
-        ack_ref, ack_ref,
-        _wire(xn, 0, 2), _wire(xn, 1, 2), _wire(yn, 0, 2), _wire(yn, 1, 2),
-    ) + (NC,) * 6
-
-    config = PlbConfig(
-        luts=(lut(0), lut(1), LutTable.zero(), LutTable.zero()),
-        feedback_sel=_feedback([(0,), (1,), (), ()]),
-        mem_bypass=(True, True),
-        input_assignment=assignment,
-    )
-    return PlbUnit(
-        role="main",
-        config=config,
-        output_map=(_wire(out, 0, 2), _wire(out, 1, 2), None, None),
-        sout_map=(f"{out}.sout", None),
-    )
+    return _two_input_block(name, lut, inputs, out, ack)
 
 
 # -- four-phase, one-of-2, three inputs --------------------------------------
 
 def map_4ph_3in(
+    name: str,
     f: GateFn,
-    g: Optional[GateFn] = None,
     inputs: Tuple[str, str, str] = ("x", "y", "z"),
     out: str = "o",
+    ack: Optional[str] = None,
+    *,
+    g: Optional[GateFn] = None,
     out2: str = "o2",
-    with_ack: bool = False,
-) -> PlbUnit:
+) -> MappedGate:
     """Three-input dual-rail gate using the memory points and the 6-input OR.
 
-    The three inputs consume the whole 6-wire budget, so there is no room
-    for an acknowledge input; requesting one is an error.  The LUTs compute
-    the input rendez-vous fused with the function, the OR detects the return
-    to NULL, and the memory C-elements hold in between.  A second function
-    ``g`` over the same inputs may occupy the other LUT pair (the classic
-    sum/carry pairing).
+    The three inputs consume the whole 6-wire budget, so the gate has no
+    acknowledge input and ``ack`` is not read (``netlist.map_gate`` refuses a
+    gate that asks for one).  The LUTs compute the input rendez-vous fused
+    with the function, the OR detects the return to NULL, and the memory
+    C-elements hold in between.  A second function ``g`` over the same inputs
+    may occupy the other LUT pair (the classic sum/carry pairing).
     """
-    if with_ack:
-        raise MappingError(
-            "three dual-rail inputs occupy all 6 wires; no room for an acknowledge"
-        )
-    xn, yn, zn = inputs
 
     def lut(func: GateFn, for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
@@ -174,55 +182,40 @@ def map_4ph_3in(
 
         return LutTable.from_function(fn)
 
-    data = (
-        _wire(xn, 0, 2), _wire(xn, 1, 2),
-        _wire(yn, 0, 2), _wire(yn, 1, 2),
-        _wire(zn, 0, 2), _wire(zn, 1, 2),
-    )
+    data = sum((_refs(s, 2) for s in inputs), ())
     if g is None:
-        luts = (lut(f, 0), lut(f, 1), LutTable.zero(), LutTable.zero())
-        assignment = data + (NC,) * 6
-        mem_bypass = (False, True)
-        output_map = (_wire(out, 0, 2), _wire(out, 1, 2), None, None)
-        sout_map = (f"{out}.sout", None)
-    else:
-        luts = (lut(f, 0), lut(f, 1), lut(g, 0), lut(g, 1))
-        assignment = data + data
-        mem_bypass = (False, False)
-        output_map = (
-            _wire(out, 0, 2), _wire(out, 1, 2),
-            _wire(out2, 0, 2), _wire(out2, 1, 2),
+        config = PlbConfig(
+            luts=(lut(f, 0), lut(f, 1), LutTable.zero(), LutTable.zero()),
+            mem_bypass=(False, True),
+            input_assignment=data + (NC,) * 6,
         )
-        sout_map = (f"{out}.sout", f"{out2}.sout")
-
+        return _one_block(name, config, out, 2)
     config = PlbConfig(
-        luts=luts,
-        feedback_sel=_no_feedback(),
-        mem_bypass=mem_bypass,
-        input_assignment=assignment,
+        luts=(lut(f, 0), lut(f, 1), lut(g, 0), lut(g, 1)),
+        input_assignment=data + data,
     )
-    return PlbUnit("main", config, output_map, sout_map)
+    unit = PlbUnit("main", config, _refs(out, 2) + _refs(out2, 2),
+                   (f"{out}.sout", f"{out2}.sout"))
+    return MappedGate(name, (unit,))
 
 
 # -- four-phase, one-of-3, two inputs ----------------------------------------
 
 def map_4ph_ter_2in(
+    name: str,
     f: GateFn,
     inputs: Tuple[str, str] = ("x", "y"),
     out: str = "o",
-    with_ack: bool = False,
-) -> PlbUnit:
+    ack: Optional[str] = None,
+) -> MappedGate:
     """Two-input ternary gate: three LUTs drive one wire each, L3 stays 0.
 
-    Both input groups carry the same six wires so every wire is loaded
-    twice, and the two 6-input ORs therefore agree.  The grouping selector
-    collects all four memory outputs under a single acknowledge XOR.
+    The two one-of-3 inputs consume the whole 6-wire budget, so ``ack`` is
+    not read, as for :func:`map_4ph_3in`.  Both input groups carry the same
+    six wires so every wire is loaded twice, and the two 6-input ORs
+    therefore agree.  The grouping selector collects all four memory outputs
+    under a single acknowledge XOR.
     """
-    if with_ack:
-        raise MappingError(
-            "two one-of-3 inputs occupy all 6 wires; no room for an acknowledge"
-        )
-    xn, yn = inputs
 
     def lut(for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
@@ -236,41 +229,30 @@ def map_4ph_ter_2in(
 
         return LutTable.from_function(fn)
 
-    data = tuple(_wire(xn, i, 3) for i in range(3)) + tuple(
-        _wire(yn, i, 3) for i in range(3)
-    )
+    data = _refs(inputs[0], 3) + _refs(inputs[1], 3)
     config = PlbConfig(
         luts=(lut(0), lut(1), lut(2), LutTable.zero()),
-        feedback_sel=_no_feedback(),
-        mem_bypass=(False, False),
         combine_sel=True,
         input_assignment=data + data,
     )
-    return PlbUnit(
-        role="main",
-        config=config,
-        output_map=(
-            _wire(out, 0, 3), _wire(out, 1, 3), _wire(out, 2, 3), None,
-        ),
-        sout_map=(f"{out}.sout", None),
-    )
+    return _one_block(name, config, out, 3)
 
 
 # -- LEDR, two inputs ---------------------------------------------------------
 
 def map_ledr_2in(
+    name: str,
     f: GateFn,
     inputs: Tuple[str, str] = ("x", "y"),
     out: str = "o",
-    ack: str = "ack",
-) -> PlbUnit:
-    """Two-input LEDR gate; same wiring plan as the dual-rail two-input gate.
+    ack: Optional[str] = "ack",
+) -> MappedGate:
+    """Two-input LEDR gate on the dual-rail two-input wiring plan.
 
     The output pair transitions when both input phases agree and oppose the
     acknowledge: to (f, f) when the common phase is even, to (f, not f) when
     odd, so the output phase always ends up matching the inputs'.
     """
-    xn, yn = inputs
 
     def lut(for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
@@ -288,33 +270,18 @@ def map_ledr_2in(
 
         return LutTable.from_function(fn)
 
-    ack_ref = _wire(ack, 0, 1)
-    assignment = (
-        ack_ref, ack_ref,
-        _wire(xn, 0, 2), _wire(xn, 1, 2), _wire(yn, 0, 2), _wire(yn, 1, 2),
-    ) + (NC,) * 6
-    config = PlbConfig(
-        luts=(lut(0), lut(1), LutTable.zero(), LutTable.zero()),
-        feedback_sel=_feedback([(0,), (1,), (), ()]),
-        mem_bypass=(True, True),
-        input_assignment=assignment,
-    )
-    return PlbUnit(
-        role="main",
-        config=config,
-        output_map=(_wire(out, 0, 2), _wire(out, 1, 2), None, None),
-        sout_map=(f"{out}.sout", None),
-    )
+    return _two_input_block(name, lut, inputs, out, ack)
 
 
 # -- LEDR, three inputs -------------------------------------------------------
 
 def map_ledr_3in(
+    name: str,
     f: GateFn,
     inputs: Tuple[str, str, str] = ("x", "y", "z"),
     out: str = "o",
-    ack: str = "ack",
-) -> PlbUnit:
+    ack: Optional[str] = "ack",
+) -> MappedGate:
     """Three-input LEDR gate split across both LUT pairs.
 
     With three LEDR inputs plus the acknowledge the transition condition
@@ -360,32 +327,13 @@ def map_ledr_3in(
 
         return LutTable.from_function(fn)
 
-    ack_ref = _wire(ack, 0, 1)
-    lo = (
-        ack_ref,
-        _wire(xn, 0, 2),
-        _wire(yn, 0, 2), _wire(yn, 1, 2),
-        _wire(zn, 0, 2), _wire(zn, 1, 2),
-    )
-    hi = (
-        _wire(xn, 1, 2),
-        _wire(xn, 0, 2),
-        _wire(yn, 0, 2), _wire(yn, 1, 2),
-        _wire(zn, 0, 2), _wire(zn, 1, 2),
-    )
+    shared = (WireRef(xn, 0, 2),) + _refs(yn, 2) + _refs(zn, 2)
     config = PlbConfig(
         luts=(lut_lo(False), lut_lo(True), lut_hi(False), lut_hi(True)),
-        feedback_sel=_no_feedback(),
-        mem_bypass=(False, False),
         or6_bypass_sel=(True, False),
-        input_assignment=lo + hi,
+        input_assignment=(WireRef(ack, 0, 1),) + shared + (WireRef(xn, 1, 2),) + shared,
     )
-    return PlbUnit(
-        role="main",
-        config=config,
-        output_map=(_wire(out, 0, 2), _wire(out, 1, 2), None, None),
-        sout_map=(f"{out}.sout", None),
-    )
+    return _one_block(name, config, out, 2)
 
 
 # -- edge protocol, two inputs ------------------------------------------------
@@ -421,11 +369,11 @@ def _dw_lut(cell: int) -> LutTable:
 
 
 def map_edge_2in(
+    name: str,
     f: GateFn,
     inputs: Tuple[str, str] = ("a", "b"),
     out: str = "o",
-    ack: str = "ack",
-    prefix: Optional[str] = None,
+    ack: Optional[str] = "ack",
 ) -> MappedGate:
     """Two-input edge-signalling gate; always two blocks.
 
@@ -434,27 +382,24 @@ def map_edge_2in(
     The second block computes the output toggles as XORs of the C cells
     (wire 1 collects the cells where f is 1, wire 0 the others) and reuses
     its memory C-elements as the 2x1 decision-wait that withholds the
-    output until the acknowledge has toggled.  The gate and its internal
-    wires take their name from ``prefix``, or else from ``out``.
+    output until the acknowledge has toggled.  The wires between the two
+    blocks are ``<name>.c``.
     """
     an, bn = inputs
-    pre = prefix or out
-    cn = f"{pre}.c"
+    cn = f"{name}.c"
 
-    dw_assignment = (
-        NC, NC, _wire(bn, 1, 2), _wire(bn, 0, 2), _wire(an, 0, 2), _wire(an, 1, 2),
-        _wire(bn, 1, 2), _wire(bn, 0, 2), NC, NC, _wire(an, 0, 2), _wire(an, 1, 2),
-    )
+    b_swapped = (WireRef(bn, 1, 2), WireRef(bn, 0, 2))
     dw_config = PlbConfig(
         luts=tuple(_dw_lut(c) for c in range(4)),
         feedback_sel=_feedback([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
         mem_bypass=(True, True),
-        input_assignment=dw_assignment,
+        input_assignment=(NC, NC) + b_swapped + _refs(an, 2)
+        + b_swapped + (NC, NC) + _refs(an, 2),
     )
     dw = PlbUnit(
         role="decision_wait",
         config=dw_config,
-        output_map=tuple(_wire(cn, c, 4) for c in range(4)),
+        output_map=_refs(cn, 4),
         sout_map=(None, None),
     )
 
@@ -477,26 +422,28 @@ def map_edge_2in(
 
         return LutTable.from_function(fn)
 
-    comp_assignment = (
-        _wire(cn, 0, 4), _wire(cn, 1, 4), _wire(cn, 2, 4), _wire(cn, 3, 4), NC, NC,
-        _wire(out, 0, 2), _wire(out, 1, 2), NC, NC, _wire(ack, 0, 1), NC,
-    )
     comp_config = PlbConfig(
         luts=(parity_lut(ones), parity_lut(zeros), dw21_lut(0), dw21_lut(1)),
-        feedback_sel=_no_feedback(),
-        mem_bypass=(False, False),
         or6_bypass_sel=(True, False),
-        input_assignment=comp_assignment,
+        input_assignment=_refs(cn, 4) + (NC, NC)
+        + _refs(out, 2) + (NC, NC, WireRef(ack, 0, 1), NC),
     )
     # O0 = C(L0, L2) carries the 1-wire, O1 = C(L1, L3) the 0-wire.
     comp = PlbUnit(
         role="main",
         config=comp_config,
-        output_map=(_wire(out, 1, 2), _wire(out, 0, 2), None, None),
+        output_map=_refs(out, 2)[::-1] + (None, None),
         sout_map=(f"{out}.sout", None),
     )
-    return MappedGate(
-        name=pre,
-        plbs=(dw, comp),
-        internal_signals=((cn, 4),),
-    )
+    return MappedGate(name, (dw, comp), internal_signals=((cn, 4),))
+
+
+# The shapes the block accepts, as (protocol, input arities, output arity).
+SHAPES: Dict[Tuple[Protocol, Tuple[int, ...], int], Callable[..., MappedGate]] = {
+    (Protocol.FOUR_PHASE, (2, 2), 2): map_4ph_2in,
+    (Protocol.FOUR_PHASE, (2, 2, 2), 2): map_4ph_3in,
+    (Protocol.FOUR_PHASE, (3, 3), 3): map_4ph_ter_2in,
+    (Protocol.LEDR, (2, 2), 2): map_ledr_2in,
+    (Protocol.LEDR, (2, 2, 2), 2): map_ledr_3in,
+    (Protocol.EDGE, (2, 2), 2): map_edge_2in,
+}

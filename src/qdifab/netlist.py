@@ -1,4 +1,4 @@
-"""Netlist text format and gate-to-block dispatch.
+"""Netlist text format, and the mapping of its gates onto blocks.
 
 The format is line oriented and diff friendly:
 
@@ -10,8 +10,9 @@ Every declared signal must connect to a gate, as an input or as the output.
 The truth table is indexed in mixed radix with the first listed input as the
 least significant digit.  Binary-output gates use one bit per entry (AND2 is
 0x8, XOR2 is 0x6); ternary- and quaternary-output gates use two bits per
-entry.  The ``ack`` flag requests an acknowledge input for four-phase gates;
-LEDR and edge gates always consume one.
+entry.  LEDR and edge gates always get an acknowledge input; four-phase
+gates get one only with the ``ack`` flag.  :func:`map_gate` compiles a gate
+through ``mapper.SHAPES``, the one list of the gate shapes the block accepts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .encodings import Protocol, SignalSpec
 from . import mapper
-from .mapper import MappedGate, MappingError, PlbUnit
+from .mapper import MappedGate, MappingError
 
 
 class NetlistError(ValueError):
@@ -208,78 +209,23 @@ def gate_function(gate: GateDecl, net: Netlist) -> Callable[..., int]:
     return f
 
 
-def _wire_budget(gate: GateDecl, net: Netlist) -> int:
-    wires = sum(net.signals[s].wire_count for s in gate.inputs)
-    if gate.ack:
-        wires += 1
-    return wires
-
-
 def map_gate(gate: GateDecl, net: Netlist) -> MappedGate:
-    """Compile one netlist gate; errors name the gate."""
+    """Compile one netlist gate; errors name the gate.  Its acknowledge
+    input, when it has one, is ``<output>.ackin``."""
     specs = [net.signals[s] for s in gate.inputs]
-    out_spec = net.signals[gate.output]
-    proto = out_spec.protocol
-    f = gate_function(gate, net)
-    ack_wire = f"{gate.output}.ackin"
-
-    try:
-        if _wire_budget(gate, net) > 6 and proto is not Protocol.EDGE:
-            raise MappingError(
-                f"inputs and acknowledge need {_wire_budget(gate, net)} wires, 6 available"
-            )
-        if proto is Protocol.FOUR_PHASE:
-            unit = _map_4ph(gate, specs, out_spec, f, ack_wire)
-        elif proto is Protocol.LEDR:
-            unit = _map_ledr(gate, specs, out_spec, f, ack_wire)
-        else:
-            return _map_edge(gate, specs, out_spec, f, ack_wire)
-    except MappingError as exc:
-        raise MappingError(f"gate {gate.name!r}: {exc}") from None
-    return MappedGate(name=gate.name, plbs=(unit,))
-
-
-def _map_4ph(gate, specs, out_spec, f, ack_wire) -> PlbUnit:
-    arities = [s.arity for s in specs]
-    if arities == [2, 2] and out_spec.arity == 2:
-        return mapper.map_4ph_2in(
-            f, with_ack=gate.ack, inputs=(specs[0].name, specs[1].name),
-            out=out_spec.name, ack=ack_wire,
-        )
-    if arities == [2, 2, 2] and out_spec.arity == 2:
-        return mapper.map_4ph_3in(
-            f, inputs=tuple(s.name for s in specs), out=out_spec.name,
-            with_ack=gate.ack,
-        )
-    if arities == [3, 3] and out_spec.arity == 3:
-        return mapper.map_4ph_ter_2in(
-            f, inputs=(specs[0].name, specs[1].name), out=out_spec.name,
-            with_ack=gate.ack,
-        )
-    raise MappingError(f"unsupported four-phase shape {arities} -> {out_spec.arity}")
-
-
-def _map_ledr(gate, specs, out_spec, f, ack_wire) -> PlbUnit:
-    arities = [s.arity for s in specs]
-    if arities == [2, 2]:
-        return mapper.map_ledr_2in(
-            f, inputs=(specs[0].name, specs[1].name), out=out_spec.name, ack=ack_wire,
-        )
-    if arities == [2, 2, 2]:
-        return mapper.map_ledr_3in(
-            f, inputs=tuple(s.name for s in specs), out=out_spec.name, ack=ack_wire,
-        )
-    raise MappingError(f"unsupported LEDR shape {arities}")
-
-
-def _map_edge(gate, specs, out_spec, f, ack_wire) -> MappedGate:
-    arities = [s.arity for s in specs]
-    if arities != [2, 2] or out_spec.arity != 2:
-        raise MappingError(f"edge gates take two binary inputs, got {arities}")
-    return mapper.map_edge_2in(
-        f, inputs=(specs[0].name, specs[1].name), out=out_spec.name, ack=ack_wire,
-        prefix=gate.name,
-    )
+    out = net.signals[gate.output]
+    arities = tuple(s.arity for s in specs)
+    shape = mapper.SHAPES.get((out.protocol, arities, out.arity))
+    if shape is None:
+        raise MappingError(f"gate {gate.name!r}: unsupported {out.protocol.value} "
+                           f"shape {list(arities)} -> {out.arity}")
+    wires = sum(s.wire_count for s in specs) + int(gate.ack)
+    if wires > 6:
+        raise MappingError(
+            f"gate {gate.name!r}: inputs and acknowledge need {wires} wires, 6 available")
+    acked = gate.ack or out.protocol is not Protocol.FOUR_PHASE
+    return shape(gate.name, gate_function(gate, net), gate.inputs, gate.output,
+                 f"{gate.output}.ackin" if acked else None)
 
 
 def map_netlist(net: Netlist) -> List[MappedGate]:

@@ -49,11 +49,9 @@ def _rails(bit: Optional[int]) -> Tuple[int, int]:
 
 @dataclass
 class Block:
-    """One independently programmable region: a FIFO chain plus the names
-    of the logic blocks its bits configure."""
+    """One independently programmable region: a FIFO chain."""
 
     length: int
-    targets: Tuple[str, ...] = ()
     stages: List[Optional[int]] = field(default_factory=list)
     tail_held: bool = True
     state: str = "unconfigured"  # unconfigured | programming | active

@@ -82,8 +82,9 @@ def toggle_count_profile(
     boundary: Optional[str] = None,
     wires: Optional[Sequence[str]] = None,
 ) -> Dict[object, Tuple[int, ...]]:
-    """Per-value toggle counts per transaction; input traces must share a
-    configuration and the routing of the uniform delay model."""
+    """Per-value toggle counts per transaction; input traces must come from
+    one configuration and one shared routing: one delay model and, under
+    jitter, one seed."""
     _check_same_fabric(traces_by_value.values())
     return {
         value: tuple(toggles_per_transaction(tr, boundary, wires))

@@ -691,13 +691,13 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
         for s in g.inputs:
             consumers_of.setdefault(s, []).append(g)
 
-    def ack_level(g: GateInfo) -> Optional[int]:
+    def ack_level(g: GateInfo) -> int:
         sinks = consumers_of.get(g.output, [])
         if len(sinks) == 1:
             return levels.get(f"{sinks[0].output}.sout", 0)
         if not sinks:
             return levels.get(f"{g.output}.cack", 0)
-        return None  # joined acks are not reconstructed; skip the ack test
+        return levels.get(f"{g.output}.ackin", 0)  # the join of the consumers' acks
 
     def sig_levels(name: str) -> List[int]:
         return [levels.get(w, 0) for w in trace.signals[name].wires]
@@ -735,7 +735,7 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                 violations.append(
                     f"{g.name}: output phase flip at t={e.time} before input phases"
                 )
-            elif a is not None and a != (new_phase ^ 1):
+            elif a != (new_phase ^ 1):
                 violations.append(
                     f"{g.name}: output phase flip at t={e.time} before acknowledge"
                 )

@@ -159,7 +159,7 @@ def test_criterion_05_forbidden_state_safety(functional_sweep):
 
 
 def test_criterion_06_decision_wait_exhaustive():
-    dw = map_edge_2in(lambda x, y: x & y).plbs[0]
+    dw = map_edge_2in("g", lambda x, y: x & y).plbs[0]
     cells = ((0, 0), (0, 1), (1, 0), (1, 1))
     checked = 0
     for i, j in itertools.product(range(2), repeat=2):
@@ -216,7 +216,7 @@ def test_criterion_07_edge_gate_table():
         return bits
 
     for name, (ones, zeros) in rows.items():
-        comp = map_edge_2in(funcs[name]).plbs[1]
+        comp = map_edge_2in("g", funcs[name]).plbs[1]
         assert comp.config.luts[0].bits == parity_bits(ones), name
         assert comp.config.luts[1].bits == parity_bits(zeros), name
     print("criterion  7 PASS edge-gate XOR compositions match the table for "

@@ -54,7 +54,7 @@ def files(tmp_path):
 
 
 def test_config_bits_roundtrip():
-    unit = map_4ph_2in(lambda x, y: x & y)
+    unit = map_4ph_2in("g", lambda x, y: x & y, ack="ack").plbs[0]
     bits = config_bits(unit.config)
     assert len(bits) == CONFIG_BITS
     hx = bits_to_hex(bits)
@@ -243,16 +243,15 @@ def test_sim_jitter_seed_reproducible(files):
     assert t1.read_text() == t2.read_text()
 
 
-def test_sim_jitter_seed_from_environment(files, monkeypatch):
+def test_sim_jitter_is_jitter_seed_0(files):
     tmp, net, stim = files
     bit = tmp / "d.bit"
     main(["map", str(net), "-o", str(bit)])
     t1, t2 = tmp / "t1.csv", tmp / "t2.csv"
-    monkeypatch.setenv("QDIFAB_SEED", "11")
     assert main(["sim", str(bit), "--stimulus", str(stim),
                  "--delays", "jitter", "--trace", str(t1)]) == 0
     assert main(["sim", str(bit), "--stimulus", str(stim),
-                 "--delays", "jitter:11", "--trace", str(t2)]) == 0
+                 "--delays", "jitter:0", "--trace", str(t2)]) == 0
     assert t1.read_text() == t2.read_text()
 
 
@@ -428,16 +427,27 @@ def test_sim_malformed_bitstream_exits_2_naming_line(files, capsys, bad_line):
     ("out=s:0:2", "out=t:0:2"),  # another gate's output
     ("sout=s.sout", "sout=t.sout"),  # another gate's acknowledge
     ("gate=g1", "gate=zz"),  # a gate with no `# gate` line
+    ("a:1:2", "a:7:2"),  # a wire past the signal's width
+    ("a:1:2", "a:1:4"),  # a width other than the signal's
+    ("s.ackin:0:1", "s.ackin:1:2"),  # an acknowledge is one wire
+    ("# plb 1 ", None),  # g2 without its block: its `# gate` line is named
 ], ids=["pin", "pin-ack", "output", "sout", "sout-not-ack", "pin-other-gate",
-        "output-other-gate", "sout-other-gate", "gate-without-header"])
+        "output-other-gate", "sout-other-gate", "gate-without-header", "pin-index",
+        "pin-width", "ack-width", "gate-without-block"])
 def test_sim_block_binding_undeclared_signal_exits_2(files, capsys, old, new):
     tmp, net, stim = files
     good = tmp / "good.bit"
     assert main(["map", str(net), "-o", str(good)]) == 0
     lines = good.read_text().splitlines()
-    where = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# plb 0 "))
-    assert old in lines[where - 1]
-    lines[where - 1] = lines[where - 1].replace(old, new, 1)
+    if new is None:  # delete the block: its header and its hex line
+        block = next(i for i, ln in enumerate(lines) if ln.startswith(old))
+        del lines[block], lines[-2]
+        where = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# gate g2 "))
+        new = "g2"
+    else:
+        where = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# plb 0 "))
+        assert old in lines[where - 1]
+        lines[where - 1] = lines[where - 1].replace(old, new, 1)
     bad = tmp / "bad.bit"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

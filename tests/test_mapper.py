@@ -39,7 +39,7 @@ def _cycle_4ph(unit, state, x, y):
 # -- four-phase two-input -----------------------------------------------------
 
 def test_map_4ph_2in_and_examples():
-    unit = map_4ph_2in(AND2)
+    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
     assert st.mem_out[:2] == (0, 1)
@@ -48,7 +48,7 @@ def test_map_4ph_2in_and_examples():
 
 
 def test_map_4ph_2in_xor_logical_zero():
-    unit = map_4ph_2in(XOR2)
+    unit = map_4ph_2in("g", XOR2, ack="ack").plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
     assert st.mem_out[:2] == (1, 0)
@@ -56,7 +56,7 @@ def test_map_4ph_2in_xor_logical_zero():
 
 @pytest.mark.parametrize("bits,f", sorted(all_16_functions().items()))
 def test_map_4ph_2in_matches_equation_oracle(bits, f):
-    unit = map_4ph_2in(f)
+    unit = map_4ph_2in("g", f, ack="ack").plbs[0]
     oracle = FourPhase2InOracle(f)
     st = plb_reset(unit.config)
     for x, y in itertools.product(range(2), repeat=2):
@@ -67,7 +67,7 @@ def test_map_4ph_2in_matches_equation_oracle(bits, f):
 
 
 def test_map_4ph_2in_hold_outside_conditions():
-    unit = map_4ph_2in(AND2)
+    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
     held = st.mem_out[:2]
@@ -82,7 +82,7 @@ def test_map_4ph_2in_hold_outside_conditions():
 def test_map_4ph_2in_tables_match_direct_enumeration():
     # Independent enumeration of the case equation over the decodable pin
     # patterns (the multi-hot patterns are don't-care and excluded).
-    unit = map_4ph_2in(AND2)
+    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
 
     def decode(b0, b1):
         if (b0, b1) == (0, 0):
@@ -108,7 +108,7 @@ def test_map_4ph_2in_tables_match_direct_enumeration():
 
 
 def test_map_4ph_2in_without_ack():
-    unit = map_4ph_2in(AND2, with_ack=False)
+    unit = map_4ph_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2))
     assert st.mem_out[:2] == (1, 0)
@@ -123,7 +123,7 @@ NULL_IN3 = dict(x=NULL2, y=NULL2, z=NULL2)
 
 
 def test_map_4ph_3in_majority():
-    unit = map_4ph_3in(MAJ3)
+    unit = map_4ph_3in("g", MAJ3).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), z=encode_4ph(1, 2))
     assert st.mem_out[:2] == (0, 1)
@@ -131,7 +131,7 @@ def test_map_4ph_3in_majority():
 
 
 def test_map_4ph_3in_return_to_null():
-    unit = map_4ph_3in(MAJ3)
+    unit = map_4ph_3in("g", MAJ3).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2), z=encode_4ph(0, 2))
     assert st.mem_out[:2] == (1, 0)
@@ -141,7 +141,7 @@ def test_map_4ph_3in_return_to_null():
 
 @pytest.mark.parametrize("f", [MAJ3, lambda x, y, z: x ^ y ^ z])
 def test_map_4ph_3in_matches_oracle(f):
-    unit = map_4ph_3in(f)
+    unit = map_4ph_3in("g", f).plbs[0]
     oracle = FourPhase3InOracle(f)
     st = plb_reset(unit.config)
     for x, y, z in itertools.product(range(2), repeat=3):
@@ -155,7 +155,7 @@ def test_map_4ph_3in_matches_oracle(f):
 
 def test_map_4ph_3in_full_adder_pair():
     sum3 = lambda x, y, z: x ^ y ^ z
-    unit = map_4ph_3in(sum3, g=MAJ3, out="s", out2="c")
+    unit = map_4ph_3in("g", sum3, out="s", g=MAJ3, out2="c").plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), z=encode_4ph(0, 2))
     assert st.mem_out == (1, 0, 0, 1)  # sum 0, carry 1
@@ -165,18 +165,13 @@ def test_map_4ph_3in_full_adder_pair():
     assert st.mem_out == (0, 0, 0, 0)
 
 
-def test_map_4ph_3in_rejects_ack():
-    with pytest.raises(MappingError):
-        map_4ph_3in(MAJ3, with_ack=True)
-
-
 # -- four-phase ternary -------------------------------------------------------
 
 TMIN = lambda x, y: min(x, y)
 
 
 def test_map_ter_min_example():
-    unit = map_4ph_ter_2in(TMIN)
+    unit = map_4ph_ter_2in("g", TMIN).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(2, 3), y=encode_4ph(1, 3))
     assert st.mem_out == (0, 1, 0, 0)
@@ -186,7 +181,7 @@ def test_map_ter_min_example():
 
 
 def test_map_ter_covers_all_nine_combinations():
-    unit = map_4ph_ter_2in(TMIN)
+    unit = map_4ph_ter_2in("g", TMIN).plbs[0]
     oracle = Ternary2InOracle(TMIN)
     st = plb_reset(unit.config)
     for x, y in itertools.product(range(3), repeat=2):
@@ -197,15 +192,10 @@ def test_map_ter_covers_all_nine_combinations():
         oracle.step(None, None)
 
 
-def test_map_ter_rejects_ack():
-    with pytest.raises(MappingError):
-        map_4ph_ter_2in(TMIN, with_ack=True)
-
-
 # -- LEDR two-input -----------------------------------------------------------
 
 def test_map_ledr_2in_and_example():
-    unit = map_ledr_2in(AND2)
+    unit = map_ledr_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
     assert st.mem_out[:2] == (0, 0)
     # Odd input phases carrying (1,1), acknowledge low, output even.
@@ -215,7 +205,7 @@ def test_map_ledr_2in_and_example():
 
 
 def test_map_ledr_2in_phase_mismatch_holds():
-    unit = map_ledr_2in(AND2)
+    unit = map_ledr_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=(1, 0), y=(0, 0), ack=(0,))
     assert st.mem_out[:2] == (0, 0)
@@ -223,7 +213,7 @@ def test_map_ledr_2in_phase_mismatch_holds():
 
 @pytest.mark.parametrize("bits,f", sorted(all_16_functions().items()))
 def test_map_ledr_2in_matches_equation_oracle(bits, f):
-    unit = map_ledr_2in(f)
+    unit = map_ledr_2in("g", f).plbs[0]
     oracle = Ledr2InOracle(f)
     st = plb_reset(unit.config)
     x = y = (0, 0)
@@ -249,7 +239,7 @@ def _ledr3_pins(unit, x, y, z, ack):
 
 
 def test_map_ledr_3in_fires_on_matching_phases():
-    unit = map_ledr_3in(XOR3)
+    unit = map_ledr_3in("g", XOR3).plbs[0]
     st = plb_reset(unit.config)
     # All phases odd, acknowledge 0 (opposite), inputs (1,1,0).
     st = step_unit(unit, st, x=(1, 0), y=(1, 0), z=(0, 1), ack=(0,))
@@ -259,7 +249,7 @@ def test_map_ledr_3in_fires_on_matching_phases():
 
 
 def test_map_ledr_3in_locks_outside_conditions():
-    unit = map_ledr_3in(XOR3)
+    unit = map_ledr_3in("g", XOR3).plbs[0]
     st = plb_reset(unit.config)
     before = st.mem_out[:2]
     # Acknowledge disagrees: L0 low, L2 high, output locked.
@@ -276,7 +266,7 @@ def test_map_ledr_3in_lock_is_pointwise_on_the_equations():
     # rendez-vous partners must disagree (0 against 1) so the C-elements
     # cannot move.
     f = XOR3
-    unit = map_ledr_3in(f)
+    unit = map_ledr_3in("g", f).plbs[0]
     for bits in range(128):
         xd, xr, yd, yr, zd, zr, ack = [(bits >> i) & 1 for i in range(7)]
         px, py, pz = xd ^ xr, yd ^ yr, zd ^ zr
@@ -300,7 +290,7 @@ def test_map_ledr_3in_lock_is_pointwise_on_the_equations():
 
 
 def test_map_ledr_3in_quiet_at_reset():
-    unit = map_ledr_3in(lambda x, y, z: 1 ^ (x & y & z))  # f(0,0,0) = 1
+    unit = map_ledr_3in("g", lambda x, y, z: 1 ^ (x & y & z)).plbs[0]  # f(0,0,0) = 1
     st = plb_reset(unit.config)
     assert st.mem_out == (0, 0, 0, 0)
 
@@ -340,14 +330,14 @@ def _parity_table(cells):
 @pytest.mark.parametrize("name", sorted(EDGE_TABLE_ROWS))
 def test_edge_gate_table_rows(name):
     ones, zeros = EDGE_TABLE_ROWS[name]
-    mg = map_edge_2in(EDGE_FUNCS[name])
+    mg = map_edge_2in("g", EDGE_FUNCS[name])
     comp = mg.plbs[1]
     assert comp.config.luts[0].bits == _parity_table(ones)
     assert comp.config.luts[1].bits == _parity_table(zeros)
 
 
 def test_edge_two_blocks():
-    mg = map_edge_2in(AND2)
+    mg = map_edge_2in("g", AND2)
     assert len(mg.plbs) == 2
     assert mg.plbs[0].role == "decision_wait"
     assert mg.plbs[1].role == "main"
@@ -365,7 +355,7 @@ def _dw_cell_inputs(state, a, b):
 
 
 def test_dw_single_cell_toggles_and_quiesces():
-    mg = map_edge_2in(AND2)
+    mg = map_edge_2in("g", AND2)
     dw = mg.plbs[0]
     st = plb_reset(dw.config)
     # Value 0 on port A, value 1 on port B: wires a.0 and b.1 toggle.
@@ -380,7 +370,7 @@ def test_dw_single_cell_toggles_and_quiesces():
 
 
 def test_dw_exhaustive_both_phases():
-    mg = map_edge_2in(XOR2)
+    mg = map_edge_2in("g", XOR2)
     dw = mg.plbs[0]
     for i, j in itertools.product(range(2), repeat=2):
         st = plb_reset(dw.config)
@@ -416,14 +406,14 @@ def test_edge_rejects_non_binary():
 # -- cross-cutting -------------------------------------------------------------
 
 def test_emit_truth_tables_deterministic():
-    for build in (lambda: map_4ph_2in(AND2).config.luts,
-                  lambda: map_ledr_2in(AND2).config.luts,
-                  lambda: map_edge_2in(AND2).plbs[1].config.luts):
+    for build in (lambda: map_4ph_2in("g", AND2, ack="ack").plbs[0].config.luts,
+                  lambda: map_ledr_2in("g", AND2).plbs[0].config.luts,
+                  lambda: map_edge_2in("g", AND2).plbs[1].config.luts):
         assert [t.bits for t in build()] == [t.bits for t in build()]
 
 
 def test_constant_zero_function_tables():
-    unit = map_4ph_2in(lambda x, y: 0)
+    unit = map_4ph_2in("g", lambda x, y: 0, ack="ack").plbs[0]
     # The 1-wire never fires on the valid region.
     for x, y in itertools.product(range(2), repeat=2):
         st = plb_reset(unit.config)
@@ -434,14 +424,14 @@ def test_constant_zero_function_tables():
 
 def test_every_emitted_config_validates():
     units = [
-        map_4ph_2in(AND2),
-        map_4ph_2in(XOR2, with_ack=False),
-        map_4ph_3in(MAJ3),
-        map_4ph_3in(lambda x, y, z: x ^ y ^ z, g=MAJ3),
-        map_4ph_ter_2in(TMIN),
-        map_ledr_2in(AND2),
+        map_4ph_2in("g", AND2, ack="ack").plbs[0],
+        map_4ph_2in("g", XOR2).plbs[0],
+        map_4ph_3in("g", MAJ3).plbs[0],
+        map_4ph_3in("g", lambda x, y, z: x ^ y ^ z, g=MAJ3).plbs[0],
+        map_4ph_ter_2in("g", TMIN).plbs[0],
+        map_ledr_2in("g", AND2).plbs[0],
     ]
-    mg = map_edge_2in(AND2)
+    mg = map_edge_2in("g", AND2)
     units.extend(mg.plbs)
     for unit in units:
         assert validate_config(unit.config) == [], unit.role
@@ -450,6 +440,6 @@ def test_every_emitted_config_validates():
 def test_ledr_3in_known_load_diagnostic():
     # Seven wires over twelve pins cannot balance the first repeat wire;
     # the legality check reports it and nothing else.
-    diags = validate_config(map_ledr_3in(XOR3).config)
+    diags = validate_config(map_ledr_3in("g", XOR3).plbs[0].config)
     assert len(diags) == 1
     assert "unbalanced" in diags[0] and "x" in diags[0]

@@ -1,6 +1,7 @@
 import pytest
 
-from qdifab.mapper import MappingError
+from qdifab.bitstream import read_bitstream, write_bitstream
+from qdifab.mapper import SHAPES, MappingError
 from qdifab.netlist import (
     NetlistError,
     gate_function,
@@ -144,14 +145,19 @@ def test_gate_function_binary_and_ternary():
 
 
 def test_budget_error_names_gate():
-    src = (
+    # Two one-of-3 inputs, or three dual-rail ones, fill the 6 wires; an
+    # acknowledge would be the seventh.
+    for src in (
         "signal x proto=4ph arity=3\nsignal y proto=4ph arity=3\n"
-        "signal o proto=4ph arity=3\ngate wide fn=0 in=x,y out=o ack\n"
-    )
-    net = parse_netlist(src)
-    with pytest.raises(MappingError) as exc:
-        map_netlist(net)
-    assert "wide" in str(exc.value) and "7" in str(exc.value)
+        "signal o proto=4ph arity=3\ngate wide fn=0 in=x,y out=o ack\n",
+        "signal x proto=4ph arity=2\nsignal y proto=4ph arity=2\n"
+        "signal z proto=4ph arity=2\nsignal o proto=4ph arity=2\n"
+        "gate wide fn=e8 in=x,y,z out=o ack\n",
+    ):
+        net = parse_netlist(src)
+        with pytest.raises(MappingError) as exc:
+            map_netlist(net)
+        assert "wide" in str(exc.value) and "7" in str(exc.value)
 
 
 def test_unsupported_shape_named():
@@ -161,4 +167,16 @@ def test_unsupported_shape_named():
     )
     with pytest.raises(MappingError) as exc:
         map_netlist(parse_netlist(src))
-    assert "odd" in str(exc.value)
+    assert str(exc.value) == "gate 'odd': unsupported 4ph shape [2, 3] -> 2"
+
+
+@pytest.mark.parametrize("key", list(SHAPES), ids=lambda k: f"{k[0].value}-{'x'.join(map(str, k[1]))}-{k[2]}")
+def test_every_shape_maps_and_round_trips(key):
+    proto, arities, out_arity = key
+    names = [f"i{k}" for k in range(len(arities))]
+    src = "".join(f"signal {n} proto={proto.value} arity={a}\n"
+                  for n, a in zip(names, arities))
+    src += f"signal o proto={proto.value} arity={out_arity}\n"
+    src += f"gate g fn=1 in={','.join(names)} out=o\n"
+    text = write_bitstream(fabric_from_netlist(parse_netlist(src)))
+    assert write_bitstream(read_bitstream(text)) == text

@@ -15,20 +15,10 @@ from qdifab.plb import (
     plb_step,
     validate_config,
 )
+from ._util import step_unit
 
 AND2 = lambda x, y: x & y
 XOR2 = lambda x, y: x ^ y
-
-
-def step_unit(unit, state, **signals):
-    """Evaluate a mapped block against named signal wire values."""
-    values = []
-    for ref in unit.config.input_assignment:
-        if ref is None:
-            values.append(0)
-        else:
-            values.append(signals[ref.signal][ref.index])
-    return plb_step(unit.config, state, values)
 
 
 def test_lut_eval_all_zero_table():
@@ -56,7 +46,7 @@ def test_lut_eval_and_of_i4_i5():
 
 
 def test_plb_reset_quiescent_and_step_identity():
-    unit = map_4ph_2in(AND2)
+    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
     st = plb_reset(unit.config)
     assert st.mem_out == (0, 0, 0, 0)
     again = plb_step(unit.config, st, (0,) * 12)
@@ -64,7 +54,7 @@ def test_plb_reset_quiescent_and_step_identity():
 
 
 def test_plb_4ph_and_fires_and_acks():
-    unit = map_4ph_2in(AND2)
+    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(
         unit, st,
@@ -82,7 +72,7 @@ def test_plb_4ph_and_fires_and_acks():
 
 
 def test_plb_ledr_xor_phase_advance():
-    unit = map_ledr_2in(XOR2)
+    unit = map_ledr_2in("g", XOR2).plbs[0]
     st = plb_reset(unit.config)
     # Both inputs at odd phase carrying (1, 1), acknowledge low, output even.
     st = step_unit(
@@ -119,7 +109,7 @@ def test_memory_point_latches_against_the_or_companion():
 
 
 def test_plb_step_deterministic():
-    unit = map_4ph_2in(XOR2)
+    unit = map_4ph_2in("g", XOR2, ack="ack").plbs[0]
     st = plb_reset(unit.config)
     ins = (0, 0, 1, 0, 0, 1) + (0,) * 6
     a = plb_step(unit.config, st, ins)
@@ -140,8 +130,8 @@ def test_plb_oscillation_diagnostic():
 
 
 def test_validate_config_accepts_mapped():
-    assert validate_config(map_4ph_2in(AND2).config) == []
-    assert validate_config(map_ledr_2in(XOR2).config) == []
+    assert validate_config(map_4ph_2in("g", AND2, ack="ack").plbs[0].config) == []
+    assert validate_config(map_ledr_2in("g", XOR2).plbs[0].config) == []
 
 
 def test_validate_config_load_balance():
@@ -176,7 +166,7 @@ def test_validate_config_cross_mode_requires_memory():
 def _reachable_env_states(f, with_ack=True):
     """Breadth-first exploration of the block under a well-formed
     four-phase environment; yields every reached block state."""
-    unit = map_4ph_2in(f, with_ack=with_ack)
+    unit = map_4ph_2in("g", f, ack="ack" if with_ack else None).plbs[0]
     null = encode_4ph_null(2)
     init = (null, null, 0, plb_reset(unit.config))
     seen = {repr(init)}

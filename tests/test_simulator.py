@@ -18,6 +18,7 @@ from qdifab.simulator import (
 )
 from qdifab.trace import GateInfo, Trace
 from ._oracles import all_16_functions
+from .test_golden_traces import _trace as golden_trace
 
 AND_NET = """
 signal x proto=4ph arity=2
@@ -182,6 +183,18 @@ def test_no_early_evaluation_flags_injected_or_gate():
     ok, violations = check_no_early_evaluation(base)
     assert not ok
     assert any("before rendez-vous" in v for v in violations)
+
+
+def test_no_early_evaluation_reads_a_joined_acknowledge():
+    # p feeds g2 and g3, so g1's acknowledge is the join p.ackin.  Without
+    # its first rise, g1 clears its output while the join still reads 0.
+    tr = golden_trace("dag_4ph", "uniform")
+    assert check_no_early_evaluation(tr) == (True, [])
+    rise = next(e for e in tr.events if e.wire == "p.ackin" and e.new == 1)
+    cut = Trace(events=[e for e in tr.events if e is not rise],
+                signals=tr.signals, gates=tr.gates)
+    assert check_no_early_evaluation(cut) == (
+        False, ["g1: output cleared at t=12 before rendez-vous"])
 
 
 def test_4ph_alternation_of_decoded_values():
