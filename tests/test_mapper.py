@@ -12,6 +12,7 @@ from qdifab.mapper import (
     map_ledr_2in,
     map_ledr_3in,
 )
+from qdifab.netlist import map_netlist, parse_netlist
 from qdifab.plb import LutTable, plb_reset, validate_config
 from ._oracles import (
     FourPhase2InOracle,
@@ -165,6 +166,18 @@ def test_map_4ph_3in_full_adder_pair():
     assert st.mem_out == (0, 0, 0, 0)
 
 
+def test_map_4ph_3in_rejects_ack():
+    # Three dual-rail inputs fill the 6 wires; an acknowledge is the seventh.
+    net = parse_netlist(
+        "signal x proto=4ph arity=2\nsignal y proto=4ph arity=2\n"
+        "signal z proto=4ph arity=2\nsignal o proto=4ph arity=2\n"
+        "gate maj fn=e8 in=x,y,z out=o ack\n"
+    )
+    with pytest.raises(MappingError) as exc:
+        map_netlist(net)
+    assert str(exc.value) == "gate 'maj': inputs and acknowledge need 7 wires, 6 available"
+
+
 # -- four-phase ternary -------------------------------------------------------
 
 TMIN = lambda x, y: min(x, y)
@@ -190,6 +203,17 @@ def test_map_ter_covers_all_nine_combinations():
         assert st.mem_out[3] == 0
         st = step_unit(unit, st, x=encode_4ph_null(3), y=encode_4ph_null(3))
         oracle.step(None, None)
+
+
+def test_map_ter_rejects_ack():
+    # Two one-of-3 inputs fill the 6 wires; an acknowledge is the seventh.
+    net = parse_netlist(
+        "signal x proto=4ph arity=3\nsignal y proto=4ph arity=3\n"
+        "signal o proto=4ph arity=3\ngate tmin fn=0 in=x,y out=o ack\n"
+    )
+    with pytest.raises(MappingError) as exc:
+        map_netlist(net)
+    assert str(exc.value) == "gate 'tmin': inputs and acknowledge need 7 wires, 6 available"
 
 
 # -- LEDR two-input -----------------------------------------------------------
