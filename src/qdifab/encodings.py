@@ -16,6 +16,7 @@ Wire index 0 is the least significant position of every bit vector.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -95,20 +96,38 @@ def encode_4ph_null(arity: int) -> Bits:
     return (0,) * arity
 
 
-def decode_4ph(wires: Sequence[int]) -> ValueCode:
-    """Classify a one-of-n wire pattern.
-
-    All-zero is NULL, a single 1 at index i is Valid(i), anything else is
-    Forbidden.  Forbidden is returned as a value rather than raised so a
-    simulation can log the pattern and keep running.
-    """
-    bits = tuple(int(b) for b in wires)
+def _classify_4ph(bits: Bits) -> ValueCode:
     weight = sum(bits)
     if weight == 0:
         return ValueCode(CodeKind.NULL, None, bits)
     if weight == 1:
         return ValueCode(CodeKind.VALID, bits.index(1), bits)
     return ValueCode(CodeKind.FORBIDDEN, None, bits)
+
+
+# The code of every 0/1 pattern of up to MAX_ARITY wires, built once.
+_CODES_4PH = {
+    bits: _classify_4ph(bits)
+    for n in range(MAX_ARITY + 1)
+    for bits in itertools.product((0, 1), repeat=n)
+}
+
+
+def decode_4ph(wires: Sequence[int]) -> ValueCode:
+    """Classify a one-of-n wire pattern.
+
+    All-zero is NULL, a single 1 at index i is Valid(i), anything else is
+    Forbidden.  Forbidden is returned as a value rather than raised so a
+    simulation can log the pattern and keep running.  A 0/1 pattern of up to
+    ``MAX_ARITY`` wires returns a shared, frozen instance from a table built
+    at import; any other input is classified by the same rule, its wires
+    converted with ``int``.
+    """
+    key = tuple(wires)
+    code = _CODES_4PH.get(key)
+    if code is None:
+        code = _classify_4ph(tuple(int(b) for b in key))
+    return code
 
 
 def ledr_next(current: Sequence[int], value: int) -> Bits:

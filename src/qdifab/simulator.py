@@ -65,7 +65,6 @@ from .encodings import (
     encode_4ph,
     encode_4ph_null,
     ledr_next,
-    signal_parity,
 )
 from .bitstream import Fabric
 from .netlist import Netlist, map_netlist, primary_signals
@@ -612,6 +611,32 @@ def run(
 # -- trace properties ----------------------------------------------------------
 
 
+# Both checkers replay a trace once, in trace order, with a running state
+# per signal instead of decoding wire lists: the number of its rails that
+# are high and, where needed, the number of changes on its wires.  With 0/1
+# levels the rails high give the four-phase kind (0 NULL, 1 VALID, more
+# FORBIDDEN) and, by their parity, the LEDR phase; the changes count the
+# edges of an edge signal.  A wire that a signal lists k times counts k
+# times in both, as it does in the signal's pattern.
+
+
+def _replay_index(trace: Trace, states: Dict[str, list],
+                  extra_wires=()) -> Dict[str, list]:
+    """Each wire of a signal of ``trace``, and each of ``extra_wires``, to
+    its running record ``[level, sinks, None]``: the wire's level, 0 at the
+    start, and ``(state, k)`` for each signal that lists the wire k times,
+    its state taken from ``states``.  The last item is the caller's."""
+    records: Dict[str, list] = {w: [0, [], None] for w in extra_wires}
+    for name, info in trace.signals.items():
+        state = states[name]
+        for w in set(info.wires):
+            rec = records.get(w)
+            if rec is None:
+                rec = records[w] = [0, [], None]
+            rec[1].append((state, info.wires.count(w)))
+    return records
+
+
 def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     """Exactly one wire change per transmitted value, per signal.
 
@@ -619,43 +644,49 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     fall); two-phase transactions carry one.  The four-phase decode walk
     additionally requires strict NULL/valid alternation, which catches
     double toggles that land on distinct wires.
+
+    One replay of the events walks each four-phase signal by the number of
+    its rails that are high, which is its pattern's kind only when every
+    event level is 0 or 1 (:meth:`Trace.from_csv` ensures it), and collects
+    each signal's event times; the windows are then counted by bisecting
+    the sorted times.
     """
-    # One pass over the events fills every signal's list in trace order,
-    # through a wire -> lists-of-its-signals index.
-    evs_of: Dict[str, List[TraceEvent]] = {name: [] for name in trace.signals}
-    sinks: Dict[str, List[List[TraceEvent]]] = {}
-    for name, info in trace.signals.items():
-        for w in set(info.wires):
-            sinks.setdefault(w, []).append(evs_of[name])
+    # Per signal: rails high, its event times, whether its four-phase walk
+    # goes on, and the failure that stopped the walk.
+    states = {name: [0, [], info.protocol == "4ph", None]
+              for name, info in trace.signals.items()}
+    records = _replay_index(trace, states)
     for e in trace.events:
-        for evs in sinks.get(e.wire, ()):
-            evs.append(e)
+        # e[0] is the time, e[1] the wire and e[3] the new level; index
+        # reads are faster than named-tuple attribute reads.
+        rec = records.get(e[1])
+        if rec is None:
+            continue
+        new = e[3]
+        d = new - rec[0]
+        rec[0] = new
+        for st, k in rec[1]:
+            st[1].append(e[0])
+            if st[2]:
+                before = st[0]
+                high = st[0] = before + d * k
+                if high > 1:
+                    st[2], st[3] = False, f"forbidden pattern at t={e[0]}"
+                elif high == 1 and before == 1:
+                    st[2], st[3] = False, f"valid-to-valid jump at t={e[0]}"
     ends_of: Dict[str, List[int]] = {}  # signal -> its marker times
     for t, s, _ in trace.markers:
         ends_of.setdefault(s, []).append(t)
     verdicts: Dict[str, Tuple[bool, str]] = {}
     for name, info in trace.signals.items():
-        evs = evs_of[name]
-        ok, msg = True, "ok"
-        if info.protocol == "4ph":
-            levels = {w: 0 for w in info.wires}
-            state = "null"
-            for e in evs:
-                levels[e.wire] = e.new
-                code = decode_4ph([levels[w] for w in info.wires])
-                if code.kind is CodeKind.FORBIDDEN:
-                    ok, msg = False, f"forbidden pattern at t={e.time}"
-                    break
-                if code.kind is CodeKind.VALID and state == "valid":
-                    ok, msg = False, f"valid-to-valid jump at t={e.time}"
-                    break
-                state = "valid" if code.kind is CodeKind.VALID else "null"
+        _, times, _, failure = states[name]
+        ok, msg = failure is None, failure or "ok"
         if ok:
             expected = 2 if info.protocol == "4ph" else 1
             # Windows in marker order, from the previous marker (or -1)
             # exclusive to this one inclusive; one that ends before it
             # starts is empty.
-            times = sorted(e.time for e in evs)
+            times.sort()
             start = bisect_right(times, -1)
             for b in ends_of.get(name, ()):
                 end = bisect_right(times, b)
@@ -678,76 +709,83 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     firing rule of the driving gate on the then-current wire levels.  Valid
     under the uniform delay model, where an output event always lands after
     the inputs that caused it.
+
+    The replay is one pass with a running state per signal (rails high and
+    wire changes) and each gate's output wires mapped, once, to the states
+    of its inputs and to its acknowledge wire; an event costs O(1), an
+    output event O(inputs).  The rails high decide the four-phase kind and
+    the LEDR phase only when every event level is 0 or 1
+    (:meth:`Trace.from_csv` ensures it).
     """
-    levels: Dict[str, int] = {}
-    out_wire_gate: Dict[str, GateInfo] = {}
-    for g in trace.gates:
-        info = trace.signals.get(g.output)
-        if info:
-            for w in info.wires:
-                out_wire_gate[w] = g
+    states = {name: [0, 0] for name in trace.signals}
     consumers_of: Dict[str, List[GateInfo]] = {}
     for g in trace.gates:
         for s in g.inputs:
             consumers_of.setdefault(s, []).append(g)
 
-    def ack_level(g: GateInfo) -> int:
+    def ack_wire(g: GateInfo) -> str:
         sinks = consumers_of.get(g.output, [])
         if len(sinks) == 1:
-            return levels.get(f"{sinks[0].output}.sout", 0)
+            return f"{sinks[0].output}.sout"
         if not sinks:
-            return levels.get(f"{g.output}.cack", 0)
-        return levels.get(f"{g.output}.ackin", 0)  # the join of the consumers' acks
+            return f"{g.output}.cack"
+        return f"{g.output}.ackin"  # the join of the consumers' acks
 
-    def sig_levels(name: str) -> List[int]:
-        return [levels.get(w, 0) for w in trace.signals[name].wires]
+    driven = [(g, ack_wire(g)) for g in trace.gates if g.output in trace.signals]
+    records = _replay_index(trace, states, [a for _, a in driven])
+    for g, ack in driven:
+        # The acknowledge's record, or None where the rule ignores it.
+        ack_rec = records[ack] if g.ack or g.protocol == "ledr" else None
+        gate = (g, states[g.output], [(s, states[s]) for s in g.inputs], ack_rec)
+        for w in trace.signals[g.output].wires:
+            records[w][2] = gate  # a later gate driving the wire wins
 
-    toggles: Dict[str, int] = {}
     violations: List[str] = []
     for e in trace.events:
-        wire = e.wire
-        levels[wire] = e.new
-        toggles[wire] = toggles.get(wire, 0) + 1
-        g = out_wire_gate.get(wire)
-        if g is None:
+        # e[0] is the time, e[1] the wire and e[3] the new level; index
+        # reads are faster than named-tuple attribute reads.
+        rec = records.get(e[1])
+        if rec is None:
             continue
+        new = e[3]
+        d = new - rec[0]
+        rec[0] = new
+        for st, k in rec[1]:
+            st[0] += d * k
+            st[1] += k
+        if rec[2] is None:
+            continue
+        g, out, ins, ack = rec[2]
         if g.protocol == "4ph":
-            out_code = decode_4ph(sig_levels(g.output))
-            ins = [decode_4ph(sig_levels(s)).kind for s in g.inputs]
-            a = ack_level(g) if g.ack else None
-            if out_code.kind is CodeKind.VALID:
-                if any(k is not CodeKind.VALID for k in ins) or (a == 1):
+            high = out[0]
+            if high == 1:
+                if any(st[0] != 1 for _, st in ins) or (ack is not None and ack[0] == 1):
                     violations.append(
-                        f"{g.name}: output valid at t={e.time} before rendez-vous"
+                        f"{g.name}: output valid at t={e[0]} before rendez-vous"
                     )
-            elif out_code.kind is CodeKind.NULL:
-                if any(k is not CodeKind.NULL for k in ins) or (a == 0):
+            elif high == 0:
+                if any(st[0] != 0 for _, st in ins) or (ack is not None and ack[0] == 0):
                     violations.append(
-                        f"{g.name}: output cleared at t={e.time} before rendez-vous"
+                        f"{g.name}: output cleared at t={e[0]} before rendez-vous"
                     )
         elif g.protocol == "ledr":
             # The event flipped the output phase; the inputs must already
             # carry that phase and the acknowledge the old one.
-            new_phase = signal_parity(sig_levels(g.output))
-            in_phases = {signal_parity(sig_levels(s)) for s in g.inputs}
-            a = ack_level(g)
-            if in_phases != {new_phase}:
+            phase = out[0] & 1
+            if any((st[0] & 1) != phase for _, st in ins):
                 violations.append(
-                    f"{g.name}: output phase flip at t={e.time} before input phases"
+                    f"{g.name}: output phase flip at t={e[0]} before input phases"
                 )
-            elif a != (new_phase ^ 1):
+            elif ack[0] != phase ^ 1:
                 violations.append(
-                    f"{g.name}: output phase flip at t={e.time} before acknowledge"
+                    f"{g.name}: output phase flip at t={e[0]} before acknowledge"
                 )
         else:  # edge: count-based rendez-vous
-            out_count = sum(
-                toggles.get(w, 0) for w in trace.signals[g.output].wires
-            )
-            for s in g.inputs:
-                in_count = sum(toggles.get(w, 0) for w in trace.signals[s].wires)
-                if in_count < out_count:
+            out_count = out[1]
+            for s, st in ins:
+                if st[1] < out_count:
                     violations.append(
-                        f"{g.name}: output toggle {out_count} at t={e.time} "
+                        f"{g.name}: output toggle {out_count} at t={e[0]} "
                         f"before input {s}"
                     )
     return not violations, violations

@@ -16,14 +16,15 @@ whitespace around a line are ignored::
     # transaction <signal> <index>
     # record <signal> <index> <value> <time>
     time,wire,old,new                      (column header, skipped)
-    <time>,<wire>,<old>,<new>              (event row)
+    <time>,<wire>,<old>,<new>              (event row; old and new are 0 or 1)
 
 Signal and gate fields may come in any order and unknown ``key=value``
 fields are ignored.  Every input and the output of a gate must be a declared
-signal.  In an event row, time, old and new are integers and the wire is a
-name without whitespace.  A record gives the completion time to the
-preceding transaction marker with the same signal and index; a marker without
-a record keeps time -1.  Any other line starting with ``#`` is a comment.  A line that
+signal.  In an event row, time is an integer, the wire is a name without
+whitespace, and the levels old and new are each the digit 0 or 1: every
+wire is binary, and the property checkers rely on it.  A record gives the
+completion time to the preceding transaction marker with the same signal and
+index; a marker without a record keeps time -1.  Any other line starting with ``#`` is a comment.  A line that
 breaks these rules raises :class:`TraceFormatError`, whose message starts
 with ``line <n>:``.
 
@@ -45,6 +46,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .encodings import Protocol
 
 _COLUMNS = "time,wire,old,new"
+_LEVELS = {"0": 0, "1": 1}  # an event level, as written
 
 # The `# gate` line, which traces and bitstreams share.
 GATE_USAGE = "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>"
@@ -244,7 +246,7 @@ def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:
 
 def _parse_events(rows: List[str]) -> List[TraceEvent]:
     """Event rows converted column by column; ValueError unless every row
-    is four fields: integer, wire name, integer, integer."""
+    is four fields: integer, wire name, 0 or 1, 0 or 1."""
     if not rows:
         return []
     if set(map(str.count, rows, repeat(","))) - {3}:
@@ -253,8 +255,11 @@ def _parse_events(rows: List[str]) -> List[TraceEvent]:
     wires = fields[1::4]
     if any(w.split() != [w] for w in set(wires)):
         raise ValueError("bad wire name")
-    columns = zip(map(int, fields[0::4]), wires, map(int, fields[2::4]),
-                  map(int, fields[3::4]))
+    old, new = fields[2::4], fields[3::4]
+    if not set(old).union(new) <= _LEVELS.keys():
+        raise ValueError("a level other than 0 or 1")
+    level = _LEVELS.__getitem__
+    columns = zip(map(int, fields[0::4]), wires, map(level, old), map(level, new))
     return list(map(_event_from_tuple, columns))
 
 
@@ -270,4 +275,4 @@ def _raise_bad_event_row(text: str) -> None:
         except ValueError:
             raise TraceFormatError(
                 lineno, f"expected an event row '{_COLUMNS}' of integer, wire "
-                        f"name, integer, integer, got {line!r}") from None
+                        f"name, 0 or 1, 0 or 1, got {line!r}") from None

@@ -4,9 +4,11 @@ analyses, the programming chain and the bitstream's hex packing.
 The handshake models deliberately avoid the table/block evaluation path:
 they are direct transcriptions of the output-wire case equations.  The trace
 analysis models are the direct quadratic forms, which count every event again
-for every transaction window.  The programming-chain models move every stage
-on every tick, which costs time quadratic in the chain length.  The hex
-packing model builds each digit from its four bits.  All are used as
+for every transaction window.  The four-phase decode and the rendez-vous
+check are the first versions, which classify every wire pattern afresh.  The
+programming-chain models move every stage on every tick, which costs time
+quadratic in the chain length.  The hex packing model builds each digit from
+its four bits.  All are used as
 oracles.
 """
 
@@ -14,9 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from qdifab.encodings import CodeKind, decode_4ph
+from qdifab.encodings import CodeKind, ValueCode, signal_parity
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
-from qdifab.trace import Trace
+from qdifab.trace import GateInfo, Trace
 
 
 def all_16_functions():
@@ -88,6 +90,110 @@ class Ledr2InOracle:
             v = self.f(xd, yd)
             self.od, self.orr = v, v ^ 1
         return self.od, self.orr
+
+
+# -- four-phase decoding and the rendez-vous, decoding every wire list ---------
+
+
+def decode_4ph(wires: Sequence[int]) -> ValueCode:
+    """Classify a one-of-n wire pattern.
+
+    All-zero is NULL, a single 1 at index i is Valid(i), anything else is
+    Forbidden.  Forbidden is returned as a value rather than raised so a
+    simulation can log the pattern and keep running.
+    """
+    bits = tuple(int(b) for b in wires)
+    weight = sum(bits)
+    if weight == 0:
+        return ValueCode(CodeKind.NULL, None, bits)
+    if weight == 1:
+        return ValueCode(CodeKind.VALID, bits.index(1), bits)
+    return ValueCode(CodeKind.FORBIDDEN, None, bits)
+
+
+def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
+    """No gate output event may precede its rendez-vous condition.
+
+    Replays the trace and, at every output-signal event, re-evaluates the
+    firing rule of the driving gate on the then-current wire levels.  Valid
+    under the uniform delay model, where an output event always lands after
+    the inputs that caused it.
+    """
+    levels: Dict[str, int] = {}
+    out_wire_gate: Dict[str, GateInfo] = {}
+    for g in trace.gates:
+        info = trace.signals.get(g.output)
+        if info:
+            for w in info.wires:
+                out_wire_gate[w] = g
+    consumers_of: Dict[str, List[GateInfo]] = {}
+    for g in trace.gates:
+        for s in g.inputs:
+            consumers_of.setdefault(s, []).append(g)
+
+    def ack_level(g: GateInfo) -> int:
+        sinks = consumers_of.get(g.output, [])
+        if len(sinks) == 1:
+            return levels.get(f"{sinks[0].output}.sout", 0)
+        if not sinks:
+            return levels.get(f"{g.output}.cack", 0)
+        return levels.get(f"{g.output}.ackin", 0)  # the join of the consumers' acks
+
+    def sig_levels(name: str) -> List[int]:
+        return [levels.get(w, 0) for w in trace.signals[name].wires]
+
+    toggles: Dict[str, int] = {}
+    violations: List[str] = []
+    for e in trace.events:
+        wire = e.wire
+        levels[wire] = e.new
+        toggles[wire] = toggles.get(wire, 0) + 1
+        g = out_wire_gate.get(wire)
+        if g is None:
+            continue
+        if g.protocol == "4ph":
+            out_code = decode_4ph(sig_levels(g.output))
+            ins = [decode_4ph(sig_levels(s)).kind for s in g.inputs]
+            a = ack_level(g) if g.ack else None
+            if out_code.kind is CodeKind.VALID:
+                if any(k is not CodeKind.VALID for k in ins) or (a == 1):
+                    violations.append(
+                        f"{g.name}: output valid at t={e.time} before rendez-vous"
+                    )
+            elif out_code.kind is CodeKind.NULL:
+                if any(k is not CodeKind.NULL for k in ins) or (a == 0):
+                    violations.append(
+                        f"{g.name}: output cleared at t={e.time} before rendez-vous"
+                    )
+        elif g.protocol == "ledr":
+            # The event flipped the output phase; the inputs must already
+            # carry that phase and the acknowledge the old one.
+            new_phase = signal_parity(sig_levels(g.output))
+            in_phases = {signal_parity(sig_levels(s)) for s in g.inputs}
+            a = ack_level(g)
+            if in_phases != {new_phase}:
+                violations.append(
+                    f"{g.name}: output phase flip at t={e.time} before input phases"
+                )
+            elif a != (new_phase ^ 1):
+                violations.append(
+                    f"{g.name}: output phase flip at t={e.time} before acknowledge"
+                )
+        else:  # edge: count-based rendez-vous
+            out_count = sum(
+                toggles.get(w, 0) for w in trace.signals[g.output].wires
+            )
+            for s in g.inputs:
+                in_count = sum(toggles.get(w, 0) for w in trace.signals[s].wires)
+                if in_count < out_count:
+                    violations.append(
+                        f"{g.name}: output toggle {out_count} at t={e.time} "
+                        f"before input {s}"
+                    )
+    return not violations, violations
+
+
+# -- trace analyses, window by window ------------------------------------------
 
 
 def toggles_per_transaction(

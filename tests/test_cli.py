@@ -13,7 +13,7 @@ from qdifab.bitstream import (
     read_bitstream,
     write_bitstream,
 )
-from qdifab.cli import main
+from qdifab.cli import PROPERTIES, main
 from qdifab.mapper import map_4ph_2in
 from qdifab.netlist import parse_netlist
 from qdifab.simulator import fabric_from_netlist, run
@@ -546,6 +546,26 @@ def test_check_timing_two_traces_of_one_value_exits_2(tmp_path, capsys, select):
     assert main(["check", *paths, "--property", "timing", *select]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[0]} and {paths[1]} carry the same values")
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+def test_check_event_level_not_a_bit_exits_2(tmp_path, capsys, prop):
+    # The checkers count a signal's rails high, which needs 0/1 levels.
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    assert main(["check", *paths, "--property", prop, *select]) == 0
+    lines = (tmp_path / "t0.csv").read_text().splitlines()
+    lineno = next(i for i, ln in enumerate(lines, 1)
+                  if len(ln.split(",")) == 4 and ln.split(",")[1] in ("o.0", "o.1"))
+    t, wire, old, new = lines[lineno - 1].split(",")
+    for row in (f"{t},{wire},{old},2", f"{t},{wire},{old},-1", f"{t},{wire},2,{new}",
+                f"{t},{wire},0{old},{new}"):
+        lines[lineno - 1] = row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2, row
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line {lineno}: "), row
 
 
 LEDR_3IN_NET = (

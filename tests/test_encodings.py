@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qdifab.encodings import (
+    MAX_ARITY,
     CodeKind,
     EncodingError,
     Protocol,
@@ -14,6 +15,8 @@ from qdifab.encodings import (
     ledr_next,
     signal_parity,
 )
+
+from . import _oracles
 
 
 def test_encode_4ph_binary():
@@ -35,6 +38,27 @@ def test_decode_4ph():
     assert decode_4ph((0, 1)).value == 1
     assert decode_4ph((0, 0)).kind is CodeKind.NULL
     assert decode_4ph((1, 1)).kind is CodeKind.FORBIDDEN
+
+
+def _same_code(got, want):
+    """Equal codes whose wires are plain ints, as the oracle's are
+    (``(True, False) == (1, 0)``, so equality alone would not tell)."""
+    return got == want and all(type(b) is int for b in got.wires)
+
+
+def test_decode_4ph_table_matches_oracle_exhaustively():
+    for n in range(1, MAX_ARITY + 1):
+        for bits in itertools.product((0, 1), repeat=n):
+            for wires in (bits, list(bits), tuple(map(bool, bits)), list(map(bool, bits))):
+                assert _same_code(decode_4ph(wires), _oracles.decode_4ph(wires)), wires
+            # A 0/1 pattern decodes to one shared instance.
+            assert decode_4ph(bits) is decode_4ph(list(bits))
+    # Outside the table: other ints, longer patterns, other element types.
+    for wires in [(2, 0), (-1, 1), (0, 3, 0), (1, -1, 1), (5,), (0,) * (MAX_ARITY + 1),
+                  (0, 1) + (0,) * MAX_ARITY, (1, 1) * MAX_ARITY, (), [],
+                  ("0", "1"), (1.0, 0.0), (0.5, 1)]:
+        assert _same_code(decode_4ph(wires), _oracles.decode_4ph(wires)), wires
+    assert decode_4ph(iter((0, 1))) == _oracles.decode_4ph((0, 1))
 
 
 def test_decode_encode_roundtrip():

@@ -21,7 +21,15 @@ import random
 import pytest
 
 from qdifab.netlist import parse_netlist
-from qdifab.simulator import DelayModel, fabric_from_netlist, run
+from qdifab.simulator import (
+    DelayModel,
+    check_no_early_evaluation,
+    check_single_toggle,
+    fabric_from_netlist,
+    run,
+)
+
+from . import _oracles
 
 VALUES = 50
 JITTER_SEEDS = range(1, 11)
@@ -262,6 +270,21 @@ def test_corpus_runs_complete():
     for design in DESIGNS:
         tr = _trace(design, "uniform")
         assert not tr.deadlock and not tr.diagnostics, design
+
+
+def test_checkers_match_oracles_on_corpus():
+    # Both checkers pass and fail on real traces: some jittered runs break
+    # the rendez-vous and the faults break single-toggle.
+    verdicts = set()
+    for case, args in CASES.items():
+        tr = _trace(*args)
+        no_early = check_no_early_evaluation(tr)
+        assert no_early == _oracles.check_no_early_evaluation(tr), case
+        single = check_single_toggle(tr)
+        assert single == _oracles.single_toggle_verdicts(tr), case
+        verdicts |= {("no-early-eval", no_early[0]),
+                     *(("single-toggle", ok) for ok, _ in single.values())}
+    assert len(verdicts) == 4, verdicts
 
 
 if __name__ == "__main__":
