@@ -3,7 +3,9 @@
 Time is discrete; every scheduled event is a single wire changing level.
 Events at the same tick are processed in insertion order, and the
 delay-insensitivity property tests guard against anything depending on that
-order.  Reset is an instantaneous force-to-zero at time 0, not a wire.
+order.  Reset is an instantaneous force-to-zero at time 0, not a wire.  A
+run that reaches ``max_time`` with events left has timed out; only a run
+whose events ran out before every producer finished has deadlocked.
 
 Environment drivers play the handshake roles: a producer per primary input
 feeds the stimulus values (four-phase producers interleave NULL and wait for
@@ -23,25 +25,28 @@ that go into the trace.  It names every wire by an index.  The first
 Everything else is per run and built from the elaboration by each
 :class:`Simulation`: the wires with this run's delays, the joins, producers,
 consumers and block instances, the name map :meth:`Simulation.inject` uses,
-and the per-run state below (the memos, the levels, the weights, the
-diagnostics).  The stimulus is checked when the simulation is built: every
-value must be an integer from 0 to its signal's arity minus one.  So are
-``max_time`` and ``ack_delay``, which must not be negative.
+and the per-run state below.  The stimulus is checked when the simulation
+is built: every value must be an integer from 0 to its signal's arity minus
+one.  So are ``max_time`` and ``ack_delay``, which must not be negative.
 
-Every wire level is 0 or 1 (:meth:`Simulation.inject` refuses anything
-else), which keeps two running summaries exact:
+Each wire holds the bound ``react(sim, t, wire)`` of every element it feeds,
+so the kernel calls them without a lookup; a producer's or consumer's
+``react`` is that of its protocol, chosen when it is built.  Every wire
+level is 0 or 1 (:meth:`Simulation.inject` refuses anything else), which
+keeps three running summaries exact:
 
 * Each block instance holds its 12 input levels as a pin word, bit ``i``
-  being pin ``i``; a wire change flips the bits of the pins that wire feeds.
-  The instance memoises its reactions for the run: a dict from its state to
-  a dict from its pin word to (next state, the levels it drives).  The memo
-  is exact because ``plb_step`` is a pure function of the block's
-  configuration, state and inputs and ``PlbState`` is frozen, so a hit
-  returns what recomputing would.  It lives and dies with one
-  :class:`Simulation`, and an oscillating step is never stored: the next
-  reaction recomputes it, and the block reports the oscillation once.
-  Block and producer outputs go straight onto the event heap, and a
-  reaction that drives the levels the block last drove schedules nothing.
+  being pin ``i``, and memoises its reactions for the run: a dict from its
+  state to a dict from its pin word to (next state, the levels it drives).
+  ``plb_step`` is a pure function of configuration, state and inputs, so a
+  hit returns what recomputing would; an oscillating step is never stored,
+  and the block reports it once.  Until each wire a block drives has been
+  driven, a level is compared with the one last driven there; from then on
+  the new levels are compared with the last ones in one pass, and only the
+  wires that differ are pushed onto the event heap.
+* Each acknowledge join counts its inputs that are high (a source it lists
+  k times counts k times): it rises when all are high, falls when none is
+  and holds otherwise, as ``primitives.c_element_step`` does.
 * Each four-phase signal keeps the weight of its rails, the number that are
   high.  Only a weight above 1 can be a forbidden pattern, so only then is
   the pattern classified with ``decode_4ph`` and reported.
@@ -76,7 +81,6 @@ from .plb import (
     plb_reset,
     plb_step,
 )
-from .primitives import CElementState, c_element_step
 from .trace import GateInfo, SignalInfo, Trace, TraceEvent, _event_from_tuple
 
 
@@ -154,9 +158,9 @@ class _Elaboration:
         self.inputs, env_consumed = primary_signals(fabric.signals, fabric.gates)
 
         # Acknowledge feeds: the rendez-vous of every consumer's ack-out,
-        # as (name, source wires, output wire) per join.
+        # as (source wires, output wire) per join.
         resolution: Dict[str, int] = {}
-        self.joins: List[Tuple[str, Tuple[int, ...], int]] = []
+        self.joins: List[Tuple[Tuple[int, ...], int]] = []
         for s in fabric.signals:
             sources = [wire(f"{g.output}.sout") for g in consumers_of[s]]
             if s in env_consumed:
@@ -166,7 +170,7 @@ class _Elaboration:
                 resolution[feed_name] = sources[0]
             elif len(sources) > 1:
                 out = wire(feed_name)
-                self.joins.append((feed_name, tuple(sources), out))
+                self.joins.append((tuple(sources), out))
                 resolution[feed_name] = out
 
         def resolve(name: str) -> int:
@@ -220,6 +224,7 @@ class _Wire:
         self.name = name
         self.level = 0
         self.delay = delay
+        # The bound ``react(sim, t, wire)`` of each element the wire feeds.
         self.sinks: List[object] = []
         # The four-phase signal the wire is a rail of, if any.
         self.group: Optional[_Group] = None
@@ -292,11 +297,18 @@ class _PlbInst:
             if reaction is None:
                 return
         self.state, self.reactions, driven = reaction
-        if driven == self.last_levels:
+        prev = self.last_levels
+        if driven == prev:
             return
-        last = self.last_driven
         when = t + 1
         queue, seq = sim.queue, sim._seq
+        if prev is not None:
+            self.last_levels = driven
+            for out, level, before in zip(self.drives, driven, prev):
+                if level != before:
+                    heappush(queue, (when + out.delay, next(seq), out, level))
+            return
+        last = self.last_driven
         for out, level in zip(self.drives, driven):
             if level != last.get(out, out.level):
                 last[out] = level
@@ -306,33 +318,44 @@ class _PlbInst:
 
 
 class _CJoin:
-    """Rendez-vous of several acknowledge wires into one."""
+    """Rendez-vous of several acknowledge wires into one: a C-element that
+    counts its inputs that are high; a source listed k times counts k times."""
 
-    def __init__(self, name: str, inputs: List[_Wire], out: _Wire):
-        self.name = name
-        self.inputs = inputs
+    __slots__ = ("n", "out", "high", "output", "last")
+
+    def __init__(self, n: int, out: _Wire):
+        self.n = n
         self.out = out
-        self.state = CElementState(0, len(inputs))
-        self.last_driven: Optional[int] = None
+        self.high = 0
+        self.output = 0  # rises when all n are high, falls at none, else holds
+        self.last: Optional[int] = None  # the level last driven on ``out``
 
-    def react(self, sim: "Simulation", t: int, _wire: _Wire):
-        level = c_element_step(self.state, [w.level for w in self.inputs])
-        if level != self.state.output:
-            self.state = CElementState(level, len(self.inputs))
-        prev = self.last_driven if self.last_driven is not None else self.out.level
-        if level != prev:
-            self.last_driven = level
-            sim.schedule(self.out, level, t + 1)
+    def react(self, sim: "Simulation", t: int, wire: _Wire):
+        high = self.high = self.high + (1 if wire.level else -1)
+        if high == self.n:
+            self.output = 1
+        elif not high:
+            self.output = 0
+        level, out = self.output, self.out
+        if level != (out.level if self.last is None else self.last):
+            self.last = level
+            heappush(sim.queue, (t + 1 + out.delay, next(sim._seq), out, level))
+
+
+# Producer stages: idle (before the first value and after the last), a
+# value sent, its NULL sent (4ph).
+_IDLE, _SENT, _NULL_SENT = 0, 1, 2
 
 
 class _Producer:
-    """Drives one primary input signal through its protocol."""
+    """Drives one primary input signal with the ``react`` of its protocol: a
+    four-phase producer sends a valid code, NULL on the acknowledge's rise
+    and the next value on its fall; a two-phase producer sends the next
+    value on each acknowledge toggle."""
 
-    def __init__(self, spec: SignalSpec, wires: List[_Wire], ack: Optional[_Wire],
-                 values: List[int]):
-        self.spec = spec
+    def __init__(self, spec: SignalSpec, wires: List[_Wire], values: List[int]):
+        self.name = spec.name
         self.wires = wires
-        self.ack = ack
         self.values = vs = list(values)
         # Two built-in passes check a long stimulus quickly; only a bad one
         # is scanned value by value, to name its first bad value.
@@ -344,12 +367,16 @@ class _Producer:
                 f"is not an integer in 0..{spec.arity - 1}"
             )
         self.idx = 0
-        self.stage = "idle"  # idle | valid_sent | null_sent (4ph) / sent (2ph)
+        self.stage = _IDLE
         self.levels: Tuple[int, ...] = (0,) * len(wires)  # as last driven
         if spec.protocol is Protocol.FOUR_PHASE:
-            self.codes = [encode_4ph(v, spec.arity) for v in range(spec.arity)]
+            codes = [encode_4ph(v, spec.arity) for v in range(spec.arity)]
+            self.next_code = lambda _levels, v: codes[v]
             self.null = encode_4ph_null(spec.arity)
-        self.done = not self.values
+            self.react = self._react_4ph
+        else:
+            self.next_code = ledr_next if spec.protocol is Protocol.LEDR else edge_next
+            self.react = self._react_2ph
 
     def _drive(self, sim: "Simulation", levels: Tuple[int, ...], t: int):
         """Schedule the wire on which ``levels`` differs from the last levels
@@ -361,82 +388,75 @@ class _Producer:
         wire = self.wires[i]
         heappush(sim.queue, (t + wire.delay, next(sim._seq), wire, levels[i]))
 
-    def start(self, sim: "Simulation"):
-        if self.done:
-            return
-        self._send_value(sim, 1)
+    def _send(self, sim: "Simulation", t: int):
+        self.stage = _SENT
+        self._drive(sim, self.next_code(self.levels, self.values[self.idx]), t)
 
-    def _send_value(self, sim: "Simulation", t: int):
-        v = self.values[self.idx]
-        proto = self.spec.protocol
-        if proto is Protocol.FOUR_PHASE:
-            levels, self.stage = self.codes[v], "valid_sent"
-        elif proto is Protocol.LEDR:
-            levels, self.stage = ledr_next(self.levels, v), "sent"
-        else:
-            levels, self.stage = edge_next(self.levels, v), "sent"
-        self._drive(sim, levels, t)
-
-    def react(self, sim: "Simulation", t: int, wire: _Wire):
-        if wire is not self.ack or self.done:
-            return
-        if self.spec.protocol is Protocol.FOUR_PHASE:
-            if self.stage == "valid_sent" and wire.level == 1:
+    def _react_4ph(self, sim: "Simulation", t: int, wire: _Wire):
+        if wire.level:
+            if self.stage == _SENT:
+                self.stage = _NULL_SENT
                 self._drive(sim, self.null, t + 1)
-                self.stage = "null_sent"
-            elif self.stage == "null_sent" and wire.level == 0:
-                self._complete(sim, t)
-        else:
-            if self.stage == "sent":
-                self._complete(sim, t)
+        elif self.stage == _NULL_SENT:
+            self._complete(sim, t)
+
+    def _react_2ph(self, sim: "Simulation", t: int, wire: _Wire):
+        if self.stage == _SENT:
+            self._complete(sim, t)
 
     def _complete(self, sim: "Simulation", t: int):
-        sim.mark(self.spec.name, self.values[self.idx], t)
+        recs = sim.records.setdefault(self.name, [])
+        sim.markers.append((t, self.name, len(recs)))
+        recs.append((self.values[self.idx], t))
         self.idx += 1
-        if self.idx >= len(self.values):
-            self.done = True
-            self.stage = "idle"
+        if self.idx < len(self.values):
+            self._send(sim, t + 1)
         else:
-            self._send_value(sim, t + 1)
+            self.stage = _IDLE
 
 
 class _Consumer:
-    """Observes one primary output signal and acknowledges every value."""
+    """Observes one primary output signal and acknowledges every value, with
+    the ``react`` of its protocol."""
 
     def __init__(self, spec: SignalSpec, wires: List[_Wire], ack: _Wire, ack_delay: int):
-        self.spec = spec
+        self.name = spec.name
         self.wires = wires
         self.ack = ack
         self.ack_delay = ack_delay
-        self.state = CodeKind.NULL
-        self.pending: Optional[int] = None
         self.ack_level = 0
+        self.pending: Optional[int] = None  # the four-phase value held, if any
+        self.react = {Protocol.FOUR_PHASE: self._react_4ph, Protocol.LEDR: self._react_ledr,
+                      Protocol.EDGE: self._react_edge}[spec.protocol]
 
-    def _toggle_ack(self, sim: "Simulation", t: int):
+    def _acknowledge(self, sim: "Simulation", t: int, value: Optional[int]):
+        """Toggle the acknowledge ``ack_delay`` after ``t`` and, unless
+        ``value`` is None, record the value as completed then."""
+        t += self.ack_delay
+        ack = self.ack
         self.ack_level ^= 1
-        sim.schedule(self.ack, self.ack_level, t)
+        heappush(sim.queue, (t + ack.delay, next(sim._seq), ack, self.ack_level))
+        if value is not None:
+            recs = sim.records.setdefault(self.name, [])
+            sim.markers.append((t, self.name, len(recs)))
+            recs.append((value, t))
 
-    def react(self, sim: "Simulation", t: int, wire: _Wire):
-        if self.spec.protocol is Protocol.FOUR_PHASE:
-            code = decode_4ph([w.level for w in self.wires])
-            if code.kind is CodeKind.VALID and self.state is CodeKind.NULL:
+    def _react_4ph(self, sim: "Simulation", t: int, wire: _Wire):
+        code = decode_4ph([w.level for w in self.wires])
+        if code.kind is CodeKind.VALID:
+            if self.pending is None:
                 self.pending = code.value
-                self.state = CodeKind.VALID
-                self._toggle_ack(sim, t + self.ack_delay)
-            elif code.kind is CodeKind.NULL and self.state is CodeKind.VALID:
-                self.state = CodeKind.NULL
-                self._toggle_ack(sim, t + self.ack_delay)
-                sim.mark(self.spec.name, self.pending, t + self.ack_delay)
-                self.pending = None
-            # Forbidden patterns are logged by the kernel; hold the handshake.
-        elif self.spec.protocol is Protocol.LEDR:
-            value = self.wires[0].level
-            self._toggle_ack(sim, t + self.ack_delay)
-            sim.mark(self.spec.name, value, t + self.ack_delay)
-        else:  # edge: the toggled wire names the value
-            value = self.wires.index(wire)
-            self._toggle_ack(sim, t + self.ack_delay)
-            sim.mark(self.spec.name, value, t + self.ack_delay)
+                self._acknowledge(sim, t, None)
+        elif code.kind is CodeKind.NULL and self.pending is not None:
+            self._acknowledge(sim, t, self.pending)
+            self.pending = None
+        # Forbidden patterns are logged by the kernel; hold the handshake.
+
+    def _react_ledr(self, sim: "Simulation", t: int, wire: _Wire):
+        self._acknowledge(sim, t, self.wires[0].level)
+
+    def _react_edge(self, sim: "Simulation", t: int, wire: _Wire):
+        self._acknowledge(sim, t, self.wires.index(wire))  # the toggled wire
 
 
 # -- kernel --------------------------------------------------------------------
@@ -467,7 +487,6 @@ class Simulation:
         self.records: Dict[str, List[Tuple[int, int]]] = {}
         self.diagnostics: List[str] = []
         self.producers: List[_Producer] = []
-        self.consumers: List[_Consumer] = []
         self._build(stimulus or {})
 
     # construction ------------------------------------------------------
@@ -489,33 +508,26 @@ class Simulation:
             group = _Group(signal, [wires[i] for i in rails])
             for w in group.wires:
                 w.group = group
-        for name, sources, out in elab.joins:
-            join = _CJoin(name, [wires[i] for i in sources], wires[out])
-            for w in join.inputs:
-                w.sinks.append(join)
+        for sources, out in elab.joins:
+            react = _CJoin(len(sources), wires[out]).react
+            for i in sources:
+                wires[i].sinks.append(react)
         for name, config, reset, masks, drive_pos, drives in elab.blocks:
             inst = _PlbInst(name, config, reset, {wires[i]: m for i, m in masks},
                             drive_pos, [wires[i] for i in drives])
             for w in inst.mask_of:
-                w.sinks.append(inst)
+                w.sinks.append(inst.react)
         for spec, rails, feed in elab.producers:
-            ack = None if feed is None else wires[feed]
-            prod = _Producer(spec, [wires[i] for i in rails], ack,
-                             stimulus.get(spec.name, []))
-            if ack is not None:
-                ack.sinks.append(prod)
+            prod = _Producer(spec, [wires[i] for i in rails], stimulus.get(spec.name, []))
+            if feed is not None:
+                wires[feed].sinks.append(prod.react)
             self.producers.append(prod)
         for spec, rails, cack in elab.consumers:
             cons = _Consumer(spec, [wires[i] for i in rails], wires[cack], self.ack_delay)
             for w in cons.wires:
-                w.sinks.append(cons)
-            self.consumers.append(cons)
+                w.sinks.append(cons.react)
 
     # runtime -----------------------------------------------------------
-
-    def schedule(self, wire: _Wire, level: int, t: int):
-        """Change ``wire`` to ``level`` one wire delay after ``t``."""
-        heappush(self.queue, (t + wire.delay, next(self._seq), wire, level))
 
     def inject(self, time: int, wire_name: str, level: int):
         """Force a raw wire event; used by fault-injection tests."""
@@ -528,11 +540,6 @@ class Simulation:
             )
         heappush(self.queue, (time, next(self._seq), wire, level))
 
-    def mark(self, signal: str, value: int, t: int):
-        recs = self.records.setdefault(signal, [])
-        self.markers.append((t, signal, len(recs)))
-        recs.append((value, t))
-
     def _check_forbidden(self, group: _Group, t: int):
         levels = [w.level for w in group.wires]
         if decode_4ph(levels).kind is CodeKind.FORBIDDEN:
@@ -542,8 +549,10 @@ class Simulation:
 
     def run(self) -> Trace:
         for p in self.producers:
-            p.start(self)
-        queue, events, max_time = self.queue, self.events, self.max_time
+            if p.values:
+                p._send(self, 1)
+        queue, max_time = self.queue, self.max_time
+        append, make_event = self.events.append, _event_from_tuple
         timed_out = False
         while queue:
             t, _seq, wire, level = heappop(queue)
@@ -554,44 +563,30 @@ class Simulation:
             if old == level:
                 continue
             wire.level = level
-            events.append(_event_from_tuple((t, wire.name, old, level)))
+            append(make_event((t, wire.name, old, level)))
             group = wire.group
             if group is not None:
                 group.weight += level - old
                 if group.weight > 1:
                     self._check_forbidden(group, t)
-            for sink in wire.sinks:
-                sink.react(self, t, wire)
+            for react in wire.sinks:
+                react(self, t, wire)
 
-        deadlock = timed_out
-        starved = [p.spec.name for p in self.producers if not p.done]
-        if starved and not timed_out:
-            deadlock = True
-            self.diagnostics.append(
-                f"handshake stalled; unfinished producers: {', '.join(sorted(starved))}"
-            )
-        if timed_out:
+        starved = sorted(p.name for p in self.producers if p.stage != _IDLE)
+        if timed_out:  # not a deadlock: the run was still active
             self.diagnostics.append(f"max_time {self.max_time} reached while active")
-
-        return self._trace(deadlock)
+        elif starved:
+            self.diagnostics.append(
+                f"handshake stalled; unfinished producers: {', '.join(starved)}")
+        return self._trace(deadlock=bool(starved) and not timed_out)
 
     def _trace(self, deadlock: bool) -> Trace:
         elab = self.fabric.elaboration
-        meta = {
-            "fabric": elab.fingerprint,
-            "delays": self.delays.mode,
-            "seed": str(self.delays.seed),
-        }
-        return Trace(
-            events=self.events,
-            markers=sorted(self.markers),
-            records=self.records,
-            signals=dict(elab.signals),
-            gates=list(self.fabric.gates),
-            diagnostics=self.diagnostics,
-            deadlock=deadlock,
-            meta=meta,
-        )
+        meta = {"fabric": elab.fingerprint, "delays": self.delays.mode,
+                "seed": str(self.delays.seed)}
+        return Trace(events=self.events, markers=sorted(self.markers), records=self.records,
+                     signals=dict(elab.signals), gates=list(self.fabric.gates),
+                     diagnostics=self.diagnostics, deadlock=deadlock, meta=meta)
 
 
 def run(
@@ -708,7 +703,8 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     Replays the trace and, at every output-signal event, re-evaluates the
     firing rule of the driving gate on the then-current wire levels.  Valid
     under the uniform delay model, where an output event always lands after
-    the inputs that caused it.
+    the inputs that caused it.  A four-phase output that goes forbidden is
+    a violation whatever the inputs.
 
     The replay is one pass with a running state per signal (rails high and
     wire changes) and each gate's output wires mapped, once, to the states
@@ -768,6 +764,8 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                     violations.append(
                         f"{g.name}: output cleared at t={e[0]} before rendez-vous"
                     )
+            else:  # more than one rail high
+                violations.append(f"{g.name}: output forbidden at t={e[0]}")
         elif g.protocol == "ledr":
             # The event flipped the output phase; the inputs must already
             # carry that phase and the acknowledge the old one.

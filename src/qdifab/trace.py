@@ -19,14 +19,15 @@ whitespace around a line are ignored::
     <time>,<wire>,<old>,<new>              (event row; old and new are 0 or 1)
 
 Signal and gate fields may come in any order and unknown ``key=value``
-fields are ignored.  Every input and the output of a gate must be a declared
-signal.  In an event row, time is an integer, the wire is a name without
-whitespace, and the levels old and new are each the digit 0 or 1: every
-wire is binary, and the property checkers rely on it.  A record gives the
-completion time to the preceding transaction marker with the same signal and
-index; a marker without a record keeps time -1.  Any other line starting with ``#`` is a comment.  A line that
-breaks these rules raises :class:`TraceFormatError`, whose message starts
-with ``line <n>:``.
+fields are ignored.  A signal lists each of its wires once.  Every input
+and the output of a gate must be a declared signal.  In an event row, time
+is an integer, the wire is a name without whitespace, and the levels old
+and new are each the digit 0 or 1: every wire is binary, and the property
+checkers rely on it.  A record gives the completion time to the preceding
+transaction marker with the same signal and index; a marker without a
+record keeps time -1.  Any other line starting with ``#`` is a comment.  A
+line that breaks these rules raises :class:`TraceFormatError`, whose
+message starts with ``line <n>:``.
 
 The simulator writes three meta keys: ``delays`` (``uniform`` or
 ``jitter``), ``seed`` (the jitter seed) and ``fabric``, the configuration's
@@ -226,6 +227,12 @@ class Trace:
                         tr.diagnostics.append(text_d)
             except (IndexError, KeyError, ValueError):
                 raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'") from None
+            if tag == "signal":
+                wires = tr.signals[toks[1]].wires
+                dup = next((w for w in wires if wires.count(w) > 1), None)
+                if dup is not None:
+                    raise TraceFormatError(
+                        lineno, f"signal {toks[1]}: wire {dup!r} is listed twice")
         for lineno, g in zip(gate_lines, tr.gates):
             for sig in (*g.inputs, g.output):
                 if sig not in tr.signals:

@@ -165,6 +165,8 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                     violations.append(
                         f"{g.name}: output cleared at t={e.time} before rendez-vous"
                     )
+            else:
+                violations.append(f"{g.name}: output forbidden at t={e.time}")
         elif g.protocol == "ledr":
             # The event flipped the output phase; the inputs must already
             # carry that phase and the acknowledge the old one.

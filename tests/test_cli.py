@@ -590,3 +590,37 @@ def test_sim_empty_stimulus_trace_checks(files, capsys):
     assert main(["sim", str(bit), "--stimulus", str(empty), "--trace", str(tracef)]) == 0
     assert Trace.from_csv(tracef.read_text()).events == []
     assert main(["check", str(tracef), "--property", "single-toggle"]) == 0
+
+
+def test_check_no_early_eval_flags_forbidden_output(tmp_path, capsys):
+    # o.0 rises at t=5 while o.1 is high and x has not changed: the output
+    # goes forbidden, a violation whatever the inputs.
+    trace = tmp_path / "forbidden.csv"
+    trace.write_text(GOOD_TRACE + "4,o.1,0,1\n5,o.0,0,1\n")
+    assert main(["check", str(trace), "--property", "no-early-eval"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["  g: output forbidden at t=5"]
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+def test_check_signal_listing_a_wire_twice_exits_2(tmp_path, capsys, prop):
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    lines = (tmp_path / "t0.csv").read_text().splitlines()
+    lineno = lines.index("# signal x proto=4ph arity=2 wires=x.0,x.1") + 1
+    lines[lineno - 1] = "# signal x proto=4ph arity=2 wires=x.0,x.0"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {lineno}: signal x: wire 'x.0' is listed twice\n")
+
+
+def test_sim_timeout_exits_1_without_deadlock(files, capsys):
+    tmp, net, stim = files
+    bit, tracef = tmp / "d.bit", tmp / "cut.csv"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    assert main(["sim", str(bit), "--stimulus", str(stim), "--max-time", "5",
+                 "--trace", str(tracef)]) == 1
+    assert "diagnostic: max_time 5 reached while active" in capsys.readouterr().out
+    assert not Trace.from_csv(tracef.read_text()).deadlock

@@ -5,7 +5,9 @@ under uniform delays and under jitter seeds 1..10, and compares the sha256 of
 ``Trace.to_csv()`` with the digest recorded here.  The corpus is every shape
 the mapper accepts except the LEDR 3-input gate (its phase blind spot is due
 to be remapped, which will change its traces), a DAG with fan-out per
-protocol, and five fault injections under uniform delays (see ``FAULTS``).
+protocol, a four-phase DAG whose acknowledge joins list a source twice and
+join three sources, and five fault injections under uniform delays (see
+``FAULTS``).
 Every case runs again on fabrics shared by all the cases of a design, which
 checks that no run leaves state behind on its fabric.
 
@@ -62,6 +64,13 @@ DESIGNS = {
     + "gate g1 fn=6 in=x,y out=a ack\n"
     + "gate g2 fn=8 in=a,z out=b ack\n"
     + "gate g3 fn=e in=b,x out=o ack\n",
+    # g1 reads x twice, so x's acknowledge join lists o.sout twice; o feeds
+    # three gates, so o's acknowledge join has three sources.
+    "dag_4ph_join": _signals("4ph", "xycopqr")
+    + "gate g1 fn=8 in=x,x out=o ack\n"
+    + "gate g2 fn=8 in=o,y out=p ack\n"
+    + "gate g3 fn=6 in=o,y out=q ack\n"
+    + "gate g4 fn=e in=o,c out=r\n",
 }
 
 # (design, forced wire events):
@@ -222,6 +231,17 @@ GOLDEN = {
     'dag_edge-jitter8': '9210c09e480d8ca20ea52ba1f5603cf57bbe566aefc548ec7f8cc7826e9d23ea',
     'dag_edge-jitter9': 'ffc77273740fa1876411c4d020b3990985b47d28b8589446adcab4f9cf3194bc',
     'dag_edge-jitter10': '9acd2850201b0fe3f3251869d3cdb4c7a541250e2af02aad296c5fe83d138b65',
+    'dag_4ph_join-uniform': '9bbfc30edec15aa975b079e5b128d40cc539dde36f13119909d0507f3eec8470',
+    'dag_4ph_join-jitter1': '7884e9189d884e2ab281b1503821f0b56a6f537ae8da9304e8857a2b134b37e0',
+    'dag_4ph_join-jitter2': '42da86538ca5fb482c677676512ef5fbe17af5cb30cf6b064c9c30e51f7780c4',
+    'dag_4ph_join-jitter3': '4b6de61bb5280f09fa97078b10332372b04edbc213867f57f6923e61ea057169',
+    'dag_4ph_join-jitter4': '7272cc1f6060478b3cee544769823f416d46628069dee734937e88b60898e58e',
+    'dag_4ph_join-jitter5': '5d511c97b7550f4342c2bce77b75cb3582cf756d0d088747c66d6b51e96add85',
+    'dag_4ph_join-jitter6': 'cd25f820fce09eaf08a367d0bac7ca511c8ef6edfea52e4a8bc86ed093d6698f',
+    'dag_4ph_join-jitter7': 'adc296388541c974fa49d8cec895f721922f1aacfda1e58c5f55ebb574b7109b',
+    'dag_4ph_join-jitter8': '676ca693d866eedc270bf6aef11b700c19c964b99a413cc758d64679c2112822',
+    'dag_4ph_join-jitter9': '93e3bc2898cb9580436fcde388ffe0446b3467456282f5e31bcba214beee1aa5',
+    'dag_4ph_join-jitter10': 'b64604625dd2e42ebbdb11b9f6afa18d9c2a4670fdf96d90e69a6a4c0efea1d8',
     'fault_input_rail-uniform': '2325b4c455ece5f4f2ebf2c088dc6a19af7725221d4d97af75b56dc997a7d962',
     'fault_rail_pulse-uniform': '25e77f51f41501795a833f3ce047aefbdb185352bebdde221a39921cf5647273',
     'fault_block_output-uniform': '915752590fb7a0a76234f6e25f4a7ad643a7366a059bd8f1586c1e5047778547',

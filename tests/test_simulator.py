@@ -1,16 +1,22 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qdifab.encodings import Protocol, SignalSpec
 from qdifab.mapper import MappedGate, PlbUnit
 from qdifab.netlist import parse_netlist
 from qdifab.plb import LutTable, PlbConfig, WireRef
+from qdifab.primitives import CElementState, c_element_step
 from qdifab.simulator import (
     DelayModel,
     Fabric,
     Simulation,
     SimulationInputError,
+    _CJoin,
+    _Wire,
     check_no_early_evaluation,
     check_single_toggle,
     fabric_from_netlist,
@@ -18,6 +24,7 @@ from qdifab.simulator import (
 )
 from qdifab.trace import GateInfo, Trace
 from ._oracles import all_16_functions
+from .test_golden_traces import FAULTS
 from .test_golden_traces import _trace as golden_trace
 
 AND_NET = """
@@ -116,9 +123,10 @@ def test_deadlock_on_starved_input():
 
 
 def test_max_time_deadlock():
+    # A run cut by max_time was still active: a timeout, not a deadlock.
     tr = run(fab(AND_NET), {"x": [1, 0, 1], "y": [1, 1, 1]}, max_time=5)
-    assert tr.deadlock
-    assert any("max_time" in d for d in tr.diagnostics)
+    assert not tr.deadlock
+    assert tr.diagnostics == ["max_time 5 reached while active"]
 
 
 def test_forbidden_injection_logged_and_continues():
@@ -195,6 +203,45 @@ def test_no_early_evaluation_reads_a_joined_acknowledge():
                 signals=tr.signals, gates=tr.gates)
     assert check_no_early_evaluation(cut) == (
         False, ["g1: output cleared at t=12 before rendez-vous"])
+
+
+def test_no_early_evaluation_flags_an_output_going_forbidden():
+    # o carries 0 over t=4..8 and 12..16; o.1 pulses high over t=5..7 and
+    # 13..15, into (1, 1) and back to valid without a rendez-vous.
+    design, inject = FAULTS["fault_output_forbidden_twice"]
+    assert check_no_early_evaluation(golden_trace(design, "uniform", inject)) == (False, [
+        "g: output forbidden at t=5", "g: output valid at t=7 before rendez-vous",
+        "g: output forbidden at t=13", "g: output valid at t=15 before rendez-vous",
+    ])
+
+
+# A join's inputs as source indices, where a source may be listed more than
+# once, and a sequence of source toggles.
+_JOIN_CASES = st.lists(st.integers(0, 3), min_size=1, max_size=6).flatmap(
+    lambda listing: st.tuples(st.just(listing),
+                              st.lists(st.sampled_from(sorted(set(listing))), max_size=40)))
+
+
+@given(_JOIN_CASES)
+@example(([0, 0], [0, 0, 0]))
+@example(([2, 0, 2, 1], [2, 0, 1, 2, 0, 2, 1, 1]))
+def test_counted_join_matches_c_element_step(case):
+    # The kernel calls a join once per time it lists the toggled wire.
+    listing, toggles = case
+    sources = {i: _Wire(f"s{i}", 1) for i in listing}
+    join = _CJoin(len(listing), _Wire("out", 1))
+    sim = SimpleNamespace(queue=[], _seq=itertools.count())
+    state, changes = CElementState(0, len(listing)), []
+    for i in toggles:
+        sources[i].level ^= 1
+        for _ in range(listing.count(i)):
+            join.react(sim, 0, sources[i])
+        level = c_element_step(state, [sources[j].level for j in listing])
+        if level != state.output:
+            changes.append(level)
+        state = CElementState(level, len(listing))
+        assert join.output == level
+    assert [level for *_, level in sorted(sim.queue)] == changes
 
 
 def test_4ph_alternation_of_decoded_values():
