@@ -3,9 +3,7 @@
 Time is discrete; every scheduled event is a single wire changing level.
 Events at the same tick are processed in insertion order, and the
 delay-insensitivity property tests guard against anything depending on that
-order.  Reset is an instantaneous force-to-zero at time 0, not a wire.  A
-run that reaches ``max_time`` with events left has timed out; only a run
-whose events ran out before every producer finished has deadlocked.
+order.  Reset is an instantaneous force-to-zero at time 0, not a wire.
 
 Environment drivers play the handshake roles: a producer per primary input
 feeds the stimulus values (four-phase producers interleave NULL and wait for
@@ -25,9 +23,10 @@ that go into the trace.  It names every wire by an index.  The first
 Everything else is per run and built from the elaboration by each
 :class:`Simulation`: the wires with this run's delays, the joins, producers,
 consumers and block instances, the name map :meth:`Simulation.inject` uses,
-and the per-run state below.  The stimulus is checked when the simulation
-is built: every value must be an integer from 0 to its signal's arity minus
-one.  So are ``max_time`` and ``ack_delay``, which must not be negative.
+and the per-run state below (the memos, the levels, the weights, the
+diagnostics).  The stimulus is checked when the simulation is built: every
+value must be an integer from 0 to its signal's arity minus one.  So are
+``max_time`` and ``ack_delay``, which must not be negative.
 
 Each wire holds the bound ``react(sim, t, wire)`` of every element it feeds,
 so the kernel calls them without a lookup; a producer's or consumer's
@@ -36,14 +35,16 @@ level is 0 or 1 (:meth:`Simulation.inject` refuses anything else), which
 keeps three running summaries exact:
 
 * Each block instance holds its 12 input levels as a pin word, bit ``i``
-  being pin ``i``, and memoises its reactions for the run: a dict from its
-  state to a dict from its pin word to (next state, the levels it drives).
-  ``plb_step`` is a pure function of configuration, state and inputs, so a
-  hit returns what recomputing would; an oscillating step is never stored,
-  and the block reports it once.  Until each wire a block drives has been
-  driven, a level is compared with the one last driven there; from then on
-  the new levels are compared with the last ones in one pass, and only the
-  wires that differ are pushed onto the event heap.
+  being pin ``i``; a wire change flips the bits of the pins that wire feeds.
+  The instance memoises its reactions for the run: a dict from its state to
+  a dict from its pin word to (next state, the levels it drives).  The memo
+  is exact because ``plb_step`` is a pure function of the block's
+  configuration, state and inputs and ``PlbState`` is frozen, so a hit
+  returns what recomputing would.  It lives and dies with one
+  :class:`Simulation`, and an oscillating step is never stored: the next
+  reaction recomputes it, and the block reports the oscillation once.
+  Block and producer outputs go straight onto the event heap, and a
+  reaction that drives the levels the block last drove schedules nothing.
 * Each acknowledge join counts its inputs that are high (a source it lists
   k times counts k times): it rises when all are high, falls when none is
   and holds otherwise, as ``primitives.c_element_step`` does.
@@ -297,18 +298,11 @@ class _PlbInst:
             if reaction is None:
                 return
         self.state, self.reactions, driven = reaction
-        prev = self.last_levels
-        if driven == prev:
-            return
-        when = t + 1
-        queue, seq = sim.queue, sim._seq
-        if prev is not None:
-            self.last_levels = driven
-            for out, level, before in zip(self.drives, driven, prev):
-                if level != before:
-                    heappush(queue, (when + out.delay, next(seq), out, level))
+        if driven == self.last_levels:
             return
         last = self.last_driven
+        when = t + 1
+        queue, seq = sim.queue, sim._seq
         for out, level in zip(self.drives, driven):
             if level != last.get(out, out.level):
                 last[out] = level
@@ -573,20 +567,30 @@ class Simulation:
                 react(self, t, wire)
 
         starved = sorted(p.name for p in self.producers if p.stage != _IDLE)
-        if timed_out:  # not a deadlock: the run was still active
+        if timed_out:
             self.diagnostics.append(f"max_time {self.max_time} reached while active")
         elif starved:
             self.diagnostics.append(
                 f"handshake stalled; unfinished producers: {', '.join(starved)}")
-        return self._trace(deadlock=bool(starved) and not timed_out)
+        return self._trace(deadlock=timed_out or bool(starved))
 
     def _trace(self, deadlock: bool) -> Trace:
         elab = self.fabric.elaboration
-        meta = {"fabric": elab.fingerprint, "delays": self.delays.mode,
-                "seed": str(self.delays.seed)}
-        return Trace(events=self.events, markers=sorted(self.markers), records=self.records,
-                     signals=dict(elab.signals), gates=list(self.fabric.gates),
-                     diagnostics=self.diagnostics, deadlock=deadlock, meta=meta)
+        meta = {
+            "fabric": elab.fingerprint,
+            "delays": self.delays.mode,
+            "seed": str(self.delays.seed),
+        }
+        return Trace(
+            events=self.events,
+            markers=sorted(self.markers),
+            records=self.records,
+            signals=dict(elab.signals),
+            gates=list(self.fabric.gates),
+            diagnostics=self.diagnostics,
+            deadlock=deadlock,
+            meta=meta,
+        )
 
 
 def run(

@@ -229,7 +229,8 @@ class Trace:
                 raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'") from None
             if tag == "signal":
                 wires = tr.signals[toks[1]].wires
-                dup = next((w for w in wires if wires.count(w) > 1), None)
+                seen: set = set()
+                dup = next((w for w in wires if w in seen or seen.add(w)), None)
                 if dup is not None:
                     raise TraceFormatError(
                         lineno, f"signal {toks[1]}: wire {dup!r} is listed twice")

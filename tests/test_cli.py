@@ -614,13 +614,3 @@ def test_check_signal_listing_a_wire_twice_exits_2(tmp_path, capsys, prop):
     assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: line {lineno}: signal x: wire 'x.0' is listed twice\n")
-
-
-def test_sim_timeout_exits_1_without_deadlock(files, capsys):
-    tmp, net, stim = files
-    bit, tracef = tmp / "d.bit", tmp / "cut.csv"
-    assert main(["map", str(net), "-o", str(bit)]) == 0
-    assert main(["sim", str(bit), "--stimulus", str(stim), "--max-time", "5",
-                 "--trace", str(tracef)]) == 1
-    assert "diagnostic: max_time 5 reached while active" in capsys.readouterr().out
-    assert not Trace.from_csv(tracef.read_text()).deadlock
