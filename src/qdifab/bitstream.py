@@ -27,7 +27,8 @@ outputs drive only the output or the internal signals, and its ``sout``
 only ``<output>.sout``.  A binding ``<signal>:<index>:<width>`` has the
 width of its signal (its wire count, the width of an ``# internal`` line,
 or 1 for ``<output>.ackin``) and an index below it.  Every gate has at
-least one block.
+least one block, and its ``ack=`` says whether one of them reads
+``<output>.ackin`` (:func:`reads_ack`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ class BitstreamError(ValueError):
 class Fabric:
     """Static description of a mapped design.
 
-    A fabric is not changed once it has been simulated: its first
+    Its signals are kept in name order, the order of the bitstream, so that
+    every fabric with one fingerprint writes the same traces.  A fabric is
+    not changed once it has been simulated: its first
     ``simulator.Simulation`` stores the fabric's elaboration in
     ``elaboration``, and every later one builds from that.
     """
@@ -62,6 +65,9 @@ class Fabric:
     mapped: List[MappedGate]
     gates: List[GateInfo]
     elaboration: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.signals = dict(sorted(self.signals.items()))
 
     def fingerprint(self) -> str:
         """The first 16 hex digits of the sha256 of the fabric's bitstream."""
@@ -72,6 +78,14 @@ class Fabric:
 
     def primary_outputs(self) -> List[str]:
         return primary_signals(self.signals, self.gates)[1]
+
+
+def reads_ack(mg: MappedGate, output: str) -> bool:
+    """Whether a block of ``mg`` reads ``<output>.ackin``, the ``ack=`` of
+    its gate."""
+    feed = f"{output}.ackin"
+    return any(ref is not None and ref.signal == feed
+               for unit in mg.plbs for ref in unit.config.input_assignment)
 
 
 # Bit characters to bit values and back.
@@ -137,7 +151,7 @@ def _ref_parse(tok: str) -> Optional[WireRef]:
 def write_bitstream(fabric: Fabric) -> str:
     lines = ["# qdifab-bitstream v1"]
     lines += [f"# signal {name} proto={spec.protocol.value} arity={spec.arity}"
-              for name, spec in sorted(fabric.signals.items())]
+              for name, spec in fabric.signals.items()]
     lines += [g.header() for g in fabric.gates]
     hex_lines = []
     for mg in fabric.mapped:
@@ -260,6 +274,11 @@ def read_bitstream(text: str) -> Fabric:
             raise BitstreamError(f"line {lineno}: {exc}") from None
         by_gate.setdefault(meta["gate"], []).append(
             PlbUnit(meta["role"], config, meta["outs"], meta["souts"]))
-    mapped = [MappedGate(gname, tuple(units), internals[gname])
-              for gname, units in by_gate.items()]
-    return Fabric(signals, mapped, gates)
+    mapped = {gname: MappedGate(gname, tuple(units), internals[gname])
+              for gname, units in by_gate.items()}
+    for g, lineno in zip(gates, gate_lines):
+        if g.ack != reads_ack(mapped[g.name], g.output):
+            raise BitstreamError(
+                f"line {lineno}: gate {g.name!r} has ack={int(g.ack)}, but its blocks "
+                f"{'do not read' if g.ack else 'read'} {g.output}.ackin")
+    return Fabric(signals, list(mapped.values()), gates)

@@ -108,8 +108,7 @@ def cmd_sim(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        trace = run(fabric, stimulus, delays=delays, max_time=args.max_time,
-                    ack_delay=args.ack_delay)
+        trace = run(fabric, stimulus, delays=delays, max_time=args.max_time)
     except SimulationInputError as exc:
         return _fail(str(exc))
     if args.trace:
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delays", default="uniform",
                    help="uniform | jitter[:seed] (default seed: 0)")
     s.add_argument("--max-time", type=int, default=20000)
-    s.add_argument("--ack-delay", type=int, default=1)
     s.add_argument("--trace", help="write the event trace CSV here")
     s.set_defaults(func=cmd_sim)
 

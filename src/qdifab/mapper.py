@@ -2,11 +2,13 @@
 
 ``SHAPES`` is the one list of the gate shapes the block accepts.  It maps
 (protocol, input arities, output arity) to the routine that compiles that
-shape.  Every routine takes ``(name, f, inputs, out, ack)``: the gate's
-name, its truth function over logical values, the names of its input and
-output signals, and the acknowledge wire or ``None``.  It returns a
-:class:`MappedGate`: per block, LUT tables, programming points and a pin
-assignment.  The conventions:
+shape.  Every routine takes ``(name, f, inputs, out)``: the gate's name, its
+truth function over logical values, and the names of its input and output
+signals.  It returns a :class:`MappedGate`: per block, LUT tables,
+programming points and a pin assignment.  The four-phase two-input, LEDR
+and edge routines read the consumer's acknowledge on ``<out>.ackin``; the
+four-phase three-input and ternary ones have no wire left for it.  The
+conventions:
 
 * Four-phase gates fire when every data input has left NULL and the
   acknowledge input (when present) is 0, and return to NULL when every input
@@ -93,17 +95,17 @@ def _one_block(name: str, config: PlbConfig, out: str, width: int) -> MappedGate
 
 
 def _two_input_block(name: str, lut: Callable[[int], LutTable],
-                     inputs: Sequence[str], out: str, ack: Optional[str]) -> MappedGate:
+                     inputs: Sequence[str], out: str) -> MappedGate:
     """The wiring plan of the two-input dual-rail and LEDR gates.
 
     ``lut(w)`` is the table of Lw, which drives wire w of ``out`` through a
     transparent memory point.  The memory effect lives in the LUTs' own
-    feedback (pin 0 for L0, pin 1 for L1); the acknowledge wire, when there
-    is one, is duplicated on the two pins each LUT gives up to its feedback,
-    which keeps the data wires' loads equal.
+    feedback (pin 0 for L0, pin 1 for L1); the acknowledge wire is
+    duplicated on the two pins each LUT gives up to its feedback, which keeps
+    the data wires' loads equal.
     """
     xn, yn = inputs
-    ack_ref = NC if ack is None else WireRef(ack, 0, 1)
+    ack_ref = WireRef(f"{out}.ackin", 0, 1)
     config = PlbConfig(
         luts=(lut(0), lut(1), LutTable.zero(), LutTable.zero()),
         feedback_sel=_feedback([(0,), (1,), (), ()]),
@@ -120,31 +122,26 @@ def map_4ph_2in(
     f: GateFn,
     inputs: Tuple[str, str] = ("x", "y"),
     out: str = "o",
-    ack: Optional[str] = None,
 ) -> MappedGate:
-    """Two-input dual-rail gate: L0 computes the 0-wire and L1 the 1-wire.
-
-    Without an acknowledge the gate fires on valid inputs and returns to
-    NULL on NULL inputs alone.
-    """
+    """Two-input dual-rail gate: L0 computes the 0-wire and L1 the 1-wire."""
 
     def lut(for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
             hold = p[0] if for_wire == 0 else p[1]
-            a = (p[1] if for_wire == 0 else p[0]) if ack is not None else None
+            a = p[1] if for_wire == 0 else p[0]
             x_null, x_forb, xv = _one_hot_value((p[2], p[3]))
             y_null, y_forb, yv = _one_hot_value((p[4], p[5]))
             if x_forb or y_forb:
                 return hold
-            if xv is not None and yv is not None and (a is None or a == 0):
+            if xv is not None and yv is not None and a == 0:
                 return 1 if f(xv, yv) == for_wire else 0
-            if x_null and y_null and (a is None or a == 1):
+            if x_null and y_null and a == 1:
                 return 0
             return hold
 
         return LutTable.from_function(fn)
 
-    return _two_input_block(name, lut, inputs, out, ack)
+    return _two_input_block(name, lut, inputs, out)
 
 
 # -- four-phase, one-of-2, three inputs --------------------------------------
@@ -154,7 +151,6 @@ def map_4ph_3in(
     f: GateFn,
     inputs: Tuple[str, str, str] = ("x", "y", "z"),
     out: str = "o",
-    ack: Optional[str] = None,
     *,
     g: Optional[GateFn] = None,
     out2: str = "o2",
@@ -162,8 +158,7 @@ def map_4ph_3in(
     """Three-input dual-rail gate using the memory points and the 6-input OR.
 
     The three inputs consume the whole 6-wire budget, so the gate has no
-    acknowledge input and ``ack`` is not read (``netlist.map_gate`` refuses a
-    gate that asks for one).  The LUTs compute the input rendez-vous fused
+    acknowledge input.  The LUTs compute the input rendez-vous fused
     with the function, the OR detects the return to NULL, and the memory
     C-elements hold in between.  A second function ``g`` over the same inputs
     may occupy the other LUT pair (the classic sum/carry pairing).
@@ -206,13 +201,12 @@ def map_4ph_ter_2in(
     f: GateFn,
     inputs: Tuple[str, str] = ("x", "y"),
     out: str = "o",
-    ack: Optional[str] = None,
 ) -> MappedGate:
     """Two-input ternary gate: three LUTs drive one wire each, L3 stays 0.
 
-    The two one-of-3 inputs consume the whole 6-wire budget, so ``ack`` is
-    not read, as for :func:`map_4ph_3in`.  Both input groups carry the same
-    six wires so every wire is loaded twice, and the two 6-input ORs
+    The two one-of-3 inputs consume the whole 6-wire budget, so the gate has
+    no acknowledge input, as for :func:`map_4ph_3in`.  Both input groups carry
+    the same six wires so every wire is loaded twice, and the two 6-input ORs
     therefore agree.  The grouping selector collects all four memory outputs
     under a single acknowledge XOR.
     """
@@ -245,7 +239,6 @@ def map_ledr_2in(
     f: GateFn,
     inputs: Tuple[str, str] = ("x", "y"),
     out: str = "o",
-    ack: Optional[str] = "ack",
 ) -> MappedGate:
     """Two-input LEDR gate on the dual-rail two-input wiring plan.
 
@@ -270,7 +263,7 @@ def map_ledr_2in(
 
         return LutTable.from_function(fn)
 
-    return _two_input_block(name, lut, inputs, out, ack)
+    return _two_input_block(name, lut, inputs, out)
 
 
 # -- LEDR, three inputs -------------------------------------------------------
@@ -280,7 +273,6 @@ def map_ledr_3in(
     f: GateFn,
     inputs: Tuple[str, str, str] = ("x", "y", "z"),
     out: str = "o",
-    ack: Optional[str] = "ack",
 ) -> MappedGate:
     """Three-input LEDR gate split across both LUT pairs.
 
@@ -327,11 +319,12 @@ def map_ledr_3in(
 
         return LutTable.from_function(fn)
 
+    ack = WireRef(f"{out}.ackin", 0, 1)
     shared = (WireRef(xn, 0, 2),) + _refs(yn, 2) + _refs(zn, 2)
     config = PlbConfig(
         luts=(lut_lo(False), lut_lo(True), lut_hi(False), lut_hi(True)),
         or6_bypass_sel=(True, False),
-        input_assignment=(WireRef(ack, 0, 1),) + shared + (WireRef(xn, 1, 2),) + shared,
+        input_assignment=(ack,) + shared + (WireRef(xn, 1, 2),) + shared,
     )
     return _one_block(name, config, out, 2)
 
@@ -373,7 +366,6 @@ def map_edge_2in(
     f: GateFn,
     inputs: Tuple[str, str] = ("a", "b"),
     out: str = "o",
-    ack: Optional[str] = "ack",
 ) -> MappedGate:
     """Two-input edge-signalling gate; always two blocks.
 
@@ -426,7 +418,7 @@ def map_edge_2in(
         luts=(parity_lut(ones), parity_lut(zeros), dw21_lut(0), dw21_lut(1)),
         or6_bypass_sel=(True, False),
         input_assignment=_refs(cn, 4) + (NC, NC)
-        + _refs(out, 2) + (NC, NC, WireRef(ack, 0, 1), NC),
+        + _refs(out, 2) + (NC, NC, WireRef(f"{out}.ackin", 0, 1), NC),
     )
     # O0 = C(L0, L2) carries the 1-wire, O1 = C(L1, L3) the 0-wire.
     comp = PlbUnit(

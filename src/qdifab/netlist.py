@@ -4,19 +4,21 @@ The format is line oriented and diff friendly:
 
     # comment
     signal <name> proto=<4ph|ledr|edge> arity=<n>
-    gate <name> fn=<hex truth table> in=<sig,...> out=<sig> [ack]
+    gate <name> fn=<hex truth table> in=<sig,...> out=<sig>
 
 Every declared signal must connect to a gate, as an input or as the output.
 The truth table is indexed in mixed radix with the first listed input as the
 least significant digit.  Binary-output gates use one bit per entry (AND2 is
 0x8, XOR2 is 0x6); ternary- and quaternary-output gates use two bits per
-entry.  LEDR and edge gates always get an acknowledge input; four-phase
-gates get one only with the ``ack`` flag.  :func:`map_gate` compiles a gate
-through ``mapper.SHAPES``, the one list of the gate shapes the block accepts.
+entry.  :func:`map_gate` compiles a gate through ``mapper.SHAPES``, the one
+list of the gate shapes the block accepts; each shape decides whether the
+gate reads its consumer's acknowledge.  A legacy ``ack`` token on a gate
+line is accepted and ignored, with one ``DeprecationWarning`` per netlist.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -46,7 +48,6 @@ class GateDecl:
     fn: int
     inputs: Tuple[str, ...]
     output: str
-    ack: bool
     line: int = 0
 
 
@@ -57,6 +58,19 @@ def primary_signals(signals: Iterable[str], gates) -> Tuple[List[str], List[str]
     driven = {g.output for g in gates}
     read = {s for g in gates for s in g.inputs}
     return [s for s in signals if s not in driven], [s for s in signals if s not in read]
+
+
+def ack_source(signal: str, readers: Sequence) -> str:
+    """The wire that acknowledges ``signal`` to its driver.  ``readers``
+    holds the gate reading it at each of its input positions (a gate that
+    reads it twice is listed twice).  With no reader the environment's
+    ``<signal>.cack`` acknowledges it, with one that gate's ``<output>.sout``,
+    and with several the join of their ``.sout`` wires, ``<signal>.ackin``."""
+    if not readers:
+        return f"{signal}.cack"
+    if len(readers) == 1:
+        return f"{readers[0].output}.sout"
+    return f"{signal}.ackin"
 
 
 @dataclass
@@ -81,6 +95,7 @@ def _parse_kv(tok: str, line: int) -> Tuple[str, str]:
 def parse_netlist(text: str) -> Netlist:
     net = Netlist()
     declared: Dict[str, int] = {}  # signal -> its line
+    legacy_ack = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,14 +127,8 @@ def parse_netlist(text: str) -> Netlist:
             if len(toks) < 5:
                 raise NetlistError("gate needs a name, fn=, in= and out=", lineno)
             name = toks[1]
-            ack = False
-            kv = {}
-            for t in toks[2:]:
-                if t == "ack":
-                    ack = True
-                else:
-                    k, v = _parse_kv(t, lineno)
-                    kv[k] = v
+            legacy_ack |= "ack" in toks[2:]
+            kv = dict(_parse_kv(t, lineno) for t in toks[2:] if t != "ack")
             try:
                 fn = int(kv["fn"], 16)
             except (KeyError, ValueError):
@@ -127,10 +136,13 @@ def parse_netlist(text: str) -> Netlist:
             if "in" not in kv or "out" not in kv:
                 raise NetlistError("gate needs in=<sig,...> and out=<sig>", lineno)
             inputs = tuple(s for s in kv["in"].split(",") if s)
-            net.gates.append(GateDecl(name, fn, inputs, kv["out"], ack, lineno))
+            net.gates.append(GateDecl(name, fn, inputs, kv["out"], lineno))
         else:
             raise NetlistError(f"unknown directive {kind!r}", lineno, raw.index(kind) + 1)
 
+    if legacy_ack:
+        warnings.warn("the 'ack' gate token is ignored: every gate shape decides its "
+                      "own acknowledge", DeprecationWarning, stacklevel=2)
     _check(net.signals, declared, net.gates, [g.line for g in net.gates])
     return net
 
@@ -210,22 +222,14 @@ def gate_function(gate: GateDecl, net: Netlist) -> Callable[..., int]:
 
 
 def map_gate(gate: GateDecl, net: Netlist) -> MappedGate:
-    """Compile one netlist gate; errors name the gate.  Its acknowledge
-    input, when it has one, is ``<output>.ackin``."""
-    specs = [net.signals[s] for s in gate.inputs]
+    """Compile one netlist gate; errors name the gate."""
     out = net.signals[gate.output]
-    arities = tuple(s.arity for s in specs)
+    arities = tuple(net.signals[s].arity for s in gate.inputs)
     shape = mapper.SHAPES.get((out.protocol, arities, out.arity))
     if shape is None:
         raise MappingError(f"gate {gate.name!r}: unsupported {out.protocol.value} "
                            f"shape {list(arities)} -> {out.arity}")
-    wires = sum(s.wire_count for s in specs) + int(gate.ack)
-    if wires > 6:
-        raise MappingError(
-            f"gate {gate.name!r}: inputs and acknowledge need {wires} wires, 6 available")
-    acked = gate.ack or out.protocol is not Protocol.FOUR_PHASE
-    return shape(gate.name, gate_function(gate, net), gate.inputs, gate.output,
-                 f"{gate.output}.ackin" if acked else None)
+    return shape(gate.name, gate_function(gate, net), gate.inputs, gate.output)
 
 
 def map_netlist(net: Netlist) -> List[MappedGate]:

@@ -45,17 +45,6 @@ def c_element_step(state: CElementState, inputs: Sequence[int]) -> int:
     return state.output
 
 
-def c_element_mux(prev: int, inputs: Sequence[int]) -> int:
-    """Multiplexer realisation: Z = (Z and OR(I)) or AND(I).
-
-    Behaviourally identical to :func:`c_element_step`; kept as the form the
-    logic block actually wires up, and as an independent cross-check.
-    """
-    any_i = 1 if any(inputs) else 0
-    all_i = 1 if all(inputs) else 0
-    return (prev & any_i) | all_i
-
-
 def or6(inputs: Sequence[int]) -> int:
     """Return-to-NULL detector: inclusive OR of the six group inputs."""
     if len(inputs) != 6:

@@ -41,12 +41,6 @@ class ProgrammingError(ValueError):
     pass
 
 
-def _rails(bit: Optional[int]) -> Tuple[int, int]:
-    if bit is None:
-        return (0, 0)
-    return (1, 0) if bit == 0 else (0, 1)
-
-
 @dataclass
 class Block:
     """One independently programmable region: a FIFO chain."""
@@ -59,17 +53,6 @@ class Block:
     def __post_init__(self):
         if not self.stages:
             self.stages = [None] * self.length
-
-    # The chain storage, head to tail; each entry is a stage's dual-rail pair.
-    def rails(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(_rails(b) for b in self.stages)
-
-    def snapshot(self) -> Tuple[Optional[int], ...]:
-        return tuple(self.stages)
-
-    def stored_bits(self) -> Tuple[int, ...]:
-        """Bits in arrival order (tail first), without disturbing the chain."""
-        return tuple(b for b in reversed(self.stages) if b is not None)
 
     @property
     def configured(self) -> bool:

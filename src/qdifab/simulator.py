@@ -8,8 +8,8 @@ order.  Reset is an instantaneous force-to-zero at time 0, not a wire.
 Environment drivers play the handshake roles: a producer per primary input
 feeds the stimulus values (four-phase producers interleave NULL and wait for
 both acknowledge edges; two-phase producers wait for one acknowledge toggle
-per value), and a consumer per primary output acknowledges every value after
-a configurable delay and records the decoded sequence with its completion
+per value), and a consumer per primary output acknowledges every value a
+tick after it arrives and records the decoded sequence with its completion
 time.
 
 Building a simulation has two parts.  The elaboration depends on the
@@ -25,8 +25,8 @@ Everything else is per run and built from the elaboration by each
 consumers and block instances, the name map :meth:`Simulation.inject` uses,
 and the per-run state below (the memos, the levels, the weights, the
 diagnostics).  The stimulus is checked when the simulation is built: every
-value must be an integer from 0 to its signal's arity minus one.  So are
-``max_time`` and ``ack_delay``, which must not be negative.
+value must be an integer from 0 to its signal's arity minus one, and
+``max_time`` must not be negative.
 
 Each wire holds the bound ``react(sim, t, wire)`` of every element it feeds,
 so the kernel calls them without a lookup; a producer's or consumer's
@@ -72,8 +72,8 @@ from .encodings import (
     encode_4ph_null,
     ledr_next,
 )
-from .bitstream import Fabric
-from .netlist import Netlist, map_netlist, primary_signals
+from .bitstream import Fabric, reads_ack
+from .netlist import Netlist, ack_source, map_netlist, primary_signals
 from .plb import (
     OscillationError,
     PlbConfig,
@@ -115,11 +115,13 @@ class DelayModel:
 
 
 def fabric_from_netlist(net: Netlist) -> Fabric:
+    mapped = map_netlist(net)
     gates = [
-        GateInfo(g.name, net.signals[g.output].protocol.value, g.inputs, g.output, g.ack)
-        for g in net.gates
+        GateInfo(g.name, net.signals[g.output].protocol.value, g.inputs, g.output,
+                 reads_ack(mg, g.output))
+        for g, mg in zip(net.gates, mapped)
     ]
-    return Fabric(dict(net.signals), map_netlist(net), gates)
+    return Fabric(net.signals, mapped, gates)
 
 
 # -- elaboration ---------------------------------------------------------------
@@ -152,27 +154,20 @@ class _Elaboration:
                 for i in range(width):
                     wire(f"{name}.{i}")
 
-        consumers_of: Dict[str, List[GateInfo]] = {s: [] for s in fabric.signals}
+        readers: Dict[str, List[GateInfo]] = {s: [] for s in fabric.signals}
         for g in fabric.gates:
             for s in g.inputs:
-                consumers_of[s].append(g)
+                readers[s].append(g)
         self.inputs, env_consumed = primary_signals(fabric.signals, fabric.gates)
 
-        # Acknowledge feeds: the rendez-vous of every consumer's ack-out,
-        # as (source wires, output wire) per join.
+        # Each signal's acknowledge feed, and the joins of several readers'
+        # acknowledges as (source wires, output wire).
         resolution: Dict[str, int] = {}
         self.joins: List[Tuple[Tuple[int, ...], int]] = []
-        for s in fabric.signals:
-            sources = [wire(f"{g.output}.sout") for g in consumers_of[s]]
-            if s in env_consumed:
-                sources.append(wire(f"{s}.cack"))
-            feed_name = f"{s}.ackin"
-            if len(sources) == 1:
-                resolution[feed_name] = sources[0]
-            elif len(sources) > 1:
-                out = wire(feed_name)
-                self.joins.append((tuple(sources), out))
-                resolution[feed_name] = out
+        for s, rs in readers.items():
+            feed = resolution[f"{s}.ackin"] = wire(ack_source(s, rs))
+            if len(rs) > 1:
+                self.joins.append((tuple(wire(f"{g.output}.sout") for g in rs), feed))
 
         def resolve(name: str) -> int:
             i = resolution.get(name)
@@ -198,12 +193,11 @@ class _Elaboration:
                     tuple(masks.items()), drive_pos, tuple(outs[i] for i in drive_pos),
                 ))
 
-        # (spec, rails, acknowledge feed or None) per primary input and
+        # (spec, rails, acknowledge feed) per primary input and
         # (spec, rails, acknowledge) per signal the environment consumes.
-        self.producers: List[Tuple[SignalSpec, Tuple[int, ...], Optional[int]]] = []
+        self.producers: List[Tuple[SignalSpec, Tuple[int, ...], int]] = []
         for s in self.inputs:
-            self.producers.append(
-                (fabric.signals[s], rails_of[s], resolution.get(f"{s}.ackin")))
+            self.producers.append((fabric.signals[s], rails_of[s], resolution[f"{s}.ackin"]))
         self.consumers: List[Tuple[SignalSpec, Tuple[int, ...], int]] = []
         for s in env_consumed:
             self.consumers.append((fabric.signals[s], rails_of[s], wire(f"{s}.cack")))
@@ -413,20 +407,19 @@ class _Consumer:
     """Observes one primary output signal and acknowledges every value, with
     the ``react`` of its protocol."""
 
-    def __init__(self, spec: SignalSpec, wires: List[_Wire], ack: _Wire, ack_delay: int):
+    def __init__(self, spec: SignalSpec, wires: List[_Wire], ack: _Wire):
         self.name = spec.name
         self.wires = wires
         self.ack = ack
-        self.ack_delay = ack_delay
         self.ack_level = 0
         self.pending: Optional[int] = None  # the four-phase value held, if any
         self.react = {Protocol.FOUR_PHASE: self._react_4ph, Protocol.LEDR: self._react_ledr,
                       Protocol.EDGE: self._react_edge}[spec.protocol]
 
     def _acknowledge(self, sim: "Simulation", t: int, value: Optional[int]):
-        """Toggle the acknowledge ``ack_delay`` after ``t`` and, unless
-        ``value`` is None, record the value as completed then."""
-        t += self.ack_delay
+        """Toggle the acknowledge a tick after ``t`` and, unless ``value``
+        is None, record the value as completed then."""
+        t += 1
         ack = self.ack
         self.ack_level ^= 1
         heappush(sim.queue, (t + ack.delay, next(sim._seq), ack, self.ack_level))
@@ -463,15 +456,12 @@ class Simulation:
         delays: Optional[DelayModel] = None,
         stimulus: Optional[Dict[str, List[int]]] = None,
         max_time: int = 20000,
-        ack_delay: int = 1,
     ):
-        for name, ticks in (("max_time", max_time), ("ack_delay", ack_delay)):
-            if ticks < 0:
-                raise SimulationInputError(f"{name} {ticks} is negative")
+        if max_time < 0:
+            raise SimulationInputError(f"max_time {max_time} is negative")
         self.fabric = fabric
         self.delays = delays or DelayModel()
         self.max_time = max_time
-        self.ack_delay = ack_delay
         # (time, sequence number, wire, level); the unique, rising sequence
         # number keeps same-tick events in insertion order.
         self.queue: List[Tuple[int, int, _Wire, int]] = []
@@ -513,11 +503,10 @@ class Simulation:
                 w.sinks.append(inst.react)
         for spec, rails, feed in elab.producers:
             prod = _Producer(spec, [wires[i] for i in rails], stimulus.get(spec.name, []))
-            if feed is not None:
-                wires[feed].sinks.append(prod.react)
+            wires[feed].sinks.append(prod.react)
             self.producers.append(prod)
         for spec, rails, cack in elab.consumers:
-            cons = _Consumer(spec, [wires[i] for i in rails], wires[cack], self.ack_delay)
+            cons = _Consumer(spec, [wires[i] for i in rails], wires[cack])
             for w in cons.wires:
                 w.sinks.append(cons.react)
 
@@ -598,10 +587,9 @@ def run(
     stimulus: Dict[str, List[int]],
     delays: Optional[DelayModel] = None,
     max_time: int = 20000,
-    ack_delay: int = 1,
     inject: Optional[List[Tuple[int, str, int]]] = None,
 ) -> Trace:
-    sim = Simulation(fabric, delays, stimulus, max_time, ack_delay)
+    sim = Simulation(fabric, delays, stimulus, max_time)
     for t, wname, level in inject or []:
         sim.inject(t, wname, level)
     return sim.run()
@@ -718,20 +706,12 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     (:meth:`Trace.from_csv` ensures it).
     """
     states = {name: [0, 0] for name in trace.signals}
-    consumers_of: Dict[str, List[GateInfo]] = {}
+    readers: Dict[str, List[GateInfo]] = {}
     for g in trace.gates:
         for s in g.inputs:
-            consumers_of.setdefault(s, []).append(g)
-
-    def ack_wire(g: GateInfo) -> str:
-        sinks = consumers_of.get(g.output, [])
-        if len(sinks) == 1:
-            return f"{sinks[0].output}.sout"
-        if not sinks:
-            return f"{g.output}.cack"
-        return f"{g.output}.ackin"  # the join of the consumers' acks
-
-    driven = [(g, ack_wire(g)) for g in trace.gates if g.output in trace.signals]
+            readers.setdefault(s, []).append(g)
+    driven = [(g, ack_source(g.output, readers.get(g.output, ())))
+              for g in trace.gates if g.output in trace.signals]
     records = _replay_index(trace, states, [a for _, a in driven])
     for g, ack in driven:
         # The acknowledge's record, or None where the rule ignores it.

@@ -1,5 +1,6 @@
-"""Independent reference models for the handshake equations, the trace
-analyses, the programming chain and the bitstream's hex packing.
+"""Independent reference models for the C-element, the handshake
+equations, the trace analyses, the programming chain and the bitstream's hex
+packing.
 
 The handshake models deliberately avoid the table/block evaluation path:
 they are direct transcriptions of the output-wire case equations.  The trace
@@ -7,9 +8,9 @@ analysis models are the direct quadratic forms, which count every event again
 for every transaction window.  The four-phase decode and the rendez-vous
 check are the first versions, which classify every wire pattern afresh.  The
 programming-chain models move every stage on every tick, which costs time
-quadratic in the chain length.  The hex packing model builds each digit from
-its four bits.  All are used as
-oracles.
+quadratic in the chain length, and read a block's chain without the
+chain's own code.  The hex packing model builds each digit from its four
+bits.  All are used as oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from qdifab.encodings import CodeKind, ValueCode, signal_parity
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.trace import GateInfo, Trace
+
+
+def c_element_mux(prev: int, inputs: Sequence[int]) -> int:
+    """The multiplexer form the logic block wires up, Z = (Z and OR(I)) or
+    AND(I), which ``primitives.c_element_step`` must match."""
+    any_i = 1 if any(inputs) else 0
+    all_i = 1 if all(inputs) else 0
+    return (prev & any_i) | all_i
 
 
 def all_16_functions():
@@ -275,6 +284,22 @@ def level_value_correlation(trace: Trace, signal: str) -> float:
 # -- programming chain, stage by stage ----------------------------------------
 
 
+def snapshot(block: Block) -> Tuple[Optional[int], ...]:
+    """The chain's stages, head to tail; None is an empty stage."""
+    return tuple(block.stages)
+
+
+def stored_bits(block: Block) -> Tuple[int, ...]:
+    """The stored bits in arrival order (tail first)."""
+    return tuple(b for b in reversed(block.stages) if b is not None)
+
+
+def rails(block: Block) -> Tuple[Tuple[int, int], ...]:
+    """Each stage's dual-rail pair, head to tail: (0, 0) when empty."""
+    return tuple((0, 0) if b is None else ((1, 0) if b == 0 else (0, 1))
+                 for b in block.stages)
+
+
 def chain_shift_tick(block: Block, feed: Optional[int]) -> Optional[int]:
     """One settle tick: bits move one stage tailward, a fed bit enters the
     head if it is free.  Returns the bit still waiting at the input."""
@@ -290,9 +315,9 @@ def chain_shift_tick(block: Block, feed: Optional[int]) -> Optional[int]:
 
 def chain_settle(block: Block) -> None:
     while True:
-        before = block.snapshot()
+        before = snapshot(block)
         chain_shift_tick(block, None)
-        if block.snapshot() == before:
+        if snapshot(block) == before:
             return
 
 

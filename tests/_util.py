@@ -8,15 +8,16 @@ from qdifab.plb import plb_step, plb_reset, ack_outputs
 def step_unit(unit, state, **signals):
     """Evaluate a mapped block against named signal wire values.
 
-    ``signals`` maps signal name to a tuple of wire levels; unbound pins
-    read 0.
+    ``signals`` maps signal name to a tuple of wire levels, ``ack`` standing
+    for the block's acknowledge input ``<out>.ackin``; unbound pins read 0.
     """
     values = []
     for ref in unit.config.input_assignment:
         if ref is None:
             values.append(0)
         else:
-            values.append(signals[ref.signal][ref.index])
+            name = "ack" if ref.signal.endswith(".ackin") else ref.signal
+            values.append(signals[name][ref.index])
     return plb_step(unit.config, state, values)
 
 

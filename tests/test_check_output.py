@@ -25,9 +25,9 @@ PROPERTIES = ("single-toggle", "no-early-eval", "toggle-count", "timing", "dpa",
 # Half adder plus a carry tap: a and b each feed two gates.
 FANOUT_NET = (
     "".join(f"signal {n} proto=4ph arity=2\n" for n in "absto")
-    + "gate g1 fn=6 in=a,b out=s ack\n"
-    + "gate g2 fn=8 in=a,b out=t ack\n"
-    + "gate g3 fn=e in=s,t out=o ack\n"
+    + "gate g1 fn=6 in=a,b out=s\n"
+    + "gate g2 fn=8 in=a,b out=t\n"
+    + "gate g3 fn=e in=s,t out=o\n"
 )
 
 # (netlist, its two primary inputs, delay model).
@@ -40,7 +40,7 @@ DESIGNS = {
         "xy", "uniform"),
     "edge_2in": (
         "".join(f"signal {n} proto=edge arity=2\n" for n in "xyo")
-        + "gate g fn=8 in=x,y out=o ack\n",
+        + "gate g fn=8 in=x,y out=o\n",
         "xy", "uniform"),
 }
 

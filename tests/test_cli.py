@@ -29,16 +29,17 @@ signal b proto=4ph arity=2
 signal s proto=4ph arity=2
 signal t proto=4ph arity=2
 signal o proto=4ph arity=2
-gate g1 fn=6 in=a,b out=s ack
-gate g2 fn=8 in=a,b out=t ack
-gate g3 fn=e in=s,t out=o ack
+gate g1 fn=6 in=a,b out=s
+gate g2 fn=8 in=a,b out=t
+gate g3 fn=e in=s,t out=o
 """
 
 SEVEN_WIRE_NET = """
 signal x proto=4ph arity=3
-signal y proto=4ph arity=3
+signal y proto=4ph arity=2
+signal z proto=4ph arity=2
 signal o proto=4ph arity=3
-gate wide fn=0 in=x,y out=o ack
+gate wide fn=0 in=x,y,z out=o
 """
 
 STIM = "a: 1,0,1,1\nb: 1,1,0,1\n"
@@ -54,7 +55,7 @@ def files(tmp_path):
 
 
 def test_config_bits_roundtrip():
-    unit = map_4ph_2in("g", lambda x, y: x & y, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", lambda x, y: x & y).plbs[0]
     bits = config_bits(unit.config)
     assert len(bits) == CONFIG_BITS
     hx = bits_to_hex(bits)
@@ -82,7 +83,7 @@ def test_bitstream_roundtrip_preserves_behaviour():
 def test_bitstream_roundtrip_edge_gate_with_internals():
     src = (
         "signal a proto=edge arity=2\nsignal b proto=edge arity=2\n"
-        "signal o proto=edge arity=2\ngate g fn=6 in=a,b out=o ack\n"
+        "signal o proto=edge arity=2\ngate g fn=6 in=a,b out=o\n"
     )
     fab = fabric_from_netlist(parse_netlist(src))
     fab2 = read_bitstream(write_bitstream(fab))
@@ -107,7 +108,7 @@ def test_map_seven_wire_gate_fails_naming_gate(tmp_path, capsys):
     rc = main(["map", str(net), "-o", str(tmp_path / "x.bit")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "wide" in err and "7" in err
+    assert err == "error: gate 'wide': unsupported 4ph shape [3, 2, 2] -> 3\n"
 
 
 def test_map_parse_error_reports_line(tmp_path, capsys):
@@ -175,7 +176,7 @@ def test_check_unwritable_report_exits_2(files, capsys):
     assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
 
-@pytest.mark.parametrize("flag, value", [("--ack-delay", "-5"), ("--max-time", "-1")])
+@pytest.mark.parametrize("flag, value", [("--max-time", "-1")])
 def test_sim_negative_time_exits_2(files, capsys, flag, value):
     tmp, net, stim = files
     bit, tracef = tmp / "d.bit", tmp / "out.csv"
@@ -358,6 +359,7 @@ time,wire,old,new
     "# record o 0 1",  # no completion time
     "# transaction o first",
     "# gate h proto=4ph in=zz,x out=o ack=0",  # undeclared input
+    "# signal x proto=edge arity=2 wires=x.0,x.1",  # x declared again
     "# meta fabric",
     "3,x.1,1",  # three fields
     "3,x.1,1,0,0",
@@ -365,8 +367,8 @@ time,wire,old,new
     "t3,x.1,1,0",
     "3,,1,0",
 ], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
-        "gate-undeclared-input", "meta-no-value", "row-3-fields", "row-5-fields",
-        "row-wire-space", "row-time", "row-no-wire"])
+        "gate-undeclared-input", "signal-twice", "meta-no-value", "row-3-fields",
+        "row-5-fields", "row-wire-space", "row-time", "row-no-wire"])
 def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     good = tmp_path / "good.csv"
     good.write_text(GOOD_TRACE)
@@ -471,8 +473,10 @@ def test_sim_block_binding_undeclared_signal_exits_2(files, capsys, old, new):
     ("in=a,b out=s", "in=a,t out=s", "# plb 0 "),
     # two gates named g1
     ("# gate g2 ", "# gate g1 ", "# gate g1 proto=4ph in=a,b out=t"),
+    # an `ack=` that disagrees with the blocks, which read s.ackin
+    ("out=s ack=1", "out=s ack=0", "# gate g1 proto=4ph in=a,b out=s ack=0"),
 ], ids=["signal-twice", "two-drivers", "gate-proto", "cycle", "gate-inputs-vs-pins",
-        "gate-twice"])
+        "gate-twice", "gate-ack"])
 def test_sim_bitstream_breaking_a_design_rule_exits_2_naming_line(
         files, capsys, old, new, named):
     tmp, net, stim = files
@@ -501,7 +505,7 @@ def _sim_trace(tmp, name, net, stim, delays="uniform"):
 
 
 AND_NET = (
-    "".join(f"signal {n} proto=4ph arity=2\n" for n in "xyo") + "gate g fn=8 in=x,y out=o ack\n"
+    "".join(f"signal {n} proto=4ph arity=2\n" for n in "xyo") + "gate g fn=8 in=x,y out=o\n"
 )
 
 
@@ -614,3 +618,4 @@ def test_check_signal_listing_a_wire_twice_exits_2(tmp_path, capsys, prop):
     assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: line {lineno}: signal x: wire 'x.0' is listed twice\n")
+

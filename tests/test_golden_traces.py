@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from qdifab.bitstream import read_bitstream, write_bitstream
 from qdifab.netlist import parse_netlist
 from qdifab.simulator import (
     DelayModel,
@@ -44,32 +45,34 @@ def _signals(proto: str, names: str, arity: int = 2) -> str:
 # f(x, y) = (x + y) mod 3, two bits per entry x + 3y.
 _TER_SUM = sum(((x + y) % 3) << (2 * (x + 3 * y)) for x in range(3) for y in range(3))
 
+# Every gate reads its consumer's acknowledge where its shape has a wire
+# for it; 4ph_2in_ack (XOR) keeps the name it had when that took a flag.
 DESIGNS = {
-    "4ph_2in_ack": _signals("4ph", "xyo") + "gate g fn=6 in=x,y out=o ack\n",
+    "4ph_2in_ack": _signals("4ph", "xyo") + "gate g fn=6 in=x,y out=o\n",
     "4ph_2in": _signals("4ph", "xyo") + "gate g fn=8 in=x,y out=o\n",
     "4ph_3in": _signals("4ph", "abco") + "gate g fn=e8 in=a,b,c out=o\n",
     "4ph_ter": _signals("4ph", "tuv", 3) + f"gate g fn={_TER_SUM:x} in=t,u out=v\n",
     "ledr_2in": _signals("ledr", "xyo") + "gate g fn=6 in=x,y out=o\n",
-    "edge_2in": _signals("edge", "xyo") + "gate g fn=8 in=x,y out=o ack\n",
+    "edge_2in": _signals("edge", "xyo") + "gate g fn=8 in=x,y out=o\n",
     # Fan-out DAGs: b, p, y and x each feed two gates.
     "dag_4ph": _signals("4ph", "abcdpqr")
-    + "gate g1 fn=6 in=a,b out=p ack\n"
+    + "gate g1 fn=6 in=a,b out=p\n"
     + "gate g2 fn=e8 in=p,b,c out=q\n"
-    + "gate g3 fn=8 in=p,d out=r ack\n",
+    + "gate g3 fn=8 in=p,d out=r\n",
     "dag_ledr": _signals("ledr", "xyzabo")
     + "gate g1 fn=6 in=x,y out=a\n"
     + "gate g2 fn=8 in=a,z out=b\n"
     + "gate g3 fn=e in=b,y out=o\n",
     "dag_edge": _signals("edge", "xyzabo")
-    + "gate g1 fn=6 in=x,y out=a ack\n"
-    + "gate g2 fn=8 in=a,z out=b ack\n"
-    + "gate g3 fn=e in=b,x out=o ack\n",
+    + "gate g1 fn=6 in=x,y out=a\n"
+    + "gate g2 fn=8 in=a,z out=b\n"
+    + "gate g3 fn=e in=b,x out=o\n",
     # g1 reads x twice, so x's acknowledge join lists o.sout twice; o feeds
     # three gates, so o's acknowledge join has three sources.
     "dag_4ph_join": _signals("4ph", "xycopqr")
-    + "gate g1 fn=8 in=x,x out=o ack\n"
-    + "gate g2 fn=8 in=o,y out=p ack\n"
-    + "gate g3 fn=6 in=o,y out=q ack\n"
+    + "gate g1 fn=8 in=x,x out=o\n"
+    + "gate g2 fn=8 in=o,y out=p\n"
+    + "gate g3 fn=6 in=o,y out=q\n"
     + "gate g4 fn=e in=o,c out=r\n",
 }
 
@@ -132,28 +135,28 @@ def _digest(case: str, fabric=None) -> str:
 
 
 GOLDEN = {
-    '4ph_2in_ack-uniform': 'b75a8e85a4ee8d1c1d67eb3f082035045320f25d773136ddf9d932144da38b14',
-    '4ph_2in_ack-jitter1': '73477efbcb396191e631c9ffed1fd2b3f22f76d3186ea0e4995c1ded8bfa1063',
-    '4ph_2in_ack-jitter2': 'b65ddcfa10fd048549d07a91652ba3e7dd482aa72a7d61388c1e54a17afe01d2',
-    '4ph_2in_ack-jitter3': 'c1db7af763dc46f682f22562f6019b61753caf8808e2bc1f9ec1ecac73ca5e53',
-    '4ph_2in_ack-jitter4': '29bf1ced4c1be997e294878864bd77d80b42249990d23fdb2b3ab86f06f30091',
-    '4ph_2in_ack-jitter5': '84932bff402fc8d6c9c944da037f3d78a827e369a4b4d9a0614fe34c136d6753',
-    '4ph_2in_ack-jitter6': '9f5d4eefae4db579fac21de59fd6ecca952788afe8620cb2de363cd774a7d6fc',
-    '4ph_2in_ack-jitter7': '223e3c9982da9ea8e0e5f7c6b79044b334566ad16d42061bb4be2a71ad33db1e',
-    '4ph_2in_ack-jitter8': '151c67af9b8abd0362c83c247a4ba5080c50cd3955e6e361219eb7924ff38f4b',
-    '4ph_2in_ack-jitter9': '404453899f34369a33446de8755fc5739ce3e115f8fd7433bd4dbe9dbcdcd1a5',
-    '4ph_2in_ack-jitter10': '845df6660ea810a8f4e68134cca1204009e38f0e409a58157910fdbf9b897925',
-    '4ph_2in-uniform': '98948ac3d4863ed37c47e93d82fd74ed675ed673f7aff36d5dccc4eea60f5fad',
-    '4ph_2in-jitter1': '648b610a17a65adc691ac867ea6efa3f1b5ca461fe7f83e9222566e85ad79e50',
-    '4ph_2in-jitter2': '9bfcecf7bc18d96bf3c333fe924cc8645837ad654219936e85db3978d3dcf562',
-    '4ph_2in-jitter3': '351bee79420cf466d4a37398756295a248b5a663edde1428194fe12df262a182',
-    '4ph_2in-jitter4': '3178e55045cae862021021c3e33994263c01c63d944db126b8eca86ceee49151',
-    '4ph_2in-jitter5': 'ecb9776b06dd3eed7a2e8872fe7ac45dda51c9c024bf769a08a24f952eb20ad5',
-    '4ph_2in-jitter6': 'b4153f1456855ec59b5c1cda778aa0ff9851774738e08a6c8e78b077cfa382d2',
-    '4ph_2in-jitter7': '6a4fe3d4e36ec5fe57730854df477d1498671106002804fac6e05954e8772d54',
-    '4ph_2in-jitter8': 'd04e3dbec847be17d1e0012f5ab5cf1386710d55962311932d6553ea6055523f',
-    '4ph_2in-jitter9': 'f90358d42f46cf1a624f0445afddd4a0745dd2b2110d3c3898fb9aa58a4918f9',
-    '4ph_2in-jitter10': 'cad9e214200cb27f12133869f2be11e44cda2090a7e86829fa0f0263141a79f9',
+    '4ph_2in_ack-uniform': 'c8cbb799289704d50554bd75767d01c0028979e0d6c2c8eb78eea95d4bc92293',
+    '4ph_2in_ack-jitter1': 'c0d284a02a49bd49126b5eaff795e5bed3f09f714fcffa2cf2a432de4ab54e03',
+    '4ph_2in_ack-jitter2': '1a3bf7eb68437cd047a28fd1baff7471c75b3db50b6e8a5ee319e8b8ad7b14e9',
+    '4ph_2in_ack-jitter3': '7adf3a4c4e52dfe264589628c761d7910d62e8fcc53d902d077265e6b04c53de',
+    '4ph_2in_ack-jitter4': '356e7c684af4f43567f32fbe62093f72fcb09fbf2fe76a4f0d7c25e753a52fa4',
+    '4ph_2in_ack-jitter5': '293769e96c8a76cbc2febe3c31f83ff0dc618c941a3a2f5633c4d32b5d0e5b6e',
+    '4ph_2in_ack-jitter6': '2f492d8c0e8d637a2ea1474aec6a593213425b07aaedcd37c64837188138d8e2',
+    '4ph_2in_ack-jitter7': '3fa4a72a93ac3137a72cfa28b707bf6b9505ced826ff4516951df1f75558ba66',
+    '4ph_2in_ack-jitter8': 'bd8f1320f29fde2535f96349e91ba61342e65003323f0050102409d3f5e3cbab',
+    '4ph_2in_ack-jitter9': '56b67a711023bc9fa0ba4aab3c8d4476e96db89e8d0e055eaf4813fb9cc32181',
+    '4ph_2in_ack-jitter10': 'a066f106b6d04b3ca5ceb4e4e3ac5e4062b85ed192d06f0723b4d1a9e13e8015',
+    '4ph_2in-uniform': '78d3435e6cce6425919bb44b1b6f4b77ca2ee3159f2bd912c8655b9e4ac93640',
+    '4ph_2in-jitter1': '73fc40e0c682dd2617be5ce829b930c8eb77441a6e70679c6a5a35225be7ca99',
+    '4ph_2in-jitter2': 'eced779a3a607b2a100de06a3b6cfceb40e0e11a7a250c564df31d5f9c537acc',
+    '4ph_2in-jitter3': '59605313bc7f81f8a8b847bed827438e07551063e184d42087b1db060ad76876',
+    '4ph_2in-jitter4': '3de65489d4780de56a31a2d87c88449f2d56e08f2a3d293210ba42ef4d07efb4',
+    '4ph_2in-jitter5': '1760a71165f490a6aa931a7e422e6ea2d7ebb594c26eaa7a0faf76ae0362cc77',
+    '4ph_2in-jitter6': 'cc67c4b7ecffdb8b7282987c7a9c1e1a2ed8654b6945cf12d35f10abafb8ae40',
+    '4ph_2in-jitter7': '00b8977db15264132f90f12c9e2e6b024333d6e4a13cd38ab7521875f86da40c',
+    '4ph_2in-jitter8': 'd1aa07e802dbeecc07b4e044a84eb809c9d662ffee57f2d5c35841940899ccc0',
+    '4ph_2in-jitter9': '10ec48fc4c8a49d4091503c498b94821d8312515ea9b635c7b88d6c9f2fd5c20',
+    '4ph_2in-jitter10': '940b90ac3b9a3a0b6a5aab2d76a9267566e5430966f79f26d299b41bfc72c1d9',
     '4ph_3in-uniform': 'f2ff54c9c64c2bcc5fba7a8edbeba80e13528b838b0b77b63c33b4853b6b09e0',
     '4ph_3in-jitter1': '30c73a5cf049132b3e5f21916293ed32a0de589ed2baadf0456825bf0fa80a55',
     '4ph_3in-jitter2': '04d76ef233e2c7837c79115812ac6554f11dc883156a1b62744fcc423b5f6e46',
@@ -176,28 +179,28 @@ GOLDEN = {
     '4ph_ter-jitter8': 'd321338817cea809b29ecb7931aa63f6dfc5156a624abb2928a8435f724aab30',
     '4ph_ter-jitter9': '6fa7bdfac17537ab9fac3d0bedaa7ea57b4539e3d316bb882dbd1fcc7f35133f',
     '4ph_ter-jitter10': '3df74c6b8bcb0a6f79a794b5f946688a6af8be7013c18028669aeb0d1cb76ed2',
-    'ledr_2in-uniform': 'ed8d85d1ecfdfbef075c2e1356c01e3e14334c1f2c33028794410a451d727f98',
-    'ledr_2in-jitter1': 'd84a348913006605f4b9733e8667ca15941042b3a7d458d79993b38e1f23782c',
-    'ledr_2in-jitter2': '0bba52ff4d99f834204de2ce1345c449eafa4f6bb451ce5e4eb21f4cfabf3bd1',
-    'ledr_2in-jitter3': '421e7ac60fc295b222d64ddc1b49c96dba4118631c34db279de4d03feb666105',
-    'ledr_2in-jitter4': '4f048e62d8dc01cbf1b2dc463ed9f59933055ce959ea8278d1e76623253f5e84',
-    'ledr_2in-jitter5': '3d5a8d0f9dd443a60c619c865eee09b9fc0f48049225bf4ba453f0b3812acf1c',
-    'ledr_2in-jitter6': '24c89c7b0242d6e066a6cd5efeaaa2448648cf928176edd68da63cb041ae6758',
-    'ledr_2in-jitter7': '0bab9a9dfb00d1160a2c5f208e2d7ce9ce82e7dee98fc7893db47e4cc0923135',
-    'ledr_2in-jitter8': '7cfdd871f4d77b2a673bb99cc744a8087211a76d405045d5535e660fc8b1d55a',
-    'ledr_2in-jitter9': 'b5216d1434e520a55519a681c1558baeacf1d007e0a167b5febf52fd65d88bb0',
-    'ledr_2in-jitter10': '59add9cb7a73b27d7b87c15c1ff2ef49874cb8a649242ce074280f6ac730fcd3',
-    'edge_2in-uniform': '5d61a8e76fecbc8e2c9af0f17728eba5b5755e950895c1f22ceb78c6b57f5173',
-    'edge_2in-jitter1': 'fc552efd9573fbb1bb73c00cc990b6eb1986462c9f7dc6472d6414aadbf2d40b',
-    'edge_2in-jitter2': '639e99877699b90399c3896c333c06e7a3edc60afaae84cb08910ce36ed32e70',
-    'edge_2in-jitter3': '00f153e152c8f299864aa58de5fc61f8812969e85f42aa4ee940c06afabe5c1f',
-    'edge_2in-jitter4': 'be80628cfd5a1b56eddae1e6b8e5a146919913857db1ecf3ee1ac92e830baa19',
-    'edge_2in-jitter5': '0f46a071dafaa42a3e46bd3436221b5c0c12e767c30796068669ea5c616196df',
-    'edge_2in-jitter6': 'c4ffdc98c4e01d286260cff3f2fd81b9342f003a3cefd75c8f8d7de5d7bdd7ac',
-    'edge_2in-jitter7': 'a736f19b7f86737f2dea585f45ee27b80602b7fd51f61496975651ee2f00f6db',
-    'edge_2in-jitter8': '05857861b8f0d0be16d6bd90eeb79940e716d678b25b070e6d71eb3b3b1c5519',
-    'edge_2in-jitter9': 'f3192d13b7fb48a42c2ac87247d41fc3e57f4c77d8465d638be3c61c00c03d4d',
-    'edge_2in-jitter10': '875054bb85b66008a2c971a38d089966cbf91850d05a0bca52e89d77eab7ca9f',
+    'ledr_2in-uniform': '8a92795d437206fb92817ffb7193c731172bbcc917291be186f200ab7c75f2c7',
+    'ledr_2in-jitter1': 'aed132fc45cdd2f033e84f55c217410c2d93ae8ae5665fe76c7d8814744c5b2b',
+    'ledr_2in-jitter2': '19ee4d50dae13a21d335f1e84b3a0ccccb76b2f512560405d4ea70b22c5bc2d9',
+    'ledr_2in-jitter3': '1f8f64b8bbcc1e98e49c915f58c0dd15c144811f96a34ed90b710d18d6c8d908',
+    'ledr_2in-jitter4': '2670fe869142acf0003cb68e64b31c9254754f7722180d41df91be224aa92744',
+    'ledr_2in-jitter5': '11b87f2abc09eadc060d2accf7352174ac5d9632d451e3f05d4dfb9788d1caed',
+    'ledr_2in-jitter6': '1aaa7ebb0adc2b6b44c372197cf3df7a1b97618ec692b7509259c11eb90646a6',
+    'ledr_2in-jitter7': '478ea4555c1544117d612a255802a1a76a14e19dca46501ebb928df812f958fd',
+    'ledr_2in-jitter8': 'f24eb50e9b19d827c6e46e1f16c2d9dd80e648b15f33173093961e871ede5816',
+    'ledr_2in-jitter9': '4d873e76de5c523c32d865aa4cbeff8fa1295d6a0c8aaa4e2baa4aab723d603f',
+    'ledr_2in-jitter10': '4c802531368411e9ec0fc68da6ab61897588a0ea08879ad1b86a07f45257e4f7',
+    'edge_2in-uniform': 'aa5660fed652efbcc30b70875643d95f26775fc5e9ca4d3b5d97b0480d9e92d6',
+    'edge_2in-jitter1': '7f6d8120b1b37dd850715201bc23f609b75f2b477552002b9e7887943d711dd4',
+    'edge_2in-jitter2': 'a1e00869827bae4c76f6095bb568d8f6bd8b1b9e0b7a5da10d518675adacbd9e',
+    'edge_2in-jitter3': '352a6ee603a5185f4c8791488047926d620b87c478ac6bd90fa71dacbcb8f956',
+    'edge_2in-jitter4': '48a9e251be6dc92d84e195db38d6dc17e39d4ee111910d3da9e997b4c73dfd0d',
+    'edge_2in-jitter5': '0ed6409554472e96437c01dabe8e09532141787a356e49196da2598a9ebeb9c1',
+    'edge_2in-jitter6': '802881a6db777ac4647bff3fcde505a70ba8746143176914ef2b9ba86fac5c24',
+    'edge_2in-jitter7': '9cfa8e301a72a3ee2c785a4be7f123c839e62b0ddfaeb830b7da60e9dca644fe',
+    'edge_2in-jitter8': 'fa6c43448711ddc7b16a0d02e9fd9f87b902909926f7d4387588d8af67b18beb',
+    'edge_2in-jitter9': 'b0771d338188ecc5c9d5127f9071aad9badef11051295e32b94ee873adb82879',
+    'edge_2in-jitter10': '2a8c58cf88d7231cccb026ea8f07b4cdcc51461037ad0f02837af01b3d09adbd',
     'dag_4ph-uniform': 'd6ef5aef7ed6d37bd0ec5866454652f43bec2d69af039ed088a15a66990ea72b',
     'dag_4ph-jitter1': 'fe94eff906c37c8205198ead32e481f8679304124cff628bfb33ee58665b32a9',
     'dag_4ph-jitter2': '0180b314934004d50469cbbdc77529cc62dcf00bb906f56a090e912f8aaef8c8',
@@ -209,44 +212,44 @@ GOLDEN = {
     'dag_4ph-jitter8': '89bb9d49956bf749bb04e5df4a744781695991d9c3add02b3e83abea91e34264',
     'dag_4ph-jitter9': 'a4486ee8fc9b9e7b35389331fee5772f42c2fe6030c0ecd2362b1bed4d5c5aac',
     'dag_4ph-jitter10': '7914e88b90e99eb300e32640745b0c3e695bfd75f375103303e662208778c9b3',
-    'dag_ledr-uniform': 'e60a157ecc3471a5e93121e9767200afd1b02dede7295d23a84d397c9b992413',
-    'dag_ledr-jitter1': '73bcef874570335cc7dbeac0abe5fb1735c5f662fe23fbdb411eebd6fb04c392',
-    'dag_ledr-jitter2': 'ea677ca3e7567517c3c54a6ec07d865ba25e326bb0d2e688df1b35857c962bc6',
-    'dag_ledr-jitter3': '65416f142e483ed86f55cbe9a5ada5c780c90a4c265f553af3b710529c1b2c3c',
-    'dag_ledr-jitter4': '17c62478477ff996d3b3ddb41a79a6752c88947c8fbb77988a912f965f63868f',
-    'dag_ledr-jitter5': 'b4dd396f84a5107ea24c55982ad6adabd9f8c89adb1912fe3d064f50970dc84d',
-    'dag_ledr-jitter6': '3a25ff4a2b65952acd0a698321d1930ead07096826dd9160bf79c5b3bbfc7243',
-    'dag_ledr-jitter7': 'c17ca0341a608173ecc6c16d2f55de511cd7c988f4d6be270ecf4e844ab658a4',
-    'dag_ledr-jitter8': 'c47677f7cf5c5a6963060b1efc2d132fd23870201067bdc361ccbc3cfdf2f228',
-    'dag_ledr-jitter9': '723f533c09cb9d0572d5aa9366bd3a93822874a2a5460c3ed36650a44140601f',
-    'dag_ledr-jitter10': '11af089c79c3fd2a01e7b0c47112ac4092292c3520aa58cf217ca4735893e30b',
-    'dag_edge-uniform': 'f08ffb4fc82958adae5bdd2469c997792c755430127440bef450aafb3412dc49',
-    'dag_edge-jitter1': '818920e086c29aa94d6eba8674b316320b8cae755fb45722997a6130c8e48d13',
-    'dag_edge-jitter2': '948494ccd80076da1909d487c65e47613e90c2f5e61b959aca7ae5b2616d9cf4',
-    'dag_edge-jitter3': '6f5d4258eaca458f7689ffdb57e4e7c6fc694894bfb2a65ae3eca9cdaaa1526b',
-    'dag_edge-jitter4': '07c0f3b7ba86400b2baeebd0d31cdad6031d3544e4e9297cc85a252d074f84d1',
-    'dag_edge-jitter5': 'c9007679e877c3d1ece80e745f00ed7ede5f8a77eb45fc596f11ebe7aea63c3d',
-    'dag_edge-jitter6': '19b02137fefde99a72d8eae0c84b980f46b348380e06be71fbadb00fc6fdeb73',
-    'dag_edge-jitter7': '9a3d6ac0fc2fda96e513ad972dba360854a2f384d5d6ccbe7739bdbe05a25157',
-    'dag_edge-jitter8': '9210c09e480d8ca20ea52ba1f5603cf57bbe566aefc548ec7f8cc7826e9d23ea',
-    'dag_edge-jitter9': 'ffc77273740fa1876411c4d020b3990985b47d28b8589446adcab4f9cf3194bc',
-    'dag_edge-jitter10': '9acd2850201b0fe3f3251869d3cdb4c7a541250e2af02aad296c5fe83d138b65',
-    'dag_4ph_join-uniform': '9bbfc30edec15aa975b079e5b128d40cc539dde36f13119909d0507f3eec8470',
-    'dag_4ph_join-jitter1': '7884e9189d884e2ab281b1503821f0b56a6f537ae8da9304e8857a2b134b37e0',
-    'dag_4ph_join-jitter2': '42da86538ca5fb482c677676512ef5fbe17af5cb30cf6b064c9c30e51f7780c4',
-    'dag_4ph_join-jitter3': '4b6de61bb5280f09fa97078b10332372b04edbc213867f57f6923e61ea057169',
-    'dag_4ph_join-jitter4': '7272cc1f6060478b3cee544769823f416d46628069dee734937e88b60898e58e',
-    'dag_4ph_join-jitter5': '5d511c97b7550f4342c2bce77b75cb3582cf756d0d088747c66d6b51e96add85',
-    'dag_4ph_join-jitter6': 'cd25f820fce09eaf08a367d0bac7ca511c8ef6edfea52e4a8bc86ed093d6698f',
-    'dag_4ph_join-jitter7': 'adc296388541c974fa49d8cec895f721922f1aacfda1e58c5f55ebb574b7109b',
-    'dag_4ph_join-jitter8': '676ca693d866eedc270bf6aef11b700c19c964b99a413cc758d64679c2112822',
-    'dag_4ph_join-jitter9': '93e3bc2898cb9580436fcde388ffe0446b3467456282f5e31bcba214beee1aa5',
-    'dag_4ph_join-jitter10': 'b64604625dd2e42ebbdb11b9f6afa18d9c2a4670fdf96d90e69a6a4c0efea1d8',
-    'fault_input_rail-uniform': '2325b4c455ece5f4f2ebf2c088dc6a19af7725221d4d97af75b56dc997a7d962',
+    'dag_ledr-uniform': 'be6c9456b61c42dcc532d6d8d5f7b224ef367372fddf69c0d8131defbe44b5b4',
+    'dag_ledr-jitter1': 'dead8c057906975e53941eefc9f0b9a599868ae9e6149fe0b9c02b31b197e83b',
+    'dag_ledr-jitter2': '7f1aed385bd9bccab9fd63f8a8a056d06ca5f57d746cdbcf7c34d382360d556f',
+    'dag_ledr-jitter3': '76ed6fc3cf7a73251114e631498e5619ca62467ebc882b26183cbefbfd3eb7ec',
+    'dag_ledr-jitter4': '8aad520816acc1ab716511ee7f1923d1d5fe42d7976abcfacf51dce4abf67a47',
+    'dag_ledr-jitter5': '542a29f253ee27682a47314ea1a7f788638577563e7400c1d4ef975c231ea386',
+    'dag_ledr-jitter6': '11ab14b348555bfb361c307104c8160840c125de7f78ce655b7234f76250483c',
+    'dag_ledr-jitter7': 'c8a6b604aeb208cc203127cb32ce2267f0d5a3f0cb5b096617006e55dcdfa4bd',
+    'dag_ledr-jitter8': '6229d6e759726deb6772870a0922dedb2d2ec273cde1d44ceb89538f0decc159',
+    'dag_ledr-jitter9': '048ddcf7380a818ea7bbc2fe23f874d944d122a794e2cb0a523e0c967d853368',
+    'dag_ledr-jitter10': '251fa7d49bc153a5405b0549ae5e4a195cf76ed13831de672580f5839e1b6d13',
+    'dag_edge-uniform': 'e6287677b8f84e66878a344ea7504cdbf4bf5f8255165e163f4d6ef84f46b694',
+    'dag_edge-jitter1': 'af8b942af0a8794eb6ff0c7ab5a88b62c45bc2dfee1daee6f618700b18d9ce94',
+    'dag_edge-jitter2': '14dba7e9aace07ae090b65c91c2792f88b792e9aecfca931e4a27eb5650e7c83',
+    'dag_edge-jitter3': '0c9ef98a813d2118a95b0abf4617c403544281d223053d6605874038b95c1031',
+    'dag_edge-jitter4': 'fa6d09edb5f09b71c24c4044b6bd0b89702a4a1694de842df5be7a196c9e5ddc',
+    'dag_edge-jitter5': 'cb4d544bca4e804fbb024afcb9200694ff3d54327f4abf3fc38ee7e24bba7f5f',
+    'dag_edge-jitter6': '1787a914595c7ffa7ed795d5c410f260c36b0e319f373ca38a90c49764cda97c',
+    'dag_edge-jitter7': '956212e48be6dd161996f90273c4834a289645fb39238ef94614702e825bfa72',
+    'dag_edge-jitter8': 'df69cd42f583554b9898561e4aebfa9adf1e92ac7dac92a79a22b6af7986587c',
+    'dag_edge-jitter9': 'adcefb2952f994ed780c95f769ace4d20300e50e5cb3f032ccbd31d5d99b62c5',
+    'dag_edge-jitter10': 'a5c04d4c72d6cb4439cd27722703858e17afa87e4e9a56ddd15e587544c9e8be',
+    'dag_4ph_join-uniform': 'd64840b9dc6c23af7d64aa37b86ba6c31842c2839101fbfffb5f957dd30334ba',
+    'dag_4ph_join-jitter1': '8dd80c48e733f3e385992d7578794194a7cd7f5f453fa6a901b2c3e8e56397f6',
+    'dag_4ph_join-jitter2': 'abb89104f60a07924d3338a6d5b7103e3d298ac37e59837a0ab0596e16087e74',
+    'dag_4ph_join-jitter3': 'e8f21256062207b962f573c2b7d1f4b8bb113b07ed5254cf88f2fd002b862e78',
+    'dag_4ph_join-jitter4': 'ad21f8eecd353b2146719c57fc85be1f636448785a358592e899091423c69ef9',
+    'dag_4ph_join-jitter5': '4364f7ee859de87c42b3ac03a9f0a87be1896d44d7b79fd437215d2a9ebb4019',
+    'dag_4ph_join-jitter6': '1870f4e85b5c94559279f05b488160744ad0646cc06492537df64f4050d9bd06',
+    'dag_4ph_join-jitter7': '5ea34a6a51a5775afcb9d97837704504b19d5ff2f4e2b0489d012a40e04225e2',
+    'dag_4ph_join-jitter8': '9ecf7eb0793bb5328a301be476b2ffb798c2d0de4bcf692eb114039a34d04b20',
+    'dag_4ph_join-jitter9': 'a4ca301e65ae55797415a7518373b2601dcb34782cc16b7b1907c610036e4a2f',
+    'dag_4ph_join-jitter10': '258e05dd4a276419aa86079cbd077f242f13f306b4a65dabc906e559475b7742',
+    'fault_input_rail-uniform': '0300ba9193ad9a661c2a0fe9f9493eebe60da14c6a7e072fc4c8c54d0486b7c4',
     'fault_rail_pulse-uniform': '25e77f51f41501795a833f3ce047aefbdb185352bebdde221a39921cf5647273',
-    'fault_block_output-uniform': '915752590fb7a0a76234f6e25f4a7ad643a7366a059bd8f1586c1e5047778547',
+    'fault_block_output-uniform': 'bbd3956327d3d11fc900794058f3a21125a2995362ec14a23beb617157b8d949',
     'fault_input_forbidden_twice-uniform': '209ddec8f2540eb683c26463a2579a193d05321a6ca8710201ab9ff140f3635d',
-    'fault_output_forbidden_twice-uniform': '4ef6938a427800c0c30de43abcbc60df35f4ab00d0f4b164da1f1f686ade52fe',
+    'fault_output_forbidden_twice-uniform': '4bb9851b1712c63b33c87a37d60e24bf4870da59162d42cde6361a5607905e02',
 }
 
 
@@ -283,6 +286,17 @@ def test_reused_fabrics_stay_golden():
     random.Random("golden:reuse").shuffle(order)
     for case in order:
         assert _digest(case, fabrics[CASES[case][0]]) == GOLDEN[case], case
+
+
+@pytest.mark.parametrize("design", list(DESIGNS))
+def test_bitstream_round_trip_writes_the_same_trace(design):
+    # One fingerprint, one trace: the netlist's fabric and the fabric read
+    # back from its bitstream write the same bytes.
+    fabric = fabric_from_netlist(parse_netlist(DESIGNS[design]))
+    loaded = read_bitstream(write_bitstream(fabric))
+    for delays in ("uniform", "jitter3"):
+        assert (_trace(design, delays, fabric=fabric).to_csv()
+                == _trace(design, delays, fabric=loaded).to_csv()), delays
 
 
 def test_corpus_runs_complete():

@@ -12,8 +12,7 @@ from qdifab.mapper import (
     map_ledr_2in,
     map_ledr_3in,
 )
-from qdifab.netlist import map_netlist, parse_netlist
-from qdifab.plb import LutTable, plb_reset, validate_config
+from qdifab.plb import LutTable, WireRef, plb_reset, validate_config
 from ._oracles import (
     FourPhase2InOracle,
     FourPhase3InOracle,
@@ -40,7 +39,7 @@ def _cycle_4ph(unit, state, x, y):
 # -- four-phase two-input -----------------------------------------------------
 
 def test_map_4ph_2in_and_examples():
-    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
     assert st.mem_out[:2] == (0, 1)
@@ -49,7 +48,7 @@ def test_map_4ph_2in_and_examples():
 
 
 def test_map_4ph_2in_xor_logical_zero():
-    unit = map_4ph_2in("g", XOR2, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", XOR2).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
     assert st.mem_out[:2] == (1, 0)
@@ -57,7 +56,7 @@ def test_map_4ph_2in_xor_logical_zero():
 
 @pytest.mark.parametrize("bits,f", sorted(all_16_functions().items()))
 def test_map_4ph_2in_matches_equation_oracle(bits, f):
-    unit = map_4ph_2in("g", f, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", f).plbs[0]
     oracle = FourPhase2InOracle(f)
     st = plb_reset(unit.config)
     for x, y in itertools.product(range(2), repeat=2):
@@ -68,7 +67,7 @@ def test_map_4ph_2in_matches_equation_oracle(bits, f):
 
 
 def test_map_4ph_2in_hold_outside_conditions():
-    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
     held = st.mem_out[:2]
@@ -83,7 +82,7 @@ def test_map_4ph_2in_hold_outside_conditions():
 def test_map_4ph_2in_tables_match_direct_enumeration():
     # Independent enumeration of the case equation over the decodable pin
     # patterns (the multi-hot patterns are don't-care and excluded).
-    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", AND2).plbs[0]
 
     def decode(b0, b1):
         if (b0, b1) == (0, 0):
@@ -109,11 +108,18 @@ def test_map_4ph_2in_tables_match_direct_enumeration():
 
 
 def test_map_4ph_2in_without_ack():
+    # No caller can leave out the acknowledge: the block reads o.ackin on
+    # both feedback-free pins and waits for it in both phases.
     unit = map_4ph_2in("g", AND2).plbs[0]
+    assert unit.config.input_assignment[:2] == (WireRef("o.ackin", 0, 1),) * 2
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2))
+    st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2), ack=(1,))
+    assert st.mem_out[:2] == (0, 0)
+    st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2), ack=(0,))
     assert st.mem_out[:2] == (1, 0)
-    st = step_unit(unit, st, x=NULL2, y=NULL2)
+    st = step_unit(unit, st, x=NULL2, y=NULL2, ack=(0,))
+    assert st.mem_out[:2] == (1, 0)
+    st = step_unit(unit, st, x=NULL2, y=NULL2, ack=(1,))
     assert st.mem_out[:2] == (0, 0)
 
 
@@ -166,18 +172,6 @@ def test_map_4ph_3in_full_adder_pair():
     assert st.mem_out == (0, 0, 0, 0)
 
 
-def test_map_4ph_3in_rejects_ack():
-    # Three dual-rail inputs fill the 6 wires; an acknowledge is the seventh.
-    net = parse_netlist(
-        "signal x proto=4ph arity=2\nsignal y proto=4ph arity=2\n"
-        "signal z proto=4ph arity=2\nsignal o proto=4ph arity=2\n"
-        "gate maj fn=e8 in=x,y,z out=o ack\n"
-    )
-    with pytest.raises(MappingError) as exc:
-        map_netlist(net)
-    assert str(exc.value) == "gate 'maj': inputs and acknowledge need 7 wires, 6 available"
-
-
 # -- four-phase ternary -------------------------------------------------------
 
 TMIN = lambda x, y: min(x, y)
@@ -203,17 +197,6 @@ def test_map_ter_covers_all_nine_combinations():
         assert st.mem_out[3] == 0
         st = step_unit(unit, st, x=encode_4ph_null(3), y=encode_4ph_null(3))
         oracle.step(None, None)
-
-
-def test_map_ter_rejects_ack():
-    # Two one-of-3 inputs fill the 6 wires; an acknowledge is the seventh.
-    net = parse_netlist(
-        "signal x proto=4ph arity=3\nsignal y proto=4ph arity=3\n"
-        "signal o proto=4ph arity=3\ngate tmin fn=0 in=x,y out=o ack\n"
-    )
-    with pytest.raises(MappingError) as exc:
-        map_netlist(net)
-    assert str(exc.value) == "gate 'tmin': inputs and acknowledge need 7 wires, 6 available"
 
 
 # -- LEDR two-input -----------------------------------------------------------
@@ -255,7 +238,7 @@ XOR3 = lambda x, y, z: x ^ y ^ z
 
 
 def _ledr3_pins(unit, x, y, z, ack):
-    sig = {"x": x, "y": y, "z": z, "ack": (ack,)}
+    sig = {"x": x, "y": y, "z": z, "o.ackin": (ack,)}
     return tuple(
         0 if ref is None else sig[ref.signal][ref.index]
         for ref in unit.config.input_assignment
@@ -422,7 +405,7 @@ def test_edge_rejects_non_binary():
             "signal a proto=edge arity=3\n"
             "signal b proto=edge arity=2\n"
             "signal o proto=edge arity=2\n"
-            "gate g fn=8 in=a,b out=o ack\n"
+            "gate g fn=8 in=a,b out=o\n"
         )
         map_netlist(net)
 
@@ -430,14 +413,14 @@ def test_edge_rejects_non_binary():
 # -- cross-cutting -------------------------------------------------------------
 
 def test_emit_truth_tables_deterministic():
-    for build in (lambda: map_4ph_2in("g", AND2, ack="ack").plbs[0].config.luts,
+    for build in (lambda: map_4ph_2in("g", AND2).plbs[0].config.luts,
                   lambda: map_ledr_2in("g", AND2).plbs[0].config.luts,
                   lambda: map_edge_2in("g", AND2).plbs[1].config.luts):
         assert [t.bits for t in build()] == [t.bits for t in build()]
 
 
 def test_constant_zero_function_tables():
-    unit = map_4ph_2in("g", lambda x, y: 0, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", lambda x, y: 0).plbs[0]
     # The 1-wire never fires on the valid region.
     for x, y in itertools.product(range(2), repeat=2):
         st = plb_reset(unit.config)
@@ -448,7 +431,7 @@ def test_constant_zero_function_tables():
 
 def test_every_emitted_config_validates():
     units = [
-        map_4ph_2in("g", AND2, ack="ack").plbs[0],
+        map_4ph_2in("g", AND2).plbs[0],
         map_4ph_2in("g", XOR2).plbs[0],
         map_4ph_3in("g", MAJ3).plbs[0],
         map_4ph_3in("g", lambda x, y, z: x ^ y ^ z, g=MAJ3).plbs[0],

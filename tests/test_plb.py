@@ -46,7 +46,7 @@ def test_lut_eval_and_of_i4_i5():
 
 
 def test_plb_reset_quiescent_and_step_identity():
-    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
     assert st.mem_out == (0, 0, 0, 0)
     again = plb_step(unit.config, st, (0,) * 12)
@@ -54,7 +54,7 @@ def test_plb_reset_quiescent_and_step_identity():
 
 
 def test_plb_4ph_and_fires_and_acks():
-    unit = map_4ph_2in("g", AND2, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
     st = step_unit(
         unit, st,
@@ -109,7 +109,7 @@ def test_memory_point_latches_against_the_or_companion():
 
 
 def test_plb_step_deterministic():
-    unit = map_4ph_2in("g", XOR2, ack="ack").plbs[0]
+    unit = map_4ph_2in("g", XOR2).plbs[0]
     st = plb_reset(unit.config)
     ins = (0, 0, 1, 0, 0, 1) + (0,) * 6
     a = plb_step(unit.config, st, ins)
@@ -130,7 +130,7 @@ def test_plb_oscillation_diagnostic():
 
 
 def test_validate_config_accepts_mapped():
-    assert validate_config(map_4ph_2in("g", AND2, ack="ack").plbs[0].config) == []
+    assert validate_config(map_4ph_2in("g", AND2).plbs[0].config) == []
     assert validate_config(map_ledr_2in("g", XOR2).plbs[0].config) == []
 
 
@@ -163,10 +163,10 @@ def test_validate_config_cross_mode_requires_memory():
     assert any("requires its memory point active" in d for d in diags)
 
 
-def _reachable_env_states(f, with_ack=True):
+def _reachable_env_states(f):
     """Breadth-first exploration of the block under a well-formed
     four-phase environment; yields every reached block state."""
-    unit = map_4ph_2in("g", f, ack="ack" if with_ack else None).plbs[0]
+    unit = map_4ph_2in("g", f).plbs[0]
     null = encode_4ph_null(2)
     init = (null, null, 0, plb_reset(unit.config))
     seen = {repr(init)}

@@ -23,7 +23,7 @@ def test_load_fills_all_stages_and_reads_back():
     load_block(block, bits)
     assert block.configured
     assert all(s is not None for s in block.stages)
-    assert block.stored_bits() == tuple(bits)
+    assert _oracles.stored_bits(block) == tuple(bits)
     assert drain_block(block) == tuple(bits)
 
 
@@ -31,7 +31,7 @@ def test_zero_bits_leaves_unconfigured():
     block = Block(4)
     load_block(block, [])
     assert not block.configured
-    assert block.stored_bits() == ()
+    assert _oracles.stored_bits(block) == ()
 
 
 def test_overflow_rejected():
@@ -50,7 +50,7 @@ def test_fifo_order_exhaustive_short_sequences():
         for bits in itertools.product((0, 1), repeat=n):
             block = Block(8)
             load_block(block, list(bits))
-            assert block.stored_bits() == bits
+            assert _oracles.stored_bits(block) == bits
             assert drain_block(block) == bits
 
 
@@ -66,7 +66,7 @@ def test_fifo_order_randomized_long_sequences():
 
 def test_dual_rail_view_is_one_hot():
     block = load_block(Block(4), [1, 0, 1])
-    for rails, bit in zip(block.rails(), block.stages):
+    for rails, bit in zip(_oracles.rails(block), block.stages):
         if bit is None:
             assert rails == (0, 0)
         else:
@@ -78,16 +78,16 @@ def test_reconfigure_inverted_bits():
     block = load_block(Block(8), bits)
     log = reconfigure_block(block, [b ^ 1 for b in bits])
     assert log.drained == tuple(bits)
-    assert block.stored_bits() == tuple(b ^ 1 for b in bits)
+    assert _oracles.stored_bits(block) == tuple(b ^ 1 for b in bits)
     assert log.outputs_zero_every_tick
 
 
 def test_reconfigure_same_bits_idempotent():
     bits = [0, 1, 1, 0]
     block = load_block(Block(6), bits)
-    before = block.snapshot()
+    before = _oracles.snapshot(block)
     reconfigure_block(block, bits)
-    assert block.snapshot() == before
+    assert _oracles.snapshot(block) == before
     assert block.configured
 
 
@@ -114,13 +114,13 @@ def test_outputs_zero_during_whole_operation():
 def test_partial_reconfiguration_isolation():
     a = load_block(Block(8), [1, 0, 1, 0, 1, 0, 1, 0])
     b = load_block(Block(8), [0, 0, 1, 1, 0, 0, 1, 1])
-    before_b = b.snapshot()
+    before_b = _oracles.snapshot(b)
     reconfigure_block(a, [1] * 8)
-    assert b.snapshot() == before_b
-    assert b.stored_bits() == (0, 0, 1, 1, 0, 0, 1, 1)
-    before_a = a.snapshot()
+    assert _oracles.snapshot(b) == before_b
+    assert _oracles.stored_bits(b) == (0, 0, 1, 1, 0, 0, 1, 1)
+    before_a = _oracles.snapshot(a)
     reconfigure_block(b, [1, 1, 1, 0, 0, 0, 1, 1])
-    assert a.snapshot() == before_a
+    assert _oracles.snapshot(a) == before_a
 
 
 @pytest.mark.parametrize("bits, position, shown", [
@@ -133,11 +133,11 @@ def test_bit_other_than_0_or_1_rejected(bits, position, shown):
     with pytest.raises(ProgrammingError, match=f"bit {position} is {shown};"):
         load_block(Block(4), bits)
     block = load_block(Block(4), [1, 0, 1])
-    before = block.snapshot()
+    before = _oracles.snapshot(block)
     with pytest.raises(ProgrammingError, match=f"bit {position} is {shown};"):
         reconfigure_block(block, bits)
     # A refused reconfiguration leaves the block as it was.
-    assert block.snapshot() == before and block.configured and block.tail_held
+    assert _oracles.snapshot(block) == before and block.configured and block.tail_held
 
 
 def test_full_chain_reconfigure_takes_2L_plus_1_ticks():
@@ -148,7 +148,7 @@ def test_full_chain_reconfigure_takes_2L_plus_1_ticks():
     log = reconfigure_block(block, new)
     assert log.ticks == 2 * len(bits) + 1
     assert log.drained == tuple(bits)
-    assert block.stored_bits() == tuple(new)
+    assert _oracles.stored_bits(block) == tuple(new)
 
 
 # -- the run-based chain against the stage-by-stage oracle ----------------------
@@ -181,7 +181,7 @@ def _apply(fn, block, op, bits):
         result = ("ProgrammingError", str(exc))
     if result is block:
         result = "the block"
-    return result, block.snapshot(), block.state, block.tail_held
+    return result, _oracles.snapshot(block), block.state, block.tail_held
 
 
 @settings(max_examples=400, deadline=None)
@@ -216,4 +216,4 @@ def test_tick_matches_stage_by_stage_oracle(chain, feeds):
     for feed in feeds:
         assert runs.tick(feed) == _oracles.chain_shift_tick(old, feed)
         runs.commit()
-        assert new.snapshot() == old.snapshot()
+        assert _oracles.snapshot(new) == _oracles.snapshot(old)

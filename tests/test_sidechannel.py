@@ -20,15 +20,15 @@ AND_NET = """
 signal x proto=4ph arity=2
 signal y proto=4ph arity=2
 signal o proto=4ph arity=2
-gate g fn=8 in=x,y out=o ack
+gate g fn=8 in=x,y out=o
 """
 
-LEDR_AND_NET = AND_NET.replace("proto=4ph", "proto=ledr").replace(" ack", "")
+LEDR_AND_NET = AND_NET.replace("proto=4ph", "proto=ledr")
 EDGE_AND_NET = """
 signal x proto=edge arity=2
 signal y proto=edge arity=2
 signal o proto=edge arity=2
-gate g fn=8 in=x,y out=o ack
+gate g fn=8 in=x,y out=o
 """
 
 

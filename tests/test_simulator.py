@@ -31,7 +31,7 @@ AND_NET = """
 signal x proto=4ph arity=2
 signal y proto=4ph arity=2
 signal o proto=4ph arity=2
-gate g fn=8 in=x,y out=o ack
+gate g fn=8 in=x,y out=o
 """
 
 LEDR_BUF_NET = """
@@ -45,7 +45,7 @@ EDGE_AND_NET = """
 signal a proto=edge arity=2
 signal b proto=edge arity=2
 signal o proto=edge arity=2
-gate g fn=8 in=a,b out=o ack
+gate g fn=8 in=a,b out=o
 """
 
 
@@ -298,8 +298,8 @@ signal b proto=4ph arity=2
 signal c proto=4ph arity=2
 signal m proto=4ph arity=2
 signal o proto=4ph arity=2
-gate g1 fn=8 in=a,b out=m ack
-gate g2 fn=6 in=m,c out=o ack
+gate g1 fn=8 in=a,b out=m
+gate g2 fn=6 in=m,c out=o
 """
     stim = {"a": [1, 1, 0, 1], "b": [1, 0, 1, 1], "c": [0, 1, 1, 0]}
     tr = run(fab(src), stim)
@@ -318,8 +318,8 @@ signal a proto=4ph arity=2
 signal b proto=4ph arity=2
 signal o1 proto=4ph arity=2
 signal o2 proto=4ph arity=2
-gate g1 fn=8 in=a,b out=o1 ack
-gate g2 fn=6 in=a,b out=o2 ack
+gate g1 fn=8 in=a,b out=o1
+gate g2 fn=6 in=a,b out=o2
 """
     stim = {"a": [1, 0, 1], "b": [1, 1, 0]}
     tr = run(fab(src), stim)
@@ -388,11 +388,29 @@ def test_oscillating_block_reported_once_through_the_kernel():
     assert tr.deadlock
 
 
-@pytest.mark.parametrize("times", [{"ack_delay": -5}, {"max_time": -1}])
-def test_negative_times_rejected_when_built(times):
-    (name, ticks), = times.items()
-    with pytest.raises(SimulationInputError, match=f"^{name} {ticks} is negative$"):
-        Simulation(fab(AND_NET), stimulus={"x": [1], "y": [1]}, **times)
+def test_negative_max_time_rejected_when_built():
+    with pytest.raises(SimulationInputError, match="^max_time -1 is negative$"):
+        Simulation(fab(AND_NET), stimulus={"x": [1], "y": [1]}, max_time=-1)
+
+
+XOR_NET = """
+signal x proto=4ph arity=2
+signal y proto=4ph arity=2
+signal o proto=4ph arity=2
+gate g fn=6 in=x,y out=o
+"""
+
+
+@pytest.mark.parametrize("delay", [10, 20])
+def test_4ph_gate_waits_for_its_consumer_under_a_slow_rail(delay):
+    # Under a slow o.0, a gate that does not wait for its consumer's
+    # acknowledge fires the second value before the first has cleared: it
+    # decodes [1, 0] at a delay of 20, and [1] with a forbidden (1, 1) on o
+    # at 10.
+    tr = run(fab(XOR_NET), {"x": [0, 1], "y": [0, 0]},
+             delays=DelayModel(overrides={"o.0": delay}))
+    assert tr.values_of("o") == [0, 1]
+    assert not tr.diagnostics and not tr.deadlock
 
 
 def test_inject_on_unknown_wire_rejected():
