@@ -88,7 +88,8 @@ def cmd_map(args) -> int:
         text = fh.read()
     try:
         fabric = fabric_from_netlist(parse_netlist(text))
-    except (NetlistError, MappingError, ValueError) as exc:
+    # A DeprecationWarning is raised only when warnings are errors (-W error).
+    except (NetlistError, MappingError, ValueError, DeprecationWarning) as exc:
         return _fail(str(exc))
     _write(args.output, write_bitstream(fabric))
     print(f"wrote {args.output}: {sum(len(mg.plbs) for mg in fabric.mapped)} block(s)")

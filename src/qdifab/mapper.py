@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .encodings import Protocol
+from .encodings import CodeKind, Protocol, decode_4ph
 from .plb import (
     NC,
     LutTable,
@@ -77,14 +77,14 @@ class MappedGate:
     internal_signals: Tuple[Tuple[str, int], ...] = ()
 
 
-def _one_hot_value(bits: Tuple[int, ...]) -> Tuple[bool, bool, Optional[int]]:
-    """(is_null, is_forbidden, value) for a one-of-n slice."""
-    w = sum(bits)
-    if w == 0:
-        return True, False, None
-    if w == 1:
-        return False, False, bits.index(1)
-    return False, True, None
+def _fires(func: GateFn, for_wire: int, *inputs: Sequence[int]) -> int:
+    """The LUT rule of the memory-style four-phase gates: 1 when every input
+    slice decodes valid and ``func`` of their values is ``for_wire``, else
+    the inactive 0 (NULL, partial and forbidden inputs alike)."""
+    codes = [decode_4ph(wires) for wires in inputs]
+    if all(c.kind is CodeKind.VALID for c in codes):
+        return 1 if func(*(c.value for c in codes)) == for_wire else 0
+    return 0
 
 
 def _one_block(name: str, config: PlbConfig, out: str, width: int) -> MappedGate:
@@ -129,13 +129,10 @@ def map_4ph_2in(
         def fn(*p: int) -> int:
             hold = p[0] if for_wire == 0 else p[1]
             a = p[1] if for_wire == 0 else p[0]
-            x_null, x_forb, xv = _one_hot_value((p[2], p[3]))
-            y_null, y_forb, yv = _one_hot_value((p[4], p[5]))
-            if x_forb or y_forb:
-                return hold
-            if xv is not None and yv is not None and a == 0:
-                return 1 if f(xv, yv) == for_wire else 0
-            if x_null and y_null and a == 1:
+            x, y = decode_4ph(p[2:4]), decode_4ph(p[4:6])
+            if x.kind is y.kind is CodeKind.VALID and a == 0:
+                return 1 if f(x.value, y.value) == for_wire else 0
+            if x.kind is y.kind is CodeKind.NULL and a == 1:
                 return 0
             return hold
 
@@ -166,14 +163,7 @@ def map_4ph_3in(
 
     def lut(func: GateFn, for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
-            x_null, x_forb, xv = _one_hot_value((p[0], p[1]))
-            y_null, y_forb, yv = _one_hot_value((p[2], p[3]))
-            z_null, z_forb, zv = _one_hot_value((p[4], p[5]))
-            if x_forb or y_forb or z_forb:
-                return 0
-            if xv is not None and yv is not None and zv is not None:
-                return 1 if func(xv, yv, zv) == for_wire else 0
-            return 0
+            return _fires(func, for_wire, p[0:2], p[2:4], p[4:6])
 
         return LutTable.from_function(fn)
 
@@ -213,13 +203,7 @@ def map_4ph_ter_2in(
 
     def lut(for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
-            x_null, x_forb, xv = _one_hot_value((p[0], p[1], p[2]))
-            y_null, y_forb, yv = _one_hot_value((p[3], p[4], p[5]))
-            if x_forb or y_forb:
-                return 0
-            if xv is not None and yv is not None:
-                return 1 if f(xv, yv) == for_wire else 0
-            return 0
+            return _fires(f, for_wire, p[0:3], p[3:6])
 
         return LutTable.from_function(fn)
 

@@ -13,7 +13,8 @@ least significant digit.  Binary-output gates use one bit per entry (AND2 is
 entry.  :func:`map_gate` compiles a gate through ``mapper.SHAPES``, the one
 list of the gate shapes the block accepts; each shape decides whether the
 gate reads its consumer's acknowledge.  A legacy ``ack`` token on a gate
-line is accepted and ignored, with one ``DeprecationWarning`` per netlist.
+line is accepted and ignored, with one ``DeprecationWarning`` per netlist
+that names the first line carrying it.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _parse_kv(tok: str, line: int) -> Tuple[str, str]:
 def parse_netlist(text: str) -> Netlist:
     net = Netlist()
     declared: Dict[str, int] = {}  # signal -> its line
-    legacy_ack = False
+    legacy_ack = 0  # the first line carrying the legacy token
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,7 +128,8 @@ def parse_netlist(text: str) -> Netlist:
             if len(toks) < 5:
                 raise NetlistError("gate needs a name, fn=, in= and out=", lineno)
             name = toks[1]
-            legacy_ack |= "ack" in toks[2:]
+            if not legacy_ack and "ack" in toks[2:]:
+                legacy_ack = lineno
             kv = dict(_parse_kv(t, lineno) for t in toks[2:] if t != "ack")
             try:
                 fn = int(kv["fn"], 16)
@@ -141,8 +143,8 @@ def parse_netlist(text: str) -> Netlist:
             raise NetlistError(f"unknown directive {kind!r}", lineno, raw.index(kind) + 1)
 
     if legacy_ack:
-        warnings.warn("the 'ack' gate token is ignored: every gate shape decides its "
-                      "own acknowledge", DeprecationWarning, stacklevel=2)
+        warnings.warn(f"line {legacy_ack}: the 'ack' gate token is ignored: every gate "
+                      "shape decides its own acknowledge", DeprecationWarning, stacklevel=2)
     _check(net.signals, declared, net.gates, [g.line for g in net.gates])
     return net
 

@@ -15,6 +15,12 @@ the opposite memory point is parked at 0 while its LUTs are borrowed.  A
 final selector groups the four memory outputs under a single acknowledge XOR
 instead of one XOR per pair.
 
+So every memory output follows one rule.  Its companion is the group's OR,
+the opposite pair's LUT under the memory point's ``or6_bypass_sel`` (A's is
+tested first), or none when the point is parked.  The output is then 0 when
+parked, its own LUT when the point is bypassed (``mem_bypass``), and
+otherwise the C-element rendez-vous of (its LUT, its companion).
+
 Everything is evaluated with zero internal delay inside one step.  Internal
 feedback is settled by iterating the LUT stage to a fixpoint; a step that
 fails to settle within ITERATION_BOUND rounds reports an oscillation
@@ -135,6 +141,16 @@ def _settle_luts(
     raise OscillationError("LUT feedback loop did not settle")
 
 
+def _memory_point(prev: int, lut: int, companion: Optional[int], bypass: bool) -> int:
+    """One memory output: 0 when parked (no companion), its LUT when the
+    memory point is bypassed, else the C-element of (LUT, companion)."""
+    if companion is None:
+        return 0
+    if bypass:
+        return lut
+    return c_element_step(CElementState(prev, 2), (lut, companion))
+
+
 def plb_step(
     config: PlbConfig, state: PlbState, network_inputs: Sequence[int]
 ) -> PlbState:
@@ -148,44 +164,25 @@ def plb_step(
         raise ValueError(f"expected 12 network inputs, got {len(network)}")
 
     lut_out = _settle_luts(config, state.lut_out, network)
-    or6_lo = or6(network[0:6])
-    or6_hi = or6(network[6:12])
-
+    # Memory point A guards (L0, L1), B guards (L2, L3); None marks a
+    # parked output.
     cross_a, cross_b = config.or6_bypass_sel
-    mem = list(state.mem_out)
-
-    def c_step(prev: int, a: int, b: int) -> int:
-        return c_element_step(CElementState(prev, 2), (a, b))
-
-    # Memory point A guards (L0, L1), B guards (L2, L3).
     if cross_a:
-        # A's companions are the opposite pair's LUTs; B is parked.
-        if config.mem_bypass[0]:
-            mem[0], mem[1] = lut_out[0], lut_out[1]
-        else:
-            mem[0] = c_step(mem[0], lut_out[0], lut_out[2])
-            mem[1] = c_step(mem[1], lut_out[1], lut_out[3])
-        mem[2] = mem[3] = 0
+        companions = (lut_out[2], lut_out[3], None, None)
     elif cross_b:
-        if config.mem_bypass[1]:
-            mem[2], mem[3] = lut_out[2], lut_out[3]
-        else:
-            mem[2] = c_step(mem[2], lut_out[2], lut_out[0])
-            mem[3] = c_step(mem[3], lut_out[3], lut_out[1])
-        mem[0] = mem[1] = 0
+        companions = (None, None, lut_out[0], lut_out[1])
     else:
-        if config.mem_bypass[0]:
-            mem[0], mem[1] = lut_out[0], lut_out[1]
-        else:
-            mem[0] = c_step(mem[0], lut_out[0], or6_lo)
-            mem[1] = c_step(mem[1], lut_out[1], or6_lo)
-        if config.mem_bypass[1]:
-            mem[2], mem[3] = lut_out[2], lut_out[3]
-        else:
-            mem[2] = c_step(mem[2], lut_out[2], or6_hi)
-            mem[3] = c_step(mem[3], lut_out[3], or6_hi)
-
-    return PlbState(lut_out=lut_out, mem_out=tuple(mem))
+        lo, hi = or6(network[0:6]), or6(network[6:12])
+        companions = (lo, lo, hi, hi)
+    by_a, by_b = config.mem_bypass
+    m = state.mem_out
+    mem = (
+        _memory_point(m[0], lut_out[0], companions[0], by_a),
+        _memory_point(m[1], lut_out[1], companions[1], by_a),
+        _memory_point(m[2], lut_out[2], companions[2], by_b),
+        _memory_point(m[3], lut_out[3], companions[3], by_b),
+    )
+    return PlbState(lut_out=lut_out, mem_out=mem)
 
 
 def plb_reset(config: PlbConfig) -> PlbState:

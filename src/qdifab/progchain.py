@@ -11,30 +11,30 @@ in insulation mode until the new configuration has committed.
 Blocks are fully independent: reconfiguring one cannot disturb another's
 stage states, which the tests check bit for bit.
 
-The chain advances in settle ticks.  Stage 0 is the head, where bits
-enter, and stage ``length - 1`` the tail, where they leave.  A run is a
-maximal stretch of filled stages.  In one tick every run whose tail-side
-neighbour stage is empty at the start of the tick moves one stage tailward
-(only a run that ends on the tail stage stays), and then a bit waiting at
-the input enters stage 0 if that stage is empty.  While draining, the bit on
-the tail stage, if any, leaves just before each tick.  A chain settles when
-no run can move, i.e. when its bits sit packed against the tail.
+Stage 0 is the head, where bits enter, and stage ``L - 1`` the tail, where
+they leave.  The chain advances in settle ticks, and as in a micropipeline
+FIFO every bit moves one stage tailward per tick until the stage ahead of
+it is held.  Each operation therefore has a closed form:
 
-Bits never overtake one another, so an operation keeps the stored bits as
-one queue (tail first, which is arrival order) and the runs as
-(first stage, length) pairs.  A tick then costs time in proportion to the
-number of runs, not to the chain length.  Loading fills the chain as one
-run and settling leaves one run, so loading, draining or reconfiguring a
-block programmed that way takes time linear in its length (a hand-made
-stage pattern of k runs drains in at most k times that).
-``Block.stages`` is rewritten once, when the operation ends.
+* Loading ``n`` bits into an empty chain with the tail held leaves them
+  packed against the tail, the first bit on the tail stage:
+  ``[None] * (L - n) + bits[::-1]``.
+* Draining releases the tail, so no bit is ever held: the bits leave tail
+  first, and the drain takes ``L - h`` ticks, where ``h`` is the filled
+  stage nearest the head (0 ticks for an empty chain).
+* Reconfiguring counts the drain's ticks, one tick per new bit (stage 0 is
+  free again after every tick of an empty chain) and one for the final
+  settle, so a full chain takes ``2L + 1`` ticks.
+
+The stage-by-stage chain in ``tests/_oracles.py``, which moves every stage
+on every tick, is the specification these forms are checked against.
+``Block.stages`` is rewritten in place, once per operation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class ProgrammingError(ValueError):
@@ -62,90 +62,6 @@ class Block:
         return self.state != "active"
 
 
-class _Runs:
-    """A block's chain during one operation: its bits, tail first, and its
-    runs as [first stage, length], tail first."""
-
-    def __init__(self, block: Block):
-        self.block = block
-        self.last = block.length - 1  # the tail stage
-        self.bits: Deque[int] = deque()
-        self.runs: List[List[int]] = []
-        for k in range(block.length - 1, -1, -1):
-            bit = block.stages[k]
-            if bit is None:
-                continue
-            run = self.runs[-1] if self.runs else None
-            if run is not None and run[0] == k + 1:
-                run[0] = k
-                run[1] += 1
-            else:
-                self.runs.append([k, 1])
-            self.bits.append(bit)
-
-    def tick(self, feed: Optional[int] = None) -> Optional[int]:
-        """One settle tick; returns ``feed`` if stage 0 could not take it."""
-        runs = self.runs
-        held = bool(runs) and runs[0][0] + runs[0][1] > self.last
-        for run in runs[held:]:
-            run[0] += 1
-        if held and len(runs) > 1 and runs[1][0] + runs[1][1] == runs[0][0]:
-            runs[0][0] = runs[1][0]
-            runs[0][1] += runs[1][1]
-            del runs[1]
-        if feed is None or (runs and runs[-1][0] == 0):
-            return feed
-        if runs and runs[-1][0] == 1:
-            runs[-1][0] = 0
-            runs[-1][1] += 1
-        else:
-            runs.append([0, 1])
-        self.bits.append(feed)
-        return None
-
-    def drain(self) -> Tuple[Tuple[int, ...], int]:
-        """With the tail released, take the bit on the tail stage, if any,
-        and tick, until the chain is empty: (the bits out, the ticks)."""
-        runs, out, ticks = self.runs, [], 0
-        while runs:
-            tail = runs[0]
-            if tail[0] + tail[1] > self.last:
-                out.append(self.bits.popleft())
-                tail[1] -= 1
-                if not tail[1]:
-                    del runs[0]
-            self.tick()
-            ticks += 1
-        return tuple(out), ticks
-
-    def feed(self, bits: Sequence[int]) -> int:
-        """Stream ``bits`` in, one tick per attempt: returns the ticks.
-
-        Only called on an empty chain with no more bits than stages, where
-        stage 0 is free again after every tick.
-        """
-        ticks = 0
-        for bit in bits:
-            while bit is not None:
-                bit = self.tick(bit)
-                ticks += 1
-        return ticks
-
-    def settle(self) -> None:
-        """Tick until nothing moves: every bit packed against the tail."""
-        if self.bits:
-            self.runs = [[self.last + 1 - len(self.bits), len(self.bits)]]
-
-    def commit(self) -> None:
-        """Write the chain back into ``block.stages`` (the same list)."""
-        stages: List[Optional[int]] = [None] * self.block.length
-        bits = iter(self.bits)
-        for start, n in self.runs:
-            for k in range(start + n - 1, start - 1, -1):
-                stages[k] = next(bits)
-        self.block.stages[:] = stages
-
-
 def _check_bits(block: Block, bits: Sequence[int]) -> None:
     if len(bits) > block.length:
         raise ProgrammingError(
@@ -154,6 +70,11 @@ def _check_bits(block: Block, bits: Sequence[int]) -> None:
     for i, b in enumerate(bits):
         if type(b) is not int or b not in (0, 1):
             raise ProgrammingError(f"bit {i} is {b!r}; a configuration bit is 0 or 1")
+
+
+def _pack(block: Block, bits: Sequence[int]) -> None:
+    """Settle ``bits`` into the empty chain, the first on the tail stage."""
+    block.stages[:] = [None] * (block.length - len(bits)) + list(reversed(bits))
 
 
 def load_block(block: Block, bits: Sequence[int]) -> Block:
@@ -170,30 +91,26 @@ def load_block(block: Block, bits: Sequence[int]) -> Block:
     if not bits:
         block.state = "unconfigured"
         return block
-    block.state = "programming"
-    chain = _Runs(block)
-    chain.feed(bits)
-    chain.settle()
-    chain.commit()
+    _pack(block, bits)
     block.state = "active"
     return block
 
 
-def _drain(block: Block) -> Tuple[_Runs, Tuple[int, ...], int]:
-    """Release the tail acknowledge, drain the chain and hold the tail
-    again: (the empty chain, the bits in FIFO order, the ticks taken)."""
-    block.tail_held = False
-    block.state = "programming"
-    chain = _Runs(block)
-    out, ticks = chain.drain()
+def _drain(block: Block) -> Tuple[Tuple[int, ...], int]:
+    """Release the tail acknowledge, empty the chain and hold the tail
+    again: (the bits in FIFO order, the ticks taken)."""
+    stages = block.stages
+    head = next((k for k, b in enumerate(stages) if b is not None), block.length)
+    out = tuple(b for b in reversed(stages) if b is not None)
+    stages[:] = [None] * block.length
     block.tail_held = True
-    return chain, out, ticks
+    block.state = "programming"
+    return out, block.length - head
 
 
 def drain_block(block: Block) -> Tuple[int, ...]:
     """Release the tail acknowledge and collect the bits in FIFO order."""
-    chain, out, _ticks = _drain(block)
-    chain.commit()
+    out, _ticks = _drain(block)
     block.state = "unconfigured"
     return out
 
@@ -217,10 +134,9 @@ def reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLog:
     if not block.configured:
         raise ProgrammingError("block is not configured")
     _check_bits(block, new_bits)
-    chain, drained, ticks = _drain(block)
-    ticks += chain.feed(new_bits) + 1
+    drained, ticks = _drain(block)
     zero = block.outputs_forced_zero()
-    chain.settle()
-    chain.commit()
+    _pack(block, new_bits)
     block.state = "active" if new_bits else "unconfigured"
-    return ReconfigLog(drained=drained, ticks=ticks, outputs_zero_every_tick=zero)
+    return ReconfigLog(drained=drained, ticks=ticks + len(new_bits) + 1,
+                       outputs_zero_every_tick=zero)

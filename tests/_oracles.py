@@ -9,8 +9,9 @@ for every transaction window.  The four-phase decode and the rendez-vous
 check are the first versions, which classify every wire pattern afresh.  The
 programming-chain models move every stage on every tick, which costs time
 quadratic in the chain length, and read a block's chain without the
-chain's own code.  The hex packing model builds each digit from its four
-bits.  All are used as oracles.
+chain's own code.  The logic block's step is the first version, one branch
+per memory-point mode.  The hex packing model builds each digit from its
+four bits.  All are used as oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from qdifab.encodings import CodeKind, ValueCode, signal_parity
+from qdifab.plb import PlbConfig, PlbState, _settle_luts
+from qdifab.primitives import CElementState, c_element_step, or6
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.trace import GateInfo, Trace
 
@@ -409,6 +412,62 @@ def chain_reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLo
         ticks=len(zero_log),
         outputs_zero_every_tick=all(zero_log),
     )
+
+
+# -- the logic block, one branch per memory-point mode ------------------------
+
+
+def plb_step(
+    config: PlbConfig, state: PlbState, network_inputs: Sequence[int]
+) -> PlbState:
+    """Settle the block against the given 12 network input levels.
+
+    Raises :class:`OscillationError` when the internal feedback oscillates;
+    the caller is expected to turn that into a simulation diagnostic.
+    """
+    network = tuple(int(b) for b in network_inputs)
+    if len(network) != 12:
+        raise ValueError(f"expected 12 network inputs, got {len(network)}")
+
+    lut_out = _settle_luts(config, state.lut_out, network)
+    or6_lo = or6(network[0:6])
+    or6_hi = or6(network[6:12])
+
+    cross_a, cross_b = config.or6_bypass_sel
+    mem = list(state.mem_out)
+
+    def c_step(prev: int, a: int, b: int) -> int:
+        return c_element_step(CElementState(prev, 2), (a, b))
+
+    # Memory point A guards (L0, L1), B guards (L2, L3).
+    if cross_a:
+        # A's companions are the opposite pair's LUTs; B is parked.
+        if config.mem_bypass[0]:
+            mem[0], mem[1] = lut_out[0], lut_out[1]
+        else:
+            mem[0] = c_step(mem[0], lut_out[0], lut_out[2])
+            mem[1] = c_step(mem[1], lut_out[1], lut_out[3])
+        mem[2] = mem[3] = 0
+    elif cross_b:
+        if config.mem_bypass[1]:
+            mem[2], mem[3] = lut_out[2], lut_out[3]
+        else:
+            mem[2] = c_step(mem[2], lut_out[2], lut_out[0])
+            mem[3] = c_step(mem[3], lut_out[3], lut_out[1])
+        mem[0] = mem[1] = 0
+    else:
+        if config.mem_bypass[0]:
+            mem[0], mem[1] = lut_out[0], lut_out[1]
+        else:
+            mem[0] = c_step(mem[0], lut_out[0], or6_lo)
+            mem[1] = c_step(mem[1], lut_out[1], or6_lo)
+        if config.mem_bypass[1]:
+            mem[2], mem[3] = lut_out[2], lut_out[3]
+        else:
+            mem[2] = c_step(mem[2], lut_out[2], or6_hi)
+            mem[3] = c_step(mem[3], lut_out[3], or6_hi)
+
+    return PlbState(lut_out=lut_out, mem_out=tuple(mem))
 
 
 def bits_to_hex(bits: Sequence[int]) -> str:

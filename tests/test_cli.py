@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import pytest
 from hypothesis import example, given
@@ -116,6 +117,19 @@ def test_map_parse_error_reports_line(tmp_path, capsys):
     net.write_text("signal a proto=4ph arity=2\nbogus line here\n")
     assert main(["map", str(net), "-o", str(tmp_path / "x.bit")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_map_legacy_ack_token_under_warnings_as_errors_exits_2(files, capsys):
+    tmp, net, _ = files
+    net.write_text(THREE_GATE_NET.replace("out=t\n", "out=t ack\n")
+                   .replace("out=o\n", "out=o ack\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["map", str(net), "-o", str(tmp / "x.bit")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 9: the 'ack' gate token is ignored: every gate shape "
+        "decides its own acknowledge\n")
+    assert not (tmp / "x.bit").exists()
 
 
 def test_sim_writes_trace_with_transactions(files, capsys):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qdifab.encodings import encode_4ph, encode_4ph_null
 from qdifab.mapper import map_4ph_2in, map_ledr_2in
@@ -15,6 +17,7 @@ from qdifab.plb import (
     plb_step,
     validate_config,
 )
+from . import _oracles
 from ._util import step_unit
 
 AND2 = lambda x, y: x & y
@@ -211,3 +214,40 @@ def test_4ph_output_pair_never_forbidden(fn_bits):
     f = lambda x, y: (fn_bits >> (x + 2 * y)) & 1
     for st in _reachable_env_states(f):
         assert st.mem_out[:2] != (1, 1)
+
+
+# -- one memory-point rule against the branch-per-mode step ---------------------
+
+level = hst.integers(min_value=0, max_value=1)
+
+
+@hst.composite
+def configs(draw):
+    """Any LUT tables, feedback on pins 0..3, and every bypass and selector
+    setting, both OR bypasses together included."""
+    two = hst.tuples(hst.booleans(), hst.booleans())
+    return PlbConfig(
+        luts=tuple(LutTable(draw(hst.integers(0, (1 << 64) - 1))) for _ in range(4)),
+        feedback_sel=tuple(
+            draw(hst.tuples(*[hst.booleans()] * 4)) + (False, False) for _ in range(4)
+        ),
+        mem_bypass=draw(two),
+        or6_bypass_sel=draw(two),
+        combine_sel=draw(hst.booleans()),
+    )
+
+
+def _settled(step, config, state, levels):
+    try:
+        return step(config, state, levels)
+    except OscillationError:
+        return "OscillationError"
+
+
+@settings(max_examples=400, deadline=None)
+@given(configs(),
+       hst.builds(PlbState, hst.tuples(*[level] * 4), hst.tuples(*[level] * 4)),
+       hst.tuples(*[level] * 12))
+def test_plb_step_matches_branch_per_mode_oracle(config, state, levels):
+    assert _settled(plb_step, config, state, levels) == \
+        _settled(_oracles.plb_step, config, state, levels)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qdifab.progchain import (
     Block,
     ProgrammingError,
-    _Runs,
     drain_block,
     load_block,
     reconfigure_block,
@@ -151,7 +150,20 @@ def test_full_chain_reconfigure_takes_2L_plus_1_ticks():
     assert _oracles.stored_bits(block) == tuple(new)
 
 
-# -- the run-based chain against the stage-by-stage oracle ----------------------
+def test_gapped_chain_reconfigure_drains_from_the_head_most_bit():
+    # The filled stage nearest the head is stage 1, so the drain takes
+    # 8 - 1 = 7 ticks; three new bits and the settle add 3 + 1.
+    stages = (None, 1, None, None, 0, None, None, 1)
+    block = Block(8, stages=list(stages), state="active")
+    ref = Block(8, stages=list(stages), state="active")
+    log = reconfigure_block(block, [0, 1, 1])
+    assert log.drained == (1, 0, 1)
+    assert log.ticks == 11
+    assert log == _oracles.chain_reconfigure_block(ref, [0, 1, 1])
+    assert _oracles.snapshot(block) == _oracles.snapshot(ref) == (None,) * 5 + (1, 1, 0)
+
+
+# -- the closed-form chain against the stage-by-stage oracle --------------------
 
 OPS = {
     "load": (load_block, _oracles.chain_load_block),
@@ -198,22 +210,3 @@ def test_chain_matches_stage_by_stage_oracle(chain, ops):
         # Results (stored or drained bits, ticks, whether outputs read 0 on
         # every tick, or the error) and the block afterwards all agree.
         assert _apply(fn, new, op, bits) == _apply(oracle, old, op, bits)
-
-
-@settings(max_examples=400, deadline=None)
-@given(chains(), st.lists(st.sampled_from([None, 0, 1]), min_size=1, max_size=30))
-def test_tick_matches_stage_by_stage_oracle(chain, feeds):
-    # Load, drain and reconfigure only reach a few stage patterns (one run
-    # filling from the head, or every run moving); any pattern and any feed
-    # exercise the rest of the rule: a run held at the tail, runs closing
-    # up behind it, and a refused feed.
-    length, stages, _tail_held, _state = chain
-    if length == 0:
-        return  # no stage to tick
-    new = Block(length, stages=list(stages))
-    old = Block(length, stages=list(stages))
-    runs = _Runs(new)
-    for feed in feeds:
-        assert runs.tick(feed) == _oracles.chain_shift_tick(old, feed)
-        runs.commit()
-        assert _oracles.snapshot(new) == _oracles.snapshot(old)
