@@ -28,7 +28,11 @@ only ``<output>.sout``.  A binding ``<signal>:<index>:<width>`` has the
 width of its signal (its wire count, the width of an ``# internal`` line,
 or 1 for ``<output>.ackin``) and an index below it.  Every gate has at
 least one block, and its ``ack=`` says whether one of them reads
-``<output>.ackin`` (:func:`reads_ack`).
+``<output>.ackin`` (:func:`reads_ack`).  Each block keeps the rules of
+``plb.program_rules``: at most one OR bypass, set only on an active memory
+point, and a reset that settles with every output at 0.  The load-balance
+rule of ``plb.validate_config`` is left out: ``mapper.map_ledr_3in``
+breaks it by design.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .encodings import Protocol, SignalSpec
 from .mapper import MappedGate, PlbUnit
 from .netlist import NetlistError, _check, primary_signals
-from .plb import NC, LutTable, PlbConfig, WireRef
+from .plb import NC, LutTable, PlbConfig, WireRef, program_rules
 from .trace import GATE_USAGE, GateInfo
 
 CONFIG_BITS = 4 * 64 + 16 + 2 + 2 + 1  # 277
@@ -272,6 +276,10 @@ def read_bitstream(text: str) -> Fabric:
             config = config_from_bits(bits, meta["assignment"])
         except BitstreamError as exc:
             raise BitstreamError(f"line {lineno}: {exc}") from None
+        broken = program_rules(config)
+        if broken:
+            raise BitstreamError(f"line {lineno}: block breaks the block rules: "
+                                 + "; ".join(broken))
         by_gate.setdefault(meta["gate"], []).append(
             PlbUnit(meta["role"], config, meta["outs"], meta["souts"]))
     mapped = {gname: MappedGate(gname, tuple(units), internals[gname])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Dict, List, Optional
 
 from .bitstream import BitstreamError, read_bitstream, write_bitstream
@@ -46,6 +47,10 @@ OK, VIOLATION, USAGE = 0, 1, 2
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return USAGE
+
+
+def _warn(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _write(path: str, text: str) -> None:
@@ -87,8 +92,12 @@ def cmd_map(args) -> int:
     with open(args.netlist) as fh:
         text = fh.read()
     try:
-        fabric = fabric_from_netlist(parse_netlist(text))
-    # A DeprecationWarning is raised only when warnings are errors (-W error).
+        # The warning filters decide whether a warning shows; one that does
+        # is a single line.  One raised as an error (-W error) is an input
+        # error.
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            fabric = fabric_from_netlist(parse_netlist(text))
     except (NetlistError, MappingError, ValueError, DeprecationWarning) as exc:
         return _fail(str(exc))
     _write(args.output, write_bitstream(fabric))

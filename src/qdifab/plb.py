@@ -16,10 +16,13 @@ final selector groups the four memory outputs under a single acknowledge XOR
 instead of one XOR per pair.
 
 So every memory output follows one rule.  Its companion is the group's OR,
-the opposite pair's LUT under the memory point's ``or6_bypass_sel`` (A's is
-tested first), or none when the point is parked.  The output is then 0 when
-parked, its own LUT when the point is bypassed (``mem_bypass``), and
-otherwise the C-element rendez-vous of (its LUT, its companion).
+the opposite pair's LUT under the memory point's ``or6_bypass_sel``, or
+none when the point is parked.  The output is then 0 when parked, its own
+LUT when the point is bypassed (``mem_bypass``), and otherwise
+``c_element(prev, lut + companion, 2)``.  :func:`c_element` is the one
+C-element of the package: the simulator's acknowledge joins use it too.
+Both OR bypasses set is illegal (:func:`program_rules`); :func:`plb_step`
+then follows A's.
 
 Everything is evaluated with zero internal delay inside one step.  Internal
 feedback is settled by iterating the LUT stage to a fixpoint; a step that
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .encodings import signal_parity
-from .primitives import CElementState, c_element_step, or6
 
 ITERATION_BOUND = 16
 
@@ -141,6 +143,14 @@ def _settle_luts(
     raise OscillationError("LUT feedback loop did not settle")
 
 
+def c_element(prev: int, high: int, n: int) -> int:
+    """The C-element (Muller rendez-vous) of ``n`` inputs, ``high`` of them
+    at 1: 1 when all are high, 0 when none is, ``prev`` otherwise."""
+    if high == n:
+        return 1
+    return prev if high else 0
+
+
 def _memory_point(prev: int, lut: int, companion: Optional[int], bypass: bool) -> int:
     """One memory output: 0 when parked (no companion), its LUT when the
     memory point is bypassed, else the C-element of (LUT, companion)."""
@@ -148,7 +158,7 @@ def _memory_point(prev: int, lut: int, companion: Optional[int], bypass: bool) -
         return 0
     if bypass:
         return lut
-    return c_element_step(CElementState(prev, 2), (lut, companion))
+    return c_element(prev, lut + companion, 2)
 
 
 def plb_step(
@@ -172,7 +182,7 @@ def plb_step(
     elif cross_b:
         companions = (None, None, lut_out[0], lut_out[1])
     else:
-        lo, hi = or6(network[0:6]), or6(network[6:12])
+        lo, hi = any(network[0:6]), any(network[6:12])
         companions = (lo, lo, hi, hi)
     by_a, by_b = config.mem_bypass
     m = state.mem_out
@@ -209,12 +219,12 @@ def ack_outputs(config: PlbConfig, state: PlbState) -> Tuple[int, int]:
     return signal_parity(o[0:2]), signal_parity(o[2:4])
 
 
-def validate_config(config: PlbConfig) -> List[str]:
-    """Legality diagnostics for a block configuration; empty means legal.
+def program_rules(config: PlbConfig) -> List[str]:
+    """Diagnostics on a block's programming points alone; empty means legal.
 
-    Checks the feedback programming points stay on pins 0..3, mode selectors
-    are mutually consistent, the block is quiescent at reset, and every wire
-    of a multi-wire signal presents the same number of network pin loads.
+    Feedback stays on pins 0..3, the mode selectors are mutually
+    consistent, and the block is quiescent at reset.  A bitstream block is
+    held to these (``bitstream.read_bitstream``).
     """
     diags: List[str] = []
 
@@ -234,6 +244,24 @@ def validate_config(config: PlbConfig) -> List[str]:
     if cross_b and config.mem_bypass[1]:
         diags.append("or6 bypass on pair B requires its memory point active")
 
+    try:
+        st = plb_reset(config)
+        if any(st.mem_out):
+            diags.append("block emits nonzero outputs in the all-zero reset state")
+    except OscillationError:
+        diags.append("block oscillates in the all-zero reset state")
+
+    return diags
+
+
+def validate_config(config: PlbConfig) -> List[str]:
+    """Legality diagnostics for a block configuration; empty means legal.
+
+    The :func:`program_rules`, and every wire of a multi-wire signal
+    presents the same number of network pin loads.
+    """
+    diags = program_rules(config)
+
     # Load balance: within each multi-wire signal, every wire must drive the
     # same number of network pins, or the transitions become distinguishable.
     loads: dict[str, dict[int, int]] = {}
@@ -252,12 +280,4 @@ def validate_config(config: PlbConfig) -> List[str]:
             diags.append(
                 f"signal {sig}: unbalanced pin loads {counts} across its wires"
             )
-
-    try:
-        st = plb_reset(config)
-        if any(st.mem_out):
-            diags.append("block emits nonzero outputs in the all-zero reset state")
-    except OscillationError:
-        diags.append("block oscillates in the all-zero reset state")
-
     return diags

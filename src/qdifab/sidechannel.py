@@ -15,11 +15,10 @@ level-encoded two-phase code.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .trace import Trace
+from .trace import Trace, window_counts
 
 
 class ComparisonError(ValueError):
@@ -62,19 +61,12 @@ def _check_same_fabric(traces: Iterable[Trace]) -> None:
 def toggles_per_transaction(
     trace: Trace, boundary: Optional[str] = None, wires: Optional[Sequence[str]] = None
 ) -> List[int]:
-    """Wire toggles inside each completed transaction window: from the
-    previous completion (or -1) exclusive to this one inclusive; a
-    completion before -1 closes an empty window."""
+    """Wire toggles inside each completed transaction window, in
+    completion order (:func:`qdifab.trace.window_counts`)."""
     b = _boundary_signal(trace, boundary)
     events = trace.events if wires is None else trace.events_for(wires)
-    times = sorted(e.time for e in events)
-    counts = []
-    start = bisect_right(times, -1)
-    for hi in sorted(t for t, s, _ in trace.markers if s == b):
-        end = bisect_right(times, hi)
-        counts.append(max(0, end - start))
-        start = end
-    return counts
+    return window_counts(sorted(e.time for e in events),
+                         sorted(t for t, s, _ in trace.markers if s == b))
 
 
 def toggle_count_profile(

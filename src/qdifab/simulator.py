@@ -46,8 +46,8 @@ keeps three running summaries exact:
   Block and producer outputs go straight onto the event heap, and a
   reaction that drives the levels the block last drove schedules nothing.
 * Each acknowledge join counts its inputs that are high (a source it lists
-  k times counts k times): it rises when all are high, falls when none is
-  and holds otherwise, as ``primitives.c_element_step`` does.
+  k times counts k times) and drives ``plb.c_element`` of that count: it
+  rises when all are high, falls when none is and holds otherwise.
 * Each four-phase signal keeps the weight of its rails, the number that are
   high.  Only a weight above 1 can be a forbidden pattern, so only then is
   the pattern classified with ``decode_4ph`` and reported.
@@ -56,7 +56,6 @@ keeps three running summaries exact:
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from itertools import count
@@ -79,10 +78,11 @@ from .plb import (
     PlbConfig,
     PlbState,
     ack_outputs,
+    c_element,
     plb_reset,
     plb_step,
 )
-from .trace import GateInfo, SignalInfo, Trace, TraceEvent, _event_from_tuple
+from .trace import GateInfo, SignalInfo, Trace, TraceEvent, _event_from_tuple, window_counts
 
 
 class SimulationInputError(ValueError):
@@ -315,16 +315,13 @@ class _CJoin:
         self.n = n
         self.out = out
         self.high = 0
-        self.output = 0  # rises when all n are high, falls at none, else holds
+        self.output = 0
         self.last: Optional[int] = None  # the level last driven on ``out``
 
     def react(self, sim: "Simulation", t: int, wire: _Wire):
-        high = self.high = self.high + (1 if wire.level else -1)
-        if high == self.n:
-            self.output = 1
-        elif not high:
-            self.output = 0
-        level, out = self.output, self.out
+        self.high += 1 if wire.level else -1
+        level = self.output = c_element(self.output, self.high, self.n)
+        out = self.out
         if level != (out.level if self.last is None else self.last):
             self.last = level
             heappush(sim.queue, (t + 1 + out.delay, next(sim._seq), out, level))
@@ -635,8 +632,8 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     One replay of the events walks each four-phase signal by the number of
     its rails that are high, which is its pattern's kind only when every
     event level is 0 or 1 (:meth:`Trace.from_csv` ensures it), and collects
-    each signal's event times; the windows are then counted by bisecting
-    the sorted times.
+    each signal's event times; :func:`qdifab.trace.window_counts` then
+    counts its windows in marker order.
     """
     # Per signal: rails high, its event times, whether its four-phase walk
     # goes on, and the failure that stopped the walk.
@@ -670,15 +667,9 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
         ok, msg = failure is None, failure or "ok"
         if ok:
             expected = 2 if info.protocol == "4ph" else 1
-            # Windows in marker order, from the previous marker (or -1)
-            # exclusive to this one inclusive; one that ends before it
-            # starts is empty.
             times.sort()
-            start = bisect_right(times, -1)
-            for b in ends_of.get(name, ()):
-                end = bisect_right(times, b)
-                n = max(0, end - start)
-                start = end
+            ends = ends_of.get(name, ())
+            for n, b in zip(window_counts(times, ends), ends):
                 if n != expected:
                     ok, msg = False, (
                         f"{n} wire changes in transaction ending t={b} "
@@ -696,7 +687,8 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     firing rule of the driving gate on the then-current wire levels.  Valid
     under the uniform delay model, where an output event always lands after
     the inputs that caused it.  A four-phase output that goes forbidden is
-    a violation whatever the inputs.
+    a violation whatever the inputs.  A gate's acknowledge is part of its
+    rule only when its ``ack`` is 1.
 
     The replay is one pass with a running state per signal (rails high and
     wire changes) and each gate's output wires mapped, once, to the states
@@ -714,8 +706,8 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
               for g in trace.gates if g.output in trace.signals]
     records = _replay_index(trace, states, [a for _, a in driven])
     for g, ack in driven:
-        # The acknowledge's record, or None where the rule ignores it.
-        ack_rec = records[ack] if g.ack or g.protocol == "ledr" else None
+        # The acknowledge's record, or None where the gate does not read it.
+        ack_rec = records[ack] if g.ack else None
         gate = (g, states[g.output], [(s, states[s]) for s in g.inputs], ack_rec)
         for w in trace.signals[g.output].wires:
             records[w][2] = gate  # a later gate driving the wire wins
@@ -758,7 +750,7 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                 violations.append(
                     f"{g.name}: output phase flip at t={e[0]} before input phases"
                 )
-            elif ack[0] != phase ^ 1:
+            elif ack is not None and ack[0] != phase ^ 1:
                 violations.append(
                     f"{g.name}: output phase flip at t={e[0]} before acknowledge"
                 )

@@ -21,14 +21,16 @@ whitespace around a line are ignored::
 Signal and gate fields may come in any order and unknown ``key=value``
 fields are ignored.  A signal is declared once and lists each of its wires
 once.  Every input and the output of a gate must be a declared signal; its
-``ack`` is 1 when the gate reads its consumer's acknowledge.  In an event
-row, time is an integer, the wire is a name without whitespace, and the
-levels old and new are each the digit 0 or 1: every wire is binary, and the
-property checkers rely on it.  A record gives the completion time to the
-preceding transaction marker with the same signal and index; a marker
-without a record keeps time -1.  Any other line starting with ``#`` is a
-comment.  A line that breaks these rules raises :class:`TraceFormatError`,
-whose message starts with ``line <n>:``.
+``ack`` is 1 when the gate reads its consumer's acknowledge, and only then
+does the no-early-evaluation check hold the gate's output to that
+acknowledge, whatever its protocol.  In an event row, time is an integer,
+the wire is a name without whitespace, and the levels old and new are each
+the digit 0 or 1: every wire is binary, and the property checkers rely
+on it.  A record gives the completion time to the preceding transaction
+marker with the same signal and index; a marker without a record keeps
+time -1.  Any other line starting with ``#`` is a comment.  A line that
+breaks these rules raises :class:`TraceFormatError`, whose message starts
+with ``line <n>:``.
 
 The simulator writes three meta keys: ``delays`` (``uniform`` or
 ``jitter``), ``seed`` (the jitter seed) and ``fabric``, the configuration's
@@ -40,10 +42,11 @@ side-channel analyses must agree on all three (``seed`` under jitter only).
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .encodings import Protocol
 
@@ -246,6 +249,20 @@ class Trace:
             _raise_bad_event_row(text)
             raise
         return tr
+
+
+def window_counts(times: Sequence[int], ends: Iterable[int]) -> List[int]:
+    """How many of the sorted ``times`` fall in each transaction window, one
+    window per end time in the order given: from the previous end (or -1)
+    exclusive to this one inclusive; a window that ends before it starts is
+    empty."""
+    counts = []
+    start = bisect_right(times, -1)
+    for t in ends:
+        end = bisect_right(times, t)
+        counts.append(end - start if end > start else 0)
+        start = end
+    return counts
 
 
 def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:

@@ -20,14 +20,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from qdifab.encodings import CodeKind, ValueCode, signal_parity
 from qdifab.plb import PlbConfig, PlbState, _settle_luts
-from qdifab.primitives import CElementState, c_element_step, or6
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.trace import GateInfo, Trace
 
 
 def c_element_mux(prev: int, inputs: Sequence[int]) -> int:
     """The multiplexer form the logic block wires up, Z = (Z and OR(I)) or
-    AND(I), which ``primitives.c_element_step`` must match."""
+    AND(I), which ``plb.c_element`` must match."""
     any_i = 1 if any(inputs) else 0
     all_i = 1 if all(inputs) else 0
     return (prev & any_i) | all_i
@@ -184,12 +183,12 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
             # carry that phase and the acknowledge the old one.
             new_phase = signal_parity(sig_levels(g.output))
             in_phases = {signal_parity(sig_levels(s)) for s in g.inputs}
-            a = ack_level(g)
+            a = ack_level(g) if g.ack else None
             if in_phases != {new_phase}:
                 violations.append(
                     f"{g.name}: output phase flip at t={e.time} before input phases"
                 )
-            elif a != (new_phase ^ 1):
+            elif a is not None and a != (new_phase ^ 1):
                 violations.append(
                     f"{g.name}: output phase flip at t={e.time} before acknowledge"
                 )
@@ -430,14 +429,14 @@ def plb_step(
         raise ValueError(f"expected 12 network inputs, got {len(network)}")
 
     lut_out = _settle_luts(config, state.lut_out, network)
-    or6_lo = or6(network[0:6])
-    or6_hi = or6(network[6:12])
+    or6_lo = 1 if any(network[0:6]) else 0
+    or6_hi = 1 if any(network[6:12]) else 0
 
     cross_a, cross_b = config.or6_bypass_sel
     mem = list(state.mem_out)
 
     def c_step(prev: int, a: int, b: int) -> int:
-        return c_element_step(CElementState(prev, 2), (a, b))
+        return c_element_mux(prev, (a, b))
 
     # Memory point A guards (L0, L1), B guards (L2, L3).
     if cross_a:

@@ -14,8 +14,7 @@ import pytest
 from qdifab.encodings import decode_4ph, CodeKind, signal_parity
 from qdifab.mapper import map_edge_2in
 from qdifab.netlist import parse_netlist
-from qdifab.plb import plb_reset
-from qdifab.primitives import CElementState, c_element_step
+from qdifab.plb import c_element, plb_reset
 from qdifab.progchain import Block, drain_block, load_block, reconfigure_block
 from qdifab.sidechannel import (
     dpa_difference_of_means,
@@ -99,7 +98,7 @@ def test_criterion_02_c_element_forms_agree():
     for p in range(1, 7):
         for prev in (0, 1):
             for ins in itertools.product((0, 1), repeat=p):
-                a = c_element_step(CElementState(prev, p), ins)
+                a = c_element(prev, sum(ins), p)
                 b = c_element_mux(prev, ins)
                 assert a == b
                 checked += 1

@@ -119,6 +119,18 @@ def test_map_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_map_legacy_ack_token_warns_in_one_line(files, capsys):
+    tmp, net, _ = files
+    net.write_text(THREE_GATE_NET.replace("out=t\n", "out=t ack\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["map", str(net), "-o", str(tmp / "x.bit")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: line 9: the 'ack' gate token is ignored: every gate shape "
+        "decides its own acknowledge\n")
+    assert (tmp / "x.bit").exists()
+
+
 def test_map_legacy_ack_token_under_warnings_as_errors_exits_2(files, capsys):
     tmp, net, _ = files
     net.write_text(THREE_GATE_NET.replace("out=t\n", "out=t ack\n")
@@ -535,6 +547,39 @@ def test_fingerprint_is_the_bitstream_identity(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", *paths, "--property", "dpa", "--select", "x"]) == 2
     assert "different configurations" in capsys.readouterr().err
+
+
+def _both_or_bypasses(bits):
+    bits[274] = bits[275] = 1
+
+
+def _ring_on_l0(bits):
+    # L0 = NOT pin 0 (entry i is bit i of the stream), with pin 0 fed back
+    # from L0 itself (bit 256): the block cannot settle from reset.
+    bits[0:64] = [1 - (i & 1) for i in range(64)]
+    bits[256] = 1
+
+
+@pytest.mark.parametrize("edit, broken", [
+    (_both_or_bypasses, "or6 bypass engaged on both memory points"),
+    (_ring_on_l0, "block oscillates in the all-zero reset state"),
+], ids=["both-or-bypasses", "oscillating-reset"])
+def test_sim_block_breaking_a_block_rule_exits_2_naming_its_line(
+        tmp_path, capsys, edit, broken):
+    (tmp_path / "and.net").write_text(AND_NET)
+    (tmp_path / "and.stim").write_text("x: 0,1\ny: 1,1\n")
+    good, bad = tmp_path / "and.bit", tmp_path / "bad.bit"
+    assert main(["map", str(tmp_path / "and.net"), "-o", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    bits = hex_to_bits(lines[-1])  # the one block line is the last
+    edit(bits)
+    lines[-1] = bits_to_hex(bits)
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(tmp_path / "and.stim")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {len(lines)}: block breaks the block rules: ")
+    assert broken in err
 
 
 @pytest.mark.parametrize("prop", ["toggle-count", "timing", "dpa"])

@@ -118,6 +118,8 @@ def test_plb_step_deterministic():
     a = plb_step(unit.config, st, ins)
     b = plb_step(unit.config, st, ins)
     assert a == b
+    with pytest.raises(ValueError, match="expected 12 network inputs, got 6"):
+        plb_step(unit.config, st, ins[:6])
 
 
 def test_plb_oscillation_diagnostic():

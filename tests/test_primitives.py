@@ -1,23 +1,15 @@
 import itertools
 
-import pytest
-
 from qdifab.encodings import signal_parity
-from qdifab.plb import LutTable, PlbConfig, PlbState, ack_outputs
-from qdifab.primitives import CElementState, StructuralError, c_element_step, or6
+from qdifab.plb import LutTable, PlbConfig, PlbState, ack_outputs, c_element
 
 from ._oracles import c_element_mux
 
 
 def test_c_element_basic():
-    assert c_element_step(CElementState(0, 2), (1, 1)) == 1
-    assert c_element_step(CElementState(1, 2), (1, 0)) == 1
-    assert c_element_step(CElementState(1, 2), (0, 0)) == 0
-
-
-def test_c_element_length_mismatch():
-    with pytest.raises(StructuralError):
-        c_element_step(CElementState(0, 2), (1, 1, 1))
+    assert c_element(0, 2, 2) == 1  # (1, 1)
+    assert c_element(1, 1, 2) == 1  # (1, 0)
+    assert c_element(1, 0, 2) == 0  # (0, 0)
 
 
 def test_c_element_matches_mux_form():
@@ -25,7 +17,7 @@ def test_c_element_matches_mux_form():
     for p in range(1, 7):
         for prev in (0, 1):
             for ins in itertools.product((0, 1), repeat=p):
-                assert c_element_step(CElementState(prev, p), ins) == c_element_mux(prev, ins)
+                assert c_element(prev, sum(ins), p) == c_element_mux(prev, ins)
 
 
 def test_c_element_no_glitch_within_half_cycle():
@@ -33,16 +25,15 @@ def test_c_element_no_glitch_within_half_cycle():
     for p in range(1, 7):
         for order in itertools.permutations(range(p)):
             ins = [0] * p
-            state = CElementState(0, p)
-            changes = 0
+            out = changes = 0
             for i in order:
                 ins[i] = 1
-                new = c_element_step(state, ins)
-                if new != state.output:
+                new = c_element(out, sum(ins), p)
+                if new != out:
                     changes += 1
-                state = CElementState(new, p)
+                out = new
             assert changes == 1
-            assert state.output == 1
+            assert out == 1
 
 
 def test_ack_xor():
@@ -58,14 +49,6 @@ def test_ack_xor():
     state = PlbState(mem_out=(1, 1, 0, 1))
     assert ack_outputs(PlbConfig(luts=luts), state) == (0, 1)
     assert ack_outputs(PlbConfig(luts=luts, combine_sel=True), state) == (1, 0)
-
-
-def test_or6():
-    assert or6((0,) * 6) == 0
-    assert or6((0, 0, 1, 0, 0, 0)) == 1
-    assert or6((1,) * 6) == 1
-    with pytest.raises(StructuralError):
-        or6((1, 0))
 
 
 def test_or_equals_xor_on_one_hot_domain():

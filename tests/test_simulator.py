@@ -9,7 +9,6 @@ from qdifab.encodings import Protocol, SignalSpec
 from qdifab.mapper import MappedGate, PlbUnit
 from qdifab.netlist import parse_netlist
 from qdifab.plb import LutTable, PlbConfig, WireRef
-from qdifab.primitives import CElementState, c_element_step
 from qdifab.simulator import (
     DelayModel,
     Fabric,
@@ -22,8 +21,9 @@ from qdifab.simulator import (
     fabric_from_netlist,
     run,
 )
-from qdifab.trace import GateInfo, Trace
-from ._oracles import all_16_functions
+from qdifab.trace import GateInfo, SignalInfo, Trace, TraceEvent
+from . import _oracles
+from ._oracles import all_16_functions, c_element_mux
 from .test_golden_traces import FAULTS
 from .test_golden_traces import _trace as golden_trace
 
@@ -214,6 +214,21 @@ def test_no_early_evaluation_flags_an_output_going_forbidden():
     ])
 
 
+def test_no_early_evaluation_reads_a_ledr_acknowledge_only_with_ack():
+    # x flips its phase at t=2 and 6, o follows at t=4 and 8; o.cack never
+    # rises, so o's second flip comes before its acknowledge.  Only a gate
+    # whose `ack` is 1 waits for it.
+    events = [TraceEvent(2, "x.0", 0, 1), TraceEvent(4, "o.0", 0, 1),
+              TraceEvent(6, "x.1", 0, 1), TraceEvent(8, "o.1", 0, 1)]
+    signals = {n: SignalInfo(n, "ledr", 2, (f"{n}.0", f"{n}.1")) for n in "ox"}
+    for ack, verdict in [(False, (True, [])),
+                         (True, (False, ["g: output phase flip at t=8 before acknowledge"]))]:
+        tr = Trace(events=events, signals=signals,
+                   gates=[GateInfo("g", "ledr", ("x",), "o", ack)])
+        assert check_no_early_evaluation(tr) == verdict
+        assert _oracles.check_no_early_evaluation(tr) == verdict
+
+
 # A join's inputs as source indices, where a source may be listed more than
 # once, and a sequence of source toggles.
 _JOIN_CASES = st.lists(st.integers(0, 3), min_size=1, max_size=6).flatmap(
@@ -224,21 +239,21 @@ _JOIN_CASES = st.lists(st.integers(0, 3), min_size=1, max_size=6).flatmap(
 @given(_JOIN_CASES)
 @example(([0, 0], [0, 0, 0]))
 @example(([2, 0, 2, 1], [2, 0, 1, 2, 0, 2, 1, 1]))
-def test_counted_join_matches_c_element_step(case):
+def test_counted_join_matches_c_element_mux(case):
     # The kernel calls a join once per time it lists the toggled wire.
     listing, toggles = case
     sources = {i: _Wire(f"s{i}", 1) for i in listing}
     join = _CJoin(len(listing), _Wire("out", 1))
     sim = SimpleNamespace(queue=[], _seq=itertools.count())
-    state, changes = CElementState(0, len(listing)), []
+    out, changes = 0, []
     for i in toggles:
         sources[i].level ^= 1
         for _ in range(listing.count(i)):
             join.react(sim, 0, sources[i])
-        level = c_element_step(state, [sources[j].level for j in listing])
-        if level != state.output:
+        level = c_element_mux(out, [sources[j].level for j in listing])
+        if level != out:
             changes.append(level)
-        state = CElementState(level, len(listing))
+        out = level
         assert join.output == level
     assert [level for *_, level in sorted(sim.queue)] == changes
 
