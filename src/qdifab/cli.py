@@ -94,9 +94,12 @@ def cmd_map(args) -> int:
     try:
         # The warning filters decide whether a warning shows; one that does
         # is a single line.  One raised as an error (-W error) is an input
-        # error.
+        # error.  Without -W each shows once, also where the CLI does not
+        # run as ``__main__`` and default filters would hide it.
         with warnings.catch_warnings():
             warnings.showwarning = _warn
+            if not sys.warnoptions:
+                warnings.simplefilter("default")
             fabric = fabric_from_netlist(parse_netlist(text))
     except (NetlistError, MappingError, ValueError, DeprecationWarning) as exc:
         return _fail(str(exc))

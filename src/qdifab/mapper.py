@@ -148,40 +148,28 @@ def map_4ph_3in(
     f: GateFn,
     inputs: Tuple[str, str, str] = ("x", "y", "z"),
     out: str = "o",
-    *,
-    g: Optional[GateFn] = None,
-    out2: str = "o2",
 ) -> MappedGate:
     """Three-input dual-rail gate using the memory points and the 6-input OR.
 
     The three inputs consume the whole 6-wire budget, so the gate has no
     acknowledge input.  The LUTs compute the input rendez-vous fused
     with the function, the OR detects the return to NULL, and the memory
-    C-elements hold in between.  A second function ``g`` over the same inputs
-    may occupy the other LUT pair (the classic sum/carry pairing).
+    C-elements hold in between.
     """
 
-    def lut(func: GateFn, for_wire: int) -> LutTable:
+    def lut(for_wire: int) -> LutTable:
         def fn(*p: int) -> int:
-            return _fires(func, for_wire, p[0:2], p[2:4], p[4:6])
+            return _fires(f, for_wire, p[0:2], p[2:4], p[4:6])
 
         return LutTable.from_function(fn)
 
     data = sum((_refs(s, 2) for s in inputs), ())
-    if g is None:
-        config = PlbConfig(
-            luts=(lut(f, 0), lut(f, 1), LutTable.zero(), LutTable.zero()),
-            mem_bypass=(False, True),
-            input_assignment=data + (NC,) * 6,
-        )
-        return _one_block(name, config, out, 2)
     config = PlbConfig(
-        luts=(lut(f, 0), lut(f, 1), lut(g, 0), lut(g, 1)),
-        input_assignment=data + data,
+        luts=(lut(0), lut(1), LutTable.zero(), LutTable.zero()),
+        mem_bypass=(False, True),
+        input_assignment=data + (NC,) * 6,
     )
-    unit = PlbUnit("main", config, _refs(out, 2) + _refs(out2, 2),
-                   (f"{out}.sout", f"{out2}.sout"))
-    return MappedGate(name, (unit,))
+    return _one_block(name, config, out, 2)
 
 
 # -- four-phase, one-of-3, two inputs ----------------------------------------

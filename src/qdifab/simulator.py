@@ -12,6 +12,11 @@ per value), and a consumer per primary output acknowledges every value a
 tick after it arrives and records the decoded sequence with its completion
 time.
 
+Every element output goes through :meth:`Simulation.drive`, which lands it
+one tick after the reaction plus the wire's delay; only it and
+:meth:`Simulation.inject` schedule events.  An element decides what to drive
+from its own state alone, never from the level of a wire it drives.
+
 Building a simulation has two parts.  The elaboration depends on the
 fabric alone: the wire names and the four-phase groups; per placed block its
 name, configuration, reset state (one ``plb_reset`` per block), the pins each
@@ -37,17 +42,19 @@ keeps three running summaries exact:
 * Each block instance holds its 12 input levels as a pin word, bit ``i``
   being pin ``i``; a wire change flips the bits of the pins that wire feeds.
   The instance memoises its reactions for the run: a dict from its state to
-  a dict from its pin word to (next state, the levels it drives).  The memo
-  is exact because ``plb_step`` is a pure function of the block's
+  the levels that state drives (computed once per state, all 0 at reset)
+  and a dict from its pin word to (next state, the driven wires whose level
+  differs between the two states, each with its new level).  The memo is
+  exact because ``plb_step`` is a pure function of the block's
   configuration, state and inputs and ``PlbState`` is frozen, so a hit
   returns what recomputing would.  It lives and dies with one
   :class:`Simulation`, and an oscillating step is never stored: the next
-  reaction recomputes it, and the block reports the oscillation once.
-  Block and producer outputs go straight onto the event heap, and a
-  reaction that drives the levels the block last drove schedules nothing.
+  reaction recomputes it, and the block reports the oscillation once.  A
+  reaction that leaves every driven level as it was drives nothing.
 * Each acknowledge join counts its inputs that are high (a source it lists
-  k times counts k times) and drives ``plb.c_element`` of that count: it
-  rises when all are high, falls when none is and holds otherwise.
+  k times counts k times) and drives ``plb.c_element`` of that count when
+  it changes: it rises when all are high, falls when none is and holds
+  otherwise.
 * Each four-phase signal keeps the weight of its rails, the number that are
   high.  Only a weight above 1 can be a forbidden pattern, so only then is
   the pattern classified with ``decode_4ph`` and reported.
@@ -91,8 +98,8 @@ class SimulationInputError(ValueError):
 
 @dataclass
 class DelayModel:
-    """Wire delays in ticks; every block, join and producer reacts one tick
-    after its input changes.
+    """Wire delays in ticks; every block, join, producer and consumer drives
+    its output one tick after the input change it reacts to.
 
     Uniform mode models the matched-routing conditions (every wire takes
     one tick); jitter mode violates them with a seeded per-wire draw from
@@ -236,9 +243,12 @@ class _Group:
         self.weight = 0
 
 
-# A reaction: (next state, the memo of that state, the levels of the
-# instance's driven wires).
-_Reaction = Tuple[PlbState, dict, Tuple[int, ...]]
+# A reaction: (next state, the reactions of that state, the (wire, level)
+# pairs on which the driven levels of the next state differ from those of
+# the current one).  The alias names no class of this module: typing caches
+# every subscription, so ``_Wire`` there would keep this module alive after
+# it is imported afresh.
+_Reaction = Tuple[PlbState, dict, tuple]
 
 
 class _PlbInst:
@@ -257,31 +267,31 @@ class _PlbInst:
         # positions there.
         self.drive_pos = drive_pos
         self.drives = drives
-        self.last_driven: Dict[_Wire, int] = {}
-        # The levels last driven on ``drives``, once every one of them has
-        # been driven; until then None.
-        self.last_levels: Optional[Tuple[int, ...]] = None
         self.osc_reported = False
-        self.memo: Dict[PlbState, Dict[int, _Reaction]] = {self.state: {}}
-        self.reactions = self.memo[self.state]  # those of the current state
+        # Each state reached -> (the levels it drives on ``drives``, its
+        # reactions by pin word).  The reset state drives all 0, as
+        # ``plb.program_rules`` requires, which is every wire's first level.
+        self.memo: Dict[PlbState, Tuple[Tuple[int, ...], Dict[int, _Reaction]]] = {
+            state: ((0,) * len(drives), {})}
+        self.reactions = self.memo[state][1]  # those of the current state
 
     def _settle(self, sim: "Simulation", t: int, word: int) -> Optional[_Reaction]:
         config = self.config
-        levels = tuple((word >> i) & 1 for i in range(12))
         try:
-            state = plb_step(config, self.state, levels)
+            state = plb_step(config, self.state, tuple((word >> i) & 1 for i in range(12)))
         except OscillationError:
             if not self.osc_reported:
                 sim.diagnostics.append(f"oscillation in block {self.name} at t={t}")
                 self.osc_reported = True
             return None
-        six = state.mem_out + ack_outputs(config, state)
-        reaction = (
-            state,
-            self.memo.setdefault(state, {}),
-            tuple(six[i] for i in self.drive_pos),
-        )
-        self.reactions[word] = reaction
+        entry = self.memo.get(state)
+        if entry is None:
+            six = state.mem_out + ack_outputs(config, state)
+            entry = self.memo[state] = (tuple(six[i] for i in self.drive_pos), {})
+        old = self.memo[self.state][0]
+        reaction = self.reactions[word] = (state, entry[1], tuple(
+            (out, level) for out, was, level in zip(self.drives, old, entry[0])
+            if level != was))
         return reaction
 
     def react(self, sim: "Simulation", t: int, wire: _Wire):
@@ -291,40 +301,29 @@ class _PlbInst:
             reaction = self._settle(sim, t, word)
             if reaction is None:
                 return
-        self.state, self.reactions, driven = reaction
-        if driven == self.last_levels:
-            return
-        last = self.last_driven
-        when = t + 1
-        queue, seq = sim.queue, sim._seq
-        for out, level in zip(self.drives, driven):
-            if level != last.get(out, out.level):
-                last[out] = level
-                heappush(queue, (when + out.delay, next(seq), out, level))
-        if len(last) == len(driven):
-            self.last_levels = driven
+        self.state, self.reactions, changes = reaction
+        for out, level in changes:
+            sim.drive(t, out, level)
 
 
 class _CJoin:
     """Rendez-vous of several acknowledge wires into one: a C-element that
     counts its inputs that are high; a source listed k times counts k times."""
 
-    __slots__ = ("n", "out", "high", "output", "last")
+    __slots__ = ("n", "out", "high", "output")
 
     def __init__(self, n: int, out: _Wire):
         self.n = n
         self.out = out
         self.high = 0
         self.output = 0
-        self.last: Optional[int] = None  # the level last driven on ``out``
 
     def react(self, sim: "Simulation", t: int, wire: _Wire):
         self.high += 1 if wire.level else -1
-        level = self.output = c_element(self.output, self.high, self.n)
-        out = self.out
-        if level != (out.level if self.last is None else self.last):
-            self.last = level
-            heappush(sim.queue, (t + 1 + out.delay, next(sim._seq), out, level))
+        level = c_element(self.output, self.high, self.n)
+        if level != self.output:
+            self.output = level
+            sim.drive(t, self.out, level)
 
 
 # Producer stages: idle (before the first value and after the last), a
@@ -364,14 +363,13 @@ class _Producer:
             self.react = self._react_2ph
 
     def _drive(self, sim: "Simulation", levels: Tuple[int, ...], t: int):
-        """Schedule the wire on which ``levels`` differs from the last levels
+        """Drive the wire on which ``levels`` differs from the last levels
         driven; each step of every code changes exactly one wire."""
         old, self.levels = self.levels, levels
         i = 0
         while old[i] == levels[i]:
             i += 1
-        wire = self.wires[i]
-        heappush(sim.queue, (t + wire.delay, next(sim._seq), wire, levels[i]))
+        sim.drive(t, self.wires[i], levels[i])
 
     def _send(self, sim: "Simulation", t: int):
         self.stage = _SENT
@@ -381,7 +379,7 @@ class _Producer:
         if wire.level:
             if self.stage == _SENT:
                 self.stage = _NULL_SENT
-                self._drive(sim, self.null, t + 1)
+                self._drive(sim, self.null, t)
         elif self.stage == _NULL_SENT:
             self._complete(sim, t)
 
@@ -395,7 +393,7 @@ class _Producer:
         recs.append((self.values[self.idx], t))
         self.idx += 1
         if self.idx < len(self.values):
-            self._send(sim, t + 1)
+            self._send(sim, t)
         else:
             self.stage = _IDLE
 
@@ -414,13 +412,12 @@ class _Consumer:
                       Protocol.EDGE: self._react_edge}[spec.protocol]
 
     def _acknowledge(self, sim: "Simulation", t: int, value: Optional[int]):
-        """Toggle the acknowledge a tick after ``t`` and, unless ``value``
-        is None, record the value as completed then."""
-        t += 1
-        ack = self.ack
+        """Toggle the acknowledge in reaction at tick ``t`` and, unless
+        ``value`` is None, record the value as completed a tick later."""
         self.ack_level ^= 1
-        heappush(sim.queue, (t + ack.delay, next(sim._seq), ack, self.ack_level))
+        sim.drive(t, self.ack, self.ack_level)
         if value is not None:
+            t += 1
             recs = sim.records.setdefault(self.name, [])
             sim.markers.append((t, self.name, len(recs)))
             recs.append((value, t))
@@ -520,6 +517,12 @@ class Simulation:
             )
         heappush(self.queue, (time, next(self._seq), wire, level))
 
+    def drive(self, t: int, wire: _Wire, level: int):
+        """Schedule ``level`` on ``wire`` for an element that reacted at tick
+        ``t``: it lands one tick later plus the wire's delay.  The one place
+        an element output is scheduled."""
+        heappush(self.queue, (t + 1 + wire.delay, next(self._seq), wire, level))
+
     def _check_forbidden(self, group: _Group, t: int):
         levels = [w.level for w in group.wires]
         if decode_4ph(levels).kind is CodeKind.FORBIDDEN:
@@ -530,7 +533,7 @@ class Simulation:
     def run(self) -> Trace:
         for p in self.producers:
             if p.values:
-                p._send(self, 1)
+                p._send(self, 0)
         queue, max_time = self.queue, self.max_time
         append, make_event = self.events.append, _event_from_tuple
         timed_out = False

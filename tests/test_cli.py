@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import qdifab
 from qdifab.bitstream import (
     CONFIG_BITS,
     bits_to_hex,
@@ -44,6 +47,9 @@ gate wide fn=0 in=x,y,z out=o
 """
 
 STIM = "a: 1,0,1,1\nb: 1,1,0,1\n"
+
+# The directory holding the qdifab package these tests import.
+SRC = os.path.dirname(os.path.dirname(qdifab.__file__))
 
 
 @pytest.fixture
@@ -131,10 +137,12 @@ def test_map_legacy_ack_token_warns_in_one_line(files, capsys):
     assert (tmp / "x.bit").exists()
 
 
-def test_map_legacy_ack_token_under_warnings_as_errors_exits_2(files, capsys):
+def test_map_legacy_ack_token_under_warnings_as_errors_exits_2(files, capsys, monkeypatch):
     tmp, net, _ = files
     net.write_text(THREE_GATE_NET.replace("out=t\n", "out=t ack\n")
                    .replace("out=o\n", "out=o ack\n"))
+    # What -W error does: an "error" filter, and the option in sys.warnoptions.
+    monkeypatch.setattr(sys, "warnoptions", ["error"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["map", str(net), "-o", str(tmp / "x.bit")]) == 2
@@ -142,6 +150,26 @@ def test_map_legacy_ack_token_under_warnings_as_errors_exits_2(files, capsys):
         "error: line 9: the 'ack' gate token is ignored: every gate shape "
         "decides its own acknowledge\n")
     assert not (tmp / "x.bit").exists()
+
+
+@pytest.mark.parametrize("options, rc", [([], 0), (["-W", "error"], 2)],
+                         ids=["default-filters", "W-error"])
+def test_map_legacy_ack_token_through_main_in_a_fresh_interpreter(tmp_path, options, rc):
+    # The installed console script calls main() from a module that is not
+    # the CLI's, so the default filters alone would hide the warning there.
+    net = tmp_path / "legacy.net"
+    net.write_text("signal x proto=edge arity=2\nsignal y proto=edge arity=2\n"
+                   "signal o proto=edge arity=2\ngate g fn=8 in=x,y out=o ack\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    script = ("import sys; from qdifab.cli import main; "
+              f"sys.exit(main(['map', {str(net)!r}, '-o', {str(tmp_path / 'o.bit')!r}]))")
+    proc = subprocess.run([sys.executable, *options, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == rc, proc.stderr
+    lines = proc.stderr.splitlines()
+    prefix = "warning: line 4: " if rc == 0 else "error: line 4: "
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
 
 def test_sim_writes_trace_with_transactions(files, capsys):

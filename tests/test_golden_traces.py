@@ -83,7 +83,8 @@ DESIGNS = {
 #   (t=2..10), so only its fall at t=9, a tick before the producer's, changes
 #   a wire; the run completes without a diagnostic;
 # - fault_block_output pulls o.0 up at t=2, two ticks before its block drives
-#   it, and the consumer records one spurious value (51 for 50 inputs);
+#   it up; the block drives from its own state, not the forced level, so its
+#   drive at t=4 changes nothing and the consumer records one value per input;
 # - the *_forbidden_twice runs pulse a second rail twice under a valid value,
 #   once on an input group (b carries 0 over t=2..10 and 18..26) and once on
 #   an output group (o carries 0 over t=4..8 and 12..16), so the group enters
@@ -105,14 +106,19 @@ def _delays(case: str) -> DelayModel:
     return DelayModel(mode="jitter", seed=int(case.removeprefix("jitter")))
 
 
-def _trace(design: str, delays: str, inject=None, fabric=None):
-    """A golden run, on ``fabric`` if given (it must be the design's)."""
+def _stimulus(design: str):
+    """The design's netlist and its golden stimulus."""
     net = parse_netlist(DESIGNS[design])
     rng = random.Random(f"golden:{design}")
-    stim = {
+    return net, {
         s: [rng.randrange(net.signals[s].arity) for _ in range(VALUES)]
         for s in net.primary_inputs()
     }
+
+
+def _trace(design: str, delays: str, inject=None, fabric=None):
+    """A golden run, on ``fabric`` if given (it must be the design's)."""
+    net, stim = _stimulus(design)
     fabric = fabric or fabric_from_netlist(net)
     return run(fabric, stim, delays=_delays(delays), inject=inject)
 
@@ -247,7 +253,7 @@ GOLDEN = {
     'dag_4ph_join-jitter10': '258e05dd4a276419aa86079cbd077f242f13f306b4a65dabc906e559475b7742',
     'fault_input_rail-uniform': '0300ba9193ad9a661c2a0fe9f9493eebe60da14c6a7e072fc4c8c54d0486b7c4',
     'fault_rail_pulse-uniform': '25e77f51f41501795a833f3ce047aefbdb185352bebdde221a39921cf5647273',
-    'fault_block_output-uniform': 'bbd3956327d3d11fc900794058f3a21125a2995362ec14a23beb617157b8d949',
+    'fault_block_output-uniform': 'a520aa9ebb256a9fec589ba125b3af64ed3242d8f258a289e0a2305f5ff1d54c',
     'fault_input_forbidden_twice-uniform': '209ddec8f2540eb683c26463a2579a193d05321a6ca8710201ab9ff140f3635d',
     'fault_output_forbidden_twice-uniform': '4bb9851b1712c63b33c87a37d60e24bf4870da59162d42cde6361a5607905e02',
 }
@@ -275,6 +281,15 @@ def test_fault_input_rail_is_forbidden_and_stalls():
     tr = _trace(design, "uniform", inject)
     assert tr.diagnostics[0] == "forbidden state on x at t=3: (1, 1)"
     assert tr.deadlock and "stalled" in tr.diagnostics[-1]
+
+
+def test_fault_block_output_records_one_value_per_input():
+    # The block drives what its own state says, whatever level the forced
+    # o.0 holds, so the pulled-up rail adds no value and changes none.
+    design, inject = FAULTS["fault_block_output"]
+    values = _trace(design, "uniform", inject).values_of("o")
+    assert len(values) == VALUES
+    assert values == _trace(design, "uniform").values_of("o")
 
 
 def test_reused_fabrics_stay_golden():

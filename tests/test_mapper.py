@@ -160,18 +160,6 @@ def test_map_4ph_3in_matches_oracle(f):
         assert st.mem_out[:2] == oracle.step(None, None, None)
 
 
-def test_map_4ph_3in_full_adder_pair():
-    sum3 = lambda x, y, z: x ^ y ^ z
-    unit = map_4ph_3in("g", sum3, out="s", g=MAJ3, out2="c").plbs[0]
-    st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), z=encode_4ph(0, 2))
-    assert st.mem_out == (1, 0, 0, 1)  # sum 0, carry 1
-    souts = unit_sout(unit, st)
-    assert souts == (1, 1)
-    st = step_unit(unit, st, **NULL_IN3)
-    assert st.mem_out == (0, 0, 0, 0)
-
-
 # -- four-phase ternary -------------------------------------------------------
 
 TMIN = lambda x, y: min(x, y)
@@ -434,7 +422,6 @@ def test_every_emitted_config_validates():
         map_4ph_2in("g", AND2).plbs[0],
         map_4ph_2in("g", XOR2).plbs[0],
         map_4ph_3in("g", MAJ3).plbs[0],
-        map_4ph_3in("g", lambda x, y, z: x ^ y ^ z, g=MAJ3).plbs[0],
         map_4ph_ter_2in("g", TMIN).plbs[0],
         map_ledr_2in("g", AND2).plbs[0],
     ]

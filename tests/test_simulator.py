@@ -1,4 +1,4 @@
-import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +24,10 @@ from qdifab.simulator import (
 from qdifab.trace import GateInfo, SignalInfo, Trace, TraceEvent
 from . import _oracles
 from ._oracles import all_16_functions, c_element_mux
+from .test_golden_traces import CASES as GOLDEN_CASES
 from .test_golden_traces import FAULTS
+from .test_golden_traces import _delays as golden_delays
+from .test_golden_traces import _stimulus as golden_stimulus
 from .test_golden_traces import _trace as golden_trace
 
 AND_NET = """
@@ -240,22 +243,55 @@ _JOIN_CASES = st.lists(st.integers(0, 3), min_size=1, max_size=6).flatmap(
 @example(([0, 0], [0, 0, 0]))
 @example(([2, 0, 2, 1], [2, 0, 1, 2, 0, 2, 1, 1]))
 def test_counted_join_matches_c_element_mux(case):
-    # The kernel calls a join once per time it lists the toggled wire.
+    # The kernel calls a join once per time it lists the toggled wire; the
+    # join drives its output through the kernel exactly when it changes.
     listing, toggles = case
     sources = {i: _Wire(f"s{i}", 1) for i in listing}
-    join = _CJoin(len(listing), _Wire("out", 1))
-    sim = SimpleNamespace(queue=[], _seq=itertools.count())
+    out_wire = _Wire("out", 1)
+    join = _CJoin(len(listing), out_wire)
+    driven = []
+    sim = SimpleNamespace(drive=lambda t, wire, level: driven.append((t, wire, level)))
     out, changes = 0, []
-    for i in toggles:
+    for t, i in enumerate(toggles):
         sources[i].level ^= 1
         for _ in range(listing.count(i)):
-            join.react(sim, 0, sources[i])
+            join.react(sim, t, sources[i])
         level = c_element_mux(out, [sources[j].level for j in listing])
         if level != out:
-            changes.append(level)
+            changes.append((t, out_wire, level))
         out = level
         assert join.output == level
-    assert [level for *_, level in sorted(sim.queue)] == changes
+    assert driven == changes
+
+
+class _RecordingSimulation(Simulation):
+    """A kernel that keeps every drive, as (arrival tick, wire, level)."""
+
+    def __init__(self, *args):
+        self.drives = []
+        super().__init__(*args)
+
+    def drive(self, t, wire, level):
+        self.drives.append((t + 1 + wire.delay, wire.name, level))
+        super().drive(t, wire, level)
+
+
+@pytest.mark.parametrize("case", [c for c, (_, delays, _) in GOLDEN_CASES.items()
+                                  if delays in ("uniform", "jitter1")])
+def test_kernel_schedules_every_element_output(case):
+    # Every trace event is an injection or a drive landing on its tick:
+    # no element schedules an output any other way.
+    design, delays, inject = GOLDEN_CASES[case]
+    net, stim = golden_stimulus(design)
+    sim = _RecordingSimulation(fabric_from_netlist(net), golden_delays(delays), stim)
+    for t, name, level in inject or []:
+        sim.inject(t, name, level)
+    tr = sim.run()
+    pending = Counter(sim.drives) + Counter(inject or [])
+    for e in tr.events:
+        key = (e.time, e.wire, e.new)
+        assert pending[key] > 0, e
+        pending[key] -= 1
 
 
 def test_4ph_alternation_of_decoded_values():
