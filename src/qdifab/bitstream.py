@@ -32,7 +32,8 @@ least one block, and its ``ack=`` says whether one of them reads
 ``plb.program_rules``: at most one OR bypass, set only on an active memory
 point, and a reset that settles with every output at 0.  The load-balance
 rule of ``plb.validate_config`` is left out: ``mapper.map_ledr_3in``
-breaks it by design.
+breaks it by design.  Each block line is exactly 70 lowercase hex digits
+with its padding bits 0, so that one fabric has one file.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .plb import NC, LutTable, PlbConfig, WireRef, program_rules
 from .trace import GATE_USAGE, GateInfo
 
 CONFIG_BITS = 4 * 64 + 16 + 2 + 2 + 1  # 277
+HEX_DIGITS = -(-CONFIG_BITS // 4)  # 70, one block line
 
 
 class BitstreamError(ValueError):
@@ -203,7 +205,7 @@ def read_bitstream(text: str) -> Fabric:
             tag = "hex"
         try:
             if tag == "hex":
-                hex_lines.append((lineno, hex_to_bits(line)))
+                bits = hex_to_bits(line)
             elif tag == "signal":
                 kv = dict(t.split("=", 1) for t in toks[2:])
                 spec = SignalSpec(toks[1], Protocol(kv["proto"]), int(kv["arity"]))
@@ -227,7 +229,13 @@ def read_bitstream(text: str) -> Fabric:
                 pending_internals = []
         except (IndexError, KeyError, ValueError):
             raise BitstreamError(f"line {lineno}: expected '{_USAGE[tag]}'") from None
-        if tag == "signal":
+        if tag == "hex":
+            # Only the canonical line, so that one fabric has one file.
+            if len(line) != HEX_DIGITS or line != line.lower() or any(bits[CONFIG_BITS:]):
+                raise BitstreamError(f"line {lineno}: expected {HEX_DIGITS} lowercase hex digits "
+                                     f"whose last {4 * HEX_DIGITS - CONFIG_BITS} bits are 0")
+            hex_lines.append((lineno, bits))
+        elif tag == "signal":
             if spec.name in signals:
                 raise BitstreamError(f"line {lineno}: signal {spec.name!r} declared twice")
             signals[spec.name] = spec
@@ -266,16 +274,15 @@ def read_bitstream(text: str) -> Fabric:
         if g.name not in internals:
             raise BitstreamError(f"line {lineno}: gate {g.name!r} has no '# plb' block")
     if len(hex_lines) != len(plb_meta):
+        # The first hex line past the headers, or header past the hex lines.
+        lineno = (hex_lines[len(plb_meta)][0] if len(hex_lines) > len(plb_meta)
+                  else plb_meta[len(hex_lines)]["lineno"])
         raise BitstreamError(
-            f"{len(plb_meta)} block headers but {len(hex_lines)} hex lines"
-        )
+            f"line {lineno}: {len(plb_meta)} block headers but {len(hex_lines)} hex lines")
 
     by_gate: Dict[str, List[PlbUnit]] = {}
     for meta, (lineno, bits) in zip(plb_meta, hex_lines):
-        try:
-            config = config_from_bits(bits, meta["assignment"])
-        except BitstreamError as exc:
-            raise BitstreamError(f"line {lineno}: {exc}") from None
+        config = config_from_bits(bits, meta["assignment"])
         broken = program_rules(config)
         if broken:
             raise BitstreamError(f"line {lineno}: block breaks the block rules: "

@@ -92,8 +92,6 @@ class WireRef:
 # An unconnected pin reads constant 0 but still presents its input load.
 NC = None
 
-InputAssignment = Tuple[Optional[WireRef], ...]  # 12 pins: group' 0..5, group'' 0..5
-
 
 @dataclass(frozen=True)
 class PlbConfig:
@@ -102,7 +100,8 @@ class PlbConfig:
     mem_bypass: Tuple[bool, bool] = (False, False)
     or6_bypass_sel: Tuple[bool, bool] = (False, False)
     combine_sel: bool = False
-    input_assignment: InputAssignment = (NC,) * 12
+    # 12 pins: group' 0..5, group'' 0..5.
+    input_assignment: Tuple[Optional[WireRef], ...] = (NC,) * 12
 
 
 @dataclass(frozen=True)

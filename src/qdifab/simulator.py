@@ -18,26 +18,30 @@ one tick after the reaction plus the wire's delay; only it and
 from its own state alone, never from the level of a wire it drives.
 
 Building a simulation has two parts.  The elaboration depends on the
-fabric alone: the wire names and the four-phase groups; per placed block its
-name, configuration, reset state (one ``plb_reset`` per block), the pins each
+fabric alone: the wire names, the name map :meth:`Simulation.inject` uses,
+the four-phase groups and each wire's group; per placed block its name,
+configuration, reset state (one ``plb_reset`` per block), the pins each
 wire feeds and the wires it drives; the acknowledge joins; the producer and
 consumer specs; the primary inputs; the signal table and the fingerprint
-that go into the trace.  It names every wire by an index.  The first
-:class:`Simulation` of a :class:`Fabric` stores it in the fabric's
-``elaboration``, so a fabric is not changed once it has been simulated.
-Everything else is per run and built from the elaboration by each
-:class:`Simulation`: the wires with this run's delays, the joins, producers,
-consumers and block instances, the name map :meth:`Simulation.inject` uses,
-and the per-run state below (the memos, the levels, the weights, the
-diagnostics).  The stimulus is checked when the simulation is built: every
-value must be an integer from 0 to its signal's arity minus one, and
-``max_time`` must not be negative.
+that go into the trace.  The first :class:`Simulation` of a
+:class:`Fabric` stores it in the fabric's ``elaboration``, so a fabric is
+not changed once it has been simulated.  Everything else is per run and
+built from the elaboration by each :class:`Simulation`: this run's wire
+delays, the joins, producers, consumers and block instances, and the
+per-run state below (the memos, the levels, the weights, the diagnostics).
+The stimulus and the delays are checked when the simulation is built:
+every value must be an integer from 0 to its signal's arity minus one,
+neither ``max_time`` nor a delay may be negative, and the delay model must
+name a known mode and a non-empty jitter range (:meth:`DelayModel.check`).
 
-Each wire holds the bound ``react(sim, t, wire)`` of every element it feeds,
-so the kernel calls them without a lookup; a producer's or consumer's
-``react`` is that of its protocol, chosen when it is built.  Every wire
-level is 0 or 1 (:meth:`Simulation.inject` refuses anything else), which
-keeps three running summaries exact:
+A wire is its elaboration index, in the elaboration and in the run alike.
+A run keeps flat lists indexed by wire (its level, its delay and the
+``react(sim, t, wire)`` of every element it feeds, which the kernel calls
+without a lookup) and one weight per four-phase group.  Every element
+holds wire indexes and none holds the run, so reference counting frees a
+finished run and its elements; only a block's memo, whose reactions refer
+to one another, waits for the cyclic collector.  Every wire level is 0 or 1 (:meth:`Simulation.inject`
+refuses anything else), which keeps three running summaries exact:
 
 * Each block instance holds its 12 input levels as a pin word, bit ``i``
   being pin ``i``; a wire change flips the bits of the pins that wire feeds.
@@ -103,13 +107,26 @@ class DelayModel:
 
     Uniform mode models the matched-routing conditions (every wire takes
     one tick); jitter mode violates them with a seeded per-wire draw from
-    ``jitter_range``.  Explicit per-wire overrides win in either mode.
+    ``jitter_range``, both ends included.  Explicit per-wire overrides win
+    in either mode.  A delay is an integer of 0 or more.
     """
 
     mode: str = "uniform"  # "uniform" | "jitter"
     seed: int = 0
     jitter_range: Tuple[int, int] = (1, 3)
     overrides: Dict[str, int] = field(default_factory=dict)
+
+    def check(self):
+        """Raise :class:`SimulationInputError` unless the model is valid."""
+        lo, hi = self.jitter_range
+        bad = [f"delay override {d!r} on wire {w!r} is negative"
+               for w, d in self.overrides.items() if d < 0]
+        if not 0 <= lo <= hi:
+            bad.append(f"jitter_range {self.jitter_range!r} is not lo, hi with 0 <= lo <= hi")
+        if self.mode not in ("uniform", "jitter"):
+            bad.append(f"delay mode {self.mode!r} is neither 'uniform' nor 'jitter'")
+        if bad:
+            raise SimulationInputError("; ".join(bad))
 
     def wire_delay(self, name: str) -> int:
         if name in self.overrides:
@@ -136,16 +153,19 @@ def fabric_from_netlist(net: Netlist) -> Fabric:
 
 class _Elaboration:
     """The part of building a :class:`Simulation` that no delay model,
-    stimulus or run changes; every wire is an index into ``wire_names``."""
+    stimulus or run changes.  A wire is an index: ``wire_names[w]`` is the
+    name of wire ``w``, ``index`` maps each name back to its wire, and
+    ``group_of[w]`` is the position in ``groups`` of the four-phase signal
+    that ``w`` is a rail of, or None.  Every other table holds indexes."""
 
     def __init__(self, fabric: Fabric):
-        index: Dict[str, int] = {}
+        self.index: Dict[str, int] = {}
         self.wire_names: List[str] = []
 
         def wire(name: str) -> int:
-            i = index.get(name)
+            i = self.index.get(name)
             if i is None:
-                i = index[name] = len(self.wire_names)
+                i = self.index[name] = len(self.wire_names)
                 self.wire_names.append(name)
             return i
 
@@ -181,9 +201,9 @@ class _Elaboration:
             return wire(name) if i is None else i
 
         # Per placed block: its name, configuration and reset state, each
-        # connected pin wire with the bits of the pins it feeds, and the
+        # connected pin wire to the bits of the pins it feeds, and the
         # connected wires among O0..O3, ack A, ack B with their positions.
-        self.blocks: List[Tuple[str, PlbConfig, PlbState, Tuple[Tuple[int, int], ...],
+        self.blocks: List[Tuple[str, PlbConfig, PlbState, Dict[int, int],
                                 Tuple[int, ...], Tuple[int, ...]]] = []
         for mg in fabric.mapped:
             for unit in mg.plbs:
@@ -197,18 +217,20 @@ class _Elaboration:
                 drive_pos = tuple(i for i, w in enumerate(outs) if w is not None)
                 self.blocks.append((
                     f"{mg.name}/{unit.role}", unit.config, plb_reset(unit.config),
-                    tuple(masks.items()), drive_pos, tuple(outs[i] for i in drive_pos),
+                    masks, drive_pos, tuple(outs[i] for i in drive_pos),
                 ))
 
         # (spec, rails, acknowledge feed) per primary input and
         # (spec, rails, acknowledge) per signal the environment consumes.
-        self.producers: List[Tuple[SignalSpec, Tuple[int, ...], int]] = []
-        for s in self.inputs:
-            self.producers.append((fabric.signals[s], rails_of[s], resolution[f"{s}.ackin"]))
-        self.consumers: List[Tuple[SignalSpec, Tuple[int, ...], int]] = []
-        for s in env_consumed:
-            self.consumers.append((fabric.signals[s], rails_of[s], wire(f"{s}.cack")))
+        self.producers = [(fabric.signals[s], rails_of[s], resolution[f"{s}.ackin"])
+                          for s in self.inputs]
+        self.consumers = [(fabric.signals[s], rails_of[s], wire(f"{s}.cack"))
+                          for s in env_consumed]
 
+        self.group_of: List[Optional[int]] = [None] * len(self.wire_names)
+        for g, (_, rails) in enumerate(self.groups):
+            for w in rails:
+                self.group_of[w] = g
         self.signals = {
             s: SignalInfo(s, spec.protocol.value, spec.arity, spec.wire_names())
             for s, spec in fabric.signals.items()
@@ -219,42 +241,10 @@ class _Elaboration:
 # -- runtime pieces -----------------------------------------------------------
 
 
-class _Wire:
-    __slots__ = ("name", "level", "delay", "sinks", "group")
-
-    def __init__(self, name: str, delay: int):
-        self.name = name
-        self.level = 0
-        self.delay = delay
-        # The bound ``react(sim, t, wire)`` of each element the wire feeds.
-        self.sinks: List[object] = []
-        # The four-phase signal the wire is a rail of, if any.
-        self.group: Optional[_Group] = None
-
-
-class _Group:
-    """The rails of one four-phase signal and how many of them are high."""
-
-    __slots__ = ("signal", "wires", "weight")
-
-    def __init__(self, signal: str, wires: List[_Wire]):
-        self.signal = signal
-        self.wires = wires
-        self.weight = 0
-
-
-# A reaction: (next state, the reactions of that state, the (wire, level)
-# pairs on which the driven levels of the next state differ from those of
-# the current one).  The alias names no class of this module: typing caches
-# every subscription, so ``_Wire`` there would keep this module alive after
-# it is imported afresh.
-_Reaction = Tuple[PlbState, dict, tuple]
-
-
 class _PlbInst:
     def __init__(self, name: str, config: PlbConfig, state: PlbState,
-                 mask_of: Dict[_Wire, int], drive_pos: Tuple[int, ...],
-                 drives: List[_Wire]):
+                 masks: Dict[int, int], drive_pos: Tuple[int, ...],
+                 drives: Tuple[int, ...]):
         self.name = name
         self.config = config
         self.state = state
@@ -262,45 +252,42 @@ class _PlbInst:
         # unconnected pin stays 0.
         self.word = 0
         # Each connected wire -> the bits of the pins it feeds.
-        self.mask_of = mask_of
+        self.masks = masks
         # The connected wires among O0..O3, ack A, ack B, and their
         # positions there.
         self.drive_pos = drive_pos
         self.drives = drives
         self.osc_reported = False
         # Each state reached -> (the levels it drives on ``drives``, its
-        # reactions by pin word).  The reset state drives all 0, as
-        # ``plb.program_rules`` requires, which is every wire's first level.
-        self.memo: Dict[PlbState, Tuple[Tuple[int, ...], Dict[int, _Reaction]]] = {
+        # reactions by pin word).  A reaction is (next state, the reactions
+        # of that state, the (wire, level) pairs on which the driven levels
+        # of the next state differ from those of the current one).  The
+        # reset state drives all 0, as ``plb.program_rules`` requires, which
+        # is every wire's first level.
+        self.memo: Dict[PlbState, Tuple[Tuple[int, ...], Dict[int, tuple]]] = {
             state: ((0,) * len(drives), {})}
         self.reactions = self.memo[state][1]  # those of the current state
 
-    def _settle(self, sim: "Simulation", t: int, word: int) -> Optional[_Reaction]:
-        config = self.config
-        try:
-            state = plb_step(config, self.state, tuple((word >> i) & 1 for i in range(12)))
-        except OscillationError:
-            if not self.osc_reported:
-                sim.diagnostics.append(f"oscillation in block {self.name} at t={t}")
-                self.osc_reported = True
-            return None
-        entry = self.memo.get(state)
-        if entry is None:
-            six = state.mem_out + ack_outputs(config, state)
-            entry = self.memo[state] = (tuple(six[i] for i in self.drive_pos), {})
-        old = self.memo[self.state][0]
-        reaction = self.reactions[word] = (state, entry[1], tuple(
-            (out, level) for out, was, level in zip(self.drives, old, entry[0])
-            if level != was))
-        return reaction
-
-    def react(self, sim: "Simulation", t: int, wire: _Wire):
-        self.word = word = self.word ^ self.mask_of[wire]
+    def react(self, sim: "Simulation", t: int, wire: int):
+        self.word = word = self.word ^ self.masks[wire]
         reaction = self.reactions.get(word)
         if reaction is None:
-            reaction = self._settle(sim, t, word)
-            if reaction is None:
+            config = self.config
+            try:
+                state = plb_step(config, self.state, tuple((word >> i) & 1 for i in range(12)))
+            except OscillationError:
+                if not self.osc_reported:
+                    sim.diagnostics.append(f"oscillation in block {self.name} at t={t}")
+                    self.osc_reported = True
                 return
+            entry = self.memo.get(state)
+            if entry is None:
+                six = state.mem_out + ack_outputs(config, state)
+                entry = self.memo[state] = (tuple(six[i] for i in self.drive_pos), {})
+            old = self.memo[self.state][0]
+            reaction = self.reactions[word] = (state, entry[1], tuple(
+                (out, level) for out, was, level in zip(self.drives, old, entry[0])
+                if level != was))
         self.state, self.reactions, changes = reaction
         for out, level in changes:
             sim.drive(t, out, level)
@@ -312,14 +299,14 @@ class _CJoin:
 
     __slots__ = ("n", "out", "high", "output")
 
-    def __init__(self, n: int, out: _Wire):
+    def __init__(self, n: int, out: int):
         self.n = n
         self.out = out
         self.high = 0
         self.output = 0
 
-    def react(self, sim: "Simulation", t: int, wire: _Wire):
-        self.high += 1 if wire.level else -1
+    def react(self, sim: "Simulation", t: int, wire: int):
+        self.high += 1 if sim.levels[wire] else -1
         level = c_element(self.output, self.high, self.n)
         if level != self.output:
             self.output = level
@@ -332,12 +319,11 @@ _IDLE, _SENT, _NULL_SENT = 0, 1, 2
 
 
 class _Producer:
-    """Drives one primary input signal with the ``react`` of its protocol: a
-    four-phase producer sends a valid code, NULL on the acknowledge's rise
-    and the next value on its fall; a two-phase producer sends the next
-    value on each acknowledge toggle."""
+    """Drives one primary input signal: a four-phase producer sends a valid
+    code, NULL on the acknowledge's rise and the next value on its fall; a
+    two-phase producer sends the next value on each acknowledge toggle."""
 
-    def __init__(self, spec: SignalSpec, wires: List[_Wire], values: List[int]):
+    def __init__(self, spec: SignalSpec, wires: Tuple[int, ...], values: List[int]):
         self.name = spec.name
         self.wires = wires
         self.values = vs = list(values)
@@ -353,14 +339,14 @@ class _Producer:
         self.idx = 0
         self.stage = _IDLE
         self.levels: Tuple[int, ...] = (0,) * len(wires)  # as last driven
+        # The NULL code of a four-phase signal; None for a two-phase one.
+        self.null: Optional[Tuple[int, ...]] = None
         if spec.protocol is Protocol.FOUR_PHASE:
             codes = [encode_4ph(v, spec.arity) for v in range(spec.arity)]
             self.next_code = lambda _levels, v: codes[v]
             self.null = encode_4ph_null(spec.arity)
-            self.react = self._react_4ph
         else:
             self.next_code = ledr_next if spec.protocol is Protocol.LEDR else edge_next
-            self.react = self._react_2ph
 
     def _drive(self, sim: "Simulation", levels: Tuple[int, ...], t: int):
         """Drive the wire on which ``levels`` differs from the last levels
@@ -375,16 +361,15 @@ class _Producer:
         self.stage = _SENT
         self._drive(sim, self.next_code(self.levels, self.values[self.idx]), t)
 
-    def _react_4ph(self, sim: "Simulation", t: int, wire: _Wire):
-        if wire.level:
+    def react(self, sim: "Simulation", t: int, wire: int):
+        if self.null is None:  # two-phase: any toggle acknowledges the value
+            if self.stage == _SENT:
+                self._complete(sim, t)
+        elif sim.levels[wire]:
             if self.stage == _SENT:
                 self.stage = _NULL_SENT
                 self._drive(sim, self.null, t)
         elif self.stage == _NULL_SENT:
-            self._complete(sim, t)
-
-    def _react_2ph(self, sim: "Simulation", t: int, wire: _Wire):
-        if self.stage == _SENT:
             self._complete(sim, t)
 
     def _complete(self, sim: "Simulation", t: int):
@@ -399,17 +384,15 @@ class _Producer:
 
 
 class _Consumer:
-    """Observes one primary output signal and acknowledges every value, with
-    the ``react`` of its protocol."""
+    """Observes one primary output signal and acknowledges every value."""
 
-    def __init__(self, spec: SignalSpec, wires: List[_Wire], ack: _Wire):
+    def __init__(self, spec: SignalSpec, wires: Tuple[int, ...], ack: int):
         self.name = spec.name
+        self.protocol = spec.protocol.value  # a str: an Enum member lookup is slower
         self.wires = wires
         self.ack = ack
         self.ack_level = 0
         self.pending: Optional[int] = None  # the four-phase value held, if any
-        self.react = {Protocol.FOUR_PHASE: self._react_4ph, Protocol.LEDR: self._react_ledr,
-                      Protocol.EDGE: self._react_edge}[spec.protocol]
 
     def _acknowledge(self, sim: "Simulation", t: int, value: Optional[int]):
         """Toggle the acknowledge in reaction at tick ``t`` and, unless
@@ -422,22 +405,21 @@ class _Consumer:
             sim.markers.append((t, self.name, len(recs)))
             recs.append((value, t))
 
-    def _react_4ph(self, sim: "Simulation", t: int, wire: _Wire):
-        code = decode_4ph([w.level for w in self.wires])
-        if code.kind is CodeKind.VALID:
-            if self.pending is None:
-                self.pending = code.value
-                self._acknowledge(sim, t, None)
-        elif code.kind is CodeKind.NULL and self.pending is not None:
-            self._acknowledge(sim, t, self.pending)
-            self.pending = None
-        # Forbidden patterns are logged by the kernel; hold the handshake.
-
-    def _react_ledr(self, sim: "Simulation", t: int, wire: _Wire):
-        self._acknowledge(sim, t, self.wires[0].level)
-
-    def _react_edge(self, sim: "Simulation", t: int, wire: _Wire):
-        self._acknowledge(sim, t, self.wires.index(wire))  # the toggled wire
+    def react(self, sim: "Simulation", t: int, wire: int):
+        if self.protocol == "4ph":
+            code = decode_4ph([sim.levels[w] for w in self.wires])
+            if code.kind is CodeKind.VALID:
+                if self.pending is None:
+                    self.pending = code.value
+                    self._acknowledge(sim, t, None)
+            elif code.kind is CodeKind.NULL and self.pending is not None:
+                self._acknowledge(sim, t, self.pending)
+                self.pending = None
+            # Forbidden patterns are logged by the kernel; hold the handshake.
+        elif self.protocol == "ledr":
+            self._acknowledge(sim, t, sim.levels[self.wires[0]])
+        else:
+            self._acknowledge(sim, t, self.wires.index(wire))  # the toggled wire
 
 
 # -- kernel --------------------------------------------------------------------
@@ -455,60 +437,55 @@ class Simulation:
             raise SimulationInputError(f"max_time {max_time} is negative")
         self.fabric = fabric
         self.delays = delays or DelayModel()
+        self.delays.check()
         self.max_time = max_time
         # (time, sequence number, wire, level); the unique, rising sequence
         # number keeps same-tick events in insertion order.
-        self.queue: List[Tuple[int, int, _Wire, int]] = []
+        self.queue: List[Tuple[int, int, int, int]] = []
         self._seq = count(1)
         self.events: List[TraceEvent] = []
         self.markers: List[Tuple[int, str, int]] = []
         self.records: Dict[str, List[Tuple[int, int]]] = {}
         self.diagnostics: List[str] = []
         self.producers: List[_Producer] = []
-        self._build(stimulus or {})
-
-    # construction ------------------------------------------------------
-
-    def _build(self, stimulus: Dict[str, List[int]]):
-        """Instantiate the fabric's elaboration for this run."""
-        elab = self.fabric.elaboration
-        if elab is None:
-            elab = self.fabric.elaboration = _Elaboration(self.fabric)
+        # Instantiate the fabric's elaboration for this run.
+        stimulus = stimulus or {}
+        if fabric.elaboration is None:
+            fabric.elaboration = _Elaboration(fabric)
+        elab = self.elab = fabric.elaboration
         unknown = set(stimulus) - set(elab.inputs)
         if unknown:
             raise SimulationInputError(
                 f"stimulus for unknown or non-input signal(s): {sorted(unknown)}"
             )
-        wire_delay = self.delays.wire_delay
-        wires = [_Wire(name, wire_delay(name)) for name in elab.wire_names]
-        self.wires = dict(zip(elab.wire_names, wires))
-        for signal, rails in elab.groups:
-            group = _Group(signal, [wires[i] for i in rails])
-            for w in group.wires:
-                w.group = group
+        # Per wire: its level, its delay, and the ``react`` of each element
+        # it feeds; per four-phase group: how many of its rails are high.
+        self.levels = [0] * len(elab.wire_names)
+        self.wire_delays = list(map(self.delays.wire_delay, elab.wire_names))
+        self.sinks = sinks = [[] for _ in elab.wire_names]
+        self.weights = [0] * len(elab.groups)
         for sources, out in elab.joins:
-            react = _CJoin(len(sources), wires[out]).react
-            for i in sources:
-                wires[i].sinks.append(react)
-        for name, config, reset, masks, drive_pos, drives in elab.blocks:
-            inst = _PlbInst(name, config, reset, {wires[i]: m for i, m in masks},
-                            drive_pos, [wires[i] for i in drives])
-            for w in inst.mask_of:
-                w.sinks.append(inst.react)
+            react = _CJoin(len(sources), out).react
+            for w in sources:
+                sinks[w].append(react)
+        for block in elab.blocks:
+            inst = _PlbInst(*block)
+            for w in inst.masks:
+                sinks[w].append(inst.react)
         for spec, rails, feed in elab.producers:
-            prod = _Producer(spec, [wires[i] for i in rails], stimulus.get(spec.name, []))
-            wires[feed].sinks.append(prod.react)
+            prod = _Producer(spec, rails, stimulus.get(spec.name, []))
+            sinks[feed].append(prod.react)
             self.producers.append(prod)
         for spec, rails, cack in elab.consumers:
-            cons = _Consumer(spec, [wires[i] for i in rails], wires[cack])
-            for w in cons.wires:
-                w.sinks.append(cons.react)
+            cons = _Consumer(spec, rails, cack)
+            for w in rails:
+                sinks[w].append(cons.react)
 
     # runtime -----------------------------------------------------------
 
     def inject(self, time: int, wire_name: str, level: int):
         """Force a raw wire event; used by fault-injection tests."""
-        wire = self.wires.get(wire_name)
+        wire = self.elab.index.get(wire_name)
         if wire is None:
             raise SimulationInputError(f"cannot inject on unknown wire {wire_name!r}")
         if type(level) is not int or level not in (0, 1):
@@ -517,24 +494,25 @@ class Simulation:
             )
         heappush(self.queue, (time, next(self._seq), wire, level))
 
-    def drive(self, t: int, wire: _Wire, level: int):
+    def drive(self, t: int, wire: int, level: int):
         """Schedule ``level`` on ``wire`` for an element that reacted at tick
         ``t``: it lands one tick later plus the wire's delay.  The one place
         an element output is scheduled."""
-        heappush(self.queue, (t + 1 + wire.delay, next(self._seq), wire, level))
+        heappush(self.queue, (t + 1 + self.wire_delays[wire], next(self._seq), wire, level))
 
-    def _check_forbidden(self, group: _Group, t: int):
-        levels = [w.level for w in group.wires]
+    def _check_forbidden(self, group: int, t: int):
+        signal, rails = self.elab.groups[group]
+        levels = [self.levels[w] for w in rails]
         if decode_4ph(levels).kind is CodeKind.FORBIDDEN:
-            self.diagnostics.append(
-                f"forbidden state on {group.signal} at t={t}: {tuple(levels)}"
-            )
+            self.diagnostics.append(f"forbidden state on {signal} at t={t}: {tuple(levels)}")
 
     def run(self) -> Trace:
         for p in self.producers:
             if p.values:
                 p._send(self, 0)
         queue, max_time = self.queue, self.max_time
+        levels, sinks, weights = self.levels, self.sinks, self.weights
+        names, group_of = self.elab.wire_names, self.elab.group_of
         append, make_event = self.events.append, _event_from_tuple
         timed_out = False
         while queue:
@@ -542,17 +520,17 @@ class Simulation:
             if t > max_time:
                 timed_out = True
                 break
-            old = wire.level
+            old = levels[wire]
             if old == level:
                 continue
-            wire.level = level
-            append(make_event((t, wire.name, old, level)))
-            group = wire.group
+            levels[wire] = level
+            append(make_event((t, names[wire], old, level)))
+            group = group_of[wire]
             if group is not None:
-                group.weight += level - old
-                if group.weight > 1:
+                weights[group] += level - old
+                if weights[group] > 1:
                     self._check_forbidden(group, t)
-            for react in wire.sinks:
+            for react in sinks[wire]:
                 react(self, t, wire)
 
         starved = sorted(p.name for p in self.producers if p.stage != _IDLE)
@@ -561,24 +539,16 @@ class Simulation:
         elif starved:
             self.diagnostics.append(
                 f"handshake stalled; unfinished producers: {', '.join(starved)}")
-        return self._trace(deadlock=timed_out or bool(starved))
-
-    def _trace(self, deadlock: bool) -> Trace:
-        elab = self.fabric.elaboration
-        meta = {
-            "fabric": elab.fingerprint,
-            "delays": self.delays.mode,
-            "seed": str(self.delays.seed),
-        }
         return Trace(
             events=self.events,
             markers=sorted(self.markers),
             records=self.records,
-            signals=dict(elab.signals),
+            signals=dict(self.elab.signals),
             gates=list(self.fabric.gates),
             diagnostics=self.diagnostics,
-            deadlock=deadlock,
-            meta=meta,
+            deadlock=timed_out or bool(starved),
+            meta={"fabric": self.elab.fingerprint, "delays": self.delays.mode,
+                  "seed": str(self.delays.seed)},
         )
 
 

@@ -26,11 +26,13 @@ does the no-early-evaluation check hold the gate's output to that
 acknowledge, whatever its protocol.  In an event row, time is an integer,
 the wire is a name without whitespace, and the levels old and new are each
 the digit 0 or 1: every wire is binary, and the property checkers rely
-on it.  A record gives the completion time to the preceding transaction
-marker with the same signal and index; a marker without a record keeps
-time -1.  Any other line starting with ``#`` is a comment.  A line that
-breaks these rules raises :class:`TraceFormatError`, whose message starts
-with ``line <n>:``.
+on it.  Transaction and record lines name declared signals, and the
+records of a signal come with indices 0, 1, 2, ... in file order.  A
+record gives the completion time to the preceding transaction marker with
+the same signal and index; a marker without a record keeps time -1.  Any
+other line starting with ``#`` is a comment.  A line that breaks these
+rules raises :class:`TraceFormatError`, whose message starts with
+``line <n>:``.
 
 The simulator writes three meta keys: ``delays`` (``uniform`` or
 ``jitter``), ``seed`` (the jitter seed) and ``fabric``, the configuration's
@@ -187,6 +189,8 @@ class Trace:
         tr = cls()
         rows: List[str] = []
         gate_lines: List[int] = []
+        # Each signal a transaction or record line names -> the first such line.
+        named: Dict[str, int] = {}
         # (signal, index) -> position in tr.markers of the marker whose
         # completion time the matching record line supplies.
         awaiting: Dict[Tuple[str, int], int] = {}
@@ -204,10 +208,16 @@ class Trace:
                     key = (sig, int(idx))
                     awaiting[key] = len(tr.markers)
                     tr.markers.append((-1, *key))
+                    named.setdefault(sig, lineno)
                 elif tag == "record":
                     _, sig, idx, value, t = toks
                     key, t = (sig, int(idx)), int(t)
-                    tr.records.setdefault(sig, []).append((int(value), t))
+                    recs = tr.records.setdefault(sig, [])
+                    if key[1] != len(recs):
+                        raise TraceFormatError(
+                            lineno, f"record {key[1]} of {sig!r} where record {len(recs)} is next")
+                    recs.append((int(value), t))
+                    named.setdefault(sig, lineno)
                     pos = awaiting.pop(key, None)
                     if pos is not None:
                         tr.markers[pos] = (t, *key)
@@ -227,6 +237,8 @@ class Trace:
                         tr.deadlock = True
                     else:
                         tr.diagnostics.append(text_d)
+            except TraceFormatError:
+                raise
             except (IndexError, KeyError, ValueError):
                 raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'") from None
             if tag == "signal":
@@ -243,6 +255,9 @@ class Trace:
                 if sig not in tr.signals:
                     raise TraceFormatError(
                         lineno, f"gate {g.name}: {sig!r} is not a declared signal")
+        for sig, lineno in named.items():
+            if sig not in tr.signals:
+                raise TraceFormatError(lineno, f"{sig!r} is not a declared signal")
         try:
             tr.events = _parse_events(rows)
         except ValueError:

@@ -21,7 +21,7 @@ from qdifab.cli import PROPERTIES, main
 from qdifab.mapper import map_4ph_2in
 from qdifab.netlist import parse_netlist
 from qdifab.simulator import fabric_from_netlist, run
-from qdifab.trace import Trace
+from qdifab.trace import Trace, TraceFormatError
 
 from . import _oracles
 from .test_golden_traces import DESIGNS as GOLDEN_DESIGNS
@@ -170,6 +170,36 @@ def test_map_legacy_ack_token_through_main_in_a_fresh_interpreter(tmp_path, opti
     lines = proc.stderr.splitlines()
     prefix = "warning: line 4: " if rc == 0 else "error: line 4: "
     assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+
+
+def test_fresh_imports_do_not_keep_the_last_one_alive():
+    # The benchmark imports the package afresh at each set-up.  A module-level
+    # alias that subscripts a typing generic with a package class is cached
+    # by typing, and would keep each earlier import alive.  Run apart, since
+    # re-importing here would change the class identities other tests use.
+    script = """
+import gc, importlib, sys, types
+def fresh_import():
+    for name in [m for m in sys.modules if m == "qdifab" or m.startswith("qdifab.")]:
+        del sys.modules[name]
+    for m in ("netlist", "simulator", "bitstream", "progchain", "trace", "sidechannel", "cli"):
+        importlib.import_module("qdifab." + m)
+def live_functions():
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, types.FunctionType)
+               and (o.__module__ or "").startswith("qdifab"))
+fresh_import()
+once = live_functions()
+for _ in range(5):
+    fresh_import()
+print(once, live_functions())
+"""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    once, after = map(int, proc.stdout.split())
+    assert once > 0 and after == once
 
 
 def test_sim_writes_trace_with_transactions(files, capsys):
@@ -362,6 +392,53 @@ def test_check_timing_fails_on_perturbed_trace(files, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _long_block_line(lines):
+    lines[-1] += "0000"
+    return len(lines)
+
+
+def _padding_bit_set(lines):
+    lines[-1] = lines[-1][:-1] + format(int(lines[-1][-1], 16) | 1, "x")
+    return len(lines)
+
+
+def _uppercase_block_line(lines):
+    lines[-1] = lines[-1].upper()
+    return len(lines)
+
+
+def _extra_hex_line(lines):
+    lines.append(lines[-1])
+    return len(lines)
+
+
+def _missing_hex_line(lines):
+    del lines[-1]
+    return next(i for i, ln in enumerate(lines, 1) if ln.startswith("# plb "))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_long_block_line, "expected 70 lowercase hex digits whose last 3 bits are 0"),
+    (_padding_bit_set, "expected 70 lowercase hex digits whose last 3 bits are 0"),
+    (_uppercase_block_line, "expected 70 lowercase hex digits whose last 3 bits are 0"),
+    (_extra_hex_line, "1 block headers but 2 hex lines"),
+    (_missing_hex_line, "1 block headers but 0 hex lines"),
+], ids=["long-line", "padding-bit", "uppercase", "extra-hex-line", "missing-hex-line"])
+def test_sim_non_canonical_block_lines_exit_2_naming_the_line(tmp_path, capsys, edit, message):
+    # Each of these once read as the fabric of the unedited file, so two
+    # files named one design.
+    (tmp_path / "and.net").write_text(AND_NET)
+    (tmp_path / "and.stim").write_text("x: 0,1\ny: 1,1\n")
+    good, bad = tmp_path / "and.bit", tmp_path / "bad.bit"
+    assert main(["map", str(tmp_path / "and.net"), "-o", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    where = edit(lines)
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(tmp_path / "and.stim")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {where}: {message}\n"
+
+
 @pytest.mark.parametrize("prop", ["toggle-count", "timing", "dpa"])
 def test_check_unknown_select_exits_2(files, capsys, prop):
     tmp, net, _ = files
@@ -420,9 +497,13 @@ time,wire,old,new
     "3,x 1,1,0",
     "t3,x.1,1,0",
     "3,,1,0",
+    "# transaction zz 0",  # undeclared signal
+    "# record zz 0 1 5",
+    "# record o 1 1 5",  # o's first record, but index 1
 ], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
         "gate-undeclared-input", "signal-twice", "meta-no-value", "row-3-fields",
-        "row-5-fields", "row-wire-space", "row-time", "row-no-wire"])
+        "row-5-fields", "row-wire-space", "row-time", "row-no-wire",
+        "transaction-undeclared-signal", "record-undeclared-signal", "record-index-order"])
 def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     good = tmp_path / "good.csv"
     good.write_text(GOOD_TRACE)
@@ -432,6 +513,19 @@ def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     capsys.readouterr()
     assert main(["check", str(good), str(bad), "--property", "no-early-eval"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: line 7: ")
+
+
+def test_trace_markers_and_records_in_any_line_order():
+    # A marker and a record may come before their signal's declaration; a
+    # marker with no record keeps time -1, and records run 0, 1, 2, ...
+    text = ("# transaction o 0\n# record o 0 1 5\n# transaction o 1\n"
+            "# signal o proto=4ph arity=2 wires=o.0,o.1\n# record o 1 0 9\n"
+            "# transaction o 2\n")
+    tr = Trace.from_csv(text)
+    assert tr.markers == [(5, "o", 0), (9, "o", 1), (-1, "o", 2)]
+    assert tr.records == {"o": [(1, 5), (0, 9)]}
+    with pytest.raises(TraceFormatError, match="^line 5: record 0 of 'o' where record 1 "):
+        Trace.from_csv(text.replace("# record o 1 0 9", "# record o 0 0 9"))
 
 
 @pytest.mark.parametrize("bad_line", [

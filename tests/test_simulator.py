@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -15,7 +17,6 @@ from qdifab.simulator import (
     Simulation,
     SimulationInputError,
     _CJoin,
-    _Wire,
     check_no_early_evaluation,
     check_single_toggle,
     fabric_from_netlist,
@@ -117,6 +118,41 @@ def test_stimulus_value_outside_arity_rejected_at_build(proto, stimulus, signal,
     with pytest.raises(SimulationInputError,
                        match=rf"'{signal}': value {value} at index {index} "):
         Simulation(fab(net), stimulus=stimulus)
+
+
+@pytest.mark.parametrize("delays, message", [
+    (DelayModel(overrides={"o.0": -3}), "delay override -3 on wire 'o.0'"),
+    (DelayModel(mode="jitter", jitter_range=(3, 2)), r"jitter_range \(3, 2\)"),
+    (DelayModel(mode="jitter", jitter_range=(-1, 2)), r"jitter_range \(-1, 2\)"),
+    (DelayModel(mode="jiter"), "delay mode 'jiter'"),
+], ids=["negative-override", "empty-jitter-range", "negative-jitter-range", "unknown-mode"])
+def test_bad_delay_model_rejected_at_build(delays, message):
+    # A negative delay would land events before the reaction that drives
+    # them, and an empty range has no delay to draw.
+    with pytest.raises(SimulationInputError, match=message):
+        Simulation(fab(AND_NET), delays, {"x": [1], "y": [1]})
+
+
+@pytest.mark.parametrize("net", [AND_NET, LEDR_XOR_NET, EDGE_AND_NET],
+                         ids=["4ph", "ledr", "edge"])
+def test_finished_run_is_freed_by_reference_counting(net):
+    # Elements hold wire indexes and none holds the run, so dropping the
+    # run frees every producer, consumer and block instance at once.
+    fabric = fab(net)
+    stimulus = {s: [1, 0, 1] for s in fabric.primary_inputs()}
+    gc.disable()
+    try:
+        sim = Simulation(fabric, None, stimulus)
+        assert sim.run().records
+        elements = {id(r.__self__): r.__self__ for sinks in sim.sinks for r in sinks
+                    if not isinstance(r.__self__, _CJoin)}
+        kinds = sorted({type(e).__name__ for e in elements.values()})
+        refs = [weakref.ref(e) for e in elements.values()]
+        del sim, elements
+        assert kinds == ["_Consumer", "_PlbInst", "_Producer"]
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_deadlock_on_starved_input():
@@ -243,36 +279,37 @@ _JOIN_CASES = st.lists(st.integers(0, 3), min_size=1, max_size=6).flatmap(
 @example(([0, 0], [0, 0, 0]))
 @example(([2, 0, 2, 1], [2, 0, 1, 2, 0, 2, 1, 1]))
 def test_counted_join_matches_c_element_mux(case):
-    # The kernel calls a join once per time it lists the toggled wire; the
-    # join drives its output through the kernel exactly when it changes.
+    # The kernel calls a join once per time it lists the toggled wire, after
+    # setting that wire's level; the join drives its output wire (index 4,
+    # past every source) through the kernel exactly when it changes.
     listing, toggles = case
-    sources = {i: _Wire(f"s{i}", 1) for i in listing}
-    out_wire = _Wire("out", 1)
-    join = _CJoin(len(listing), out_wire)
     driven = []
-    sim = SimpleNamespace(drive=lambda t, wire, level: driven.append((t, wire, level)))
+    sim = SimpleNamespace(levels=[0] * 5,
+                          drive=lambda t, wire, level: driven.append((t, wire, level)))
+    join = _CJoin(len(listing), 4)
     out, changes = 0, []
     for t, i in enumerate(toggles):
-        sources[i].level ^= 1
+        sim.levels[i] ^= 1
         for _ in range(listing.count(i)):
-            join.react(sim, t, sources[i])
-        level = c_element_mux(out, [sources[j].level for j in listing])
+            join.react(sim, t, i)
+        level = c_element_mux(out, [sim.levels[j] for j in listing])
         if level != out:
-            changes.append((t, out_wire, level))
+            changes.append((t, 4, level))
         out = level
         assert join.output == level
     assert driven == changes
 
 
 class _RecordingSimulation(Simulation):
-    """A kernel that keeps every drive, as (arrival tick, wire, level)."""
+    """A kernel that keeps every drive, as (arrival tick, wire name, level)."""
 
     def __init__(self, *args):
         self.drives = []
         super().__init__(*args)
 
     def drive(self, t, wire, level):
-        self.drives.append((t + 1 + wire.delay, wire.name, level))
+        self.drives.append((t + 1 + self.wire_delays[wire],
+                            self.elab.wire_names[wire], level))
         super().drive(t, wire, level)
 
 
