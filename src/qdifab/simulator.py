@@ -40,8 +40,9 @@ A run keeps flat lists indexed by wire (its level, its delay and the
 without a lookup) and one weight per four-phase group.  Every element
 holds wire indexes and none holds the run, so reference counting frees a
 finished run and its elements; only a block's memo, whose reactions refer
-to one another, waits for the cyclic collector.  Every wire level is 0 or 1 (:meth:`Simulation.inject`
-refuses anything else), which keeps three running summaries exact:
+to one another, waits for the cyclic collector.  Every wire level is 0 or
+1 (:meth:`Simulation.inject` refuses anything else), which keeps three
+running summaries exact:
 
 * Each block instance holds its 12 input levels as a pin word, bit ``i``
   being pin ``i``; a wire change flips the bits of the pins that wire feeds.
@@ -222,10 +223,12 @@ class _Elaboration:
 
         # (spec, rails, acknowledge feed) per primary input and
         # (spec, rails, acknowledge) per signal the environment consumes.
-        self.producers = [(fabric.signals[s], rails_of[s], resolution[f"{s}.ackin"])
-                          for s in self.inputs]
-        self.consumers = [(fabric.signals[s], rails_of[s], wire(f"{s}.cack"))
-                          for s in env_consumed]
+        self.producers: List[Tuple[SignalSpec, Tuple[int, ...], int]] = []
+        for s in self.inputs:
+            self.producers.append((fabric.signals[s], rails_of[s], resolution[f"{s}.ackin"]))
+        self.consumers: List[Tuple[SignalSpec, Tuple[int, ...], int]] = []
+        for s in env_consumed:
+            self.consumers.append((fabric.signals[s], rails_of[s], wire(f"{s}.cack")))
 
         self.group_of: List[Optional[int]] = [None] * len(self.wire_names)
         for g, (_, rails) in enumerate(self.groups):
