@@ -461,6 +461,11 @@ class Simulation:
             raise SimulationInputError(
                 f"stimulus for unknown or non-input signal(s): {sorted(unknown)}"
             )
+        if self.delays.overrides:
+            unknown = self.delays.overrides.keys() - elab.index.keys()
+            if unknown:
+                raise SimulationInputError(
+                    f"delay override for unknown wire(s): {sorted(unknown)}")
         # Per wire: its level, its delay, and the ``react`` of each element
         # it feeds; per four-phase group: how many of its rails are high.
         self.levels = [0] * len(elab.wire_names)

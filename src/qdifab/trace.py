@@ -6,7 +6,8 @@ gates so the property checkers can run on a file alone.  A
 value/acknowledge cycle, and a ``# record`` line keeps the decoded value
 alongside it.
 
-:meth:`Trace.from_csv` accepts these lines, in any order; blank lines and
+:meth:`Trace.from_csv` accepts these lines, in any order but for the event
+rows, whose times do not decrease from one row to the next; blank lines and
 whitespace around a line are ignored::
 
     # signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<wire>,...
@@ -16,23 +17,25 @@ whitespace around a line are ignored::
     # transaction <signal> <index>
     # record <signal> <index> <value> <time>
     time,wire,old,new                      (column header, skipped)
-    <time>,<wire>,<old>,<new>              (event row; old and new are 0 or 1)
+    <time>,<wire>,<old>,<new>              (event row; old and new are 0 or 1;
+                                            time not below the previous row's)
 
 Signal and gate fields may come in any order and unknown ``key=value``
 fields are ignored.  A signal is declared once and lists each of its wires
 once.  Every input and the output of a gate must be a declared signal; its
 ``ack`` is 1 when the gate reads its consumer's acknowledge, and only then
 does the no-early-evaluation check hold the gate's output to that
-acknowledge, whatever its protocol.  In an event row, time is an integer,
-the wire is a name without whitespace, and the levels old and new are each
-the digit 0 or 1: every wire is binary, and the property checkers rely
-on it.  Transaction and record lines name declared signals, and the
-records of a signal come with indices 0, 1, 2, ... in file order.  A
-record gives the completion time to the preceding transaction marker with
-the same signal and index; a marker without a record keeps time -1.  Any
-other line starting with ``#`` is a comment.  A line that breaks these
-rules raises :class:`TraceFormatError`, whose message starts with
-``line <n>:``.
+acknowledge, whatever its protocol.  Event rows come in non-decreasing time
+order, as the property checkers replay them in file order.  In an event
+row, time is an integer, the wire is a name without whitespace, and the
+levels old and new are each the digit 0 or 1: every wire is binary, and
+the property checkers rely on it.  Transaction and record lines name
+declared signals, and the records of a signal come with indices 0, 1, 2,
+... in file order.  A record gives the completion time to the preceding
+transaction marker with the same signal and index; a marker without a
+record keeps time -1.  Any other line starting with ``#`` is a comment.  A
+line that breaks these rules raises :class:`TraceFormatError`, whose
+message starts with ``line <n>:``.
 
 The simulator writes three meta keys: ``delays`` (``uniform`` or
 ``jitter``), ``seed`` (the jitter seed) and ``fabric``, the configuration's
@@ -43,17 +46,19 @@ side-channel analyses must agree on all three (``seed`` under jitter only).
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .encodings import Protocol
 
 _COLUMNS = "time,wire,old,new"
 _LEVELS = {"0": 0, "1": 1}  # an event level, as written
+_ROW = "%s,%s,%s,%s\n"  # an event row, as written
+_time = itemgetter(0)  # of an event or a marker
 
 # The `# gate` line, which traces and bitstreams share.
 GATE_USAGE = "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>"
@@ -148,45 +153,44 @@ class Trace:
     # -- CSV ------------------------------------------------------------
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("# qdifab-trace v1\n")
-        for k, v in sorted(self.meta.items()):
-            out.write(f"# meta {k}={v}\n")
-        for s in self.signals.values():
-            out.write(
-                f"# signal {s.name} proto={s.protocol} arity={s.arity} "
-                f"wires={','.join(s.wires)}\n"
-            )
-        for g in self.gates:
-            out.write(g.header() + "\n")
-        for d in self.diagnostics:
-            out.write(f"# diagnostic {d}\n")
+        """The CSV form (see the module docstring), in this order: the
+        ``# qdifab-trace v1`` line, the meta lines sorted by key, the
+        signals, the gates, the diagnostics (``deadlock`` last), the column
+        header, then the events and markers merged by time.  Events and
+        markers are each sorted stably by time, and a marker comes after
+        every event of its tick.  A marker with a record is followed by its
+        ``# record`` line, which carries the marker's time; a record with no
+        marker is not written."""
+        out = ["# qdifab-trace v1\n"]
+        out += [f"# meta {k}={v}\n" for k, v in sorted(self.meta.items())]
+        out += [f"# signal {s.name} proto={s.protocol} arity={s.arity} "
+                f"wires={','.join(s.wires)}\n" for s in self.signals.values()]
+        out += [g.header() + "\n" for g in self.gates]
+        out += [f"# diagnostic {d}\n" for d in self.diagnostics]
         if self.deadlock:
-            out.write("# diagnostic deadlock\n")
-        out.write("time,wire,old,new\n")
+            out.append("# diagnostic deadlock\n")
+        out.append(_COLUMNS + "\n")
 
-        # Merge events and markers chronologically, markers after the
-        # events they conclude.
-        ev = [(e.time, 0, i, e) for i, e in enumerate(self.events)]
-        mk = [(t, 1, i, (t, sig, idx)) for i, (t, sig, idx) in enumerate(self.markers)]
-        rec_by_marker = {}
-        for sig, pairs in self.records.items():
-            for idx, (value, t) in enumerate(pairs):
-                rec_by_marker[(sig, idx)] = value
-        for t, kind, _, item in sorted(ev + mk, key=lambda x: (x[0], x[1], x[2])):
-            if kind == 0:
-                e = item
-                out.write(f"{e.time},{e.wire},{e.old},{e.new}\n")
-            else:
-                _, sig, idx = item
-                out.write(f"# transaction {sig} {idx}\n")
-                if (sig, idx) in rec_by_marker:
-                    out.write(f"# record {sig} {idx} {rec_by_marker[(sig, idx)]} {t}\n")
-        return out.getvalue()
+        events = sorted(self.events, key=_time)
+        times = list(map(_time, events))
+        rows = list(map(_ROW.__mod__, events))
+        values = {(sig, idx): value for sig, pairs in self.records.items()
+                  for idx, (value, _) in enumerate(pairs)}
+        start = 0
+        for t, sig, idx in sorted(self.markers, key=_time):
+            end = bisect_right(times, t, start)
+            out += rows[start:end]
+            start = end
+            out.append(f"# transaction {sig} {idx}\n")
+            if (sig, idx) in values:
+                out.append(f"# record {sig} {idx} {values[sig, idx]} {t}\n")
+        out += rows[start:]
+        return "".join(out)
 
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
         tr = cls()
+        markers, records = tr.markers, tr.records
         rows: List[str] = []
         gate_lines: List[int] = []
         # Each signal a transaction or record line names -> the first such line.
@@ -205,26 +209,40 @@ class Trace:
             try:
                 if tag == "transaction":
                     _, sig, idx = toks
-                    key = (sig, int(idx))
-                    awaiting[key] = len(tr.markers)
-                    tr.markers.append((-1, *key))
-                    named.setdefault(sig, lineno)
-                elif tag == "record":
+                    idx = int(idx)
+                    awaiting[sig, idx] = len(markers)
+                    markers.append((-1, sig, idx))
+                    if sig not in named:
+                        named[sig] = lineno
+                    continue
+                if tag == "record":
                     _, sig, idx, value, t = toks
-                    key, t = (sig, int(idx)), int(t)
-                    recs = tr.records.setdefault(sig, [])
-                    if key[1] != len(recs):
+                    idx, t = int(idx), int(t)
+                    recs = records.get(sig)
+                    if recs is None:
+                        recs = records[sig] = []
+                        if sig not in named:
+                            named[sig] = lineno
+                    if idx != len(recs):
                         raise TraceFormatError(
-                            lineno, f"record {key[1]} of {sig!r} where record {len(recs)} is next")
+                            lineno, f"record {idx} of {sig!r} where record {len(recs)} is next")
                     recs.append((int(value), t))
-                    named.setdefault(sig, lineno)
-                    pos = awaiting.pop(key, None)
+                    pos = awaiting.pop((sig, idx), None)
                     if pos is not None:
-                        tr.markers[pos] = (t, *key)
-                elif tag == "signal":
+                        markers[pos] = (t, sig, idx)
+                    continue
+                if tag == "signal":
                     name, kv = _named_fields(toks)
                     info = SignalInfo(name, Protocol(kv["proto"]).value, int(kv["arity"]),
                                       tuple(kv["wires"].split(",")))
+                    if name in tr.signals:
+                        raise TraceFormatError(lineno, f"signal {name!r} declared twice")
+                    seen: set = set()
+                    dup = next((w for w in info.wires if w in seen or seen.add(w)), None)
+                    if dup is not None:
+                        raise TraceFormatError(
+                            lineno, f"signal {name}: wire {dup!r} is listed twice")
+                    tr.signals[name] = info
                 elif tag == "gate":
                     tr.gates.append(GateInfo.from_header(toks))
                     gate_lines.append(lineno)
@@ -241,15 +259,6 @@ class Trace:
                 raise
             except (IndexError, KeyError, ValueError):
                 raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'") from None
-            if tag == "signal":
-                if info.name in tr.signals:
-                    raise TraceFormatError(lineno, f"signal {info.name!r} declared twice")
-                seen: set = set()
-                dup = next((w for w in info.wires if w in seen or seen.add(w)), None)
-                if dup is not None:
-                    raise TraceFormatError(
-                        lineno, f"signal {info.name}: wire {dup!r} is listed twice")
-                tr.signals[info.name] = info
         for lineno, g in zip(gate_lines, tr.gates):
             for sig in (*g.inputs, g.output):
                 if sig not in tr.signals:
@@ -287,7 +296,8 @@ def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:
 
 def _parse_events(rows: List[str]) -> List[TraceEvent]:
     """Event rows converted column by column; ValueError unless every row
-    is four fields: integer, wire name, 0 or 1, 0 or 1."""
+    is four fields: integer, wire name, 0 or 1, 0 or 1, and the times do
+    not decrease from row to row."""
     if not rows:
         return []
     if set(map(str.count, rows, repeat(","))) - {3}:
@@ -299,21 +309,30 @@ def _parse_events(rows: List[str]) -> List[TraceEvent]:
     old, new = fields[2::4], fields[3::4]
     if not set(old).union(new) <= _LEVELS.keys():
         raise ValueError("a level other than 0 or 1")
+    times = list(map(int, fields[0::4]))
+    if times != sorted(times):
+        raise ValueError("event rows out of time order")
     level = _LEVELS.__getitem__
-    columns = zip(map(int, fields[0::4]), wires, map(level, old), map(level, new))
+    columns = zip(times, wires, map(level, old), map(level, new))
     return list(map(_event_from_tuple, columns))
 
 
 def _raise_bad_event_row(text: str) -> None:
     """Raises TraceFormatError for the first event row of ``text`` that
-    does not parse on its own."""
+    does not parse on its own or whose time is below the previous row's."""
+    prev = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line[:1] == "#" or not line or line == _COLUMNS:
             continue
         try:
-            _parse_events([line])
+            t = _parse_events([line])[0].time
         except ValueError:
             raise TraceFormatError(
                 lineno, f"expected an event row '{_COLUMNS}' of integer, wire "
                         f"name, 0 or 1, 0 or 1, got {line!r}") from None
+        if prev is not None and t < prev:
+            raise TraceFormatError(
+                lineno, f"event at time {t} after an event at time {prev}; "
+                        f"event rows come in non-decreasing time order")
+        prev = t

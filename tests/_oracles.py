@@ -11,11 +11,13 @@ programming-chain models move every stage on every tick, which costs time
 quadratic in the chain length, and read a block's chain without the
 chain's own code.  The logic block's step is the first version, one branch
 per memory-point mode.  The hex packing model builds each digit from its
-four bits.  All are used as oracles.
+four bits.  The trace writer is the first version, which sorts every event
+and marker line on a composite key.  All are used as oracles.
 """
 
 from __future__ import annotations
 
+import io
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from qdifab.encodings import CodeKind, ValueCode, signal_parity
@@ -477,3 +479,44 @@ def bits_to_hex(bits: Sequence[int]) -> str:
         b0, b1, b2, b3 = padded[i : i + 4]
         digits.append(format((b0 << 3) | (b1 << 2) | (b2 << 1) | b3, "x"))
     return "".join(digits)
+
+
+def trace_to_csv(trace: Trace) -> str:
+    """The CSV form of a trace, which ``Trace.to_csv`` must match byte for
+    byte: every event and marker sorted on (time, events before markers,
+    position)."""
+    out = io.StringIO()
+    out.write("# qdifab-trace v1\n")
+    for k, v in sorted(trace.meta.items()):
+        out.write(f"# meta {k}={v}\n")
+    for s in trace.signals.values():
+        out.write(
+            f"# signal {s.name} proto={s.protocol} arity={s.arity} "
+            f"wires={','.join(s.wires)}\n"
+        )
+    for g in trace.gates:
+        out.write(g.header() + "\n")
+    for d in trace.diagnostics:
+        out.write(f"# diagnostic {d}\n")
+    if trace.deadlock:
+        out.write("# diagnostic deadlock\n")
+    out.write("time,wire,old,new\n")
+
+    # Merge events and markers chronologically, markers after the
+    # events they conclude.
+    ev = [(e.time, 0, i, e) for i, e in enumerate(trace.events)]
+    mk = [(t, 1, i, (t, sig, idx)) for i, (t, sig, idx) in enumerate(trace.markers)]
+    rec_by_marker = {}
+    for sig, pairs in trace.records.items():
+        for idx, (value, t) in enumerate(pairs):
+            rec_by_marker[(sig, idx)] = value
+    for t, kind, _, item in sorted(ev + mk, key=lambda x: (x[0], x[1], x[2])):
+        if kind == 0:
+            e = item
+            out.write(f"{e.time},{e.wire},{e.old},{e.new}\n")
+        else:
+            _, sig, idx = item
+            out.write(f"# transaction {sig} {idx}\n")
+            if (sig, idx) in rec_by_marker:
+                out.write(f"# record {sig} {idx} {rec_by_marker[(sig, idx)]} {t}\n")
+    return out.getvalue()

@@ -753,6 +753,27 @@ def test_check_event_level_not_a_bit_exits_2(tmp_path, capsys, prop):
         assert capsys.readouterr().err.startswith(f"error: {bad}: line {lineno}: "), row
 
 
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+def test_check_event_rows_out_of_time_order_exit_2(tmp_path, capsys, prop):
+    # The checkers replay rows in file order, so a swapped pair would be
+    # read as another history; the second row of the pair is named.
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    lines = (tmp_path / "t0.csv").read_text().splitlines()
+    times = {i: ln.split(",")[0] for i, ln in enumerate(lines) if ln[:1].isdigit()}
+    # The last two adjacent event rows of different times, so that rows
+    # sharing a tick come before them.
+    i = max(i for i in times if times.get(i + 1, times[i]) != times[i])
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {i + 2}: event at time {times[i]} after an event at "
+        f"time {times[i + 1]}; event rows come in non-decreasing time order\n")
+
+
 LEDR_3IN_NET = (
     "".join(f"signal {n} proto=ledr arity=2\n" for n in "xyzo")
     + "gate g fn=e8 in=x,y,z out=o\n"

@@ -125,10 +125,14 @@ def test_stimulus_value_outside_arity_rejected_at_build(proto, stimulus, signal,
     (DelayModel(mode="jitter", jitter_range=(3, 2)), r"jitter_range \(3, 2\)"),
     (DelayModel(mode="jitter", jitter_range=(-1, 2)), r"jitter_range \(-1, 2\)"),
     (DelayModel(mode="jiter"), "delay mode 'jiter'"),
-], ids=["negative-override", "empty-jitter-range", "negative-jitter-range", "unknown-mode"])
+    (DelayModel(overrides={"o.9": 1, "o.0": 2, "nope.0": 5}),
+     r"^delay override for unknown wire\(s\): \['nope.0', 'o.9'\]$"),
+], ids=["negative-override", "empty-jitter-range", "negative-jitter-range", "unknown-mode",
+        "unknown-wire"])
 def test_bad_delay_model_rejected_at_build(delays, message):
     # A negative delay would land events before the reaction that drives
-    # them, and an empty range has no delay to draw.
+    # them, an empty range has no delay to draw, and an override on a wire
+    # the fabric lacks, a misspelt name, would be ignored.
     with pytest.raises(SimulationInputError, match=message):
         Simulation(fab(AND_NET), delays, {"x": [1], "y": [1]})
 

@@ -1,0 +1,83 @@
+"""The trace CSV writer matches the sort-based first version byte for byte on
+random traces, and a well-formed trace reads back to the same text.
+
+The random traces hold events and markers out of time order, many on one
+tick, markers with no record, records with no marker, repeated markers,
+bool levels, diagnostics and the deadlock flag."""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qdifab.trace import GateInfo, SignalInfo, Trace, TraceEvent
+
+from . import _oracles
+
+# Times come from a small range so that events and markers often share a tick.
+TIMES = st.integers(min_value=-2, max_value=8)
+BITS = st.integers(min_value=0, max_value=1)
+PROTOCOLS = st.sampled_from(["4ph", "ledr", "edge"])
+NAMES = ["a", "b", "o"]
+TOKENS = st.text(alphabet="abz019_.:=", min_size=1, max_size=4)
+DIAGNOSTICS = st.lists(st.sampled_from(
+    ["g: output forbidden at t=5", "x: input forbidden at t=3", "stalled at t=9"]), max_size=3)
+
+
+def _signals(draw):
+    return {n: SignalInfo(n, draw(PROTOCOLS), 2, (f"{n}.0", f"{n}.1")) for n in NAMES}
+
+
+def _gates(draw):
+    return [GateInfo(f"g{k}", draw(PROTOCOLS), tuple(draw(st.lists(
+                st.sampled_from(NAMES), min_size=1, max_size=3))),
+                     draw(st.sampled_from(NAMES)), draw(st.booleans()))
+            for k in range(draw(st.integers(min_value=0, max_value=2)))]
+
+
+@st.composite
+def traces(draw):
+    """Any trace: events, markers and records drawn apart from each other."""
+    wires = st.sampled_from(["a.0", "a.1", "o.0", "o.1"]) | TOKENS
+    levels = BITS | st.booleans()
+    return Trace(
+        events=draw(st.lists(st.builds(TraceEvent, TIMES, wires, levels, levels),
+                             max_size=30)),
+        markers=draw(st.lists(st.tuples(TIMES, st.sampled_from(NAMES),
+                                        st.integers(min_value=0, max_value=3)),
+                              max_size=12)),
+        records=draw(st.dictionaries(st.sampled_from(NAMES),
+                                     st.lists(st.tuples(BITS, TIMES), max_size=4))),
+        signals=_signals(draw),
+        gates=_gates(draw),
+        diagnostics=draw(DIAGNOSTICS),
+        deadlock=draw(st.booleans()),
+        meta=draw(st.dictionaries(st.sampled_from(["delays", "fabric", "seed"]), TOKENS)),
+    )
+
+
+@st.composite
+def well_formed_traces(draw):
+    """A trace that the reader gives back: per signal, markers for its
+    first few transactions at the times of their records (time -1 past the
+    last record), and records in time order; events in any order."""
+    tr = draw(traces())
+    tr.events = [e._replace(old=int(e.old), new=int(e.new)) for e in tr.events]
+    tr.markers, tr.records = [], {}
+    for name in NAMES:
+        times = sorted(draw(st.lists(TIMES, max_size=4)))
+        tr.records[name] = [(draw(BITS), t) for t in times]
+        count = draw(st.integers(min_value=0, max_value=len(times) + 2))
+        tr.markers += [(times[i] if i < len(times) else -1, name, i) for i in range(count)]
+    # Records of one signal must come in index order, also on one tick.
+    tr.markers.sort(key=lambda m: (m[0], m[2]))
+    return tr
+
+
+@given(traces())
+def test_to_csv_matches_sort_based_oracle(tr):
+    assert tr.to_csv() == _oracles.trace_to_csv(tr)
+
+
+@given(well_formed_traces())
+def test_to_csv_reads_back_to_the_same_text(tr):
+    text = tr.to_csv()
+    assert Trace.from_csv(text).to_csv() == text
