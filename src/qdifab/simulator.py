@@ -6,11 +6,13 @@ delay-insensitivity property tests guard against anything depending on that
 order.  Reset is an instantaneous force-to-zero at time 0, not a wire.
 
 Environment drivers play the handshake roles: a producer per primary input
-feeds the stimulus values (four-phase producers interleave NULL and wait for
-both acknowledge edges; two-phase producers wait for one acknowledge toggle
-per value), and a consumer per primary output acknowledges every value a
-tick after it arrives and records the decoded sequence with its completion
-time.
+feeds the stimulus values, and a consumer per primary output acknowledges
+every value a tick after it arrives and records the decoded sequence with
+its completion time.  A producer toggles one wire per handshake step: 4ph
+raises rail v to send value v, drops it (NULL) on the acknowledge's rise and
+sends the next value on its fall; two-phase sends a value per acknowledge
+toggle, edge by toggling wire v, LEDR its data wire when the value differs
+from that wire's level and its repeat wire otherwise.
 
 Every element output goes through :meth:`Simulation.drive`, which lands it
 one tick after the reaction plus the wire's delay; only it and
@@ -31,8 +33,9 @@ delays, the joins, producers, consumers and block instances, and the
 per-run state below (the memos, the levels, the weights, the diagnostics).
 The stimulus and the delays are checked when the simulation is built:
 every value must be an integer from 0 to its signal's arity minus one,
-neither ``max_time`` nor a delay may be negative, and the delay model must
-name a known mode and a non-empty jitter range (:meth:`DelayModel.check`).
+neither ``max_time`` nor a delay (an integer) may be negative, and the
+delay model must name a known mode and a non-empty jitter range
+(:meth:`DelayModel.check`); an injection's time is an integer of 0 or more.
 
 A wire is its elaboration index, in the elaboration and in the run alike.
 A run keeps flat lists indexed by wire (its level, its delay and the
@@ -63,6 +66,9 @@ running summaries exact:
 * Each four-phase signal keeps the weight of its rails, the number that are
   high.  Only a weight above 1 can be a forbidden pattern, so only then is
   the pattern classified with ``decode_4ph`` and reported.
+
+The kernel builds each :class:`TraceEvent` with ``tuple.__new__``, which
+skips the named tuple's own ``__new__`` and its argument handling.
 """
 
 from __future__ import annotations
@@ -71,18 +77,10 @@ import hashlib
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from itertools import count
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .encodings import (
-    CodeKind,
-    Protocol,
-    SignalSpec,
-    decode_4ph,
-    edge_next,
-    encode_4ph,
-    encode_4ph_null,
-    ledr_next,
-)
+from .encodings import CodeKind, Protocol, SignalSpec, decode_4ph
 from .bitstream import Fabric, reads_ack
 from .netlist import Netlist, ack_source, map_netlist, primary_signals
 from .plb import (
@@ -94,7 +92,7 @@ from .plb import (
     plb_reset,
     plb_step,
 )
-from .trace import GateInfo, SignalInfo, Trace, TraceEvent, _event_from_tuple, window_counts
+from .trace import GateInfo, SignalInfo, Trace, TraceEvent, window_counts
 
 
 class SimulationInputError(ValueError):
@@ -120,10 +118,10 @@ class DelayModel:
     def check(self):
         """Raise :class:`SimulationInputError` unless the model is valid."""
         lo, hi = self.jitter_range
-        bad = [f"delay override {d!r} on wire {w!r} is negative"
-               for w, d in self.overrides.items() if d < 0]
-        if not 0 <= lo <= hi:
-            bad.append(f"jitter_range {self.jitter_range!r} is not lo, hi with 0 <= lo <= hi")
+        bad = [f"delay override {d!r} on wire {w!r} is not an integer of 0 or more"
+               for w, d in self.overrides.items() if type(d) is not int or d < 0]
+        if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi:
+            bad.append(f"jitter_range {self.jitter_range!r} is not integers 0 <= lo <= hi")
         if self.mode not in ("uniform", "jitter"):
             bad.append(f"delay mode {self.mode!r} is neither 'uniform' nor 'jitter'")
         if bad:
@@ -322,12 +320,12 @@ _IDLE, _SENT, _NULL_SENT = 0, 1, 2
 
 
 class _Producer:
-    """Drives one primary input signal: a four-phase producer sends a valid
-    code, NULL on the acknowledge's rise and the next value on its fall; a
-    two-phase producer sends the next value on each acknowledge toggle."""
+    """Drives one primary input signal by its protocol's producer rule (see
+    the module docstring)."""
 
     def __init__(self, spec: SignalSpec, wires: Tuple[int, ...], values: List[int]):
         self.name = spec.name
+        self.protocol = spec.protocol.value  # a str: an Enum member lookup is slower
         self.wires = wires
         self.values = vs = list(values)
         # Two built-in passes check a long stimulus quickly; only a bad one
@@ -341,42 +339,34 @@ class _Producer:
             )
         self.idx = 0
         self.stage = _IDLE
-        self.levels: Tuple[int, ...] = (0,) * len(wires)  # as last driven
-        # The NULL code of a four-phase signal; None for a two-phase one.
-        self.null: Optional[Tuple[int, ...]] = None
-        if spec.protocol is Protocol.FOUR_PHASE:
-            codes = [encode_4ph(v, spec.arity) for v in range(spec.arity)]
-            self.next_code = lambda _levels, v: codes[v]
-            self.null = encode_4ph_null(spec.arity)
-        else:
-            self.next_code = ledr_next if spec.protocol is Protocol.LEDR else edge_next
-
-    def _drive(self, sim: "Simulation", levels: Tuple[int, ...], t: int):
-        """Drive the wire on which ``levels`` differs from the last levels
-        driven; each step of every code changes exactly one wire."""
-        old, self.levels = self.levels, levels
-        i = 0
-        while old[i] == levels[i]:
-            i += 1
-        sim.drive(t, self.wires[i], levels[i])
+        self.levels = [0] * len(wires)  # as last driven
+        self.records: Optional[List[Tuple[int, int]]] = None  # taken at the first value
 
     def _send(self, sim: "Simulation", t: int):
         self.stage = _SENT
-        self._drive(sim, self.next_code(self.levels, self.values[self.idx]), t)
+        v = self.values[self.idx]
+        if self.protocol == "ledr":
+            v = int(v == self.levels[0])  # a repeated value toggles the repeat wire
+        self.levels[v] = level = self.levels[v] ^ 1
+        sim.drive(t, self.wires[v], level)
 
     def react(self, sim: "Simulation", t: int, wire: int):
-        if self.null is None:  # two-phase: any toggle acknowledges the value
-            if self.stage == _SENT:
-                self._complete(sim, t)
+        if self.protocol != "4ph":  # two-phase: any toggle acknowledges the value
+            if self.stage != _SENT:
+                return
         elif sim.levels[wire]:
-            if self.stage == _SENT:
+            if self.stage == _SENT:  # NULL: rail v drops
                 self.stage = _NULL_SENT
-                self._drive(sim, self.null, t)
-        elif self.stage == _NULL_SENT:
-            self._complete(sim, t)
-
-    def _complete(self, sim: "Simulation", t: int):
-        recs = sim.records.setdefault(self.name, [])
+                v = self.values[self.idx]
+                self.levels[v] = 0
+                sim.drive(t, self.wires[v], 0)
+            return
+        elif self.stage != _NULL_SENT:
+            return
+        # The value completes: record it, then send the next one.
+        recs = self.records
+        if recs is None:
+            recs = self.records = sim.records.setdefault(self.name, [])
         sim.markers.append((t, self.name, len(recs)))
         recs.append((self.values[self.idx], t))
         self.idx += 1
@@ -387,42 +377,41 @@ class _Producer:
 
 
 class _Consumer:
-    """Observes one primary output signal and acknowledges every value."""
+    """Observes one primary output signal and acknowledges every value and,
+    four-phase, its NULL; a value completes a tick after its acknowledge."""
 
     def __init__(self, spec: SignalSpec, wires: Tuple[int, ...], ack: int):
         self.name = spec.name
         self.protocol = spec.protocol.value  # a str: an Enum member lookup is slower
         self.wires = wires
+        self.rail_levels = itemgetter(*wires)  # of the run's levels, as a tuple
         self.ack = ack
         self.ack_level = 0
         self.pending: Optional[int] = None  # the four-phase value held, if any
+        self.records: Optional[List[Tuple[int, int]]] = None  # taken at the first value
 
-    def _acknowledge(self, sim: "Simulation", t: int, value: Optional[int]):
-        """Toggle the acknowledge in reaction at tick ``t`` and, unless
-        ``value`` is None, record the value as completed a tick later."""
+    def react(self, sim: "Simulation", t: int, wire: int):
+        if self.protocol == "4ph":
+            code = decode_4ph(self.rail_levels(sim.levels))
+            if code.kind is CodeKind.VALID and self.pending is None:
+                self.pending, value = code.value, None
+            elif code.kind is CodeKind.NULL and self.pending is not None:
+                value, self.pending = self.pending, None
+            else:  # no new value or NULL, or a forbidden pattern: hold
+                return
+        elif self.protocol == "ledr":
+            value = sim.levels[self.wires[0]]
+        else:
+            value = self.wires.index(wire)  # the toggled wire
         self.ack_level ^= 1
         sim.drive(t, self.ack, self.ack_level)
         if value is not None:
             t += 1
-            recs = sim.records.setdefault(self.name, [])
+            recs = self.records
+            if recs is None:
+                recs = self.records = sim.records.setdefault(self.name, [])
             sim.markers.append((t, self.name, len(recs)))
             recs.append((value, t))
-
-    def react(self, sim: "Simulation", t: int, wire: int):
-        if self.protocol == "4ph":
-            code = decode_4ph([sim.levels[w] for w in self.wires])
-            if code.kind is CodeKind.VALID:
-                if self.pending is None:
-                    self.pending = code.value
-                    self._acknowledge(sim, t, None)
-            elif code.kind is CodeKind.NULL and self.pending is not None:
-                self._acknowledge(sim, t, self.pending)
-                self.pending = None
-            # Forbidden patterns are logged by the kernel; hold the handshake.
-        elif self.protocol == "ledr":
-            self._acknowledge(sim, t, sim.levels[self.wires[0]])
-        else:
-            self._acknowledge(sim, t, self.wires.index(wire))  # the toggled wire
 
 
 # -- kernel --------------------------------------------------------------------
@@ -496,6 +485,9 @@ class Simulation:
         wire = self.elab.index.get(wire_name)
         if wire is None:
             raise SimulationInputError(f"cannot inject on unknown wire {wire_name!r}")
+        if type(time) is not int or time < 0:
+            raise SimulationInputError(f"cannot inject at time {time!r} on wire "
+                                       f"{wire_name!r}; a time is an integer of 0 or more")
         if type(level) is not int or level not in (0, 1):
             raise SimulationInputError(
                 f"cannot inject level {level!r} on wire {wire_name!r}; a level is 0 or 1"
@@ -521,7 +513,7 @@ class Simulation:
         queue, max_time = self.queue, self.max_time
         levels, sinks, weights = self.levels, self.sinks, self.weights
         names, group_of = self.elab.wire_names, self.elab.group_of
-        append, make_event = self.events.append, _event_from_tuple
+        append, tuple_new, event = self.events.append, tuple.__new__, TraceEvent
         timed_out = False
         while queue:
             t, _seq, wire, level = heappop(queue)
@@ -532,7 +524,7 @@ class Simulation:
             if old == level:
                 continue
             levels[wire] = level
-            append(make_event((t, names[wire], old, level)))
+            append(tuple_new(event, (t, names[wire], old, level)))
             group = group_of[wire]
             if group is not None:
                 weights[group] += level - old

@@ -18,7 +18,7 @@ whitespace around a line are ignored::
     # record <signal> <index> <value> <time>
     time,wire,old,new                      (column header, skipped)
     <time>,<wire>,<old>,<new>              (event row; old and new are 0 or 1;
-                                            time not below the previous row's)
+                                            time >= 0 and >= the previous row's)
 
 Signal and gate fields may come in any order and unknown ``key=value``
 fields are ignored.  A signal is declared once and lists each of its wires
@@ -27,15 +27,16 @@ once.  Every input and the output of a gate must be a declared signal; its
 does the no-early-evaluation check hold the gate's output to that
 acknowledge, whatever its protocol.  Event rows come in non-decreasing time
 order, as the property checkers replay them in file order.  In an event
-row, time is an integer, the wire is a name without whitespace, and the
-levels old and new are each the digit 0 or 1: every wire is binary, and
-the property checkers rely on it.  Transaction and record lines name
-declared signals, and the records of a signal come with indices 0, 1, 2,
-... in file order.  A record gives the completion time to the preceding
-transaction marker with the same signal and index; a marker without a
-record keeps time -1.  Any other line starting with ``#`` is a comment.  A
-line that breaks these rules raises :class:`TraceFormatError`, whose
-message starts with ``line <n>:``.
+row, time is an integer of 0 or more, the wire is a name without
+whitespace, and the levels old and new are each the digit 0 or 1: every
+wire is binary, and the property checkers rely on it.  Transaction and
+record lines name declared signals, the records of a signal come with
+indices 0, 1, 2, ... in file order, and a record's time is an integer of 0
+or more: nothing happens before reset.  A record gives the completion time
+to the preceding transaction marker with the same signal and index; a
+marker without a record keeps time -1.  Any other line starting with ``#``
+is a comment.  A line that breaks these rules raises
+:class:`TraceFormatError`, whose message starts with ``line <n>:``.
 
 The simulator writes three meta keys: ``delays`` (``uniform`` or
 ``jitter``), ``seed`` (the jitter seed) and ``fabric``, the configuration's
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
@@ -84,11 +84,6 @@ class TraceEvent(NamedTuple):
     wire: str
     old: int
     new: int
-
-
-# TraceEvent._make without its length check, which a 4-tuple cannot fail;
-# twice as fast as calling the class.
-_event_from_tuple = partial(tuple.__new__, TraceEvent)
 
 
 @dataclass(frozen=True)
@@ -218,6 +213,8 @@ class Trace:
                 if tag == "record":
                     _, sig, idx, value, t = toks
                     idx, t = int(idx), int(t)
+                    if t < 0:
+                        raise TraceFormatError(lineno, f"record time {t} is below 0")
                     recs = records.get(sig)
                     if recs is None:
                         recs = records[sig] = []
@@ -296,8 +293,8 @@ def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:
 
 def _parse_events(rows: List[str]) -> List[TraceEvent]:
     """Event rows converted column by column; ValueError unless every row
-    is four fields: integer, wire name, 0 or 1, 0 or 1, and the times do
-    not decrease from row to row."""
+    is four fields: integer of 0 or more, wire name, 0 or 1, 0 or 1, and
+    the times do not decrease from row to row."""
     if not rows:
         return []
     if set(map(str.count, rows, repeat(","))) - {3}:
@@ -312,9 +309,13 @@ def _parse_events(rows: List[str]) -> List[TraceEvent]:
     times = list(map(int, fields[0::4]))
     if times != sorted(times):
         raise ValueError("event rows out of time order")
+    if times[0] < 0:
+        raise ValueError("an event time below 0")
     level = _LEVELS.__getitem__
     columns = zip(times, wires, map(level, old), map(level, new))
-    return list(map(_event_from_tuple, columns))
+    # TraceEvent._make without its length check, which a 4-tuple cannot
+    # fail; twice as fast as calling the class.
+    return list(map(tuple.__new__, repeat(TraceEvent), columns))
 
 
 def _raise_bad_event_row(text: str) -> None:
@@ -329,8 +330,8 @@ def _raise_bad_event_row(text: str) -> None:
             t = _parse_events([line])[0].time
         except ValueError:
             raise TraceFormatError(
-                lineno, f"expected an event row '{_COLUMNS}' of integer, wire "
-                        f"name, 0 or 1, 0 or 1, got {line!r}") from None
+                lineno, f"expected an event row '{_COLUMNS}' of integer of 0 or "
+                        f"more, wire name, 0 or 1, 0 or 1, got {line!r}") from None
         if prev is not None and t < prev:
             raise TraceFormatError(
                 lineno, f"event at time {t} after an event at time {prev}; "

@@ -12,7 +12,9 @@ quadratic in the chain length, and read a block's chain without the
 chain's own code.  The logic block's step is the first version, one branch
 per memory-point mode.  The hex packing model builds each digit from its
 four bits.  The trace writer is the first version, which sorts every event
-and marker line on a composite key.  All are used as oracles.
+and marker line on a composite key.  The stimulus producer is the first
+version, which computes each next code of its signal and drives the wire
+on which it differs from the last one.  All are used as oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +22,17 @@ from __future__ import annotations
 import io
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from qdifab.encodings import CodeKind, ValueCode, signal_parity
+from qdifab.encodings import (
+    CodeKind,
+    Protocol,
+    SignalSpec,
+    ValueCode,
+    edge_next,
+    encode_4ph,
+    encode_4ph_null,
+    ledr_next,
+    signal_parity,
+)
 from qdifab.plb import PlbConfig, PlbState, _settle_luts
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.trace import GateInfo, Trace
@@ -520,3 +532,64 @@ def trace_to_csv(trace: Trace) -> str:
             if (sig, idx) in rec_by_marker:
                 out.write(f"# record {sig} {idx} {rec_by_marker[(sig, idx)]} {t}\n")
     return out.getvalue()
+
+
+class Producer:
+    """Drives one primary input signal, as the kernel's producer must, with
+    the same ``react(sim, t, wire)`` and ``_send(sim, t)`` entry points: a
+    four-phase producer sends a valid code, NULL on the acknowledge's rise
+    and the next value on its fall; a two-phase producer sends the next
+    value on each acknowledge toggle.  ``sim`` needs ``levels``,
+    ``drive(t, wire, level)``, ``records`` and ``markers``."""
+
+    IDLE, SENT, NULL_SENT = 0, 1, 2
+
+    def __init__(self, spec: SignalSpec, wires: Tuple[int, ...], values: List[int]):
+        self.name = spec.name
+        self.wires = wires
+        self.values = list(values)
+        self.idx = 0
+        self.stage = self.IDLE
+        self.levels: Tuple[int, ...] = (0,) * len(wires)  # as last driven
+        # The NULL code of a four-phase signal; None for a two-phase one.
+        self.null: Optional[Tuple[int, ...]] = None
+        if spec.protocol is Protocol.FOUR_PHASE:
+            codes = [encode_4ph(v, spec.arity) for v in range(spec.arity)]
+            self.next_code = lambda _levels, v: codes[v]
+            self.null = encode_4ph_null(spec.arity)
+        else:
+            self.next_code = ledr_next if spec.protocol is Protocol.LEDR else edge_next
+
+    def _drive(self, sim, levels: Tuple[int, ...], t: int):
+        """Drive the wire on which ``levels`` differs from the last levels
+        driven; each step of every code changes exactly one wire."""
+        old, self.levels = self.levels, levels
+        i = 0
+        while old[i] == levels[i]:
+            i += 1
+        sim.drive(t, self.wires[i], levels[i])
+
+    def _send(self, sim, t: int):
+        self.stage = self.SENT
+        self._drive(sim, self.next_code(self.levels, self.values[self.idx]), t)
+
+    def react(self, sim, t: int, wire: int):
+        if self.null is None:  # two-phase: any toggle acknowledges the value
+            if self.stage == self.SENT:
+                self._complete(sim, t)
+        elif sim.levels[wire]:
+            if self.stage == self.SENT:
+                self.stage = self.NULL_SENT
+                self._drive(sim, self.null, t)
+        elif self.stage == self.NULL_SENT:
+            self._complete(sim, t)
+
+    def _complete(self, sim, t: int):
+        recs = sim.records.setdefault(self.name, [])
+        sim.markers.append((t, self.name, len(recs)))
+        recs.append((self.values[self.idx], t))
+        self.idx += 1
+        if self.idx < len(self.values):
+            self._send(sim, t)
+        else:
+            self.stage = self.IDLE

@@ -500,10 +500,12 @@ time,wire,old,new
     "# transaction zz 0",  # undeclared signal
     "# record zz 0 1 5",
     "# record o 1 1 5",  # o's first record, but index 1
+    "# record o 0 1 -5",
 ], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
         "gate-undeclared-input", "signal-twice", "meta-no-value", "row-3-fields",
         "row-5-fields", "row-wire-space", "row-time", "row-no-wire",
-        "transaction-undeclared-signal", "record-undeclared-signal", "record-index-order"])
+        "transaction-undeclared-signal", "record-undeclared-signal", "record-index-order",
+        "record-time-below-0"])
 def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     good = tmp_path / "good.csv"
     good.write_text(GOOD_TRACE)
@@ -772,6 +774,50 @@ def test_check_event_rows_out_of_time_order_exit_2(tmp_path, capsys, prop):
     assert capsys.readouterr().err == (
         f"error: {bad}: line {i + 2}: event at time {times[i]} after an event at "
         f"time {times[i + 1]}; event rows come in non-decreasing time order\n")
+
+
+def _shift_times(line, by):
+    """An event row or ``# record`` line with its time moved by ``by``;
+    any other line as it is."""
+    fields = line.split(",")
+    if len(fields) == 4 and fields[0].isdigit():
+        return ",".join([str(int(fields[0]) + by), *fields[1:]])
+    if line.startswith("# record "):
+        *head, t = line.split()
+        return " ".join([*head, str(int(t) + by)])
+    return line
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+def test_check_times_below_0_exit_2(tmp_path, capsys, prop):
+    # Nothing happens before reset at time 0.  A trace shifted 10 ticks
+    # back read as another history: single-toggle failed a transaction
+    # "ending t=-1", toggle-count passed and dpa indexed its power series
+    # from the end.  The error names a line whose time is below 0.
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    lines = (tmp_path / "t0.csv").read_text().splitlines()
+    first_row = next(i for i, ln in enumerate(lines) if ln[:1].isdigit())
+    first_record = next(i for i, ln in enumerate(lines) if ln.startswith("# record "))
+    corruptions = {
+        "shifted": [_shift_times(ln, -10) for ln in lines],
+        "first row": [_shift_times(ln, -int(ln.split(",")[0]) - 1) if i == first_row else ln
+                      for i, ln in enumerate(lines)],
+        "first record": [_shift_times(ln, -int(ln.split()[-1]) - 1) if i == first_record
+                         else ln for i, ln in enumerate(lines)],
+    }
+    for name, bad_lines in corruptions.items():
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(bad_lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line "), (name, err)
+        lineno = int(err[len(f"error: {bad}: line "):].split(":")[0])
+        named = bad_lines[lineno - 1]
+        time = named.split(",")[0] if named[:1] != "#" else named.split()[-1]
+        assert int(time) < 0, (name, named)
+        assert "below 0" in err or "integer of 0 or more" in err, (name, err)
 
 
 LEDR_3IN_NET = (

@@ -17,6 +17,7 @@ from qdifab.simulator import (
     Simulation,
     SimulationInputError,
     _CJoin,
+    _Producer,
     check_no_early_evaluation,
     check_single_toggle,
     fabric_from_netlist,
@@ -127,12 +128,19 @@ def test_stimulus_value_outside_arity_rejected_at_build(proto, stimulus, signal,
     (DelayModel(mode="jiter"), "delay mode 'jiter'"),
     (DelayModel(overrides={"o.9": 1, "o.0": 2, "nope.0": 5}),
      r"^delay override for unknown wire\(s\): \['nope.0', 'o.9'\]$"),
+    (DelayModel(overrides={"o.0": 1.5}), "^delay override 1.5 on wire 'o.0' is not an integer"),
+    (DelayModel(overrides={"o.0": "2"}), "^delay override '2' on wire 'o.0' is not an integer"),
+    (DelayModel(mode="jitter", jitter_range=(1.5, 3)), r"^jitter_range \(1.5, 3\) .* integers"),
+    (DelayModel(jitter_range=(1, 3.0)), r"^jitter_range \(1, 3.0\) .* integers"),
 ], ids=["negative-override", "empty-jitter-range", "negative-jitter-range", "unknown-mode",
-        "unknown-wire"])
+        "unknown-wire", "fractional-override", "str-override", "fractional-jitter-lo",
+        "fractional-jitter-hi"])
 def test_bad_delay_model_rejected_at_build(delays, message):
     # A negative delay would land events before the reaction that drives
     # them, an empty range has no delay to draw, and an override on a wire
-    # the fabric lacks, a misspelt name, would be ignored.
+    # the fabric lacks, a misspelt name, would be ignored.  A delay that is
+    # not an integer would put events on fractional ticks, which no trace
+    # can hold.
     with pytest.raises(SimulationInputError, match=message):
         Simulation(fab(AND_NET), delays, {"x": [1], "y": [1]})
 
@@ -302,6 +310,44 @@ def test_counted_join_matches_c_element_mux(case):
         out = level
         assert join.output == level
     assert driven == changes
+
+
+# A producer's signal, its stimulus and, per acknowledge toggle, the ticks
+# that pass before it: four-phase of arity 2..4, LEDR binary, edge 2..4.
+_PRODUCER_CASES = st.sampled_from([(p, n) for p in Protocol for n in range(2, 5)
+                                   if p is not Protocol.LEDR or n == 2]).flatmap(
+    lambda shape: st.tuples(st.just(shape),
+                            st.lists(st.integers(0, shape[1] - 1), max_size=12),
+                            st.lists(st.integers(0, 3), max_size=30)))
+
+
+@given(_PRODUCER_CASES)
+@example(((Protocol.LEDR, 2), [1, 1, 0, 0, 1], [1] * 6))
+@example(((Protocol.FOUR_PHASE, 3), [2, 0, 2], [0, 1, 2, 0, 1, 2]))
+@example(((Protocol.EDGE, 4), [3, 3, 0], [1, 1, 1, 1]))
+def test_producer_matches_next_code_oracle(case):
+    # Both producers see the same acknowledge toggles on wire n, past their
+    # n wires; they must drive the same (tick, wire, level) steps and record
+    # the same values at the same ticks.
+    (protocol, arity), values, gaps = case
+    spec = SignalSpec("x", protocol, arity)
+    wires = tuple(range(spec.wire_count))
+    ack = len(wires)
+    runs = []
+    for make in (_Producer, _oracles.Producer):
+        drives = []
+        sim = SimpleNamespace(levels=[0] * (ack + 1), records={}, markers=[],
+                              drive=lambda t, wire, level, d=drives: d.append((t, wire, level)))
+        prod = make(spec, wires, values)
+        if values:
+            prod._send(sim, 0)
+        t = 0
+        for gap in gaps:
+            t += gap
+            sim.levels[ack] ^= 1
+            prod.react(sim, t, ack)
+        runs.append((drives, sim.records, sim.markers, prod.idx))
+    assert runs[0] == runs[1]
 
 
 class _RecordingSimulation(Simulation):
@@ -514,6 +560,15 @@ def test_inject_on_unknown_wire_rejected():
 def test_inject_level_other_than_0_or_1_rejected(level):
     with pytest.raises(SimulationInputError, match=r"level .* on wire 'x\.0'"):
         run(fab(AND_NET), {"x": [1], "y": [1]}, inject=[(3, "x.0", level)])
+
+
+@pytest.mark.parametrize("time", [2.5, -3, True, "3"])
+def test_inject_time_other_than_an_integer_of_0_or_more_rejected(time):
+    # A fractional tick makes a trace the reader rejects, and a negative one
+    # an event before reset.
+    with pytest.raises(SimulationInputError,
+                       match=rf"^cannot inject at time {time!r} on wire 'x\.0'; "):
+        run(fab(AND_NET), {"x": [1], "y": [1]}, inject=[(time, "x.0", 1)])
 
 
 def test_trace_without_events_roundtrips():

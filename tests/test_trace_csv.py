@@ -12,8 +12,10 @@ from qdifab.trace import GateInfo, SignalInfo, Trace, TraceEvent
 
 from . import _oracles
 
-# Times come from a small range so that events and markers often share a tick.
+# Times come from a small range so that events and markers often share a
+# tick; a well-formed trace has no time below 0.
 TIMES = st.integers(min_value=-2, max_value=8)
+WELL_FORMED_TIMES = st.integers(min_value=0, max_value=8)
 BITS = st.integers(min_value=0, max_value=1)
 PROTOCOLS = st.sampled_from(["4ph", "ledr", "edge"])
 NAMES = ["a", "b", "o"]
@@ -56,14 +58,16 @@ def traces(draw):
 
 @st.composite
 def well_formed_traces(draw):
-    """A trace that the reader gives back: per signal, markers for its
-    first few transactions at the times of their records (time -1 past the
-    last record), and records in time order; events in any order."""
+    """A trace that the reader gives back: event and record times of 0 or
+    more; per signal, markers for its first few transactions at the times
+    of their records (time -1 past the last record), and records in time
+    order; events in any order."""
     tr = draw(traces())
-    tr.events = [e._replace(old=int(e.old), new=int(e.new)) for e in tr.events]
+    tr.events = [e._replace(time=draw(WELL_FORMED_TIMES), old=int(e.old), new=int(e.new))
+                 for e in tr.events]
     tr.markers, tr.records = [], {}
     for name in NAMES:
-        times = sorted(draw(st.lists(TIMES, max_size=4)))
+        times = sorted(draw(st.lists(WELL_FORMED_TIMES, max_size=4)))
         tr.records[name] = [(draw(BITS), t) for t in times]
         count = draw(st.integers(min_value=0, max_value=len(times) + 2))
         tr.markers += [(times[i] if i < len(times) else -1, name, i) for i in range(count)]
