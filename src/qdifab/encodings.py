@@ -58,6 +58,9 @@ class SignalSpec:
             raise EncodingError(
                 f"signal {self.name!r}: LEDR is restricted to binary signals"
             )
+        # Built once, as every trace replay asks for them.
+        object.__setattr__(self, "_wires", tuple(
+            f"{self.name}.{i}" for i in range(self.wire_count)))
 
     @property
     def wire_count(self) -> int:
@@ -65,7 +68,7 @@ class SignalSpec:
         return 2 if self.protocol is Protocol.LEDR else self.arity
 
     def wire_names(self) -> Tuple[str, ...]:
-        return tuple(f"{self.name}.{i}" for i in range(self.wire_count))
+        return self._wires
 
 
 @dataclass(frozen=True)

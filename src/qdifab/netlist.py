@@ -173,14 +173,14 @@ def _check(signals: Dict[str, SignalSpec], signal_lines: Dict[str, int],
             )
         drivers[g.output] = g.name
         line_of[g.name] = line
-        protos = {signals[s].protocol.value for s in (*g.inputs, g.output)}
+        protos = {signals[s].protocol for s in (*g.inputs, g.output)}
         if len(protos) > 1:
             raise NetlistError(f"gate {g.name!r} mixes protocols", line)
         declared = getattr(g, "protocol", None)
         if declared is not None and {declared} != protos:
             raise NetlistError(
-                f"gate {g.name!r} declares proto={declared} but its signals are "
-                f"{protos.pop()}", line)
+                f"gate {g.name!r} declares proto={declared.value} but its signals are "
+                f"{protos.pop().value}", line)
     connected = {s for g in gates for s in (*g.inputs, g.output)}
     for s, line in signal_lines.items():
         if s not in connected:

@@ -148,8 +148,8 @@ def dpa_difference_of_means(
 
 def _levels_at_markers(trace: Trace, signal: str) -> List[Tuple[int, Tuple[int, ...]]]:
     """(value, resting wire levels) at each completed transaction."""
-    info = trace.signals[signal]
-    levels = dict.fromkeys(info.wires, 0)
+    wires = trace.signals[signal].wire_names()
+    levels = dict.fromkeys(wires, 0)
     evs = sorted((e for e in trace.events if e.wire in levels), key=attrgetter("time"))
     marks = sorted((t, i) for t, s, i in trace.markers if s == signal)
     values = trace.records.get(signal, [])
@@ -160,7 +160,7 @@ def _levels_at_markers(trace: Trace, signal: str) -> List[Tuple[int, Tuple[int, 
             levels[evs[k].wire] = evs[k].new
             k += 1
         if idx < len(values):
-            out.append((values[idx][0], tuple(levels[w] for w in info.wires)))
+            out.append((values[idx][0], tuple(levels[w] for w in wires)))
     return out
 
 

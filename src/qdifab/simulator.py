@@ -24,8 +24,8 @@ fabric alone: the wire names, the name map :meth:`Simulation.inject` uses,
 the four-phase groups and each wire's group; per placed block its name,
 configuration, reset state (one ``plb_reset`` per block), the pins each
 wire feeds and the wires it drives; the acknowledge joins; the producer and
-consumer specs; the primary inputs; the signal table and the fingerprint
-that go into the trace.  The first :class:`Simulation` of a
+consumer specs; the primary inputs; the fingerprint that goes into the
+trace.  The first :class:`Simulation` of a
 :class:`Fabric` stores it in the fabric's ``elaboration``, so a fabric is
 not changed once it has been simulated.  Everything else is per run and
 built from the elaboration by each :class:`Simulation`: this run's wire
@@ -64,8 +64,7 @@ running summaries exact:
   it changes: it rises when all are high, falls when none is and holds
   otherwise.
 * Each four-phase signal keeps the weight of its rails, the number that are
-  high.  Only a weight above 1 can be a forbidden pattern, so only then is
-  the pattern classified with ``decode_4ph`` and reported.
+  high.  A weight above 1 is a forbidden pattern, which is reported.
 
 The kernel builds each :class:`TraceEvent` with ``tuple.__new__``, which
 skips the named tuple's own ``__new__`` and its argument handling.
@@ -92,7 +91,7 @@ from .plb import (
     plb_reset,
     plb_step,
 )
-from .trace import GateInfo, SignalInfo, Trace, TraceEvent, window_counts
+from .trace import GateInfo, Trace, TraceEvent, window_counts
 
 
 class SimulationInputError(ValueError):
@@ -140,7 +139,7 @@ class DelayModel:
 def fabric_from_netlist(net: Netlist) -> Fabric:
     mapped = map_netlist(net)
     gates = [
-        GateInfo(g.name, net.signals[g.output].protocol.value, g.inputs, g.output,
+        GateInfo(g.name, net.signals[g.output].protocol, g.inputs, g.output,
                  reads_ack(mg, g.output))
         for g, mg in zip(net.gates, mapped)
     ]
@@ -232,10 +231,6 @@ class _Elaboration:
         for g, (_, rails) in enumerate(self.groups):
             for w in rails:
                 self.group_of[w] = g
-        self.signals = {
-            s: SignalInfo(s, spec.protocol.value, spec.arity, spec.wire_names())
-            for s, spec in fabric.signals.items()
-        }
         self.fingerprint = fabric.fingerprint()
 
 
@@ -500,19 +495,13 @@ class Simulation:
         an element output is scheduled."""
         heappush(self.queue, (t + 1 + self.wire_delays[wire], next(self._seq), wire, level))
 
-    def _check_forbidden(self, group: int, t: int):
-        signal, rails = self.elab.groups[group]
-        levels = [self.levels[w] for w in rails]
-        if decode_4ph(levels).kind is CodeKind.FORBIDDEN:
-            self.diagnostics.append(f"forbidden state on {signal} at t={t}: {tuple(levels)}")
-
     def run(self) -> Trace:
         for p in self.producers:
             if p.values:
                 p._send(self, 0)
         queue, max_time = self.queue, self.max_time
         levels, sinks, weights = self.levels, self.sinks, self.weights
-        names, group_of = self.elab.wire_names, self.elab.group_of
+        names, groups, group_of = self.elab.wire_names, self.elab.groups, self.elab.group_of
         append, tuple_new, event = self.events.append, tuple.__new__, TraceEvent
         timed_out = False
         while queue:
@@ -528,8 +517,10 @@ class Simulation:
             group = group_of[wire]
             if group is not None:
                 weights[group] += level - old
-                if weights[group] > 1:
-                    self._check_forbidden(group, t)
+                if weights[group] > 1:  # more than one rail high
+                    signal, rails = groups[group]
+                    self.diagnostics.append(f"forbidden state on {signal} at t={t}: "
+                                            f"{tuple(levels[w] for w in rails)}")
             for react in sinks[wire]:
                 react(self, t, wire)
 
@@ -543,7 +534,7 @@ class Simulation:
             events=self.events,
             markers=sorted(self.markers),
             records=self.records,
-            signals=dict(self.elab.signals),
+            signals=dict(self.fabric.signals),
             gates=list(self.fabric.gates),
             diagnostics=self.diagnostics,
             deadlock=timed_out or bool(starved),
@@ -573,25 +564,9 @@ def run(
 # are high and, where needed, the number of changes on its wires.  With 0/1
 # levels the rails high give the four-phase kind (0 NULL, 1 VALID, more
 # FORBIDDEN) and, by their parity, the LEDR phase; the changes count the
-# edges of an edge signal.  A wire that a signal lists k times counts k
-# times in both, as it does in the signal's pattern.
-
-
-def _replay_index(trace: Trace, states: Dict[str, list],
-                  extra_wires=()) -> Dict[str, list]:
-    """Each wire of a signal of ``trace``, and each of ``extra_wires``, to
-    its running record ``[level, sinks, None]``: the wire's level, 0 at the
-    start, and ``(state, k)`` for each signal that lists the wire k times,
-    its state taken from ``states``.  The last item is the caller's."""
-    records: Dict[str, list] = {w: [0, [], None] for w in extra_wires}
-    for name, info in trace.signals.items():
-        state = states[name]
-        for w in set(info.wires):
-            rec = records.get(w)
-            if rec is None:
-                rec = records[w] = [0, [], None]
-            rec[1].append((state, info.wires.count(w)))
-    return records
+# edges of an edge signal.  A signal's wires are its spec's wire names, so
+# every wire is a rail of one signal at most, and a record per wire holds
+# its level, 0 at the start, and the state of its signal.
 
 
 def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
@@ -610,9 +585,10 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     """
     # Per signal: rails high, its event times, whether its four-phase walk
     # goes on, and the failure that stopped the walk.
-    states = {name: [0, [], info.protocol == "4ph", None]
-              for name, info in trace.signals.items()}
-    records = _replay_index(trace, states)
+    states = {name: [0, [], spec.protocol is Protocol.FOUR_PHASE, None]
+              for name, spec in trace.signals.items()}
+    records = {w: [0, states[name]]
+               for name, spec in trace.signals.items() for w in spec.wire_names()}
     for e in trace.events:
         # e[0] is the time, e[1] the wire and e[3] the new level; index
         # reads are faster than named-tuple attribute reads.
@@ -622,24 +598,23 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
         new = e[3]
         d = new - rec[0]
         rec[0] = new
-        for st, k in rec[1]:
-            st[1].append(e[0])
-            if st[2]:
-                before = st[0]
-                high = st[0] = before + d * k
-                if high > 1:
-                    st[2], st[3] = False, f"forbidden pattern at t={e[0]}"
-                elif high == 1 and before == 1:
-                    st[2], st[3] = False, f"valid-to-valid jump at t={e[0]}"
+        st = rec[1]
+        st[1].append(e[0])
+        if st[2]:
+            before = st[0]
+            high = st[0] = before + d
+            if high > 1:
+                st[2], st[3] = False, f"forbidden pattern at t={e[0]}"
+            elif high == 1 and before == 1:
+                st[2], st[3] = False, f"valid-to-valid jump at t={e[0]}"
     ends_of: Dict[str, List[int]] = {}  # signal -> its marker times
     for t, s, _ in trace.markers:
         ends_of.setdefault(s, []).append(t)
     verdicts: Dict[str, Tuple[bool, str]] = {}
-    for name, info in trace.signals.items():
-        _, times, _, failure = states[name]
+    for name, (_, times, four_phase, failure) in states.items():
         ok, msg = failure is None, failure or "ok"
         if ok:
-            expected = 2 if info.protocol == "4ph" else 1
+            expected = 2 if four_phase else 1
             times.sort()
             ends = ends_of.get(name, ())
             for n, b in zip(window_counts(times, ends), ends):
@@ -677,14 +652,19 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
             readers.setdefault(s, []).append(g)
     driven = [(g, ack_source(g.output, readers.get(g.output, ())))
               for g in trace.gates if g.output in trace.signals]
-    records = _replay_index(trace, states, [a for _, a in driven])
+    # The record of an acknowledge wire has no state; each record's last
+    # item is the gate that drives the wire, if any.
+    records = {a: [0, None, None] for _, a in driven}
+    records.update({w: [0, states[name], None]
+                    for name, spec in trace.signals.items() for w in spec.wire_names()})
     for g, ack in driven:
         # The acknowledge's record, or None where the gate does not read it.
         ack_rec = records[ack] if g.ack else None
         gate = (g, states[g.output], [(s, states[s]) for s in g.inputs], ack_rec)
-        for w in trace.signals[g.output].wires:
+        for w in trace.signals[g.output].wire_names():
             records[w][2] = gate  # a later gate driving the wire wins
 
+    four_phase, ledr = Protocol.FOUR_PHASE, Protocol.LEDR
     violations: List[str] = []
     for e in trace.events:
         # e[0] is the time, e[1] the wire and e[3] the new level; index
@@ -695,13 +675,14 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
         new = e[3]
         d = new - rec[0]
         rec[0] = new
-        for st, k in rec[1]:
-            st[0] += d * k
-            st[1] += k
+        st = rec[1]
+        if st is not None:
+            st[0] += d
+            st[1] += 1
         if rec[2] is None:
             continue
         g, out, ins, ack = rec[2]
-        if g.protocol == "4ph":
+        if g.protocol is four_phase:
             high = out[0]
             if high == 1:
                 if any(st[0] != 1 for _, st in ins) or (ack is not None and ack[0] == 1):
@@ -715,7 +696,7 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                     )
             else:  # more than one rail high
                 violations.append(f"{g.name}: output forbidden at t={e[0]}")
-        elif g.protocol == "ledr":
+        elif g.protocol is ledr:
             # The event flipped the output phase; the inputs must already
             # carry that phase and the acknowledge the old one.
             phase = out[0] & 1

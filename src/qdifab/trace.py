@@ -10,8 +10,8 @@ alongside it.
 rows, whose times do not decrease from one row to the next; blank lines and
 whitespace around a line are ignored::
 
-    # signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<wire>,...
-    # gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>
+    # signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<name>.0,<name>.1,...
+    # gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<0|1>
     # meta <key>=<value>                   (fabric, delays, seed; see below)
     # diagnostic <text>                    (text "deadlock" sets the flag)
     # transaction <signal> <index>
@@ -21,21 +21,23 @@ whitespace around a line are ignored::
                                             time >= 0 and >= the previous row's)
 
 Signal and gate fields may come in any order and unknown ``key=value``
-fields are ignored.  A signal is declared once and lists each of its wires
-once.  Every input and the output of a gate must be a declared signal; its
-``ack`` is 1 when the gate reads its consumer's acknowledge, and only then
-does the no-early-evaluation check hold the gate's output to that
-acknowledge, whatever its protocol.  Event rows come in non-decreasing time
-order, as the property checkers replay them in file order.  In an event
-row, time is an integer of 0 or more, the wire is a name without
-whitespace, and the levels old and new are each the digit 0 or 1: every
-wire is binary, and the property checkers rely on it.  Transaction and
-record lines name declared signals, the records of a signal come with
-indices 0, 1, 2, ... in file order, and a record's time is an integer of 0
-or more: nothing happens before reset.  A record gives the completion time
-to the preceding transaction marker with the same signal and index; a
-marker without a record keeps time -1.  Any other line starting with ``#``
-is a comment.  A line that breaks these rules raises
+fields are ignored.  A signal is declared once, as a valid
+:class:`qdifab.encodings.SignalSpec` (arity 2 to 4, and 2 under LEDR) whose
+wire names, ``<name>.0,<name>.1,...``, are its ``wires`` exactly: every
+wire is a rail of one signal.  Every input and the output of a gate must be
+a declared signal; its ``ack`` is 1 when the gate reads its consumer's
+acknowledge, and only then does the no-early-evaluation check hold the
+gate's output to that acknowledge, whatever its protocol.  Every other
+integer (an arity, a time, an index, a value) is ASCII decimal digits.  Event rows
+come in non-decreasing time order, as the property checkers replay them in
+file order; in a row the wire is a name without whitespace, and the levels
+old and new are each the digit 0 or 1: every wire is binary, and the
+property checkers rely on it.  Transaction and record lines name declared
+signals, the records of a signal come with indices 0, 1, 2, ... in file
+order, and a record's value is below its signal's arity.  A record gives
+the completion time to the preceding transaction marker with the same
+signal and index; a marker without a record keeps time -1.  Any other line
+starting with ``#`` is a comment.  A line that breaks these rules raises
 :class:`TraceFormatError`, whose message starts with ``line <n>:``.
 
 The simulator writes three meta keys: ``delays`` (``uniform`` or
@@ -53,18 +55,18 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .encodings import Protocol
+from .encodings import EncodingError, Protocol, SignalSpec
 
 _COLUMNS = "time,wire,old,new"
-_LEVELS = {"0": 0, "1": 1}  # an event level, as written
+_LEVELS = {"0": 0, "1": 1}  # an event level or a gate's ack, as written
 _ROW = "%s,%s,%s,%s\n"  # an event row, as written
 _time = itemgetter(0)  # of an event or a marker
 
 # The `# gate` line, which traces and bitstreams share.
-GATE_USAGE = "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<int>"
+GATE_USAGE = "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<0|1>"
 
 _USAGE = {
-    "signal": "# signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<wire>,...",
+    "signal": "# signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<name>.0,<name>.1,...",
     "gate": GATE_USAGE,
     "meta": "# meta <key>=<value>",
     "transaction": "# transaction <signal> <index>",
@@ -87,24 +89,16 @@ class TraceEvent(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SignalInfo:
-    name: str
-    protocol: str  # "4ph" | "ledr" | "edge"
-    arity: int
-    wires: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class GateInfo:
     name: str
-    protocol: str  # a Protocol value
+    protocol: Protocol
     inputs: Tuple[str, ...]
     output: str
     ack: bool
 
     def header(self) -> str:
         """The `# gate` line (see ``GATE_USAGE``), without a newline."""
-        return (f"# gate {self.name} proto={self.protocol} in={','.join(self.inputs)} "
+        return (f"# gate {self.name} proto={self.protocol.value} in={','.join(self.inputs)} "
                 f"out={self.output} ack={int(self.ack)}")
 
     @classmethod
@@ -113,8 +107,8 @@ class GateInfo:
         leading ``#`` removed; fields in any order, unknown ones ignored.
         IndexError, KeyError or ValueError on a malformed line."""
         name, kv = _named_fields(toks)
-        return cls(name, Protocol(kv["proto"]).value, tuple(kv["in"].split(",")),
-                   kv["out"], bool(int(kv["ack"])))
+        return cls(name, Protocol(kv["proto"]), tuple(kv["in"].split(",")),
+                   kv["out"], bool(_LEVELS[kv["ack"]]))
 
 
 @dataclass
@@ -124,7 +118,7 @@ class Trace:
     markers: List[Tuple[int, str, int]] = field(default_factory=list)
     # signal -> [(value, completion_time)] in transaction order.
     records: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
-    signals: Dict[str, SignalInfo] = field(default_factory=dict)
+    signals: Dict[str, SignalSpec] = field(default_factory=dict)
     gates: List[GateInfo] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
     deadlock: bool = False
@@ -158,8 +152,8 @@ class Trace:
         marker is not written."""
         out = ["# qdifab-trace v1\n"]
         out += [f"# meta {k}={v}\n" for k, v in sorted(self.meta.items())]
-        out += [f"# signal {s.name} proto={s.protocol} arity={s.arity} "
-                f"wires={','.join(s.wires)}\n" for s in self.signals.values()]
+        out += [f"# signal {s.name} proto={s.protocol.value} arity={s.arity} "
+                f"wires={','.join(s.wire_names())}\n" for s in self.signals.values()]
         out += [g.header() + "\n" for g in self.gates]
         out += [f"# diagnostic {d}\n" for d in self.diagnostics]
         if self.deadlock:
@@ -193,6 +187,8 @@ class Trace:
         # (signal, index) -> position in tr.markers of the marker whose
         # completion time the matching record line supplies.
         awaiting: Dict[Tuple[str, int], int] = {}
+        # (signal, value above 1) -> the first record line with that value.
+        valued: Dict[Tuple[str, int], int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if line[:1] != "#":
@@ -204,42 +200,41 @@ class Trace:
             try:
                 if tag == "transaction":
                     _, sig, idx = toks
-                    idx = int(idx)
+                    idx = _natural(idx, lineno, "transaction index")
                     awaiting[sig, idx] = len(markers)
                     markers.append((-1, sig, idx))
-                    if sig not in named:
-                        named[sig] = lineno
+                    named.setdefault(sig, lineno)
                     continue
                 if tag == "record":
                     _, sig, idx, value, t = toks
-                    idx, t = int(idx), int(t)
-                    if t < 0:
-                        raise TraceFormatError(lineno, f"record time {t} is below 0")
+                    idx = _natural(idx, lineno, "record index")
+                    value = _natural(value, lineno, "record value")
+                    t = _natural(t, lineno, "record time")
                     recs = records.get(sig)
                     if recs is None:
                         recs = records[sig] = []
-                        if sig not in named:
-                            named[sig] = lineno
+                        named.setdefault(sig, lineno)
                     if idx != len(recs):
                         raise TraceFormatError(
                             lineno, f"record {idx} of {sig!r} where record {len(recs)} is next")
-                    recs.append((int(value), t))
+                    recs.append((value, t))
+                    if value > 1:  # every arity admits 0 and 1
+                        valued.setdefault((sig, value), lineno)
                     pos = awaiting.pop((sig, idx), None)
                     if pos is not None:
                         markers[pos] = (t, sig, idx)
                     continue
                 if tag == "signal":
                     name, kv = _named_fields(toks)
-                    info = SignalInfo(name, Protocol(kv["proto"]).value, int(kv["arity"]),
-                                      tuple(kv["wires"].split(",")))
+                    spec = SignalSpec(name, Protocol(kv["proto"]),
+                                      _natural(kv["arity"], lineno, "arity"))
+                    wires, own = kv["wires"], ",".join(spec.wire_names())
+                    if wires != own:
+                        raise TraceFormatError(
+                            lineno, f"signal {name!r}: wires={wires}, where its wires are {own}")
                     if name in tr.signals:
                         raise TraceFormatError(lineno, f"signal {name!r} declared twice")
-                    seen: set = set()
-                    dup = next((w for w in info.wires if w in seen or seen.add(w)), None)
-                    if dup is not None:
-                        raise TraceFormatError(
-                            lineno, f"signal {name}: wire {dup!r} is listed twice")
-                    tr.signals[name] = info
+                    tr.signals[name] = spec
                 elif tag == "gate":
                     tr.gates.append(GateInfo.from_header(toks))
                     gate_lines.append(lineno)
@@ -254,6 +249,8 @@ class Trace:
                         tr.diagnostics.append(text_d)
             except TraceFormatError:
                 raise
+            except EncodingError as exc:  # a signal that no SignalSpec admits
+                raise TraceFormatError(lineno, str(exc)) from None
             except (IndexError, KeyError, ValueError):
                 raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'") from None
         for lineno, g in zip(gate_lines, tr.gates):
@@ -264,6 +261,12 @@ class Trace:
         for sig, lineno in named.items():
             if sig not in tr.signals:
                 raise TraceFormatError(lineno, f"{sig!r} is not a declared signal")
+        bad = [(lineno, sig, value) for (sig, value), lineno in valued.items()
+               if value >= tr.signals[sig].arity]
+        if bad:
+            lineno, sig, value = min(bad)
+            raise TraceFormatError(lineno, f"record value {value} of {sig!r} is outside "
+                                           f"0..{tr.signals[sig].arity - 1}")
         try:
             tr.events = _parse_events(rows)
         except ValueError:
@@ -286,6 +289,13 @@ def window_counts(times: Sequence[int], ends: Iterable[int]) -> List[int]:
     return counts
 
 
+def _natural(text: str, lineno: int, what: str) -> int:
+    """``text``, ASCII decimal digits, as an int; else TraceFormatError."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise TraceFormatError(lineno, f"{what} {text!r} is not an integer of 0 or more")
+
+
 def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:
     """``<tag> <name> key=value ...`` -> (name, {key: value})."""
     return toks[1], dict(t.split("=", 1) for t in toks[2:])
@@ -306,11 +316,15 @@ def _parse_events(rows: List[str]) -> List[TraceEvent]:
     old, new = fields[2::4], fields[3::4]
     if not set(old).union(new) <= _LEVELS.keys():
         raise ValueError("a level other than 0 or 1")
-    times = list(map(int, fields[0::4]))
+    # int() also takes signs, "_", spaces and other scripts' digits; every
+    # time is ASCII decimal digits if their concatenation is (one C-level
+    # pass), and int() refuses an empty one.
+    stamps = fields[0::4]
+    if not "".join(stamps).encode("ascii", "replace").isdigit():
+        raise ValueError("a time other than ASCII decimal digits")
+    times = list(map(int, stamps))
     if times != sorted(times):
         raise ValueError("event rows out of time order")
-    if times[0] < 0:
-        raise ValueError("an event time below 0")
     level = _LEVELS.__getitem__
     columns = zip(times, wires, map(level, old), map(level, new))
     # TraceEvent._make without its length check, which a 4-tuple cannot

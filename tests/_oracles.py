@@ -149,7 +149,7 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     for g in trace.gates:
         info = trace.signals.get(g.output)
         if info:
-            for w in info.wires:
+            for w in info.wire_names():
                 out_wire_gate[w] = g
     consumers_of: Dict[str, List[GateInfo]] = {}
     for g in trace.gates:
@@ -165,7 +165,7 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
         return levels.get(f"{g.output}.ackin", 0)  # the join of the consumers' acks
 
     def sig_levels(name: str) -> List[int]:
-        return [levels.get(w, 0) for w in trace.signals[name].wires]
+        return [levels.get(w, 0) for w in trace.signals[name].wire_names()]
 
     toggles: Dict[str, int] = {}
     violations: List[str] = []
@@ -176,7 +176,7 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
         g = out_wire_gate.get(wire)
         if g is None:
             continue
-        if g.protocol == "4ph":
+        if g.protocol is Protocol.FOUR_PHASE:
             out_code = decode_4ph(sig_levels(g.output))
             ins = [decode_4ph(sig_levels(s)).kind for s in g.inputs]
             a = ack_level(g) if g.ack else None
@@ -192,7 +192,7 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                     )
             else:
                 violations.append(f"{g.name}: output forbidden at t={e.time}")
-        elif g.protocol == "ledr":
+        elif g.protocol is Protocol.LEDR:
             # The event flipped the output phase; the inputs must already
             # carry that phase and the acknowledge the old one.
             new_phase = signal_parity(sig_levels(g.output))
@@ -208,10 +208,10 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
                 )
         else:  # edge: count-based rendez-vous
             out_count = sum(
-                toggles.get(w, 0) for w in trace.signals[g.output].wires
+                toggles.get(w, 0) for w in trace.signals[g.output].wire_names()
             )
             for s in g.inputs:
-                in_count = sum(toggles.get(w, 0) for w in trace.signals[s].wires)
+                in_count = sum(toggles.get(w, 0) for w in trace.signals[s].wire_names())
                 if in_count < out_count:
                     violations.append(
                         f"{g.name}: output toggle {out_count} at t={e.time} "
@@ -245,14 +245,14 @@ def single_toggle_verdicts(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     decode walk, then the change count of each window in marker order."""
     verdicts: Dict[str, Tuple[bool, str]] = {}
     for name, info in trace.signals.items():
-        evs = trace.events_for(info.wires)
+        evs = trace.events_for(info.wire_names())
         ok, msg = True, "ok"
-        if info.protocol == "4ph":
-            levels = {w: 0 for w in info.wires}
+        if info.protocol is Protocol.FOUR_PHASE:
+            levels = {w: 0 for w in info.wire_names()}
             state = "null"
             for e in evs:
                 levels[e.wire] = e.new
-                code = decode_4ph([levels[w] for w in info.wires])
+                code = decode_4ph([levels[w] for w in info.wire_names()])
                 if code.kind is CodeKind.FORBIDDEN:
                     ok, msg = False, f"forbidden pattern at t={e.time}"
                     break
@@ -261,7 +261,7 @@ def single_toggle_verdicts(trace: Trace) -> Dict[str, Tuple[bool, str]]:
                     break
                 state = "valid" if code.kind is CodeKind.VALID else "null"
         if ok:
-            expected = 2 if info.protocol == "4ph" else 1
+            expected = 2 if info.protocol is Protocol.FOUR_PHASE else 1
             prev = -1
             for b in [t for t, s, _ in trace.markers if s == name]:
                 n = sum(1 for e in evs if prev < e.time <= b)
@@ -284,14 +284,14 @@ def level_value_correlation(trace: Trace, signal: str) -> float:
     samples = []
     for t, idx in sorted((t, i) for t, s, i in trace.markers if s == signal):
         if idx < len(values):
-            levels = {w: 0 for w in info.wires}
+            levels = {w: 0 for w in info.wire_names()}
             for e in sorted(trace.events, key=lambda e: e.time):
                 if e.time <= t and e.wire in levels:
                     levels[e.wire] = e.new
-            samples.append((values[idx][0], tuple(levels[w] for w in info.wires)))
+            samples.append((values[idx][0], tuple(levels[w] for w in info.wire_names())))
     if len({v for v, _ in samples}) < 2:
         return 0.0
-    for w in range(len(info.wires)):
+    for w in range(len(info.wire_names())):
         if all(lv[w] == v for v, lv in samples) or all(lv[w] == v ^ 1 for v, lv in samples):
             return 1.0
     return 0.0
@@ -503,8 +503,8 @@ def trace_to_csv(trace: Trace) -> str:
         out.write(f"# meta {k}={v}\n")
     for s in trace.signals.values():
         out.write(
-            f"# signal {s.name} proto={s.protocol} arity={s.arity} "
-            f"wires={','.join(s.wires)}\n"
+            f"# signal {s.name} proto={s.protocol.value} arity={s.arity} "
+            f"wires={','.join(s.wire_names())}\n"
         )
     for g in trace.gates:
         out.write(g.header() + "\n")

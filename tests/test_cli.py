@@ -501,11 +501,32 @@ time,wire,old,new
     "# record zz 0 1 5",
     "# record o 1 1 5",  # o's first record, but index 1
     "# record o 0 1 -5",
+    "# signal y proto=4ph arity=7 wires=y.0,y.1",
+    "# signal y proto=4ph arity=2 wires=y.0",
+    "# signal y proto=ledr arity=3 wires=y.0,y.1",
+    "# signal y proto=4ph arity=2 wires=x.0,x.1",  # x's wires
+    "# signal y proto=4ph arity=+2 wires=y.0,y.1",
+    "1_0,x.1,1,0",
+    "+3,x.1,1,0",
+    " 3 ,x.1,1,0",
+    "\u0663,x.1,1,0",  # an Arabic-Indic digit 3
+    "# transaction o -1",
+    "# record o +0 1 5",
+    "# record o 0 0_1 5",
+    "# record o 0 1 5_0",
+    "# record o 0 1 \u0665",  # an Arabic-Indic digit 5
+    "# record o 0 2 5",  # o is binary
+    "# gate h proto=4ph in=x out=o ack=2",
 ], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
         "gate-undeclared-input", "signal-twice", "meta-no-value", "row-3-fields",
         "row-5-fields", "row-wire-space", "row-time", "row-no-wire",
         "transaction-undeclared-signal", "record-undeclared-signal", "record-index-order",
-        "record-time-below-0"])
+        "record-time-below-0", "signal-arity-7-on-2-wires", "signal-missing-wire",
+        "signal-ledr-ternary", "signal-others-wires", "signal-arity-sign",
+        "row-time-underscore", "row-time-sign", "row-time-spaces", "row-time-non-ascii",
+        "transaction-below-0", "record-index-sign", "record-value-underscore",
+        "record-time-underscore", "record-time-non-ascii", "record-value-not-below-arity",
+        "gate-ack-2"])
 def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     good = tmp_path / "good.csv"
     good.write_text(GOOD_TRACE)
@@ -528,6 +549,10 @@ def test_trace_markers_and_records_in_any_line_order():
     assert tr.records == {"o": [(1, 5), (0, 9)]}
     with pytest.raises(TraceFormatError, match="^line 5: record 0 of 'o' where record 1 "):
         Trace.from_csv(text.replace("# record o 1 0 9", "# record o 0 0 9"))
+    # A record value is held to its signal's arity once every line is read.
+    with pytest.raises(TraceFormatError,
+                       match=r"^line 2: record value 2 of 'o' is outside 0\.\.1$"):
+        Trace.from_csv(text.replace("# record o 0 1 5", "# record o 0 2 5"))
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -567,6 +592,23 @@ def test_sim_malformed_bitstream_exits_2_naming_line(files, capsys, bad_line):
     capsys.readouterr()
     assert main(["sim", str(bad), "--stimulus", str(stim)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: ")
+
+
+@pytest.mark.parametrize("ack", ["2", "+1", "01"])
+def test_sim_gate_ack_other_than_0_or_1_exits_2(tmp_path, capsys, ack):
+    # ack=2 read as ack=1 made a second file of one fabric.
+    (tmp_path / "and.net").write_text(AND_NET)
+    (tmp_path / "and.stim").write_text("x: 0,1\ny: 1,1\n")
+    good, bad = tmp_path / "and.bit", tmp_path / "bad.bit"
+    assert main(["map", str(tmp_path / "and.net"), "-o", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    where = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# gate g "))
+    assert lines[where - 1].endswith(" ack=1")
+    lines[where - 1] = lines[where - 1][:-1] + ack
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(tmp_path / "and.stim")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: expected ")
 
 
 @pytest.mark.parametrize("old, new", [
@@ -865,5 +907,27 @@ def test_check_signal_listing_a_wire_twice_exits_2(tmp_path, capsys, prop):
     capsys.readouterr()
     assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
     assert capsys.readouterr().err == (
-        f"error: {bad}: line {lineno}: signal x: wire 'x.0' is listed twice\n")
+        f"error: {bad}: line {lineno}: signal 'x': wires=x.0,x.0, where its wires are x.0,x.1\n")
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+@pytest.mark.parametrize("declared, message", [
+    ("proto=4ph arity=7 wires=o.0,o.1", "signal 'o': arity 7 outside 2..4"),
+    ("proto=4ph arity=2 wires=o.0", "signal 'o': wires=o.0, where its wires are o.0,o.1"),
+    ("proto=ledr arity=3 wires=o.0,o.1", "signal 'o': LEDR is restricted to binary signals"),
+    ("proto=4ph arity=2 wires=x.0,x.1", "signal 'o': wires=x.0,x.1, where its wires are o.0,o.1"),
+], ids=["arity-7-on-2-wires", "one-wire-of-2", "ledr-ternary", "another-signals-wires"])
+def test_check_malformed_signal_declaration_exits_2(tmp_path, capsys, prop, declared, message):
+    # A `# signal` line is read as a SignalSpec: its arity range and the
+    # LEDR binary rule hold, and its wires are exactly the spec's.
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    lines = (tmp_path / "t0.csv").read_text().splitlines()
+    lineno = lines.index("# signal o proto=4ph arity=2 wires=o.0,o.1") + 1
+    lines[lineno - 1] = f"# signal o {declared}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {lineno}: {message}\n"
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qdifab.cli import PROPERTIES
+from qdifab.encodings import Protocol, SignalSpec
 from qdifab.netlist import parse_netlist
 from qdifab.sidechannel import (
     AnalysisError,
@@ -14,7 +15,7 @@ from qdifab.sidechannel import (
     toggles_per_transaction,
 )
 from qdifab.simulator import DelayModel, fabric_from_netlist, run
-from qdifab.trace import SignalInfo, Trace, TraceEvent
+from qdifab.trace import Trace, TraceEvent
 
 AND_NET = """
 signal x proto=4ph arity=2
@@ -105,9 +106,10 @@ def test_dpa_balanced_fabric_is_flat_zero():
 
 
 def _single_rail_trace(values, fabric_tag="naked"):
-    """Reference unprotected gate: one wire, level equals the value."""
+    """Reference unprotected gate: one wire, s.0, whose level equals the
+    value; s.1 stays 0."""
     tr = Trace(meta={"fabric": fabric_tag})
-    tr.signals["s"] = SignalInfo("s", "4ph", 2, ("s.0",))
+    tr.signals["s"] = SignalSpec("s", Protocol.FOUR_PHASE, 2)
     level = 0
     t = 0
     for i, v in enumerate(values):

@@ -23,7 +23,7 @@ from qdifab.simulator import (
     fabric_from_netlist,
     run,
 )
-from qdifab.trace import GateInfo, SignalInfo, Trace, TraceEvent
+from qdifab.trace import GateInfo, Trace, TraceEvent
 from . import _oracles
 from ._oracles import all_16_functions, c_element_mux
 from .test_golden_traces import CASES as GOLDEN_CASES
@@ -271,11 +271,11 @@ def test_no_early_evaluation_reads_a_ledr_acknowledge_only_with_ack():
     # whose `ack` is 1 waits for it.
     events = [TraceEvent(2, "x.0", 0, 1), TraceEvent(4, "o.0", 0, 1),
               TraceEvent(6, "x.1", 0, 1), TraceEvent(8, "o.1", 0, 1)]
-    signals = {n: SignalInfo(n, "ledr", 2, (f"{n}.0", f"{n}.1")) for n in "ox"}
+    signals = {n: SignalSpec(n, Protocol.LEDR, 2) for n in "ox"}
     for ack, verdict in [(False, (True, [])),
                          (True, (False, ["g: output phase flip at t=8 before acknowledge"]))]:
         tr = Trace(events=events, signals=signals,
-                   gates=[GateInfo("g", "ledr", ("x",), "o", ack)])
+                   gates=[GateInfo("g", Protocol.LEDR, ("x",), "o", ack)])
         assert check_no_early_evaluation(tr) == verdict
         assert _oracles.check_no_early_evaluation(tr) == verdict
 
@@ -386,11 +386,11 @@ def test_4ph_alternation_of_decoded_values():
     from qdifab.encodings import decode_4ph, CodeKind
 
     for name, info in tr.signals.items():
-        levels = {w: 0 for w in info.wires}
+        levels = {w: 0 for w in info.wire_names()}
         states = []
-        for e in tr.events_for(info.wires):
+        for e in tr.events_for(info.wire_names()):
             levels[e.wire] = e.new
-            code = decode_4ph([levels[w] for w in info.wires])
+            code = decode_4ph([levels[w] for w in info.wire_names()])
             assert code.kind is not CodeKind.FORBIDDEN
             if not states or states[-1] != code.kind:
                 states.append(code.kind)
@@ -509,7 +509,7 @@ def _oscillating_fabric():
                    ("o.sout", None))
     signals = {s: SignalSpec(s, Protocol.FOUR_PHASE, 2) for s in "xo"}
     return Fabric(signals, [MappedGate("g", (unit,))],
-                  [GateInfo("g", "4ph", ("x",), "o", True)])
+                  [GateInfo("g", Protocol.FOUR_PHASE, ("x",), "o", True)])
 
 
 def test_oscillating_block_reported_once_through_the_kernel():
@@ -599,8 +599,9 @@ def test_4ph_run_evaluates_blocks_and_classifies_through_module_globals(monkeypa
     tr = run(fab(AND_NET), {"x": [1, 0], "y": [1, 1]})
     assert tr.values_of("o") == [1, 0]
     assert calls["plb_step"] and calls["decode_4ph"]
-    # A forbidden pattern is classified by decode_4ph before it is reported.
+    # A forbidden pattern is told by its group's weight alone: the input x
+    # has no consumer, so its (1, 1) is reported without a decode_4ph call.
     calls["decode_4ph"].clear()
     tr = run(fab(AND_NET), {"x": [1, 0], "y": [1, 1]}, inject=[(3, "x.0", 1)])
     assert "forbidden state on x at t=3: (1, 1)" in tr.diagnostics
-    assert ([1, 1],) in calls["decode_4ph"]
+    assert ((1, 1),) not in calls["decode_4ph"]

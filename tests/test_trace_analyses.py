@@ -2,21 +2,22 @@
 reference forms on random traces: events out of time order, events exactly
 on window bounds, empty windows, wire subsets, markers in any order, and
 gates of every protocol with 1-3 inputs, with and without an acknowledge,
-whose outputs fan out, and signals that list a wire twice or share one."""
+whose outputs fan out."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdifab.encodings import Protocol, SignalSpec
 from qdifab.sidechannel import level_value_correlation, toggles_per_transaction
 from qdifab.simulator import check_no_early_evaluation, check_single_toggle
-from qdifab.trace import GateInfo, SignalInfo, Trace, TraceEvent
+from qdifab.trace import GateInfo, Trace, TraceEvent
 
 from . import _oracles
 
 # Times come from a small range so that events and markers often share a tick.
 TIMES = st.integers(min_value=-2, max_value=12)
 BITS = st.integers(min_value=0, max_value=1)
-PROTOCOLS = st.sampled_from(["4ph", "ledr", "edge"])
+PROTOCOLS = st.sampled_from(list(Protocol))
 
 
 @st.composite
@@ -25,14 +26,9 @@ def traces(draw):
     for k in range(draw(st.integers(min_value=1, max_value=4))):
         name = f"s{k}"
         proto = draw(PROTOCOLS)
-        arity = draw(st.integers(min_value=2, max_value=3)) if proto == "4ph" else 2
-        own = [f"{name}.{j}" for j in range(arity)]
-        # Now and then a signal lists a wire twice or shares one with an
-        # earlier signal.
-        if draw(st.integers(min_value=0, max_value=2)) == 0:
-            taken = [w for info in tr.signals.values() for w in info.wires]
-            own[draw(st.integers(0, arity - 1))] = draw(st.sampled_from(taken + own))
-        tr.signals[name] = SignalInfo(name, proto, arity, tuple(own))
+        arity = (draw(st.integers(min_value=2, max_value=3))
+                 if proto is Protocol.FOUR_PHASE else 2)
+        tr.signals[name] = SignalSpec(name, proto, arity)
     names = sorted(tr.signals)
     # A gate's protocol need not match its signals'; a signal that several
     # gates read fans out.
@@ -43,7 +39,7 @@ def traces(draw):
     # The acknowledge wires belong to no signal: a consuming gate's `.sout`,
     # the environment's `.cack` and the join of several consumers, `.ackin`.
     acks = [f"{name}.{kind}" for name in names for kind in ("sout", "cack", "ackin")]
-    wires = sorted({w for info in tr.signals.values() for w in info.wires}) + acks
+    wires = sorted(w for spec in tr.signals.values() for w in spec.wire_names()) + acks
     tr.events = draw(st.lists(
         st.builds(TraceEvent, TIMES, st.sampled_from(wires), BITS, BITS),
         max_size=30))

@@ -3,21 +3,33 @@ random traces, and a well-formed trace reads back to the same text.
 
 The random traces hold events and markers out of time order, many on one
 tick, markers with no record, records with no marker, repeated markers,
-bool levels, diagnostics and the deadlock flag."""
+bool levels, diagnostics and the deadlock flag.
 
-from hypothesis import given
+The reader is also fuzzed: a golden-corpus trace with one line mutated either
+reads or fails naming a line, and every ``qdifab check`` property keeps the
+exit-code contract on it."""
+
+import contextlib
+import functools
+import io
+import re
+
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdifab.trace import GateInfo, SignalInfo, Trace, TraceEvent
+from qdifab.cli import PROPERTIES, main
+from qdifab.encodings import Protocol, SignalSpec
+from qdifab.trace import GateInfo, Trace, TraceEvent, TraceFormatError
 
 from . import _oracles
+from .test_golden_traces import DESIGNS, FAULTS, _trace
 
 # Times come from a small range so that events and markers often share a
 # tick; a well-formed trace has no time below 0.
 TIMES = st.integers(min_value=-2, max_value=8)
 WELL_FORMED_TIMES = st.integers(min_value=0, max_value=8)
 BITS = st.integers(min_value=0, max_value=1)
-PROTOCOLS = st.sampled_from(["4ph", "ledr", "edge"])
+PROTOCOLS = st.sampled_from(list(Protocol))
 NAMES = ["a", "b", "o"]
 TOKENS = st.text(alphabet="abz019_.:=", min_size=1, max_size=4)
 DIAGNOSTICS = st.lists(st.sampled_from(
@@ -25,7 +37,7 @@ DIAGNOSTICS = st.lists(st.sampled_from(
 
 
 def _signals(draw):
-    return {n: SignalInfo(n, draw(PROTOCOLS), 2, (f"{n}.0", f"{n}.1")) for n in NAMES}
+    return {n: SignalSpec(n, draw(PROTOCOLS), 2) for n in NAMES}
 
 
 def _gates(draw):
@@ -85,3 +97,63 @@ def test_to_csv_matches_sort_based_oracle(tr):
 def test_to_csv_reads_back_to_the_same_text(tr):
     text = tr.to_csv()
     assert Trace.from_csv(text).to_csv() == text
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_lines(case: str):
+    """The lines of a golden trace: a design's under uniform delays, or a
+    fault run's."""
+    design, inject = FAULTS.get(case, (case, None))
+    return tuple(_trace(design, "uniform", inject).to_csv().splitlines())
+
+
+# Words a key or a tag may be renamed to: the grammar's own and one unknown.
+_KEYS = ["signal", "gate", "meta", "diagnostic", "transaction", "record", "proto", "arity",
+         "wires", "in", "out", "ack", "fabric", "4ph", "ledr", "edge", "deadlock", "zz"]
+
+
+@st.composite
+def mutated_traces(draw):
+    """A golden trace with one line mutated: a token (a run of characters
+    between whitespace, ``,`` and ``=``) dropped, duplicated, swapped with
+    another or renamed to a key, or a digit changed."""
+    lines = list(_golden_lines(draw(st.sampled_from(sorted(DESIGNS) + sorted(FAULTS)))))
+    headers = [i for i, ln in enumerate(lines) if ln.startswith("#")]
+    at = draw(st.sampled_from(headers) | st.integers(0, len(lines) - 1))
+    parts = re.split(r"([\s,=])", lines[at])  # tokens at even positions
+    i = 2 * draw(st.integers(0, len(parts) // 2))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "digit", "key"]))
+    if kind == "drop":
+        del parts[max(i - 1, 0):i + 1]
+    elif kind == "duplicate":
+        parts[i:i] = [parts[i], parts[i - 1] if i else " "]
+    elif kind == "swap":
+        j = 2 * draw(st.integers(0, len(parts) // 2))
+        parts[i], parts[j] = parts[j], parts[i]
+    elif kind == "key":
+        parts[i] = draw(st.sampled_from(_KEYS))
+    line = "".join(parts)
+    digits = [k for k, c in enumerate(line) if c.isdigit()]
+    if kind == "digit" and digits:
+        k = draw(st.sampled_from(digits))
+        line = line[:k] + draw(st.sampled_from("0123456789-+_ x\u0663")) + line[k + 1:]
+    lines[at] = line
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_traces())
+def test_mutated_golden_trace_reads_or_names_its_line(tmp_path, text):
+    try:
+        Trace.from_csv(text)
+    except TraceFormatError as exc:
+        lineno = re.match(r"line (\d+): ", str(exc))
+        assert lineno and 1 <= int(lineno[1]) <= text.count("\n"), str(exc)
+    path = tmp_path / "mutated.csv"
+    path.write_text(text)
+    for prop in PROPERTIES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            rc = main(["check", str(path), "--property", prop])
+        assert rc in (0, 1, 2), (prop, rc, out.getvalue())
