@@ -39,6 +39,7 @@ class NetlistError(ValueError):
                 loc += f", column {column}"
             loc += ": "
         super().__init__(loc + message)
+        self.message = message
         self.line = line
         self.column = column
 
@@ -149,15 +150,12 @@ def parse_netlist(text: str) -> Netlist:
     return net
 
 
-def _check(signals: Dict[str, SignalSpec], signal_lines: Dict[str, int],
-           gates: Sequence, gate_lines: Sequence[int]) -> None:
-    """The design rules of :func:`parse_netlist` and
-    ``bitstream.read_bitstream``: gate names are unique, every gate signal
-    is declared, each signal has one driver, a gate uses one protocol (its
-    declared ``protocol``, if it has one), every declared signal connects
-    to a gate and the gates form a DAG.  The first rule broken raises
-    :class:`NetlistError` naming the line, from ``signal_lines`` (signal ->
-    line) or ``gate_lines``."""
+def check_gates(signals: Dict[str, SignalSpec], gates: Sequence,
+                gate_lines: Sequence[int]) -> Tuple[Dict[str, str], Dict[str, int]]:
+    """The per-gate rules of :func:`_check` and ``Trace.from_csv``: unique
+    names, declared signals, one driver per signal, one protocol per gate
+    (its ``protocol``, if declared).  Returns (signal -> driver, gate ->
+    line); a broken rule raises :class:`NetlistError` naming the gate's line."""
     drivers: Dict[str, str] = {}
     line_of: Dict[str, int] = {}
     for g, line in zip(gates, gate_lines):
@@ -181,6 +179,16 @@ def _check(signals: Dict[str, SignalSpec], signal_lines: Dict[str, int],
             raise NetlistError(
                 f"gate {g.name!r} declares proto={declared.value} but its signals are "
                 f"{protos.pop().value}", line)
+    return drivers, line_of
+
+
+def _check(signals: Dict[str, SignalSpec], signal_lines: Dict[str, int],
+           gates: Sequence, gate_lines: Sequence[int]) -> None:
+    """The design rules of :func:`parse_netlist` and ``bitstream.read_bitstream``:
+    :func:`check_gates`, every declared signal connects to a gate and the
+    gates form a DAG.  The first rule broken raises :class:`NetlistError`
+    naming the line, from ``signal_lines`` (signal -> line) or ``gate_lines``."""
+    drivers, line_of = check_gates(signals, gates, gate_lines)
     connected = {s for g in gates for s in (*g.inputs, g.output)}
     for s, line in signal_lines.items():
         if s not in connected:

@@ -1,9 +1,13 @@
 """Event-driven kernel for fabrics of mapped blocks.
 
 Time is discrete; every scheduled event is a single wire changing level.
-Events at the same tick are processed in insertion order, and the
-delay-insensitivity property tests guard against anything depending on that
-order.  Reset is an instantaneous force-to-zero at time 0, not a wire.
+The kernel is a calendar queue: ``buckets`` holds each tick's (wire, level)
+pairs in insertion order and ``ticks`` is a heap of the ticks with a bucket.
+A bucket is complete when its tick is popped, as a reaction at tick t lands
+at t + 1 or later and injections come before :meth:`Simulation.run`, so
+same-tick events apply in insertion order; the delay-insensitivity property
+tests guard against anything depending on that order.  Reset is an
+instantaneous force-to-zero at time 0, not a wire.
 
 Environment drivers play the handshake roles: a producer per primary input
 feeds the stimulus values, and a consumer per primary output acknowledges
@@ -75,7 +79,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from itertools import count
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -426,10 +429,8 @@ class Simulation:
         self.delays = delays or DelayModel()
         self.delays.check()
         self.max_time = max_time
-        # (time, sequence number, wire, level); the unique, rising sequence
-        # number keeps same-tick events in insertion order.
-        self.queue: List[Tuple[int, int, int, int]] = []
-        self._seq = count(1)
+        self.buckets: Dict[int, List[Tuple[int, int]]] = {}
+        self.ticks: List[int] = []
         self.events: List[TraceEvent] = []
         self.markers: List[Tuple[int, str, int]] = []
         self.records: Dict[str, List[Tuple[int, int]]] = {}
@@ -476,7 +477,8 @@ class Simulation:
     # runtime -----------------------------------------------------------
 
     def inject(self, time: int, wire_name: str, level: int):
-        """Force a raw wire event; used by fault-injection tests."""
+        """Force a wire event at tick ``time``, before :meth:`run`: injections
+        at one tick apply in call order, before the drives landing there."""
         wire = self.elab.index.get(wire_name)
         if wire is None:
             raise SimulationInputError(f"cannot inject on unknown wire {wire_name!r}")
@@ -487,42 +489,49 @@ class Simulation:
             raise SimulationInputError(
                 f"cannot inject level {level!r} on wire {wire_name!r}; a level is 0 or 1"
             )
-        heappush(self.queue, (time, next(self._seq), wire, level))
+        # Lands at ``time``; not an override of drive: it is no element output.
+        Simulation.drive(self, time - 1 - self.wire_delays[wire], wire, level)
 
     def drive(self, t: int, wire: int, level: int):
         """Schedule ``level`` on ``wire`` for an element that reacted at tick
-        ``t``: it lands one tick later plus the wire's delay.  The one place
-        an element output is scheduled."""
-        heappush(self.queue, (t + 1 + self.wire_delays[wire], next(self._seq), wire, level))
+        ``t``: it lands one tick later plus the wire's delay, in that tick's
+        bucket.  The one place an element output is scheduled."""
+        t += 1 + self.wire_delays[wire]
+        bucket = self.buckets.get(t)
+        if bucket is None:
+            bucket = self.buckets[t] = []
+            heappush(self.ticks, t)
+        bucket.append((wire, level))
 
     def run(self) -> Trace:
         for p in self.producers:
             if p.values:
                 p._send(self, 0)
-        queue, max_time = self.queue, self.max_time
+        buckets, ticks, max_time = self.buckets, self.ticks, self.max_time
         levels, sinks, weights = self.levels, self.sinks, self.weights
         names, groups, group_of = self.elab.wire_names, self.elab.groups, self.elab.group_of
         append, tuple_new, event = self.events.append, tuple.__new__, TraceEvent
         timed_out = False
-        while queue:
-            t, _seq, wire, level = heappop(queue)
+        while ticks:
+            t = heappop(ticks)
             if t > max_time:
                 timed_out = True
                 break
-            old = levels[wire]
-            if old == level:
-                continue
-            levels[wire] = level
-            append(tuple_new(event, (t, names[wire], old, level)))
-            group = group_of[wire]
-            if group is not None:
-                weights[group] += level - old
-                if weights[group] > 1:  # more than one rail high
-                    signal, rails = groups[group]
-                    self.diagnostics.append(f"forbidden state on {signal} at t={t}: "
-                                            f"{tuple(levels[w] for w in rails)}")
-            for react in sinks[wire]:
-                react(self, t, wire)
+            for wire, level in buckets.pop(t):
+                old = levels[wire]
+                if old == level:
+                    continue
+                levels[wire] = level
+                append(tuple_new(event, (t, names[wire], old, level)))
+                group = group_of[wire]
+                if group is not None:
+                    weights[group] += level - old
+                    if weights[group] > 1:  # more than one rail high
+                        signal, rails = groups[group]
+                        self.diagnostics.append(f"forbidden state on {signal} at t={t}: "
+                                                f"{tuple(levels[w] for w in rails)}")
+                for react in sinks[wire]:
+                    react(self, t, wire)
 
         starved = sorted(p.name for p in self.producers if p.stage != _IDLE)
         if timed_out:

@@ -24,13 +24,15 @@ Signal and gate fields may come in any order and unknown ``key=value``
 fields are ignored.  A signal is declared once, as a valid
 :class:`qdifab.encodings.SignalSpec` (arity 2 to 4, and 2 under LEDR) whose
 wire names, ``<name>.0,<name>.1,...``, are its ``wires`` exactly: every
-wire is a rail of one signal.  Every input and the output of a gate must be
-a declared signal; its ``ack`` is 1 when the gate reads its consumer's
-acknowledge, and only then does the no-early-evaluation check hold the
-gate's output to that acknowledge, whatever its protocol.  Every other
-integer (an arity, a time, an index, a value) is ASCII decimal digits.  Event rows
-come in non-decreasing time order, as the property checkers replay them in
-file order; in a row the wire is a name without whitespace, and the levels
+wire is a rail of one signal.  Gates keep the per-gate rules of netlists
+(:func:`qdifab.netlist.check_gates`: unique names, declared signals, one
+driver per signal, ``proto`` that of its signals); there may be none.  A
+gate's ``ack`` is 1 when it reads its consumer's acknowledge, and only then
+does the no-early-evaluation check hold the gate's output to that
+acknowledge, whatever its protocol.  Every other integer (an arity, a time,
+an index, a value) is ASCII decimal digits.  Event rows come in
+non-decreasing time order, as the property checkers replay them in file
+order; in a row the wire is a name without whitespace, and the levels
 old and new are each the digit 0 or 1: every wire is binary, and the
 property checkers rely on it.  Transaction and record lines name declared
 signals, the records of a signal come with indices 0, 1, 2, ... in file
@@ -56,6 +58,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .encodings import EncodingError, Protocol, SignalSpec
+from .netlist import NetlistError, check_gates
 
 _COLUMNS = "time,wire,old,new"
 _LEVELS = {"0": 0, "1": 1}  # an event level or a gate's ack, as written
@@ -253,11 +256,10 @@ class Trace:
                 raise TraceFormatError(lineno, str(exc)) from None
             except (IndexError, KeyError, ValueError):
                 raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'") from None
-        for lineno, g in zip(gate_lines, tr.gates):
-            for sig in (*g.inputs, g.output):
-                if sig not in tr.signals:
-                    raise TraceFormatError(
-                        lineno, f"gate {g.name}: {sig!r} is not a declared signal")
+        try:
+            check_gates(tr.signals, tr.gates, gate_lines)
+        except NetlistError as exc:
+            raise TraceFormatError(exc.line, exc.message) from None
         for sig, lineno in named.items():
             if sig not in tr.signals:
                 raise TraceFormatError(lineno, f"{sig!r} is not a declared signal")

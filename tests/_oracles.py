@@ -14,12 +14,16 @@ per memory-point mode.  The hex packing model builds each digit from its
 four bits.  The trace writer is the first version, which sorts every event
 and marker line on a composite key.  The stimulus producer is the first
 version, which computes each next code of its signal and drives the wire
-on which it differs from the last one.  All are used as oracles.
+on which it differs from the last one.  The event kernel is the first
+version, one heap of every scheduled event kept in same-tick insertion order
+by a rising sequence number.  All are used as oracles.
 """
 
 from __future__ import annotations
 
 import io
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from qdifab.encodings import (
@@ -35,7 +39,8 @@ from qdifab.encodings import (
 )
 from qdifab.plb import PlbConfig, PlbState, _settle_luts
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
-from qdifab.trace import GateInfo, Trace
+from qdifab.simulator import _IDLE, Simulation, SimulationInputError
+from qdifab.trace import GateInfo, Trace, TraceEvent
 
 
 def c_element_mux(prev: int, inputs: Sequence[int]) -> int:
@@ -593,3 +598,76 @@ class Producer:
             self._send(sim, t)
         else:
             self.stage = self.IDLE
+
+
+class HeapSimulation(Simulation):
+    """The event kernel with one heap of (time, sequence number, wire,
+    level): the unique, rising sequence number keeps same-tick events in
+    insertion order.  The elements, the elaboration and the trace are the
+    kernel's own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queue: List[Tuple[int, int, int, int]] = []
+        self._seq = count(1)
+
+    def inject(self, time: int, wire_name: str, level: int):
+        wire = self.elab.index.get(wire_name)
+        if wire is None:
+            raise SimulationInputError(f"cannot inject on unknown wire {wire_name!r}")
+        if type(time) is not int or time < 0:
+            raise SimulationInputError(f"cannot inject at time {time!r} on wire "
+                                       f"{wire_name!r}; a time is an integer of 0 or more")
+        if type(level) is not int or level not in (0, 1):
+            raise SimulationInputError(
+                f"cannot inject level {level!r} on wire {wire_name!r}; a level is 0 or 1"
+            )
+        heappush(self.queue, (time, next(self._seq), wire, level))
+
+    def drive(self, t: int, wire: int, level: int):
+        heappush(self.queue, (t + 1 + self.wire_delays[wire], next(self._seq), wire, level))
+
+    def run(self) -> Trace:
+        for p in self.producers:
+            if p.values:
+                p._send(self, 0)
+        queue, levels = self.queue, self.levels
+        names, groups, group_of = self.elab.wire_names, self.elab.groups, self.elab.group_of
+        timed_out = False
+        while queue:
+            t, _seq, wire, level = heappop(queue)
+            if t > self.max_time:
+                timed_out = True
+                break
+            old = levels[wire]
+            if old == level:
+                continue
+            levels[wire] = level
+            self.events.append(TraceEvent(t, names[wire], old, level))
+            group = group_of[wire]
+            if group is not None:
+                self.weights[group] += level - old
+                if self.weights[group] > 1:
+                    signal, rails = groups[group]
+                    self.diagnostics.append(f"forbidden state on {signal} at t={t}: "
+                                            f"{tuple(levels[w] for w in rails)}")
+            for react in self.sinks[wire]:
+                react(self, t, wire)
+
+        starved = sorted(p.name for p in self.producers if p.stage != _IDLE)
+        if timed_out:
+            self.diagnostics.append(f"max_time {self.max_time} reached while active")
+        elif starved:
+            self.diagnostics.append(
+                f"handshake stalled; unfinished producers: {', '.join(starved)}")
+        return Trace(
+            events=self.events,
+            markers=sorted(self.markers),
+            records=self.records,
+            signals=dict(self.fabric.signals),
+            gates=list(self.fabric.gates),
+            diagnostics=self.diagnostics,
+            deadlock=timed_out or bool(starved),
+            meta={"fabric": self.elab.fingerprint, "delays": self.delays.mode,
+                  "seed": str(self.delays.seed)},
+        )

@@ -1,10 +1,14 @@
+import contextlib
+import functools
+import io
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qdifab
@@ -25,6 +29,7 @@ from qdifab.trace import Trace, TraceFormatError
 
 from . import _oracles
 from .test_golden_traces import DESIGNS as GOLDEN_DESIGNS
+from .test_golden_traces import _stimulus as golden_stimulus
 
 THREE_GATE_NET = """
 # half adder plus a carry tap
@@ -931,3 +936,102 @@ def test_check_malformed_signal_declaration_exits_2(tmp_path, capsys, prop, decl
     assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
     assert capsys.readouterr().err == f"error: {bad}: line {lineno}: {message}\n"
 
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+@pytest.mark.parametrize("edit, message", [
+    ("proto", "gate 'g' declares proto=ledr but its signals are 4ph"),
+    ("twice", "gate 'g' declared twice"),
+], ids=["proto-other-than-its-signals", "gate-twice"])
+def test_check_gate_breaking_a_gate_rule_exits_2(tmp_path, capsys, prop, edit, message):
+    # A `# gate` line keeps the per-gate rules of netlists and bitstreams:
+    # read as a LEDR gate, the 4ph AND would be judged by the phase rule.
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    lines = (tmp_path / "t0.csv").read_text().splitlines()
+    lineno = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# gate g "))
+    if edit == "proto":
+        lines[lineno - 1] = lines[lineno - 1].replace("proto=4ph", "proto=ledr")
+    else:
+        lines.insert(lineno, lines[lineno - 1])
+        lineno += 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+def test_check_gate_less_trace_is_valid(tmp_path, prop):
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    for path in paths:
+        with open(path) as f:
+            lines = [ln for ln in f if not ln.startswith("# gate ")]
+        with open(path, "w") as f:
+            f.writelines(lines)
+    assert main(["check", *paths, "--property", prop, *select]) == 0
+
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_bitstream(design):
+    """A golden design's bitstream lines and the first four values of its
+    golden stimulus, as a stimulus file."""
+    net, stim = golden_stimulus(design)
+    bits = write_bitstream(fabric_from_netlist(net))
+    return tuple(bits.splitlines()), "".join(
+        f"{s}: {','.join(map(str, vs[:4]))}\n" for s, vs in stim.items())
+
+
+# Words a key or a tag may be renamed to: the format's own and one unknown.
+_BITSTREAM_KEYS = ["signal", "gate", "plb", "internal", "proto", "arity", "in", "out",
+                   "sout", "ack", "role", "main", "4ph", "ledr", "edge", "-", "zz"]
+
+
+@st.composite
+def mutated_bitstreams(draw):
+    """A golden design's bitstream with one line mutated: a token (a run of
+    characters between whitespace, ``,``, ``;``, ``:`` and ``=``) dropped,
+    duplicated, swapped with another or renamed to a key, or a character
+    of a digit or a hex line changed."""
+    design = draw(st.sampled_from(sorted(GOLDEN_DESIGNS)))
+    lines, stim = _golden_bitstream(design)
+    lines = list(lines)
+    at = draw(st.integers(0, len(lines) - 1))
+    parts = re.split(r"([\s,;:=])", lines[at])  # tokens at even positions
+    i = 2 * draw(st.integers(0, len(parts) // 2))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "char", "key"]))
+    if kind == "drop":
+        del parts[max(i - 1, 0):i + 1]
+    elif kind == "duplicate":
+        parts[i:i] = [parts[i], parts[i - 1] if i else " "]
+    elif kind == "swap":
+        j = 2 * draw(st.integers(0, len(parts) // 2))
+        parts[i], parts[j] = parts[j], parts[i]
+    elif kind == "key":
+        parts[i] = draw(st.sampled_from(_BITSTREAM_KEYS))
+    line = "".join(parts)
+    hexes = [k for k, c in enumerate(line) if c in "0123456789abcdef"]
+    if kind == "char" and hexes:
+        k = draw(st.sampled_from(hexes))
+        line = line[:k] + draw(st.sampled_from("0123456789abcdefF-+_ x\u0663")) + line[k + 1:]
+    lines[at] = line
+    return "\n".join(lines) + "\n", stim
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_bitstreams())
+def test_mutated_golden_bitstream_sims_or_exits_2(tmp_path, case):
+    # A mutated bitstream is simulated or refused: exit 0, 1 or 2, never a
+    # traceback.
+    text, stim = case
+    bit, stim_path = tmp_path / "mutated.bit", tmp_path / "in.stim"
+    bit.write_text(text)
+    stim_path.write_text(stim)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        rc = main(["sim", str(bit), "--stimulus", str(stim_path)])
+    assert rc in (0, 1, 2), (rc, out.getvalue())

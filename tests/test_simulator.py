@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 from collections import Counter
@@ -27,6 +28,7 @@ from qdifab.trace import GateInfo, Trace, TraceEvent
 from . import _oracles
 from ._oracles import all_16_functions, c_element_mux
 from .test_golden_traces import CASES as GOLDEN_CASES
+from .test_golden_traces import DESIGNS as GOLDEN_DESIGNS
 from .test_golden_traces import FAULTS
 from .test_golden_traces import _delays as golden_delays
 from .test_golden_traces import _stimulus as golden_stimulus
@@ -177,6 +179,32 @@ def test_max_time_deadlock():
     tr = run(fab(AND_NET), {"x": [1, 0, 1], "y": [1, 1, 1]}, max_time=5)
     assert tr.deadlock
     assert any("max_time" in d for d in tr.diagnostics)
+
+
+def test_event_at_max_time_is_applied_and_the_next_tick_times_out():
+    # x.1 and y.1 land at t=2 = max_time and are applied; the block's
+    # reaction lands at t=4, the next tick, which ends the run.
+    tr = run(fab(AND_NET), {"x": [1], "y": [1]}, max_time=2)
+    assert tr.events == [TraceEvent(2, "x.1", 0, 1), TraceEvent(2, "y.1", 0, 1)]
+    assert tr.diagnostics == ["max_time 2 reached while active"]
+    assert tr.deadlock
+
+
+def test_two_injections_on_one_wire_at_one_tick_apply_in_call_order():
+    # Up then down at t=5 is a zero-width pulse: two events at one tick.
+    # Down then up drops the first, which changes nothing, and keeps the rise.
+    pulse = run(fab(AND_NET), {}, inject=[(5, "x.0", 1), (5, "x.0", 0)])
+    assert pulse.events == [TraceEvent(5, "x.0", 0, 1), TraceEvent(5, "x.0", 1, 0)]
+    rise = run(fab(AND_NET), {}, inject=[(5, "x.0", 0), (5, "x.0", 1)])
+    assert rise.events == [TraceEvent(5, "x.0", 0, 1)]
+
+
+def test_delay_override_of_0_lands_one_tick_after_the_reaction():
+    # The producers send at t=0: x.1, with no wire delay, lands at t=1 and
+    # y.1, with the uniform one tick, at t=2.
+    tr = run(fab(AND_NET), {"x": [1], "y": [1]}, delays=DelayModel(overrides={"x.1": 0}))
+    assert tr.events[:2] == [TraceEvent(1, "x.1", 0, 1), TraceEvent(2, "y.1", 0, 1)]
+    assert tr.values_of("o") == [1]
 
 
 def test_forbidden_injection_logged_and_continues():
@@ -605,3 +633,61 @@ def test_4ph_run_evaluates_blocks_and_classifies_through_module_globals(monkeypa
     tr = run(fab(AND_NET), {"x": [1, 0], "y": [1, 1]}, inject=[(3, "x.0", 1)])
     assert "forbidden state on x at t=3: (1, 1)" in tr.diagnostics
     assert ((1, 1),) not in calls["decode_4ph"]
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_fabric(design):
+    net, stim = golden_stimulus(design)
+    return fabric_from_netlist(net), stim
+
+
+def _run_kernel(kernel, fabric, delays, stim, max_time, inject):
+    sim = kernel(fabric, delays, stim, max_time)
+    for t, name, level in inject:
+        sim.inject(t, name, level)
+    tr = sim.run()
+    return tr.to_csv(), tr.deadlock, tr.diagnostics
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A golden design and a prefix of its stimulus; uniform, jittered or
+    overridden delays (0 included); injections at tick 0, on the ticks the
+    producers' first sends land, several on one tick and past ``max_time``;
+    a ``max_time`` that is often an event tick."""
+    design = draw(st.sampled_from(sorted(GOLDEN_DESIGNS)))
+    fabric, stim = _golden_fabric(design)
+    n = draw(st.integers(0, 12))
+    stim = {s: vs[:n] for s, vs in stim.items()}
+    wires = Simulation(fabric).elab.wire_names
+    delays = draw(st.one_of(
+        st.just(DelayModel()),
+        st.builds(lambda seed: DelayModel(mode="jitter", seed=seed), st.integers(1, 10)),
+        st.builds(lambda mode, overrides: DelayModel(mode=mode, seed=1, overrides=overrides),
+                  st.sampled_from(["uniform", "jitter"]),
+                  st.dictionaries(st.sampled_from(wires), st.integers(0, 3),
+                                  min_size=1, max_size=4)),
+    ))
+    sim = Simulation(fabric, delays, stim)
+    sends = [1 + sim.wire_delays[w] for p in sim.producers for w in p.wires]
+    same = draw(st.integers(0, 40))
+    ticks = st.sampled_from([0, same, *sends]) | st.integers(0, 40)
+    injections = st.lists(st.tuples(ticks, st.sampled_from(wires), st.integers(0, 1)),
+                          max_size=6)
+    inject = draw(injections)
+    times = sorted({e.time for e in _oracles.HeapSimulation(fabric, delays, stim).run().events}
+                   | {t for t, _, _ in inject})
+    max_time = draw(st.sampled_from(times) | st.integers(0, 200) if times
+                    else st.integers(0, 200))
+    late = st.tuples(st.integers(max_time + 1, max_time + 5), st.sampled_from(wires),
+                     st.integers(0, 1))
+    inject += draw(st.lists(late, max_size=2))
+    return fabric, delays, stim, max_time, inject
+
+
+@given(_kernel_cases())
+def test_calendar_kernel_matches_heap_kernel_oracle(case):
+    # Same trace text, deadlock flag and diagnostics as the kernel that
+    # orders one heap of events by (tick, sequence number).
+    assert (_run_kernel(Simulation, *case)
+            == _run_kernel(_oracles.HeapSimulation, *case))

@@ -10,6 +10,7 @@ reads or fails naming a line, and every ``qdifab check`` property keeps the
 exit-code contract on it."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import re
@@ -73,8 +74,13 @@ def well_formed_traces(draw):
     """A trace that the reader gives back: event and record times of 0 or
     more; per signal, markers for its first few transactions at the times
     of their records (time -1 past the last record), and records in time
-    order; events in any order."""
+    order; events in any order.  The gates keep the per-gate rules: one
+    protocol for every signal and gate, and one gate per output."""
     tr = draw(traces())
+    proto = draw(PROTOCOLS)
+    tr.signals = {n: SignalSpec(n, proto, 2) for n in NAMES}
+    tr.gates = [dataclasses.replace(g, protocol=proto, output=out)
+                for g, out in zip(tr.gates, draw(st.permutations(NAMES)))]
     tr.events = [e._replace(time=draw(WELL_FORMED_TIMES), old=int(e.old), new=int(e.new))
                  for e in tr.events]
     tr.markers, tr.records = [], {}
