@@ -32,8 +32,10 @@ least one block, and its ``ack=`` says whether one of them reads
 ``plb.program_rules``: at most one OR bypass, set only on an active memory
 point, and a reset that settles with every output at 0.  The load-balance
 rule of ``plb.validate_config`` is left out: ``mapper.map_ledr_3in``
-breaks it by design.  Each block line is exactly 70 lowercase hex digits
-with its padding bits 0, so that one fabric has one file.
+breaks it by design.  A ``key=`` comes once per line, every integer (an
+arity, a binding's index and width, an ``# internal`` width) is ASCII
+decimal digits, and each block line is exactly 70 lowercase ASCII hex
+digits with its padding bits 0, so that one fabric has one file.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .encodings import Protocol, SignalSpec
 from .mapper import MappedGate, PlbUnit
-from .netlist import NetlistError, _check, primary_signals
+from .netlist import NetlistError, _check, _fields, _natural, primary_signals
 from .plb import NC, LutTable, PlbConfig, WireRef, program_rules
 from .trace import GATE_USAGE, GateInfo
 
@@ -151,7 +153,7 @@ def _ref_parse(tok: str) -> Optional[WireRef]:
     if tok == "-":
         return NC
     sig, idx, width = tok.rsplit(":", 2)
-    return WireRef(sig, int(idx), int(width))
+    return WireRef(sig, _natural(idx, "index"), _natural(width, "width"))
 
 
 def write_bitstream(fabric: Fabric) -> str:
@@ -205,18 +207,19 @@ def read_bitstream(text: str) -> Fabric:
             tag = "hex"
         try:
             if tag == "hex":
+                _natural(line, "block", base=16)  # hex_to_bits reads any script's digits
                 bits = hex_to_bits(line)
             elif tag == "signal":
-                kv = dict(t.split("=", 1) for t in toks[2:])
-                spec = SignalSpec(toks[1], Protocol(kv["proto"]), int(kv["arity"]))
+                kv = _fields(toks[2:])
+                spec = SignalSpec(toks[1], Protocol(kv["proto"]), _natural(kv["arity"], "arity"))
             elif tag == "gate":
                 gates.append(GateInfo.from_header(toks))
                 gate_lines.append(lineno)
             elif tag == "internal":
                 _, name, width = toks
-                pending_internals.append((name, int(width)))
+                pending_internals.append((name, _natural(width, "width")))
             elif tag == "plb":
-                kv = dict(t.split("=", 1) for t in toks[2:])
+                kv = _fields(toks[2:])
                 assignment = tuple(_ref_parse(t) for t in kv["in"].split(";"))
                 outs = tuple(_ref_parse(t) for t in kv["out"].split(";"))
                 souts = tuple(None if t == "-" else t for t in kv["sout"].split(";"))

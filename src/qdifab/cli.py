@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from .bitstream import BitstreamError, read_bitstream, write_bitstream
 from .mapper import MappingError
-from .netlist import NetlistError, parse_netlist, primary_signals
+from .netlist import NetlistError, _natural, parse_netlist, primary_signals
 from .sidechannel import (
     AnalysisError,
     ComparisonError,
@@ -64,7 +64,7 @@ def _parse_delays(spec: str) -> DelayModel:
     if spec == "jitter":
         return DelayModel(mode="jitter", seed=0)
     if spec.startswith("jitter:"):
-        return DelayModel(mode="jitter", seed=int(spec.split(":", 1)[1]))
+        return DelayModel(mode="jitter", seed=_natural(spec.split(":", 1)[1], "jitter seed"))
     raise ValueError(f"unknown delay model {spec!r} (use uniform or jitter[:seed])")
 
 
@@ -80,11 +80,13 @@ def _parse_stimulus(text: str) -> Dict[str, List[int]]:
         name = name.strip()
         if name in stim:
             raise ValueError(f"stimulus line {lineno}: signal {name!r} given twice")
-        vals = [v.strip() for v in values.split(",") if v.strip()]
-        try:
-            stim[name] = [int(v) for v in vals]
-        except ValueError:
-            raise ValueError(f"stimulus line {lineno}: values must be integers") from None
+        vals = stim[name] = []
+        for i, v in enumerate(filter(None, map(str.strip, values.split(",")))):
+            try:
+                vals.append(_natural(v, "value"))
+            except NetlistError:
+                raise ValueError(f"stimulus line {lineno}: {name!r}: value {v} at index {i} "
+                                 "is not an integer of 0 or more") from None
     return stim
 
 

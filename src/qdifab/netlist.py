@@ -7,21 +7,25 @@ The format is line oriented and diff friendly:
     gate <name> fn=<hex truth table> in=<sig,...> out=<sig>
 
 Every declared signal must connect to a gate, as an input or as the output.
-The truth table is indexed in mixed radix with the first listed input as the
-least significant digit.  Binary-output gates use one bit per entry (AND2 is
-0x8, XOR2 is 0x6); ternary- and quaternary-output gates use two bits per
-entry.  :func:`map_gate` compiles a gate through ``mapper.SHAPES``, the one
-list of the gate shapes the block accepts; each shape decides whether the
-gate reads its consumer's acknowledge.  A legacy ``ack`` token on a gate
-line is accepted and ignored, with one ``DeprecationWarning`` per netlist
-that names the first line carrying it.
+A ``key=`` is given once per line, and an arity is ASCII decimal digits.
+The truth table ``fn`` is ASCII hex digits, indexed in mixed radix with the
+first listed input as the least significant digit.  Binary-output gates use
+one bit per entry (AND2 is 8, XOR2 is 6); ternary- and quaternary-output
+gates use two bits per entry.  The table sets no bit past its last entry,
+and no entry is at or above the output's arity.  :func:`map_gate` compiles
+a gate through ``mapper.SHAPES``, the one list of the gate shapes the block
+accepts; each shape decides whether the gate reads its consumer's
+acknowledge.  A legacy ``ack`` token on a gate line is accepted and ignored,
+with one ``DeprecationWarning`` per netlist that names the first line
+carrying it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from math import prod
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .encodings import Protocol, SignalSpec
 from . import mapper
@@ -87,11 +91,31 @@ class Netlist:
         return primary_signals(self.signals, self.gates)[1]
 
 
-def _parse_kv(tok: str, line: int) -> Tuple[str, str]:
-    if "=" not in tok:
-        raise NetlistError(f"expected key=value, got {tok!r}", line)
-    k, v = tok.split("=", 1)
-    return k, v
+_DIGITS = {10: frozenset("0123456789"), 16: frozenset("0123456789abcdefABCDEF")}
+
+
+def _natural(text: str, what: str, line: Optional[int] = None, base: int = 10) -> int:
+    """``text``, ASCII digits of ``base`` (10 or 16), as an int; else a
+    NetlistError naming ``line``.  The one integer rule of every reader:
+    ``int()`` also takes signs, ``_``, ``0x``, spaces and other scripts'
+    digits."""
+    if text and _DIGITS[base].issuperset(text):
+        return int(text, base)
+    kind = "an integer of 0 or more" if base == 10 else "ASCII hex digits"
+    raise NetlistError(f"{what} {text!r} is not {kind}", line)
+
+
+def _fields(toks: Sequence[str], line: Optional[int] = None) -> Dict[str, str]:
+    """``key=value`` tokens as a dict; a token without ``=`` or a key given
+    twice raises NetlistError.  Every reader's rule for its fields."""
+    kv: Dict[str, str] = {}
+    for tok in toks:
+        k, eq, v = tok.partition("=")
+        if not eq or k in kv:
+            raise NetlistError(f"{k}= given twice" if eq else f"expected key=value, got {tok!r}",
+                               line)
+        kv[k] = v
+    return kv
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -110,16 +134,13 @@ def parse_netlist(text: str) -> Netlist:
             name = toks[1]
             if name in net.signals:
                 raise NetlistError(f"signal {name!r} declared twice", lineno)
-            kv = dict(_parse_kv(t, lineno) for t in toks[2:])
+            kv = _fields(toks[2:], lineno)
             proto = kv.get("proto")
             try:
                 protocol = Protocol(proto)
             except ValueError:
                 raise NetlistError(f"unknown protocol {proto!r}", lineno) from None
-            try:
-                arity = int(kv.get("arity", ""))
-            except ValueError:
-                raise NetlistError("arity must be an integer", lineno) from None
+            arity = _natural(kv.get("arity", ""), "arity", lineno)
             try:
                 net.signals[name] = SignalSpec(name, protocol, arity)
             except ValueError as exc:
@@ -131,11 +152,10 @@ def parse_netlist(text: str) -> Netlist:
             name = toks[1]
             if not legacy_ack and "ack" in toks[2:]:
                 legacy_ack = lineno
-            kv = dict(_parse_kv(t, lineno) for t in toks[2:] if t != "ack")
-            try:
-                fn = int(kv["fn"], 16)
-            except (KeyError, ValueError):
-                raise NetlistError("gate needs fn=<hex>", lineno) from None
+            kv = _fields([t for t in toks[2:] if t != "ack"], lineno)
+            if "fn" not in kv:
+                raise NetlistError("gate needs fn=<hex>", lineno)
+            fn = _natural(kv["fn"], "fn", lineno, 16)
             if "in" not in kv or "out" not in kv:
                 raise NetlistError("gate needs in=<sig,...> and out=<sig>", lineno)
             inputs = tuple(s for s in kv["in"].split(",") if s)
@@ -147,7 +167,25 @@ def parse_netlist(text: str) -> Netlist:
         warnings.warn(f"line {legacy_ack}: the 'ack' gate token is ignored: every gate "
                       "shape decides its own acknowledge", DeprecationWarning, stacklevel=2)
     _check(net.signals, declared, net.gates, [g.line for g in net.gates])
+    for g in net.gates:
+        _check_table(g, net.signals)
     return net
+
+
+def _check_table(gate: GateDecl, signals: Dict[str, SignalSpec]) -> None:
+    """``gate.fn`` sets no bit past its last entry and holds no entry at or
+    above its output's arity; else NetlistError naming the gate's line."""
+    entries = prod(signals[s].arity for s in gate.inputs)
+    out_arity = signals[gate.output].arity
+    width = 1 if out_arity == 2 else 2
+    if gate.fn >> (width * entries):
+        raise NetlistError(f"gate {gate.name!r}: fn={gate.fn:x} sets bits past its "
+                           f"{entries}-entry table", gate.line)
+    for i in range(entries):
+        entry = (gate.fn >> (width * i)) & ((1 << width) - 1)
+        if entry >= out_arity:
+            raise NetlistError(f"gate {gate.name!r}: fn entry {i} is {entry}, outside "
+                               f"0..{out_arity - 1}", gate.line)
 
 
 def check_gates(signals: Dict[str, SignalSpec], gates: Sequence,

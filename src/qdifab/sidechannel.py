@@ -2,8 +2,9 @@
 
 The power proxy is the number of wire toggles per tick (a unit-weight
 Hamming-distance model); routing and transistor matching are abstracted
-into the per-wire delays of the simulation.  Transactions are aligned with
-the boundary markers the simulator emits, never by re-alignment heuristics.
+into the per-wire delays of the simulation.  Transactions are aligned on
+the completion times of a boundary signal's records (``Trace.records``),
+never by re-alignment heuristics.
 
 The data-independence checks mirror what the logic family promises: under
 matched (uniform) delays the toggle count per transaction, the transaction
@@ -34,10 +35,10 @@ def _boundary_signal(trace: Trace, signal: Optional[str]) -> str:
         return signal
     if trace.gates:
         return trace.gates[-1].output
-    marked = sorted({s for _, s, _ in trace.markers})
-    if not marked:
-        raise AnalysisError("trace has no transaction markers")
-    return marked[0]
+    marked = min((s for s, recs in trace.records.items() if recs), default=None)
+    if marked is None:
+        raise AnalysisError("trace has no completed transactions")
+    return marked
 
 
 def _routing(trace: Trace) -> str:
@@ -66,7 +67,7 @@ def toggles_per_transaction(
     b = _boundary_signal(trace, boundary)
     events = trace.events if wires is None else trace.events_for(wires)
     return window_counts(sorted(e.time for e in events),
-                         sorted(t for t, s, _ in trace.markers if s == b))
+                         sorted(t for _, t in trace.records.get(b, ())))
 
 
 def toggle_count_profile(
@@ -92,7 +93,7 @@ def timing_spread(
     per_group: Dict[object, List[int]] = {}
     for value, tr in traces_by_value.items():
         b = _boundary_signal(tr, boundary)
-        per_group[value] = sorted(t for t, s, _ in tr.markers if s == b)
+        per_group[value] = sorted(t for _, t in tr.records.get(b, ()))
     if not per_group:
         return 0
     depth = min(len(v) for v in per_group.values())
@@ -146,21 +147,20 @@ def dpa_difference_of_means(
     return [a - b for a, b in zip(hi, lo)]
 
 
-def _levels_at_markers(trace: Trace, signal: str) -> List[Tuple[int, Tuple[int, ...]]]:
-    """(value, resting wire levels) at each completed transaction."""
+def _levels_at_completions(trace: Trace, signal: str) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(value, resting wire levels) at each completed transaction, in
+    completion order."""
     wires = trace.signals[signal].wire_names()
     levels = dict.fromkeys(wires, 0)
     evs = sorted((e for e in trace.events if e.wire in levels), key=attrgetter("time"))
-    marks = sorted((t, i) for t, s, i in trace.markers if s == signal)
-    values = trace.records.get(signal, [])
+    recs = trace.records.get(signal, ())
     out = []
     k = 0
-    for t, idx in marks:
+    for t, _, value in sorted((t, i, v) for i, (v, t) in enumerate(recs)):
         while k < len(evs) and evs[k].time <= t:
             levels[evs[k].wire] = evs[k].new
             k += 1
-        if idx < len(values):
-            out.append((values[idx][0], tuple(levels[w] for w in wires)))
+        out.append((value, tuple(levels[w] for w in wires)))
     return out
 
 
@@ -171,7 +171,7 @@ def level_value_correlation(trace: Trace, signal: str) -> float:
     A constant value sequence carries no evidence, so it reports 0.0; feed
     stimuli that exercise both values.
     """
-    samples = _levels_at_markers(trace, signal)
+    samples = _levels_at_completions(trace, signal)
     if len({v for v, _ in samples}) < 2:
         return 0.0
     width = len(samples[0][1])

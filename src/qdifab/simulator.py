@@ -94,7 +94,7 @@ from .plb import (
     plb_reset,
     plb_step,
 )
-from .trace import GateInfo, Trace, TraceEvent, window_counts
+from .trace import GateInfo, Trace, TraceEvent, record_markers, window_counts
 
 
 class SimulationInputError(ValueError):
@@ -365,7 +365,6 @@ class _Producer:
         recs = self.records
         if recs is None:
             recs = self.records = sim.records.setdefault(self.name, [])
-        sim.markers.append((t, self.name, len(recs)))
         recs.append((self.values[self.idx], t))
         self.idx += 1
         if self.idx < len(self.values):
@@ -408,7 +407,6 @@ class _Consumer:
             recs = self.records
             if recs is None:
                 recs = self.records = sim.records.setdefault(self.name, [])
-            sim.markers.append((t, self.name, len(recs)))
             recs.append((value, t))
 
 
@@ -432,7 +430,6 @@ class Simulation:
         self.buckets: Dict[int, List[Tuple[int, int]]] = {}
         self.ticks: List[int] = []
         self.events: List[TraceEvent] = []
-        self.markers: List[Tuple[int, str, int]] = []
         self.records: Dict[str, List[Tuple[int, int]]] = {}
         self.diagnostics: List[str] = []
         self.producers: List[_Producer] = []
@@ -541,7 +538,7 @@ class Simulation:
                 f"handshake stalled; unfinished producers: {', '.join(starved)}")
         return Trace(
             events=self.events,
-            markers=sorted(self.markers),
+            markers=record_markers(self.records),
             records=self.records,
             signals=dict(self.fabric.signals),
             gates=list(self.fabric.gates),
@@ -590,7 +587,7 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     its rails that are high, which is its pattern's kind only when every
     event level is 0 or 1 (:meth:`Trace.from_csv` ensures it), and collects
     each signal's event times; :func:`qdifab.trace.window_counts` then
-    counts its windows in marker order.
+    counts its windows in transaction order.
     """
     # Per signal: rails high, its event times, whether its four-phase walk
     # goes on, and the failure that stopped the walk.
@@ -616,16 +613,13 @@ def check_single_toggle(trace: Trace) -> Dict[str, Tuple[bool, str]]:
                 st[2], st[3] = False, f"forbidden pattern at t={e[0]}"
             elif high == 1 and before == 1:
                 st[2], st[3] = False, f"valid-to-valid jump at t={e[0]}"
-    ends_of: Dict[str, List[int]] = {}  # signal -> its marker times
-    for t, s, _ in trace.markers:
-        ends_of.setdefault(s, []).append(t)
     verdicts: Dict[str, Tuple[bool, str]] = {}
     for name, (_, times, four_phase, failure) in states.items():
         ok, msg = failure is None, failure or "ok"
         if ok:
             expected = 2 if four_phase else 1
             times.sort()
-            ends = ends_of.get(name, ())
+            ends = [t for _, t in trace.records.get(name, ())]
             for n, b in zip(window_counts(times, ends), ends):
                 if n != expected:
                     ok, msg = False, (

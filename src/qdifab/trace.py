@@ -1,27 +1,27 @@
-"""Simulation traces: ordered wire events plus transaction bookkeeping.
+"""Simulation traces: ordered wire events plus one record per transaction.
 
 The CSV form is self contained: comment headers describe the signals and
-gates so the property checkers can run on a file alone.  A
-``# transaction`` marker line is emitted when a signal completes a
-value/acknowledge cycle, and a ``# record`` line keeps the decoded value
-alongside it.
+gates so the property checkers can run on a file alone.  When a signal
+completes a value/acknowledge cycle, a ``# transaction`` line names the
+transaction and the ``# record`` line right after it keeps its decoded
+value and completion time.
 
 :meth:`Trace.from_csv` accepts these lines, in any order but for the event
-rows, whose times do not decrease from one row to the next; blank lines and
-whitespace around a line are ignored::
+rows, whose times do not decrease from one row to the next, and the
+transaction pairs; blank lines and whitespace around a line are ignored::
 
     # signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<name>.0,<name>.1,...
     # gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<0|1>
     # meta <key>=<value>                   (fabric, delays, seed; see below)
     # diagnostic <text>                    (text "deadlock" sets the flag)
-    # transaction <signal> <index>
-    # record <signal> <index> <value> <time>
+    # transaction <signal> <index>         (a pair: the record line comes next,
+    # record <signal> <index> <value> <time>  blank lines aside)
     time,wire,old,new                      (column header, skipped)
     <time>,<wire>,<old>,<new>              (event row; old and new are 0 or 1;
                                             time >= 0 and >= the previous row's)
 
-Signal and gate fields may come in any order and unknown ``key=value``
-fields are ignored.  A signal is declared once, as a valid
+Signal and gate fields may come in any order, each key once, and unknown
+``key=value`` fields are ignored.  A signal is declared once, as a valid
 :class:`qdifab.encodings.SignalSpec` (arity 2 to 4, and 2 under LEDR) whose
 wire names, ``<name>.0,<name>.1,...``, are its ``wires`` exactly: every
 wire is a rail of one signal.  Gates keep the per-gate rules of netlists
@@ -34,11 +34,11 @@ an index, a value) is ASCII decimal digits.  Event rows come in
 non-decreasing time order, as the property checkers replay them in file
 order; in a row the wire is a name without whitespace, and the levels
 old and new are each the digit 0 or 1: every wire is binary, and the
-property checkers rely on it.  Transaction and record lines name declared
-signals, the records of a signal come with indices 0, 1, 2, ... in file
-order, and a record's value is below its signal's arity.  A record gives
-the completion time to the preceding transaction marker with the same
-signal and index; a marker without a record keeps time -1.  Any other line
+property checkers rely on it.  A transaction line and its record line are
+one pair, with the same signal and index; a lone transaction or record line
+is an error.  Pairs name declared signals, the records of a signal come
+with indices 0, 1, 2, ... in file order and completion times that do not
+decrease, and a record's value is below its signal's arity.  Any other line
 starting with ``#`` is a comment.  A line that breaks these rules raises
 :class:`TraceFormatError`, whose message starts with ``line <n>:``.
 
@@ -58,12 +58,13 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .encodings import EncodingError, Protocol, SignalSpec
-from .netlist import NetlistError, check_gates
+from .netlist import NetlistError, _fields, _natural, check_gates
 
 _COLUMNS = "time,wire,old,new"
 _LEVELS = {"0": 0, "1": 1}  # an event level or a gate's ack, as written
 _ROW = "%s,%s,%s,%s\n"  # an event row, as written
-_time = itemgetter(0)  # of an event or a marker
+_time = itemgetter(0)  # of an event
+_completion = itemgetter(1)  # of a record
 
 # The `# gate` line, which traces and bitstreams share.
 GATE_USAGE = "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<0|1>"
@@ -73,7 +74,6 @@ _USAGE = {
     "gate": GATE_USAGE,
     "meta": "# meta <key>=<value>",
     "transaction": "# transaction <signal> <index>",
-    "record": "# record <signal> <index> <value> <time>",
 }
 
 
@@ -117,9 +117,11 @@ class GateInfo:
 @dataclass
 class Trace:
     events: List[TraceEvent] = field(default_factory=list)
-    # (time, signal, index): transaction `index` of `signal` completed.
+    # (time, signal, index) of every record, sorted (:func:`record_markers`):
+    # a view of ``records`` that only the benchmark reads.
     markers: List[Tuple[int, str, int]] = field(default_factory=list)
-    # signal -> [(value, completion_time)] in transaction order.
+    # signal -> [(value, completion time)] in transaction order: the one
+    # model of a transaction, which the writer and every analysis read.
     records: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
     signals: Dict[str, SignalSpec] = field(default_factory=dict)
     gates: List[GateInfo] = field(default_factory=list)
@@ -135,12 +137,10 @@ class Trace:
         return [v for v, _ in self.records.get(signal, [])]
 
     def end_time(self) -> int:
-        last = 0
-        if self.events:
-            last = max(last, self.events[-1].time)
-        if self.markers:
-            last = max(last, max(m[0] for m in self.markers))
-        return last
+        """The time of the last event or the latest completion, or 0."""
+        last = self.events[-1].time if self.events else 0
+        return max(last, 0, *(max(map(_completion, recs))
+                              for recs in self.records.values() if recs))
 
     # -- CSV ------------------------------------------------------------
 
@@ -148,11 +148,10 @@ class Trace:
         """The CSV form (see the module docstring), in this order: the
         ``# qdifab-trace v1`` line, the meta lines sorted by key, the
         signals, the gates, the diagnostics (``deadlock`` last), the column
-        header, then the events and markers merged by time.  Events and
-        markers are each sorted stably by time, and a marker comes after
-        every event of its tick.  A marker with a record is followed by its
-        ``# record`` line, which carries the marker's time; a record with no
-        marker is not written."""
+        header, then the events and the transaction pairs merged by time.
+        Events are sorted stably by time, and the records by
+        :func:`record_markers`; a pair comes after every event of its
+        tick."""
         out = ["# qdifab-trace v1\n"]
         out += [f"# meta {k}={v}\n" for k, v in sorted(self.meta.items())]
         out += [f"# signal {s.name} proto={s.protocol.value} arity={s.arity} "
@@ -166,33 +165,26 @@ class Trace:
         events = sorted(self.events, key=_time)
         times = list(map(_time, events))
         rows = list(map(_ROW.__mod__, events))
-        values = {(sig, idx): value for sig, pairs in self.records.items()
-                  for idx, (value, _) in enumerate(pairs)}
+        records = self.records
         start = 0
-        for t, sig, idx in sorted(self.markers, key=_time):
+        for t, sig, idx in record_markers(records):
             end = bisect_right(times, t, start)
             out += rows[start:end]
             start = end
-            out.append(f"# transaction {sig} {idx}\n")
-            if (sig, idx) in values:
-                out.append(f"# record {sig} {idx} {values[sig, idx]} {t}\n")
+            out.append(f"# transaction {sig} {idx}\n"
+                       f"# record {sig} {idx} {records[sig][idx][0]} {t}\n")
         out += rows[start:]
         return "".join(out)
 
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
         tr = cls()
-        markers, records = tr.markers, tr.records
         rows: List[str] = []
         gate_lines: List[int] = []
-        # Each signal a transaction or record line names -> the first such line.
-        named: Dict[str, int] = {}
-        # (signal, index) -> position in tr.markers of the marker whose
-        # completion time the matching record line supplies.
-        awaiting: Dict[Tuple[str, int], int] = {}
-        # (signal, value above 1) -> the first record line with that value.
-        valued: Dict[Tuple[str, int], int] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # signal -> the tokens and the line number of its record lines.
+        pairs: Dict[str, List[list]] = {}
+        numbered = enumerate(text.splitlines(), start=1)
+        for lineno, raw in numbered:
             line = raw.strip()
             if line[:1] != "#":
                 if line and line != _COLUMNS:
@@ -203,34 +195,28 @@ class Trace:
             try:
                 if tag == "transaction":
                     _, sig, idx = toks
-                    idx = _natural(idx, lineno, "transaction index")
-                    awaiting[sig, idx] = len(markers)
-                    markers.append((-1, sig, idx))
-                    named.setdefault(sig, lineno)
+                    rec = ""
+                    for rec_lineno, rec in numbered:  # its record line, blank lines aside
+                        rec = rec.strip()
+                        if rec:
+                            break
+                    rtoks = rec[1:].split()
+                    if (len(rtoks) != 5 or rtoks[0] != "record" or rtoks[1] != sig
+                            or rtoks[2] != idx or rec[0] != "#"):
+                        raise TraceFormatError(
+                            lineno, f"transaction {sig} {idx} is not followed by its "
+                                    f"'# record {sig} {idx} <value> <time>' line")
+                    rtoks.append(rec_lineno)
+                    pairs.setdefault(sig, []).append(rtoks)
                     continue
                 if tag == "record":
-                    _, sig, idx, value, t = toks
-                    idx = _natural(idx, lineno, "record index")
-                    value = _natural(value, lineno, "record value")
-                    t = _natural(t, lineno, "record time")
-                    recs = records.get(sig)
-                    if recs is None:
-                        recs = records[sig] = []
-                        named.setdefault(sig, lineno)
-                    if idx != len(recs):
-                        raise TraceFormatError(
-                            lineno, f"record {idx} of {sig!r} where record {len(recs)} is next")
-                    recs.append((value, t))
-                    if value > 1:  # every arity admits 0 and 1
-                        valued.setdefault((sig, value), lineno)
-                    pos = awaiting.pop((sig, idx), None)
-                    if pos is not None:
-                        markers[pos] = (t, sig, idx)
-                    continue
+                    raise TraceFormatError(
+                        lineno, "a record line that does not follow its "
+                                "'# transaction <signal> <index>' line")
                 if tag == "signal":
                     name, kv = _named_fields(toks)
                     spec = SignalSpec(name, Protocol(kv["proto"]),
-                                      _natural(kv["arity"], lineno, "arity"))
+                                      _natural(kv["arity"], "arity", lineno))
                     wires, own = kv["wires"], ",".join(spec.wire_names())
                     if wires != own:
                         raise TraceFormatError(
@@ -252,6 +238,8 @@ class Trace:
                         tr.diagnostics.append(text_d)
             except TraceFormatError:
                 raise
+            except NetlistError as exc:  # a key given twice, a bad arity
+                raise TraceFormatError(lineno, exc.message) from None
             except EncodingError as exc:  # a signal that no SignalSpec admits
                 raise TraceFormatError(lineno, str(exc)) from None
             except (IndexError, KeyError, ValueError):
@@ -260,21 +248,21 @@ class Trace:
             check_gates(tr.signals, tr.gates, gate_lines)
         except NetlistError as exc:
             raise TraceFormatError(exc.line, exc.message) from None
-        for sig, lineno in named.items():
-            if sig not in tr.signals:
-                raise TraceFormatError(lineno, f"{sig!r} is not a declared signal")
-        bad = [(lineno, sig, value) for (sig, value), lineno in valued.items()
-               if value >= tr.signals[sig].arity]
-        if bad:
-            lineno, sig, value = min(bad)
-            raise TraceFormatError(lineno, f"record value {value} of {sig!r} is outside "
-                                           f"0..{tr.signals[sig].arity - 1}")
+        tr.records = _parse_records(pairs, tr.signals)
+        tr.markers = record_markers(tr.records)
         try:
             tr.events = _parse_events(rows)
         except ValueError:
             _raise_bad_event_row(text)
             raise
         return tr
+
+
+def record_markers(records: Dict[str, List[Tuple[int, int]]]) -> List[Tuple[int, str, int]]:
+    """(completion time, signal, index) of every record, sorted: the order
+    of the transaction pairs in the CSV form, and ``Trace.markers``."""
+    return sorted((t, sig, i) for sig, recs in records.items()
+                  for i, (_, t) in enumerate(recs))
 
 
 def window_counts(times: Sequence[int], ends: Iterable[int]) -> List[int]:
@@ -291,16 +279,9 @@ def window_counts(times: Sequence[int], ends: Iterable[int]) -> List[int]:
     return counts
 
 
-def _natural(text: str, lineno: int, what: str) -> int:
-    """``text``, ASCII decimal digits, as an int; else TraceFormatError."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise TraceFormatError(lineno, f"{what} {text!r} is not an integer of 0 or more")
-
-
 def _named_fields(toks: List[str]) -> Tuple[str, Dict[str, str]]:
     """``<tag> <name> key=value ...`` -> (name, {key: value})."""
-    return toks[1], dict(t.split("=", 1) for t in toks[2:])
+    return toks[1], _fields(toks[2:])
 
 
 def _parse_events(rows: List[str]) -> List[TraceEvent]:
@@ -332,6 +313,46 @@ def _parse_events(rows: List[str]) -> List[TraceEvent]:
     # TraceEvent._make without its length check, which a 4-tuple cannot
     # fail; twice as fast as calling the class.
     return list(map(tuple.__new__, repeat(TraceEvent), columns))
+
+
+def _parse_records(pairs: Dict[str, List[list]],
+                   signals: Dict[str, SignalSpec]) -> Dict[str, List[Tuple[int, int]]]:
+    """Each signal's record lines, as ``[record, signal, index, value,
+    time, line number]``, converted column by column into its records.  A
+    signal's first line that breaks a rule (a declared signal, indices 0, 1,
+    2, ..., values and times integers of 0 or more, values below the
+    arity, times that do not decrease) raises TraceFormatError."""
+    records = {}
+    for sig, recs in pairs.items():
+        _, _, indices, values, stamps, _ = zip(*recs)
+        arity = signals[sig].arity if sig in signals else 0
+        # As for event times: every token is ASCII decimal digits if their
+        # concatenation is, none being empty.
+        if (indices == tuple(map(str, range(len(recs))))
+                and "".join(values + stamps).encode("ascii", "replace").isdigit()):
+            ints, times = list(map(int, values)), list(map(int, stamps))
+            if max(ints) < arity and times == sorted(times):
+                records[sig] = list(zip(ints, times))
+                continue
+        last = 0  # Some line breaks a rule: find the first.
+        for n, (_, _, idx, value, t, lineno) in enumerate(recs):
+            if not arity:
+                raise TraceFormatError(lineno, f"{sig!r} is not a declared signal")
+            if idx != str(n):
+                raise TraceFormatError(lineno, f"record {idx} of {sig!r} where record {n} is next")
+            try:
+                value = _natural(value, "record value", lineno)
+                t = _natural(t, "record time", lineno)
+            except NetlistError as exc:
+                raise TraceFormatError(lineno, exc.message) from None
+            if value >= arity:
+                raise TraceFormatError(lineno, f"record value {value} of {sig!r} is outside "
+                                               f"0..{arity - 1}")
+            if t < last:
+                raise TraceFormatError(lineno, f"record {n} of {sig!r} completes at time {t}, "
+                                               f"before record {n - 1} at {last}")
+            last = t
+    return records
 
 
 def _raise_bad_event_row(text: str) -> None:

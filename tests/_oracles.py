@@ -12,7 +12,7 @@ quadratic in the chain length, and read a block's chain without the
 chain's own code.  The logic block's step is the first version, one branch
 per memory-point mode.  The hex packing model builds each digit from its
 four bits.  The trace writer is the first version, which sorts every event
-and marker line on a composite key.  The stimulus producer is the first
+and transaction pair on a composite key.  The stimulus producer is the first
 version, which computes each next code of its signal and drives the wire
 on which it differs from the last one.  The event kernel is the first
 version, one heap of every scheduled event kept in same-tick insertion order
@@ -40,7 +40,7 @@ from qdifab.encodings import (
 from qdifab.plb import PlbConfig, PlbState, _settle_luts
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.simulator import _IDLE, Simulation, SimulationInputError
-from qdifab.trace import GateInfo, Trace, TraceEvent
+from qdifab.trace import GateInfo, Trace, TraceEvent, record_markers
 
 
 def c_element_mux(prev: int, inputs: Sequence[int]) -> int:
@@ -231,12 +231,12 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
 def toggles_per_transaction(
     trace: Trace, boundary: str, wires: Optional[Sequence[str]] = None
 ) -> List[int]:
-    """Wire toggles inside each window between successive ``boundary``
-    markers, the first window opening at -1."""
+    """Wire toggles inside each window between successive completion times
+    of ``boundary``, the first window opening at -1."""
     wset = set(wires) if wires is not None else None
     counts = []
     prev = -1
-    for hi in sorted(t for t, s, _ in trace.markers if s == boundary):
+    for hi in sorted(t for _, t in trace.records.get(boundary, ())):
         counts.append(sum(
             1 for e in trace.events
             if prev < e.time <= hi and (wset is None or e.wire in wset)
@@ -247,7 +247,8 @@ def toggles_per_transaction(
 
 def single_toggle_verdicts(trace: Trace) -> Dict[str, Tuple[bool, str]]:
     """Per-signal verdicts of the single-toggle property: the four-phase
-    decode walk, then the change count of each window in marker order."""
+    decode walk, then the change count of each window in transaction
+    order."""
     verdicts: Dict[str, Tuple[bool, str]] = {}
     for name, info in trace.signals.items():
         evs = trace.events_for(info.wire_names())
@@ -268,7 +269,7 @@ def single_toggle_verdicts(trace: Trace) -> Dict[str, Tuple[bool, str]]:
         if ok:
             expected = 2 if info.protocol is Protocol.FOUR_PHASE else 1
             prev = -1
-            for b in [t for t, s, _ in trace.markers if s == name]:
+            for _, b in trace.records.get(name, ()):
                 n = sum(1 for e in evs if prev < e.time <= b)
                 if n != expected:
                     ok, msg = False, (
@@ -285,15 +286,13 @@ def level_value_correlation(trace: Trace, signal: str) -> float:
     """1.0 when some wire's level at every completed transaction of
     ``signal`` equals the value or its complement, given two values."""
     info = trace.signals[signal]
-    values = trace.records.get(signal, [])
     samples = []
-    for t, idx in sorted((t, i) for t, s, i in trace.markers if s == signal):
-        if idx < len(values):
-            levels = {w: 0 for w in info.wire_names()}
-            for e in sorted(trace.events, key=lambda e: e.time):
-                if e.time <= t and e.wire in levels:
-                    levels[e.wire] = e.new
-            samples.append((values[idx][0], tuple(levels[w] for w in info.wire_names())))
+    for t, _, value in sorted((t, i, v) for i, (v, t) in enumerate(trace.records.get(signal, ()))):
+        levels = {w: 0 for w in info.wire_names()}
+        for e in sorted(trace.events, key=lambda e: e.time):
+            if e.time <= t and e.wire in levels:
+                levels[e.wire] = e.new
+        samples.append((value, tuple(levels[w] for w in info.wire_names())))
     if len({v for v, _ in samples}) < 2:
         return 0.0
     for w in range(len(info.wire_names())):
@@ -500,8 +499,9 @@ def bits_to_hex(bits: Sequence[int]) -> str:
 
 def trace_to_csv(trace: Trace) -> str:
     """The CSV form of a trace, which ``Trace.to_csv`` must match byte for
-    byte: every event and marker sorted on (time, events before markers,
-    position)."""
+    byte: every event and record sorted on (time, events before records,
+    position), the position of a record being (signal, index); a record
+    is written as its transaction and record lines."""
     out = io.StringIO()
     out.write("# qdifab-trace v1\n")
     for k, v in sorted(trace.meta.items()):
@@ -519,23 +519,19 @@ def trace_to_csv(trace: Trace) -> str:
         out.write("# diagnostic deadlock\n")
     out.write("time,wire,old,new\n")
 
-    # Merge events and markers chronologically, markers after the
-    # events they conclude.
+    # Merge events and records chronologically, records after the events
+    # they conclude.
     ev = [(e.time, 0, i, e) for i, e in enumerate(trace.events)]
-    mk = [(t, 1, i, (t, sig, idx)) for i, (t, sig, idx) in enumerate(trace.markers)]
-    rec_by_marker = {}
-    for sig, pairs in trace.records.items():
-        for idx, (value, t) in enumerate(pairs):
-            rec_by_marker[(sig, idx)] = value
-    for t, kind, _, item in sorted(ev + mk, key=lambda x: (x[0], x[1], x[2])):
+    rc = [(t, 1, (sig, idx), value) for sig, pairs in trace.records.items()
+          for idx, (value, t) in enumerate(pairs)]
+    for t, kind, pos, item in sorted(ev + rc, key=lambda x: (x[0], x[1], x[2])):
         if kind == 0:
             e = item
             out.write(f"{e.time},{e.wire},{e.old},{e.new}\n")
         else:
-            _, sig, idx = item
+            sig, idx = pos
             out.write(f"# transaction {sig} {idx}\n")
-            if (sig, idx) in rec_by_marker:
-                out.write(f"# record {sig} {idx} {rec_by_marker[(sig, idx)]} {t}\n")
+            out.write(f"# record {sig} {idx} {item} {t}\n")
     return out.getvalue()
 
 
@@ -545,7 +541,7 @@ class Producer:
     four-phase producer sends a valid code, NULL on the acknowledge's rise
     and the next value on its fall; a two-phase producer sends the next
     value on each acknowledge toggle.  ``sim`` needs ``levels``,
-    ``drive(t, wire, level)``, ``records`` and ``markers``."""
+    ``drive(t, wire, level)`` and ``records``."""
 
     IDLE, SENT, NULL_SENT = 0, 1, 2
 
@@ -590,9 +586,7 @@ class Producer:
             self._complete(sim, t)
 
     def _complete(self, sim, t: int):
-        recs = sim.records.setdefault(self.name, [])
-        sim.markers.append((t, self.name, len(recs)))
-        recs.append((self.values[self.idx], t))
+        sim.records.setdefault(self.name, []).append((self.values[self.idx], t))
         self.idx += 1
         if self.idx < len(self.values):
             self._send(sim, t)
@@ -662,7 +656,7 @@ class HeapSimulation(Simulation):
                 f"handshake stalled; unfinished producers: {', '.join(starved)}")
         return Trace(
             events=self.events,
-            markers=sorted(self.markers),
+            markers=record_markers(self.records),
             records=self.records,
             signals=dict(self.fabric.signals),
             gates=list(self.fabric.gates),

@@ -310,6 +310,96 @@ def test_sim_negative_stimulus_value_exits_2(tmp_path, capsys, proto, fn):
     assert "'x': value -1 at index 0 " in capsys.readouterr().err
 
 
+# The tests below give integers that int() reads and the formats refuse:
+# signs, underscores, a hex prefix and Arabic-Indic digits.
+@pytest.mark.parametrize("value", ["+1", "\u0661", "-1", "1_0", "0x1"])
+def test_sim_stimulus_value_other_than_ascii_digits_exits_2(files, capsys, value):
+    tmp, net, _ = files
+    bit, stim = tmp / "d.bit", tmp / "bad.stim"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    stim.write_text(f"a: 1,0\nb: 1,{value}\n")
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err == (f"error: stimulus line 2: 'b': value {value} at index 1 "
+                                       "is not an integer of 0 or more\n")
+
+
+@pytest.mark.parametrize("seed", ["+3", "\u0663", "-1", ""])
+def test_sim_jitter_seed_other_than_ascii_digits_exits_2(files, capsys, seed):
+    tmp, net, stim = files
+    bit = tmp / "d.bit"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim), "--delays", f"jitter:{seed}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: jitter seed {seed!r} is not an integer of 0 or more\n")
+
+
+@pytest.mark.parametrize("arity", ["\u0662", "+2"])
+def test_map_netlist_arity_other_than_ascii_digits_exits_2(tmp_path, capsys, arity):
+    net = tmp_path / "bad.net"
+    net.write_text(THREE_GATE_NET.replace("arity=2", f"arity={arity}", 1))
+    capsys.readouterr()
+    assert main(["map", str(net), "-o", str(tmp_path / "bad.bit")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 3: arity {arity!r} is not an integer of 0 or more\n")
+
+
+@pytest.mark.parametrize("design, old, new", [
+    ("4ph_2in", "arity=2", "arity=\u0662"),
+    ("4ph_2in", "arity=2", "arity=+2"),
+    ("4ph_2in", "x:0:2", "x:+0:2"),  # a binding's index
+    ("4ph_2in", "x:0:2", "x:\u0660:2"),
+    ("4ph_2in", "x:0:2", "x:0:+2"),  # its width
+    ("edge_2in", "g.c 4", "g.c +4"),  # an `# internal` width
+    ("edge_2in", "g.c 4", "g.c \u0664"),
+    ("4ph_2in", "0000000000", "000000000\u0660"),  # a block line
+], ids=["arity-non-ascii", "arity-sign", "index-sign", "index-non-ascii", "width-sign",
+        "internal-sign", "internal-non-ascii", "block-non-ascii"])
+def test_sim_bitstream_integer_other_than_ascii_digits_exits_2(tmp_path, capsys, design,
+                                                                old, new):
+    lines, stim = _golden_bitstream(design)
+    text = "\n".join(lines) + "\n"
+    assert old in text
+    bad, stim_path = tmp_path / "bad.bit", tmp_path / "in.stim"
+    bad.write_text(text.replace(old, new, 1))
+    stim_path.write_text(stim)
+    where = next(i for i, ln in enumerate(bad.read_text().splitlines(), 1) if new in ln)
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(stim_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: expected ")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("# signal x proto=4ph arity=2", "# signal x proto=ledr arity=2 proto=4ph"),
+    ("# plb 0 gate=g ", "# plb 0 gate=zz gate=g "),
+], ids=["signal", "plb"])
+def test_sim_bitstream_key_given_twice_exits_2(tmp_path, capsys, old, new):
+    # Read as its last value, a key given twice made a second file of one
+    # fabric.
+    lines, stim = _golden_bitstream("4ph_2in")
+    text = "\n".join(lines) + "\n"
+    assert old in text
+    bad, stim_path = tmp_path / "bad.bit", tmp_path / "in.stim"
+    bad.write_text(text.replace(old, new, 1))
+    stim_path.write_text(stim)
+    where = next(i for i, ln in enumerate(bad.read_text().splitlines(), 1) if new in ln)
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(stim_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: expected ")
+
+
+def test_map_ternary_table_entry_3_exits_2(tmp_path, capsys):
+    # Entry 0 of fn=12267 is 3, which no ternary output can carry: the
+    # gate once mapped and then stalled its handshake.
+    net = tmp_path / "ter.net"
+    net.write_text("".join(f"signal {s} proto=4ph arity=3\n" for s in "tuv")
+                   + "gate g fn=12267 in=t,u out=v\n")
+    capsys.readouterr()
+    assert main(["map", str(net), "-o", str(tmp_path / "ter.bit")]) == 2
+    assert capsys.readouterr().err == "error: line 4: gate 'g': fn entry 0 is 3, outside 0..2\n"
+
+
 def test_sim_deadlock_sets_exit_one(files, capsys):
     tmp, net, _ = files
     bit = tmp / "d.bit"
@@ -384,11 +474,10 @@ def test_check_dpa_flat(files):
 def test_check_timing_fails_on_perturbed_trace(files, capsys):
     tmp, net, _ = files
     paths = _trace_files(tmp, net, count=2)
-    # Shift every marker and event of one trace: a value-correlated delay.
+    # Shift every record and event of one trace: a value-correlated delay.
     with open(paths[1]) as fh:
         tr = Trace.from_csv(fh.read())
     tr.events = [type(e)(e.time + 3, e.wire, e.old, e.new) for e in tr.events]
-    tr.markers = [(t + 3, s, i) for t, s, i in tr.markers]
     tr.records = {s: [(v, t + 3) for v, t in rs] for s, rs in tr.records.items()}
     with open(paths[1], "w") as fh:
         fh.write(tr.to_csv())
@@ -522,6 +611,7 @@ time,wire,old,new
     "# record o 0 1 \u0665",  # an Arabic-Indic digit 5
     "# record o 0 2 5",  # o is binary
     "# gate h proto=4ph in=x out=o ack=2",
+    "# signal y proto=4ph arity=2 wires=y.0,y.1 proto=edge",
 ], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
         "gate-undeclared-input", "signal-twice", "meta-no-value", "row-3-fields",
         "row-5-fields", "row-wire-space", "row-time", "row-no-wire",
@@ -531,7 +621,7 @@ time,wire,old,new
         "row-time-underscore", "row-time-sign", "row-time-spaces", "row-time-non-ascii",
         "transaction-below-0", "record-index-sign", "record-value-underscore",
         "record-time-underscore", "record-time-non-ascii", "record-value-not-below-arity",
-        "gate-ack-2"])
+        "gate-ack-2", "signal-key-twice"])
 def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     good = tmp_path / "good.csv"
     good.write_text(GOOD_TRACE)
@@ -544,20 +634,61 @@ def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
 
 
 def test_trace_markers_and_records_in_any_line_order():
-    # A marker and a record may come before their signal's declaration; a
-    # marker with no record keeps time -1, and records run 0, 1, 2, ...
-    text = ("# transaction o 0\n# record o 0 1 5\n# transaction o 1\n"
-            "# signal o proto=4ph arity=2 wires=o.0,o.1\n# record o 1 0 9\n"
-            "# transaction o 2\n")
+    # A transaction pair may come before its signal's declaration and blank
+    # lines may part it; records run 0, 1, 2, ... per signal, and the
+    # markers are their view, sorted by completion time.
+    text = ("# transaction o 0\n# record o 0 1 5\n# transaction p 0\n\n# record p 0 1 3\n"
+            "# signal o proto=4ph arity=2 wires=o.0,o.1\n"
+            "# transaction o 1\n# record o 1 0 9\n"
+            "# signal p proto=4ph arity=2 wires=p.0,p.1\n")
     tr = Trace.from_csv(text)
-    assert tr.markers == [(5, "o", 0), (9, "o", 1), (-1, "o", 2)]
-    assert tr.records == {"o": [(1, 5), (0, 9)]}
-    with pytest.raises(TraceFormatError, match="^line 5: record 0 of 'o' where record 1 "):
-        Trace.from_csv(text.replace("# record o 1 0 9", "# record o 0 0 9"))
+    assert tr.records == {"o": [(1, 5), (0, 9)], "p": [(1, 3)]}
+    assert tr.markers == [(3, "p", 0), (5, "o", 0), (9, "o", 1)]
+    # Indices are compared as written, not as the numbers they spell.
+    for idx in ("0", "01"):
+        with pytest.raises(TraceFormatError,
+                           match=f"^line 8: record {idx} of 'o' where record 1 is next$"):
+            Trace.from_csv(text.replace("o 1\n# record o 1 ", f"o {idx}\n# record o {idx} "))
     # A record value is held to its signal's arity once every line is read.
     with pytest.raises(TraceFormatError,
                        match=r"^line 2: record value 2 of 'o' is outside 0\.\.1$"):
         Trace.from_csv(text.replace("# record o 0 1 5", "# record o 0 2 5"))
+    # A signal's transactions complete in order.
+    with pytest.raises(TraceFormatError, match="^line 8: record 1 of 'o' completes at time 4, "
+                                               "before record 0 at 5$"):
+        Trace.from_csv(text.replace("# record o 1 0 9", "# record o 1 0 4"))
+    # Either line of a pair alone is an error naming it.
+    with pytest.raises(TraceFormatError, match="^line 7: transaction o 1 is not followed by "
+                                               "its '# record o 1 <value> <time>' line$"):
+        Trace.from_csv(text.replace("# record o 1 0 9\n", ""))
+    with pytest.raises(TraceFormatError, match="^line 3: transaction p 0 is not followed by "):
+        Trace.from_csv(text.replace("\n\n", "\n# comment\n"))
+    with pytest.raises(TraceFormatError, match="^line 7: a record line that does not follow "):
+        Trace.from_csv(text.replace("# transaction o 1\n", ""))
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTIES))
+@pytest.mark.parametrize("lone", ["transaction", "record"])
+def test_check_lone_transaction_or_record_line_exits_2(tmp_path, capsys, prop, lone):
+    # A transaction line and its record line are one pair; either alone is
+    # an input error for every property, naming its line.
+    paths = [_sim_trace(tmp_path, f"t{i}", AND_NET, f"x: {i}\ny: 1\n") for i in range(2)]
+    select = ["--select", "x"] if prop == "dpa" else []
+    lines = (tmp_path / "t0.csv").read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("# transaction "))
+    pair = lines[first].split()[2:]
+    if lone == "transaction":
+        del lines[first + 1]
+        message = (f"transaction {' '.join(pair)} is not followed by its "
+                   f"'# record {' '.join(pair)} <value> <time>' line")
+    else:
+        del lines[first]
+        message = "a record line that does not follow its '# transaction <signal> <index>' line"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(bad), paths[1], "--property", prop, *select]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {first + 1}: {message}\n"
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -990,17 +1121,11 @@ _BITSTREAM_KEYS = ["signal", "gate", "plb", "internal", "proto", "arity", "in", 
                    "sout", "ack", "role", "main", "4ph", "ledr", "edge", "-", "zz"]
 
 
-@st.composite
-def mutated_bitstreams(draw):
-    """A golden design's bitstream with one line mutated: a token (a run of
-    characters between whitespace, ``,``, ``;``, ``:`` and ``=``) dropped,
-    duplicated, swapped with another or renamed to a key, or a character
-    of a digit or a hex line changed."""
-    design = draw(st.sampled_from(sorted(GOLDEN_DESIGNS)))
-    lines, stim = _golden_bitstream(design)
-    lines = list(lines)
-    at = draw(st.integers(0, len(lines) - 1))
-    parts = re.split(r"([\s,;:=])", lines[at])  # tokens at even positions
+def _mutated_line(draw, line: str, separators: str, keys) -> str:
+    """``line`` with one token (a run of characters between whitespace and
+    ``separators``) dropped, duplicated, swapped with another or renamed to
+    one of ``keys``, or one character of a digit or a hex digit changed."""
+    parts = re.split(f"([\\s{separators}])", line)  # tokens at even positions
     i = 2 * draw(st.integers(0, len(parts) // 2))
     kind = draw(st.sampled_from(["drop", "duplicate", "swap", "char", "key"]))
     if kind == "drop":
@@ -1011,27 +1136,84 @@ def mutated_bitstreams(draw):
         j = 2 * draw(st.integers(0, len(parts) // 2))
         parts[i], parts[j] = parts[j], parts[i]
     elif kind == "key":
-        parts[i] = draw(st.sampled_from(_BITSTREAM_KEYS))
+        parts[i] = draw(st.sampled_from(keys))
     line = "".join(parts)
     hexes = [k for k, c in enumerate(line) if c in "0123456789abcdef"]
     if kind == "char" and hexes:
         k = draw(st.sampled_from(hexes))
         line = line[:k] + draw(st.sampled_from("0123456789abcdefF-+_ x\u0663")) + line[k + 1:]
-    lines[at] = line
+    return line
+
+
+@st.composite
+def mutated_bitstreams(draw):
+    """A golden design's bitstream with one line mutated (``_mutated_line``,
+    tokens split at ``,``, ``;``, ``:`` and ``=`` too)."""
+    design = draw(st.sampled_from(sorted(GOLDEN_DESIGNS)))
+    lines, stim = _golden_bitstream(design)
+    lines = list(lines)
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = _mutated_line(draw, lines[at], ",;:=", _BITSTREAM_KEYS)
     return "\n".join(lines) + "\n", stim
+
+
+def _run_main(*args):
+    """``main(args)``'s exit code and everything it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        rc = main(list(args))
+    return rc, out.getvalue()
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated_bitstreams())
 def test_mutated_golden_bitstream_sims_or_exits_2(tmp_path, case):
-    # A mutated bitstream is simulated or refused: exit 0, 1 or 2, never a
-    # traceback.
+    # A mutated bitstream is simulated or refused naming a line: exit 0, 1
+    # or 2, never a traceback.
     text, stim = case
     bit, stim_path = tmp_path / "mutated.bit", tmp_path / "in.stim"
     bit.write_text(text)
     stim_path.write_text(stim)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        rc = main(["sim", str(bit), "--stimulus", str(stim_path)])
-    assert rc in (0, 1, 2), (rc, out.getvalue())
+    rc, out = _run_main("sim", str(bit), "--stimulus", str(stim_path))
+    assert rc in (0, 1, 2), (rc, out)
+    if rc == 2:
+        assert re.match(f"error: {re.escape(str(bit))}: line \\d+: ", out), out
+
+
+# Words a netlist or stimulus token may be renamed to: the formats' own and
+# one unknown.
+_NETLIST_KEYS = ["signal", "gate", "proto", "arity", "fn", "in", "out", "ack", "4ph", "ledr",
+                 "edge", "x", "o", "zz"]
+
+
+@st.composite
+def mutated_designs(draw):
+    """A golden design's netlist and stimulus (its first four values per
+    input), one line of one of them mutated (``_mutated_line``, tokens
+    split at ``,``, ``:`` and ``=`` too)."""
+    design = draw(st.sampled_from(sorted(GOLDEN_DESIGNS)))
+    texts = [GOLDEN_DESIGNS[design], _golden_bitstream(design)[1]]
+    k = draw(st.integers(0, 1))
+    lines = texts[k].splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = _mutated_line(draw, lines[at], ",:=", _NETLIST_KEYS)
+    texts[k] = "\n".join(lines) + "\n"
+    return texts
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_designs())
+def test_mutated_golden_netlist_and_stimulus_map_and_sim_or_exit_2(tmp_path, case):
+    # map exits 0 or 2 and sim 0, 1 or 2 on a mutated netlist or stimulus;
+    # neither raises.
+    net, stim = tmp_path / "mutated.net", tmp_path / "mutated.stim"
+    net.write_text(case[0])
+    stim.write_text(case[1])
+    bit = tmp_path / "mutated.bit"
+    rc, out = _run_main("map", str(net), "-o", str(bit))
+    assert rc in (0, 2), (rc, out)
+    if rc == 0:
+        rc, out = _run_main("sim", str(bit), "--stimulus", str(stim))
+        assert rc in (0, 1, 2), (rc, out)

@@ -216,3 +216,51 @@ def test_legacy_ack_token_warns_once_per_netlist():
         net = parse_netlist(src)
     assert [w.category for w in caught] == [DeprecationWarning]
     assert [g.name for g in net.gates] == ["g1", "g2"]
+
+
+_BINARY_AND = "".join(f"signal {s} proto=4ph arity=2\n" for s in "xyo")
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("fn=-8 in=x,y out=o", "fn '-8' is not ASCII hex digits"),
+    ("fn=0x8 in=x,y out=o", "fn '0x8' is not ASCII hex digits"),
+    ("fn=+8 in=x,y out=o", "fn '+8' is not ASCII hex digits"),
+    ("fn=\u0668 in=x,y out=o", "fn '\u0668' is not ASCII hex digits"),
+    ("fn= in=x,y out=o", "fn '' is not ASCII hex digits"),
+    ("fn=1f8 in=x,y out=o", "gate 'g': fn=1f8 sets bits past its 4-entry table"),
+    ("fn=10 in=x,y out=o", "gate 'g': fn=10 sets bits past its 4-entry table"),
+    ("fn=8 in=x,y out=o fn=6", "fn= given twice"),
+    ("fn=8 in=x,y in=y,x out=o", "in= given twice"),
+], ids=["sign", "hex-prefix", "plus", "non-ascii", "empty", "bits-past-table",
+        "bit-4", "fn-twice", "in-twice"])
+def test_gate_table_other_than_its_hex_digits_rejected(tail, message):
+    # Each of these once mapped as fn=8 or fn=6: int(fn, 16) took the sign
+    # and the prefix, the block read only the table's own bits, and the
+    # last key given won.
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(_BINARY_AND + f"gate g {tail}\n")
+    assert str(exc.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("fn, message", [
+    (0x12267, "gate 'g': fn entry 0 is 3, outside 0..2"),
+    (0x3 << 16, "gate 'g': fn entry 8 is 3, outside 0..2"),
+    (1 << 18, "gate 'g': fn=40000 sets bits past its 9-entry table"),
+], ids=["first-entry-3", "last-entry-3", "bits-past-table"])
+def test_ternary_table_entry_outside_the_output_rejected(fn, message):
+    src = "".join(f"signal {s} proto=4ph arity=3\n" for s in "tuv")
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(src + f"gate g fn={fn:x} in=t,u out=v\n")
+    assert str(exc.value) == f"line 4: {message}"
+
+
+def test_quaternary_table_takes_every_entry():
+    src = "".join(f"signal {s} proto=4ph arity=4\n" for s in "tv")
+    assert parse_netlist(src + "gate g fn=e4 in=t out=v\n").gates[0].fn == 0xE4
+
+
+@pytest.mark.parametrize("arity", ["\u0662", "+2", "2 arity=3"])
+def test_signal_arity_other_than_ascii_digits_rejected(arity):
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(f"signal x proto=4ph arity={arity}\n")
+    assert str(exc.value).startswith("line 1: arity")

@@ -112,12 +112,11 @@ def _single_rail_trace(values, fabric_tag="naked"):
     tr.signals["s"] = SignalSpec("s", Protocol.FOUR_PHASE, 2)
     level = 0
     t = 0
-    for i, v in enumerate(values):
+    for v in values:
         t += 2
         if v != level:
             tr.events.append(TraceEvent(t, "s.0", level, v))
             level = v
-        tr.markers.append((t + 1, "s", i))
         tr.records.setdefault("s", []).append((v, t + 1))
     return tr
 

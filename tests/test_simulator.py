@@ -364,7 +364,7 @@ def test_producer_matches_next_code_oracle(case):
     runs = []
     for make in (_Producer, _oracles.Producer):
         drives = []
-        sim = SimpleNamespace(levels=[0] * (ack + 1), records={}, markers=[],
+        sim = SimpleNamespace(levels=[0] * (ack + 1), records={},
                               drive=lambda t, wire, level, d=drives: d.append((t, wire, level)))
         prod = make(spec, wires, values)
         if values:
@@ -374,7 +374,7 @@ def test_producer_matches_next_code_oracle(case):
             t += gap
             sim.levels[ack] ^= 1
             prod.react(sim, t, ack)
-        runs.append((drives, sim.records, sim.markers, prod.idx))
+        runs.append((drives, sim.records, prod.idx))
     assert runs[0] == runs[1]
 
 

@@ -1,8 +1,8 @@
 """The one-pass trace analyses and property checkers agree with the
 reference forms on random traces: events out of time order, events exactly
-on window bounds, empty windows, wire subsets, markers in any order, and
-gates of every protocol with 1-3 inputs, with and without an acknowledge,
-whose outputs fan out."""
+on window bounds, empty windows, wire subsets, completion times in any
+order, and gates of every protocol with 1-3 inputs, with and without an
+acknowledge, whose outputs fan out."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +14,7 @@ from qdifab.trace import GateInfo, Trace, TraceEvent
 
 from . import _oracles
 
-# Times come from a small range so that events and markers often share a tick.
+# Times come from a small range so that events and records often share a tick.
 TIMES = st.integers(min_value=-2, max_value=12)
 BITS = st.integers(min_value=0, max_value=1)
 PROTOCOLS = st.sampled_from(list(Protocol))
@@ -43,11 +43,9 @@ def traces(draw):
     tr.events = draw(st.lists(
         st.builds(TraceEvent, TIMES, st.sampled_from(wires), BITS, BITS),
         max_size=30))
-    tr.markers = draw(st.lists(
-        st.tuples(TIMES, st.sampled_from(names), st.integers(0, 6)), max_size=12))
+    # Records drawn freely: completion times in any order, also before 0.
     for name in names:
-        values = draw(st.lists(BITS, max_size=6))
-        tr.records[name] = [(v, i) for i, v in enumerate(values)]
+        tr.records[name] = draw(st.lists(st.tuples(BITS, TIMES), max_size=6))
     return tr, wires
 
 

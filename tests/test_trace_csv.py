@@ -1,9 +1,10 @@
 """The trace CSV writer matches the sort-based first version byte for byte on
-random traces, and a well-formed trace reads back to the same text.
+random traces, and a well-formed trace reads back to the same text and the
+same records.
 
-The random traces hold events and markers out of time order, many on one
-tick, markers with no record, records with no marker, repeated markers,
-bool levels, diagnostics and the deadlock flag.
+The random traces hold events and records out of time order, many on one
+tick, completion times below 0, bool levels, diagnostics and the deadlock
+flag.
 
 The reader is also fuzzed: a golden-corpus trace with one line mutated either
 reads or fails naming a line, and every ``qdifab check`` property keeps the
@@ -20,12 +21,12 @@ from hypothesis import strategies as st
 
 from qdifab.cli import PROPERTIES, main
 from qdifab.encodings import Protocol, SignalSpec
-from qdifab.trace import GateInfo, Trace, TraceEvent, TraceFormatError
+from qdifab.trace import GateInfo, Trace, TraceEvent, TraceFormatError, record_markers
 
 from . import _oracles
 from .test_golden_traces import DESIGNS, FAULTS, _trace
 
-# Times come from a small range so that events and markers often share a
+# Times come from a small range so that events and records often share a
 # tick; a well-formed trace has no time below 0.
 TIMES = st.integers(min_value=-2, max_value=8)
 WELL_FORMED_TIMES = st.integers(min_value=0, max_value=8)
@@ -50,15 +51,12 @@ def _gates(draw):
 
 @st.composite
 def traces(draw):
-    """Any trace: events, markers and records drawn apart from each other."""
+    """Any trace: events and records drawn apart from each other."""
     wires = st.sampled_from(["a.0", "a.1", "o.0", "o.1"]) | TOKENS
     levels = BITS | st.booleans()
     return Trace(
         events=draw(st.lists(st.builds(TraceEvent, TIMES, wires, levels, levels),
                              max_size=30)),
-        markers=draw(st.lists(st.tuples(TIMES, st.sampled_from(NAMES),
-                                        st.integers(min_value=0, max_value=3)),
-                              max_size=12)),
         records=draw(st.dictionaries(st.sampled_from(NAMES),
                                      st.lists(st.tuples(BITS, TIMES), max_size=4))),
         signals=_signals(draw),
@@ -72,10 +70,10 @@ def traces(draw):
 @st.composite
 def well_formed_traces(draw):
     """A trace that the reader gives back: event and record times of 0 or
-    more; per signal, markers for its first few transactions at the times
-    of their records (time -1 past the last record), and records in time
-    order; events in any order.  The gates keep the per-gate rules: one
-    protocol for every signal and gate, and one gate per output."""
+    more; per signal, no records or records drawn freely but for their
+    completion times, which do not decrease; events in any order.  The
+    gates keep the per-gate rules: one protocol for every signal and gate,
+    and one gate per output."""
     tr = draw(traces())
     proto = draw(PROTOCOLS)
     tr.signals = {n: SignalSpec(n, proto, 2) for n in NAMES}
@@ -83,14 +81,11 @@ def well_formed_traces(draw):
                 for g, out in zip(tr.gates, draw(st.permutations(NAMES)))]
     tr.events = [e._replace(time=draw(WELL_FORMED_TIMES), old=int(e.old), new=int(e.new))
                  for e in tr.events]
-    tr.markers, tr.records = [], {}
+    tr.records = {}
     for name in NAMES:
         times = sorted(draw(st.lists(WELL_FORMED_TIMES, max_size=4)))
-        tr.records[name] = [(draw(BITS), t) for t in times]
-        count = draw(st.integers(min_value=0, max_value=len(times) + 2))
-        tr.markers += [(times[i] if i < len(times) else -1, name, i) for i in range(count)]
-    # Records of one signal must come in index order, also on one tick.
-    tr.markers.sort(key=lambda m: (m[0], m[2]))
+        if times:
+            tr.records[name] = [(draw(BITS), t) for t in times]
     return tr
 
 
@@ -103,6 +98,15 @@ def test_to_csv_matches_sort_based_oracle(tr):
 def test_to_csv_reads_back_to_the_same_text(tr):
     text = tr.to_csv()
     assert Trace.from_csv(text).to_csv() == text
+
+
+@given(well_formed_traces())
+def test_records_read_back_from_csv(tr):
+    # The records are the transactions: a record with no marker is written
+    # and read back, and the markers are their view.
+    back = Trace.from_csv(tr.to_csv())
+    assert back.records == tr.records
+    assert back.markers == record_markers(tr.records)
 
 
 @functools.lru_cache(maxsize=None)
