@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .encodings import Protocol, SignalSpec
 from .mapper import MappedGate, PlbUnit
-from .netlist import NetlistError, _check, _fields, _natural, primary_signals
+from .netlist import NetlistError, _check, _fields, _natural
 from .plb import NC, LutTable, PlbConfig, WireRef, program_rules
 from .trace import GATE_USAGE, GateInfo
 
@@ -80,12 +80,6 @@ class Fabric:
     def fingerprint(self) -> str:
         """The first 16 hex digits of the sha256 of the fabric's bitstream."""
         return hashlib.sha256(write_bitstream(self).encode()).hexdigest()[:16]
-
-    def primary_inputs(self) -> List[str]:
-        return primary_signals(self.signals, self.gates)[0]
-
-    def primary_outputs(self) -> List[str]:
-        return primary_signals(self.signals, self.gates)[1]
 
 
 def reads_ack(mg: MappedGate, output: str) -> bool:

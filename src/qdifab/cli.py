@@ -4,9 +4,11 @@
 (one wire change per value, two for four-phase), ``no-early-eval`` (no gate
 output ahead of its rendez-vous), ``toggle-count`` and ``timing`` (toggles per
 transaction and completion times do not depend on the value of ``--select``,
-or else of the primary inputs), ``dpa`` (a flat difference-of-means power
-series, partitioned on ``--select``) and ``ledr-risk`` (signals whose resting
-levels reveal their value).
+or else of the primary inputs; transactions are aligned on each primary
+output, and an output that completes no transaction in some trace is an
+input error), ``dpa`` (a flat difference-of-means power series, partitioned
+on ``--select``) and ``ledr-risk`` (signals whose resting levels reveal their
+value).
 
 Exit codes are a stable contract: 0 success, 1 property violation or
 simulation diagnostic, 2 input or usage error, an unreadable or unwritable
@@ -81,7 +83,10 @@ def _parse_stimulus(text: str) -> Dict[str, List[int]]:
         if name in stim:
             raise ValueError(f"stimulus line {lineno}: signal {name!r} given twice")
         vals = stim[name] = []
-        for i, v in enumerate(filter(None, map(str.strip, values.split(",")))):
+        # No value after the colon is an empty sequence; an empty value would shift the rest.
+        for i, v in enumerate(map(str.strip, values.split(",") if values.strip() else ())):
+            if not v:
+                raise ValueError(f"stimulus line {lineno}: {name!r}: empty value at index {i}")
             try:
                 vals.append(_natural(v, "value"))
             except NetlistError:
@@ -128,7 +133,8 @@ def cmd_sim(args) -> int:
         return _fail(str(exc))
     if args.trace:
         _write(args.trace, trace.to_csv())
-    txns = sum(len(trace.records.get(s, ())) for s in fabric.primary_outputs())
+    outputs = primary_signals(fabric.signals, fabric.gates)[1]
+    txns = sum(len(trace.records.get(s, ())) for s in outputs)
     print(f"simulated to t={trace.end_time()}: {len(trace.events)} events, "
           f"{txns} output transaction(s)")
     for d in trace.diagnostics:
@@ -184,12 +190,14 @@ def _groups(paths, traces, select):
 
 def _toggle_count(paths, traces, select):
     profile = toggle_count_profile(_groups(paths, traces, select))
-    depth = min((len(v) for v in profile.values()), default=0)
-    constant = len({v[:depth] for v in profile.values()}) <= 1
-    lines, rows = [], []
-    for key, counts in sorted(profile.items(), key=lambda kv: str(kv[0])):
-        lines.append(f"value {key}: toggles per transaction {list(counts)}")
-        rows.append(f"\"{key}\",{';'.join(map(str, counts))}")
+    lines, rows, per_output = [], [], {}
+    for key, pairs in sorted(profile.items(), key=lambda kv: str(kv[0])):
+        for out, counts in pairs:
+            lines.append(f"value {key}: {out}: toggles per transaction {list(counts)}")
+            rows.append(f"\"{key}\",{out},{';'.join(map(str, counts))}")
+            per_output.setdefault(out, []).append(counts)
+    # Each output's values compare on the transactions that all of them complete.
+    constant = all(len(set(col)) == 1 for groups in per_output.values() for col in zip(*groups))
     lines.append(f"constant across values: {_status(constant)}")
     return lines, rows, not constant
 

@@ -60,7 +60,9 @@ class GateDecl:
 def primary_signals(signals: Iterable[str], gates) -> Tuple[List[str], List[str]]:
     """The boundary between a design and its environment: its primary
     inputs (driven by no gate) and primary outputs (read by no gate), each
-    in ``signals`` order.  ``gates`` need ``inputs`` and ``output``."""
+    in ``signals`` order.  ``gates`` need ``inputs`` and ``output``.  The
+    one boundary of netlists, fabrics and traces, for the simulator and the
+    side-channel analyses alike."""
     driven = {g.output for g in gates}
     read = {s for g in gates for s in g.inputs}
     return [s for s in signals if s not in driven], [s for s in signals if s not in read]

@@ -3,8 +3,10 @@
 The power proxy is the number of wire toggles per tick (a unit-weight
 Hamming-distance model); routing and transistor matching are abstracted
 into the per-wire delays of the simulation.  Transactions are aligned on
-the completion times of a boundary signal's records (``Trace.records``),
-never by re-alignment heuristics.
+the completion times of the records (``Trace.records``) of every primary
+output of the trace's design (:func:`qdifab.netlist.primary_signals` over
+``Trace.signals`` and ``Trace.gates``), never by re-alignment heuristics;
+an output that completes no transaction raises :class:`AnalysisError`.
 
 The data-independence checks mirror what the logic family promises: under
 matched (uniform) delays the toggle count per transaction, the transaction
@@ -19,6 +21,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .netlist import primary_signals
 from .trace import Trace, window_counts
 
 
@@ -30,17 +33,6 @@ class AnalysisError(ValueError):
     """Analysis preconditions not met (for instance an empty partition)."""
 
 
-def _boundary_signal(trace: Trace, signal: Optional[str]) -> str:
-    if signal is not None:
-        return signal
-    if trace.gates:
-        return trace.gates[-1].output
-    marked = min((s for s, recs in trace.records.items() if recs), default=None)
-    if marked is None:
-        raise AnalysisError("trace has no completed transactions")
-    return marked
-
-
 def _routing(trace: Trace) -> str:
     """The trace's delay model, with its seed under jitter."""
     delays = trace.meta.get("delays", "?")
@@ -48,60 +40,67 @@ def _routing(trace: Trace) -> str:
 
 
 def _check_same_fabric(traces: Iterable[Trace]) -> None:
-    """Traces compared must share a configuration (the ``fabric`` meta) and
-    a routing (the ``delays`` meta and, under jitter, the ``seed``)."""
+    """Traces compared must share a configuration (the ``fabric`` meta and
+    the primary outputs, which a trace without meta also has) and a
+    routing (the ``delays`` meta and, under jitter, the ``seed``)."""
     traces = list(traces)
     prints = {t.meta.get("fabric", "?") for t in traces}
     if len(prints) > 1:
         raise ComparisonError(f"traces from different configurations: {sorted(prints)}")
+    outputs = {tuple(primary_signals(t.signals, t.gates)[1]) for t in traces}
+    if len(outputs) > 1:
+        raise ComparisonError(f"traces with different primary outputs: {sorted(outputs)}")
     routings = set(map(_routing, traces))
     if len(routings) > 1:
         raise ComparisonError(f"traces under different delays: {sorted(routings)}")
 
 
-def toggles_per_transaction(
-    trace: Trace, boundary: Optional[str] = None, wires: Optional[Sequence[str]] = None
-) -> List[int]:
-    """Wire toggles inside each completed transaction window, in
-    completion order (:func:`qdifab.trace.window_counts`)."""
-    b = _boundary_signal(trace, boundary)
-    events = trace.events if wires is None else trace.events_for(wires)
-    return window_counts(sorted(e.time for e in events),
-                         sorted(t for _, t in trace.records.get(b, ())))
+def _output_completions(trace: Trace) -> List[Tuple[str, List[int]]]:
+    """(output, sorted completion times) of each primary output, in
+    :func:`qdifab.netlist.primary_signals` order; AnalysisError for an
+    output with no completed transaction."""
+    out = []
+    for signal in primary_signals(trace.signals, trace.gates)[1]:
+        times = sorted(t for _, t in trace.records.get(signal, ()))
+        if not times:
+            raise AnalysisError(f"primary output {signal!r} completes no transaction")
+        out.append((signal, times))
+    return out
+
+
+def toggles_per_transaction(trace: Trace, boundary: str) -> List[int]:
+    """Wire toggles inside each completed transaction window of the signal
+    ``boundary``, in completion order (:func:`qdifab.trace.window_counts`)."""
+    return window_counts(sorted(e.time for e in trace.events),
+                         sorted(t for _, t in trace.records.get(boundary, ())))
 
 
 def toggle_count_profile(
     traces_by_value: Mapping[object, Trace],
-    boundary: Optional[str] = None,
-    wires: Optional[Sequence[str]] = None,
-) -> Dict[object, Tuple[int, ...]]:
-    """Per-value toggle counts per transaction; input traces must come from
-    one configuration and one shared routing: one delay model and, under
-    jitter, one seed."""
+) -> Dict[object, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
+    """Per value, one (output, toggle counts per transaction) pair per
+    primary output; input traces must come from one configuration and one
+    shared routing: one delay model and, under jitter, one seed."""
     _check_same_fabric(traces_by_value.values())
-    return {
-        value: tuple(toggles_per_transaction(tr, boundary, wires))
-        for value, tr in traces_by_value.items()
-    }
-
-
-def timing_spread(
-    traces_by_value: Mapping[object, Trace], boundary: Optional[str] = None
-) -> int:
-    """max - min of transaction completion times across the value groups."""
-    _check_same_fabric(traces_by_value.values())
-    per_group: Dict[object, List[int]] = {}
+    profile = {}
     for value, tr in traces_by_value.items():
-        b = _boundary_signal(tr, boundary)
-        per_group[value] = sorted(t for _, t in tr.records.get(b, ()))
-    if not per_group:
-        return 0
-    depth = min(len(v) for v in per_group.values())
-    spread = 0
-    for k in range(depth):
-        times = [v[k] for v in per_group.values()]
-        spread = max(spread, max(times) - min(times))
-    return spread
+        times = sorted(e.time for e in tr.events)
+        profile[value] = tuple((signal, tuple(window_counts(times, ends)))
+                               for signal, ends in _output_completions(tr))
+    return profile
+
+
+def timing_spread(traces_by_value: Mapping[object, Trace]) -> int:
+    """max - min of transaction completion times across the value groups,
+    the largest over every primary output and transaction index that every
+    group completes."""
+    _check_same_fabric(traces_by_value.values())
+    per_output: Dict[str, List[List[int]]] = {}
+    for tr in traces_by_value.values():
+        for signal, times in _output_completions(tr):
+            per_output.setdefault(signal, []).append(times)
+    return max((max(ts) - min(ts) for groups in per_output.values() for ts in zip(*groups)),
+               default=0)
 
 
 def power_series(trace: Trace, length: Optional[int] = None) -> List[int]:
@@ -115,23 +114,19 @@ def power_series(trace: Trace, length: Optional[int] = None) -> List[int]:
     return series
 
 
-def dpa_difference_of_means(
-    traces: Sequence[Trace], signal: str, txn_index: int = 0
-) -> List[float]:
+def dpa_difference_of_means(traces: Sequence[Trace], signal: str) -> List[float]:
     """Mean power series of the value-1 partition minus the value-0 one.
 
-    Traces are partitioned on the decoded value of ``signal`` in
-    transaction ``txn_index``; both partitions need at least one trace.
+    Traces are partitioned on the decoded value of ``signal`` in its first
+    transaction; both partitions need at least one trace.
     """
     _check_same_fabric(traces)
     parts: Dict[int, List[Trace]] = {0: [], 1: []}
     for tr in traces:
         values = tr.values_of(signal)
-        if txn_index >= len(values):
-            raise AnalysisError(
-                f"trace has no transaction {txn_index} on {signal}"
-            )
-        parts[1 if values[txn_index] else 0].append(tr)
+        if not values:
+            raise AnalysisError(f"trace has no transaction 0 on {signal}")
+        parts[1 if values[0] else 0].append(tr)
     if not parts[0] or not parts[1]:
         raise AnalysisError("a selection partition is empty")
     horizon = max(tr.end_time() for tr in traces)

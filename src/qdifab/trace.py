@@ -12,7 +12,7 @@ transaction pairs; blank lines and whitespace around a line are ignored::
 
     # signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<name>.0,<name>.1,...
     # gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> ack=<0|1>
-    # meta <key>=<value>                   (fabric, delays, seed; see below)
+    # meta <key>=<value> ...               (fabric, delays, seed; see below)
     # diagnostic <text>                    (text "deadlock" sets the flag)
     # transaction <signal> <index>         (a pair: the record line comes next,
     # record <signal> <index> <value> <time>  blank lines aside)
@@ -47,6 +47,7 @@ The simulator writes three meta keys: ``delays`` (``uniform`` or
 identity: the first 16 hex digits of the sha256 of its bitstream
 (:meth:`qdifab.bitstream.Fabric.fingerprint`).  Traces compared by the
 side-channel analyses must agree on all three (``seed`` under jitter only).
+A meta line holds ``key=value`` fields, and a key is given once in the file.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ GATE_USAGE = "# gate <name> proto=<4ph|ledr|edge> in=<signal>,... out=<signal> a
 _USAGE = {
     "signal": "# signal <name> proto=<4ph|ledr|edge> arity=<int> wires=<name>.0,<name>.1,...",
     "gate": GATE_USAGE,
-    "meta": "# meta <key>=<value>",
+    "meta": "# meta <key>=<value> ...",
     "transaction": "# transaction <signal> <index>",
 }
 
@@ -228,8 +229,11 @@ class Trace:
                     tr.gates.append(GateInfo.from_header(toks))
                     gate_lines.append(lineno)
                 elif tag == "meta":
-                    k, v = toks[1].split("=", 1)
-                    tr.meta[k] = v
+                    # One field at least; a key once in the file.
+                    for k, v in _fields([toks[1], *toks[2:]], lineno).items():
+                        if k in tr.meta:
+                            raise TraceFormatError(lineno, f"{k}= given twice")
+                        tr.meta[k] = v
                 elif tag == "diagnostic":
                     text_d = " ".join(toks[1:])
                     if text_d == "deadlock":

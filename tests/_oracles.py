@@ -228,19 +228,13 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
 # -- trace analyses, window by window ------------------------------------------
 
 
-def toggles_per_transaction(
-    trace: Trace, boundary: str, wires: Optional[Sequence[str]] = None
-) -> List[int]:
+def toggles_per_transaction(trace: Trace, boundary: str) -> List[int]:
     """Wire toggles inside each window between successive completion times
     of ``boundary``, the first window opening at -1."""
-    wset = set(wires) if wires is not None else None
     counts = []
     prev = -1
     for hi in sorted(t for _, t in trace.records.get(boundary, ())):
-        counts.append(sum(
-            1 for e in trace.events
-            if prev < e.time <= hi and (wset is None or e.wire in wset)
-        ))
+        counts.append(sum(1 for e in trace.events if prev < e.time <= hi))
         prev = hi
     return counts
 

@@ -21,7 +21,7 @@ from qdifab.bitstream import (
     read_bitstream,
     write_bitstream,
 )
-from qdifab.cli import PROPERTIES, main
+from qdifab.cli import PROPERTIES, _parse_stimulus, main
 from qdifab.mapper import map_4ph_2in
 from qdifab.netlist import parse_netlist
 from qdifab.simulator import fabric_from_netlist, run
@@ -324,6 +324,23 @@ def test_sim_stimulus_value_other_than_ascii_digits_exits_2(files, capsys, value
                                        "is not an integer of 0 or more\n")
 
 
+@pytest.mark.parametrize("values, index", [("1,,0", 1), ("1, ,0", 1), (",1", 0), ("1,0,", 2)])
+def test_sim_empty_stimulus_value_exits_2(files, capsys, values, index):
+    # An empty value would shift every later value of the input by one.
+    tmp, net, _ = files
+    bit, stim = tmp / "d.bit", tmp / "bad.stim"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    stim.write_text(f"a: 1,0,1\nb: {values}\n")
+    capsys.readouterr()
+    assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: stimulus line 2: 'b': empty value at index {index}\n"
+
+
+def test_stimulus_line_without_values_is_empty():
+    assert _parse_stimulus("a: 1, 0\nb:\nc:  # none\n") == {"a": [1, 0], "b": [], "c": []}
+
+
 @pytest.mark.parametrize("seed", ["+3", "\u0663", "-1", ""])
 def test_sim_jitter_seed_other_than_ascii_digits_exits_2(files, capsys, seed):
     tmp, net, stim = files
@@ -612,6 +629,8 @@ time,wire,old,new
     "# record o 0 2 5",  # o is binary
     "# gate h proto=4ph in=x out=o ack=2",
     "# signal y proto=4ph arity=2 wires=y.0,y.1 proto=edge",
+    "# meta seed=1 junk",
+    "# meta seed=1 seed=2",
 ], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
         "gate-undeclared-input", "signal-twice", "meta-no-value", "row-3-fields",
         "row-5-fields", "row-wire-space", "row-time", "row-no-wire",
@@ -621,7 +640,7 @@ time,wire,old,new
         "row-time-underscore", "row-time-sign", "row-time-spaces", "row-time-non-ascii",
         "transaction-below-0", "record-index-sign", "record-value-underscore",
         "record-time-underscore", "record-time-non-ascii", "record-value-not-below-arity",
-        "gate-ack-2", "signal-key-twice"])
+        "gate-ack-2", "signal-key-twice", "meta-token-without-equals", "meta-key-twice"])
 def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     good = tmp_path / "good.csv"
     good.write_text(GOOD_TRACE)
@@ -631,6 +650,17 @@ def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     capsys.readouterr()
     assert main(["check", str(good), str(bad), "--property", "no-early-eval"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: line 7: ")
+
+
+def test_meta_lines_read_by_the_field_rule():
+    # The comparisons refuse mixed traces by their meta keys, so a key
+    # is given once in the file and every token is key=value.
+    text = "# meta seed=1\n# meta delays=jitter fabric=ab\n"
+    assert Trace.from_csv(text).meta == {"seed": "1", "delays": "jitter", "fabric": "ab"}
+    with pytest.raises(TraceFormatError, match="^line 3: seed= given twice$"):
+        Trace.from_csv(text + "# meta seed=2\n")
+    with pytest.raises(TraceFormatError, match="^line 1: expected key=value, got 'junk'$"):
+        Trace.from_csv("# meta seed=1 junk\n")
 
 
 def test_trace_markers_and_records_in_any_line_order():

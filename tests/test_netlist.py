@@ -10,8 +10,9 @@ from qdifab.netlist import (
     gate_function,
     map_netlist,
     parse_netlist,
+    primary_signals,
 )
-from qdifab.simulator import fabric_from_netlist
+from qdifab.simulator import fabric_from_netlist, run
 
 
 def test_parse_minimal():
@@ -46,8 +47,10 @@ def test_netlist_and_fabric_share_one_boundary():
         + "gate g3 fn=8 in=p,d out=r\n"
     )
     fabric = fabric_from_netlist(net)
-    assert net.primary_inputs() == fabric.primary_inputs() == ["a", "b", "c", "d"]
-    assert net.primary_outputs() == fabric.primary_outputs() == ["q", "r"]
+    boundary = (["a", "b", "c", "d"], ["q", "r"])
+    assert (net.primary_inputs(), net.primary_outputs()) == boundary
+    for design in (net, fabric, run(fabric, dict.fromkeys("abcd", [1]))):
+        assert primary_signals(design.signals, design.gates) == boundary
 
 
 def test_parse_error_carries_line():

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import itertools
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdifab.cli import PROPERTIES
+from qdifab.cli import PROPERTIES, main
 from qdifab.encodings import Protocol, SignalSpec
 from qdifab.netlist import parse_netlist
 from qdifab.sidechannel import (
@@ -14,8 +20,10 @@ from qdifab.sidechannel import (
     toggle_count_profile,
     toggles_per_transaction,
 )
-from qdifab.simulator import DelayModel, fabric_from_netlist, run
+from qdifab.simulator import DelayModel, check_single_toggle, fabric_from_netlist, run
 from qdifab.trace import Trace, TraceEvent
+
+from .test_check_output import FANOUT_NET
 
 AND_NET = """
 signal x proto=4ph arity=2
@@ -46,24 +54,30 @@ def traces_per_value(src, repeat=2):
 
 
 def test_4ph_output_toggles_twice_per_transaction_either_value():
+    # check_single_toggle holds each four-phase transaction to two output
+    # wire changes, the valid rise and the NULL return.
     f = fab(AND_NET)
     for vx, vy in itertools.product(range(2), repeat=2):
         tr = run(f, {"x": [vx, vx], "y": [vy, vy]})
-        counts = toggles_per_transaction(tr, wires=("o.0", "o.1"))
-        assert counts == [2, 2]
+        assert len(tr.records["o"]) == 2
+        assert check_single_toggle(tr)["o"] == (True, "ok")
 
 
 def test_ledr_output_toggles_once_per_transaction():
     f = fab(LEDR_AND_NET)
     for vx, vy in itertools.product(range(2), repeat=2):
         tr = run(f, {"x": [vx, vx], "y": [vy, vy]})
-        counts = toggles_per_transaction(tr, wires=("o.0", "o.1"))
-        assert counts == [1, 1]
+        assert len(tr.records["o"]) == 2
+        assert check_single_toggle(tr)["o"] == (True, "ok")
 
 
 def test_empty_trace_zero_counts():
     tr = run(fab(AND_NET), {"x": [], "y": []})
-    assert toggles_per_transaction(tr) == []
+    assert toggles_per_transaction(tr, "o") == []
+    # An output with no completed transaction has nothing to compare.
+    for analysis in (toggle_count_profile, timing_spread):
+        with pytest.raises(AnalysisError, match="^primary output 'o' completes no transaction$"):
+            analysis({"only": tr})
 
 
 def test_toggle_profile_constant_across_values():
@@ -76,6 +90,14 @@ def test_toggle_profile_rejects_mixed_configs():
     t2 = run(fab(LEDR_AND_NET), {"x": [1], "y": [1]})
     with pytest.raises(ComparisonError):
         toggle_count_profile({"a": t1, "b": t2})
+    # Without meta, the primary outputs still tell two designs apart.
+    t3 = run(fab(AND_NET.replace(" o ", " p ").replace("out=o", "out=p")), {"x": [1], "y": [0]})
+    for tr in (t1, t3):
+        tr.meta.clear()
+    for analysis in (toggle_count_profile, timing_spread):
+        with pytest.raises(ComparisonError, match=r"^traces with different primary outputs: "
+                                                  r"\[\('o',\), \('p',\)\]$"):
+            analysis({"a": t1, "b": t3})
 
 
 def test_timing_spread_zero_under_uniform_delays():
@@ -168,9 +190,125 @@ def test_check_path_verdicts_on_matched_traces():
     traces = list(traces_per_value(AND_NET).values())
     f = fab(AND_NET)
     dpa_traces = [run(f, {"x": [vx, vx], "y": [1, 1]}) for vx in (0, 1, 0, 1)]
-    lines, _, failed = PROPERTIES["toggle-count"]([], traces, None)
+    paths = [f"t{i}.csv" for i in range(len(traces))]
+    lines, rows, failed = PROPERTIES["toggle-count"](paths, traces, None)
     assert not failed and lines[-1] == "constant across values: pass"
-    lines, _, failed = PROPERTIES["timing"]([], traces, None)
+    # One row per value, each naming the output.
+    assert len(rows) == 4 and all(r.endswith(")\",o,9;10") for r in rows)
+    lines, _, failed = PROPERTIES["timing"](paths, traces, None)
     assert not failed and lines == ["timing spread: 0 tick(s): pass"]
-    _, rows, failed = PROPERTIES["dpa"]([], dpa_traces, "x")
+    _, rows, failed = PROPERTIES["dpa"](paths, dpa_traces, "x")
     assert not failed and rows[0] == "tick,difference"
+
+
+# Two gates in a chain; listed in reverse, the last gate's output is the
+# internal signal a, not the primary output o.
+CHAIN_NET = (
+    "".join(f"signal {n} proto=4ph arity=2\n" for n in "xyzao")
+    + "gate g1 fn=8 in=x,y out=a\n"
+    + "gate g2 fn=6 in=a,z out=o\n"
+)
+CHAIN_STIMULI = ("x: 0,1,1\ny: 1,1,0\nz: 0,0,1\n", "x: 1,1,1\ny: 1,1,0\nz: 1,0,1\n")
+
+# A DAG with two primary outputs, q and r; p fans out to both.
+TWO_OUTPUT_NET = (
+    "".join(f"signal {n} proto=4ph arity=2\n" for n in "abcdpqr")
+    + "gate g1 fn=6 in=a,b out=p\n"
+    + "gate g2 fn=e8 in=p,b,c out=q\n"
+    + "gate g3 fn=8 in=p,d out=r\n"
+)
+
+
+def _split_gates(net):
+    """(signal lines, gate lines) of ``net``."""
+    lines = net.splitlines(keepends=True)
+    gates = [ln for ln in lines if ln.startswith("gate ")]
+    return [ln for ln in lines if ln not in gates], gates
+
+
+def _cli_verdicts(net, stimuli, delays):
+    """``qdifab map`` of ``net``, ``sim --delays <delays>`` of each stimulus,
+    then ``check`` of toggle-count and timing over the traces, in a fresh
+    directory:
+    {property: (exit code, stdout, stderr, report or None)}."""
+    verdicts = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tmp = Path(tmp)
+        (tmp / "d.net").write_text(net)
+        assert main(["map", str(tmp / "d.net"), "-o", str(tmp / "d.bit")]) == 0
+        traces = []
+        for i, stim in enumerate(stimuli):
+            (tmp / f"{i}.stim").write_text(stim)
+            traces.append(str(tmp / f"{i}.csv"))
+            main(["sim", str(tmp / "d.bit"), "--stimulus", str(tmp / f"{i}.stim"),
+                  "--delays", delays, "--trace", traces[-1]])
+        for prop in ("toggle-count", "timing"):
+            report = tmp / f"{prop}.report"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["check", *traces, "--property", prop, "--report", str(report)])
+            verdicts[prop] = (rc, out.getvalue(), err.getvalue(),
+                              report.read_text() if report.exists() else None)
+    return verdicts
+
+
+def test_both_gate_orders_judge_the_primary_output():
+    signals, gates = _split_gates(CHAIN_NET)
+    listed = _cli_verdicts(CHAIN_NET, CHAIN_STIMULI, "jitter:3")
+    assert _cli_verdicts("".join(signals + gates[::-1]), CHAIN_STIMULI, "jitter:3") == listed
+    assert listed["toggle-count"][:3] == (1, (
+        "value (('x', (0, 1, 1)), ('y', (1, 1, 0)), ('z', (0, 0, 1))): o: "
+        "toggles per transaction [17, 19, 11]\n"
+        "value (('x', (1, 1, 1)), ('y', (1, 1, 0)), ('z', (1, 0, 1))): o: "
+        "toggles per transaction [16, 20, 11]\n"
+        "constant across values: FAIL\n"), "")
+    assert listed["timing"] == (1, "timing spread: 3 tick(s): FAIL\n", "", "spread,3\n")
+
+
+def test_two_output_design_is_judged_on_both_outputs():
+    # Under jitter:16 these two values of c leave r's toggle counts and
+    # completion times equal; only q shows that c is not hidden.
+    base = "a: 0,1,1\nb: 1,1,0\nd: 1,0,1\n"
+    verdicts = _cli_verdicts(TWO_OUTPUT_NET, (base + "c: 0,1,1\n", base + "c: 1,0,1\n"),
+                             "jitter:16")
+    rc, out, err, report = verdicts["toggle-count"]
+    assert (rc, err) == (1, "")
+    rows = [row.rsplit(",", 2)[1:] for row in report.splitlines()]
+    assert rows == [["q", "25;28;27"], ["r", "25;26;29"], ["q", "25;26;29"], ["r", "25;26;29"]]
+    assert out.count(": q: toggles per transaction") == out.count(": r: toggles") == 2
+    assert verdicts["timing"] == (1, "timing spread: 1 tick(s): FAIL\n", "", "spread,1\n")
+
+
+def test_output_without_transaction_exits_2(tmp_path, capsys):
+    # The second trace loses o's records: its output completes nothing, so
+    # there is nothing to compare, not an empty comparison that passes.
+    paths = []
+    for vx in (0, 1):
+        tr = run(fab(AND_NET), {"x": [vx], "y": [1]})
+        if vx:
+            del tr.records["o"]
+        paths.append(tmp_path / f"{vx}.csv")
+        paths[-1].write_text(tr.to_csv())
+    for prop in ("toggle-count", "timing"):
+        assert main(["check", *map(str, paths), "--property", prop]) == 2
+        assert capsys.readouterr() == ("", "error: primary output 'o' completes no transaction\n")
+
+
+PERMUTED_DESIGNS = {"fanout": FANOUT_NET, "chain": CHAIN_NET, "two-output": TWO_OUTPUT_NET}
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_gate_order_leaves_side_channel_verdicts_unchanged(data):
+    # The verdicts are made on the design's boundary, which the order of
+    # its gate lines does not move.
+    net = PERMUTED_DESIGNS[data.draw(st.sampled_from(sorted(PERMUTED_DESIGNS)))]
+    signals, gates = _split_gates(net)
+    permuted = "".join(signals + data.draw(st.permutations(gates)))
+    inputs = parse_netlist(net).primary_inputs()
+    stimulus = st.tuples(*[st.lists(st.integers(0, 1), min_size=3, max_size=3)
+                           .map(lambda vs, s=s: f"{s}: {','.join(map(str, vs))}\n")
+                           for s in inputs]).map("".join)
+    stimuli = data.draw(st.lists(stimulus, min_size=2, max_size=3, unique=True))
+    delays = data.draw(st.just("uniform") | st.integers(0, 20).map("jitter:{}".format))
+    assert _cli_verdicts(permuted, stimuli, delays) == _cli_verdicts(net, stimuli, delays)

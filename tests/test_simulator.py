@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qdifab.encodings import Protocol, SignalSpec
 from qdifab.mapper import MappedGate, PlbUnit
-from qdifab.netlist import parse_netlist
+from qdifab.netlist import parse_netlist, primary_signals
 from qdifab.plb import LutTable, PlbConfig, WireRef
 from qdifab.simulator import (
     DelayModel,
@@ -153,7 +153,7 @@ def test_finished_run_is_freed_by_reference_counting(net):
     # Elements hold wire indexes and none holds the run, so dropping the
     # run frees every producer, consumer and block instance at once.
     fabric = fab(net)
-    stimulus = {s: [1, 0, 1] for s in fabric.primary_inputs()}
+    stimulus = {s: [1, 0, 1] for s in primary_signals(fabric.signals, fabric.gates)[0]}
     gc.disable()
     try:
         sim = Simulation(fabric, None, stimulus)

@@ -1,14 +1,21 @@
 """The one-pass trace analyses and property checkers agree with the
 reference forms on random traces: events out of time order, events exactly
-on window bounds, empty windows, wire subsets, completion times in any
-order, and gates of every protocol with 1-3 inputs, with and without an
-acknowledge, whose outputs fan out."""
+on window bounds, empty windows, completion times in any order, and gates
+of every protocol with 1-3 inputs, with and without an acknowledge, whose
+outputs fan out."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdifab.encodings import Protocol, SignalSpec
-from qdifab.sidechannel import level_value_correlation, toggles_per_transaction
+from qdifab.netlist import primary_signals
+from qdifab.sidechannel import (
+    AnalysisError,
+    level_value_correlation,
+    toggle_count_profile,
+    toggles_per_transaction,
+)
 from qdifab.simulator import check_no_early_evaluation, check_single_toggle
 from qdifab.trace import GateInfo, Trace, TraceEvent
 
@@ -46,17 +53,22 @@ def traces(draw):
     # Records drawn freely: completion times in any order, also before 0.
     for name in names:
         tr.records[name] = draw(st.lists(st.tuples(BITS, TIMES), max_size=6))
-    return tr, wires
+    return tr
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_one_pass_analyses_match_quadratic_oracles(data):
-    tr, wires = data.draw(traces())
-    subset = data.draw(st.none() | st.lists(st.sampled_from(wires), unique=True))
+@given(tr=traces())
+def test_one_pass_analyses_match_quadratic_oracles(tr):
     for name in tr.signals:
-        assert toggles_per_transaction(tr, name, subset) == \
-            _oracles.toggles_per_transaction(tr, name, subset)
+        assert toggles_per_transaction(tr, name) == _oracles.toggles_per_transaction(tr, name)
+    # The profile windows one event-time list on every primary output.
+    outputs = primary_signals(tr.signals, tr.gates)[1]
+    if all(tr.records[s] for s in outputs):
+        assert toggle_count_profile({0: tr}) == {0: tuple(
+            (s, tuple(_oracles.toggles_per_transaction(tr, s))) for s in outputs)}
+    else:
+        with pytest.raises(AnalysisError):
+            toggle_count_profile({0: tr})
         assert level_value_correlation(tr, name) == \
             _oracles.level_value_correlation(tr, name)
     assert check_single_toggle(tr) == _oracles.single_toggle_verdicts(tr)
@@ -64,8 +76,7 @@ def test_one_pass_analyses_match_quadratic_oracles(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_no_early_evaluation_matches_oracle(data):
-    tr, _ = data.draw(traces())
+@given(tr=traces())
+def test_no_early_evaluation_matches_oracle(tr):
     # The verdict and every violation, in order.
     assert check_no_early_evaluation(tr) == _oracles.check_no_early_evaluation(tr)
