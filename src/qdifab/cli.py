@@ -31,6 +31,7 @@ from .sidechannel import (
     dpa_difference_of_means,
     level_value_correlation,
     timing_spread,
+    toggle_count_constant,
     toggle_count_profile,
 )
 from .simulator import (
@@ -190,14 +191,12 @@ def _groups(paths, traces, select):
 
 def _toggle_count(paths, traces, select):
     profile = toggle_count_profile(_groups(paths, traces, select))
-    lines, rows, per_output = [], [], {}
+    lines, rows = [], []
     for key, pairs in sorted(profile.items(), key=lambda kv: str(kv[0])):
         for out, counts in pairs:
             lines.append(f"value {key}: {out}: toggles per transaction {list(counts)}")
             rows.append(f"\"{key}\",{out},{';'.join(map(str, counts))}")
-            per_output.setdefault(out, []).append(counts)
-    # Each output's values compare on the transactions that all of them complete.
-    constant = all(len(set(col)) == 1 for groups in per_output.values() for col in zip(*groups))
+    constant = toggle_count_constant(profile)
     lines.append(f"constant across values: {_status(constant)}")
     return lines, rows, not constant
 

@@ -90,17 +90,27 @@ def toggle_count_profile(
     return profile
 
 
+def _aligned(per_value: Iterable[Iterable[Tuple[str, Sequence[int]]]]) -> List[tuple]:
+    """The values' (output, per-transaction quantities) pairs, as one column
+    per primary output and transaction index that every value completes."""
+    per_output: Dict[str, List[Sequence[int]]] = {}
+    for pairs in per_value:
+        for signal, xs in pairs:
+            per_output.setdefault(signal, []).append(xs)
+    return [col for groups in per_output.values() for col in zip(*groups)]
+
+
+def toggle_count_constant(profile: Mapping[object, Iterable[Tuple[str, Sequence[int]]]]) -> bool:
+    """Whether each column of a :func:`toggle_count_profile` holds one count."""
+    return all(len(set(col)) == 1 for col in _aligned(profile.values()))
+
+
 def timing_spread(traces_by_value: Mapping[object, Trace]) -> int:
     """max - min of transaction completion times across the value groups,
-    the largest over every primary output and transaction index that every
-    group completes."""
+    the largest over the columns of every primary output."""
     _check_same_fabric(traces_by_value.values())
-    per_output: Dict[str, List[List[int]]] = {}
-    for tr in traces_by_value.values():
-        for signal, times in _output_completions(tr):
-            per_output.setdefault(signal, []).append(times)
-    return max((max(ts) - min(ts) for groups in per_output.values() for ts in zip(*groups)),
-               default=0)
+    cols = _aligned(map(_output_completions, traces_by_value.values()))
+    return max((max(ts) - min(ts) for ts in cols), default=0)
 
 
 def power_series(trace: Trace, length: Optional[int] = None) -> List[int]:
@@ -169,10 +179,7 @@ def level_value_correlation(trace: Trace, signal: str) -> float:
     samples = _levels_at_completions(trace, signal)
     if len({v for v, _ in samples}) < 2:
         return 0.0
-    width = len(samples[0][1])
-    for w in range(width):
-        if all(lv[w] == v for v, lv in samples):
-            return 1.0
-        if all(lv[w] == (v ^ 1) for v, lv in samples):
+    for w in range(len(samples[0][1])):
+        if all(lv[w] == v for v, lv in samples) or all(lv[w] == v ^ 1 for v, lv in samples):
             return 1.0
     return 0.0

@@ -229,8 +229,9 @@ class Trace:
                     tr.gates.append(GateInfo.from_header(toks))
                     gate_lines.append(lineno)
                 elif tag == "meta":
-                    # One field at least; a key once in the file.
-                    for k, v in _fields([toks[1], *toks[2:]], lineno).items():
+                    if len(toks) < 2:
+                        raise TraceFormatError(lineno, f"expected '{_USAGE[tag]}'")
+                    for k, v in _fields(toks[1:], lineno).items():
                         if k in tr.meta:
                             raise TraceFormatError(lineno, f"{k}= given twice")
                         tr.meta[k] = v

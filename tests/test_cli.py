@@ -631,6 +631,7 @@ time,wire,old,new
     "# signal y proto=4ph arity=2 wires=y.0,y.1 proto=edge",
     "# meta seed=1 junk",
     "# meta seed=1 seed=2",
+    "# meta",
 ], ids=["signal-no-arity", "signal-bad-proto", "record-short", "transaction-index",
         "gate-undeclared-input", "signal-twice", "meta-no-value", "row-3-fields",
         "row-5-fields", "row-wire-space", "row-time", "row-no-wire",
@@ -640,7 +641,8 @@ time,wire,old,new
         "row-time-underscore", "row-time-sign", "row-time-spaces", "row-time-non-ascii",
         "transaction-below-0", "record-index-sign", "record-value-underscore",
         "record-time-underscore", "record-time-non-ascii", "record-value-not-below-arity",
-        "gate-ack-2", "signal-key-twice", "meta-token-without-equals", "meta-key-twice"])
+        "gate-ack-2", "signal-key-twice", "meta-token-without-equals", "meta-key-twice",
+         "meta-no-field"])
 def test_check_malformed_trace_exits_2_naming_line(tmp_path, capsys, bad_line):
     good = tmp_path / "good.csv"
     good.write_text(GOOD_TRACE)

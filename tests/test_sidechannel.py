@@ -17,6 +17,7 @@ from qdifab.sidechannel import (
     dpa_difference_of_means,
     level_value_correlation,
     timing_spread,
+    toggle_count_constant,
     toggle_count_profile,
     toggles_per_transaction,
 )
@@ -83,6 +84,19 @@ def test_empty_trace_zero_counts():
 def test_toggle_profile_constant_across_values():
     profile = toggle_count_profile(traces_per_value(AND_NET))
     assert len(set(profile.values())) == 1
+    assert toggle_count_constant(profile)
+
+
+def test_toggle_count_constant_per_output_on_shared_transactions():
+    # Each output compares across values on the transactions that all of
+    # them complete; a count on another output or index is no witness.
+    assert toggle_count_constant({0: (("q", (4, 4)), ("r", (6,))),
+                                  1: (("q", (4,)), ("r", (6, 2)))})
+    assert not toggle_count_constant({0: (("q", (4, 4)), ("r", (6,))),
+                                      1: (("q", (4, 5)), ("r", (6,)))})
+    assert not toggle_count_constant({0: (("q", (4,)), ("r", (6,))),
+                                      1: (("q", (4,)), ("r", (4,)))})
+    assert toggle_count_constant({})
 
 
 def test_toggle_profile_rejects_mixed_configs():
