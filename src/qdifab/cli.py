@@ -13,13 +13,20 @@ value).
 Exit codes are a stable contract: 0 success, 1 property violation or
 simulation diagnostic, 2 input or usage error, an unreadable or unwritable
 file included.  ``--delays jitter`` is ``jitter:0``.
+
+``check`` reads each trace with the cyclic garbage collector paused.
+Reading builds no reference cycle, but every event is a tuple subclass,
+which the collector keeps tracking, so a long trace would set off many
+collections that free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from .bitstream import BitstreamError, read_bitstream, write_bitstream
@@ -28,6 +35,7 @@ from .netlist import NetlistError, _natural, parse_netlist, primary_signals
 from .sidechannel import (
     AnalysisError,
     ComparisonError,
+    _output_completions,
     dpa_difference_of_means,
     level_value_correlation,
     timing_spread,
@@ -50,6 +58,20 @@ OK, VIOLATION, USAGE = 0, 1, 2
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return USAGE
+
+
+@contextmanager
+def _collector_paused():
+    """Disables the cyclic garbage collector inside, and on every way out
+    leaves it as it was found.  Collector policy belongs to the process
+    owner, so only the CLI sets it: library code never pauses it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _warn(message, *_) -> None:
@@ -173,9 +195,14 @@ def _no_early_eval(paths, traces, select):
 
 def _groups(paths, traces, select):
     """The trace per value of ``select``, or else of the primary inputs;
-    AnalysisError if two traces carry the same value."""
+    AnalysisError, naming the path, if two traces carry the same value or
+    a primary output of a trace completes no transaction."""
     groups, path_of = {}, {}
     for path, tr in zip(paths, traces):
+        try:
+            _output_completions(tr)
+        except AnalysisError as exc:
+            raise AnalysisError(f"{path}: {exc}") from None
         if select:
             key = tuple(tr.values_of(select))
         else:
@@ -241,7 +268,7 @@ def cmd_check(args) -> int:
     traces = []
     for path in args.traces:
         try:
-            with open(path) as fh:
+            with open(path) as fh, _collector_paused():
                 traces.append(Trace.from_csv(fh.read()))
         except ValueError as exc:  # TraceFormatError names the line
             return _fail(f"{path}: {exc}")

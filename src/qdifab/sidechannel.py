@@ -18,7 +18,7 @@ level-encoded two-phase code.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .netlist import primary_signals
@@ -71,7 +71,7 @@ def _output_completions(trace: Trace) -> List[Tuple[str, List[int]]]:
 def toggles_per_transaction(trace: Trace, boundary: str) -> List[int]:
     """Wire toggles inside each completed transaction window of the signal
     ``boundary``, in completion order (:func:`qdifab.trace.window_counts`)."""
-    return window_counts(sorted(e.time for e in trace.events),
+    return window_counts(sorted(e[0] for e in trace.events),
                          sorted(t for _, t in trace.records.get(boundary, ())))
 
 
@@ -84,7 +84,7 @@ def toggle_count_profile(
     _check_same_fabric(traces_by_value.values())
     profile = {}
     for value, tr in traces_by_value.items():
-        times = sorted(e.time for e in tr.events)
+        times = sorted(e[0] for e in tr.events)
         profile[value] = tuple((signal, tuple(window_counts(times, ends)))
                                for signal, ends in _output_completions(tr))
     return profile
@@ -118,7 +118,7 @@ def power_series(trace: Trace, length: Optional[int] = None) -> List[int]:
     end = trace.end_time() if length is None else length
     series = [0] * (end + 1)
     for e in trace.events:
-        t = e.time
+        t = e[0]
         if t <= end:
             series[t] += 1
     return series
@@ -157,13 +157,13 @@ def _levels_at_completions(trace: Trace, signal: str) -> List[Tuple[int, Tuple[i
     completion order."""
     wires = trace.signals[signal].wire_names()
     levels = dict.fromkeys(wires, 0)
-    evs = sorted((e for e in trace.events if e.wire in levels), key=attrgetter("time"))
+    evs = sorted((e for e in trace.events if e[1] in levels), key=itemgetter(0))
     recs = trace.records.get(signal, ())
     out = []
     k = 0
     for t, _, value in sorted((t, i, v) for i, (v, t) in enumerate(recs)):
-        while k < len(evs) and evs[k].time <= t:
-            levels[evs[k].wire] = evs[k].new
+        while k < len(evs) and evs[k][0] <= t:
+            levels[evs[k][1]] = evs[k][3]
             k += 1
         out.append((value, tuple(levels[w] for w in wires)))
     return out

@@ -130,16 +130,12 @@ class Trace:
     deadlock: bool = False
     meta: Dict[str, str] = field(default_factory=dict)
 
-    def events_for(self, wires: Tuple[str, ...]) -> List[TraceEvent]:
-        wset = set(wires)
-        return [e for e in self.events if e.wire in wset]
-
     def values_of(self, signal: str) -> List[int]:
         return [v for v, _ in self.records.get(signal, [])]
 
     def end_time(self) -> int:
         """The time of the last event or the latest completion, or 0."""
-        last = self.events[-1].time if self.events else 0
+        last = self.events[-1][0] if self.events else 0
         return max(last, 0, *(max(map(_completion, recs))
                               for recs in self.records.values() if recs))
 
@@ -369,7 +365,7 @@ def _raise_bad_event_row(text: str) -> None:
         if line[:1] == "#" or not line or line == _COLUMNS:
             continue
         try:
-            t = _parse_events([line])[0].time
+            t = _parse_events([line])[0][0]
         except ValueError:
             raise TraceFormatError(
                 lineno, f"expected an event row '{_COLUMNS}' of integer of 0 or "

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import io
 import os
 import re
@@ -566,6 +567,43 @@ def test_check_missing_property_flag_usage_error(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", *paths])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_check_leaves_the_collector_as_it_found_it(files, capsys, enabled):
+    # check reads each trace with the cyclic collector paused; every way
+    # out of the command, a trace error raised inside the pause included,
+    # leaves the collector as it was, and the output is unchanged.
+    tmp, net, _ = files
+    paths = _trace_files(tmp, net, count=2)
+    late = tmp / "late.csv"  # every record and event 3 ticks late
+    with open(paths[1]) as fh:
+        late.write_text("".join(_shift_times(ln, 3) + "\n" for ln in fh.read().splitlines()))
+    bad = tmp / "bad.csv"
+    bad.write_text(GOOD_TRACE + "3,x.1,1\n")
+    missing = tmp / "missing.csv"
+    timing = ["--property", "timing"]
+    ways_out = [
+        ([*paths, *timing], 0, "timing spread: 0 tick(s): pass\n", ""),
+        ([paths[0], str(late), *timing], 1, "timing spread: 3 tick(s): FAIL\n", ""),
+        ([str(bad), *timing], 2, "",
+         f"error: {bad}: line 7: expected an event row 'time,wire,old,new' of integer of 0 "
+         "or more, wire name, 0 or 1, 0 or 1, got '3,x.1,1'\n"),
+        ([str(missing), *timing], 2, "",
+         f"error: [Errno 2] No such file or directory: '{missing}'\n"),
+        ([*paths, *timing, "--select", "zz"], 2, "",
+         f"error: {paths[0]}: --select 'zz' is not a signal of the trace\n"),
+    ]
+    capsys.readouterr()
+    was = gc.isenabled()
+    try:
+        for argv, rc, out, err in ways_out:
+            (gc.enable if enabled else gc.disable)()
+            assert main(["check", *argv]) == rc, argv
+            assert gc.isenabled() is enabled, argv
+            assert capsys.readouterr() == (out, err), argv
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_check_ledr_risk_reports(tmp_path, capsys):

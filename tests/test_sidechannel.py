@@ -305,7 +305,8 @@ def test_output_without_transaction_exits_2(tmp_path, capsys):
         paths[-1].write_text(tr.to_csv())
     for prop in ("toggle-count", "timing"):
         assert main(["check", *map(str, paths), "--property", prop]) == 2
-        assert capsys.readouterr() == ("", "error: primary output 'o' completes no transaction\n")
+        assert capsys.readouterr() == (
+            "", f"error: {paths[1]}: primary output 'o' completes no transaction\n")
 
 
 PERMUTED_DESIGNS = {"fanout": FANOUT_NET, "chain": CHAIN_NET, "two-output": TWO_OUTPUT_NET}
