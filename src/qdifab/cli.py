@@ -148,10 +148,11 @@ def cmd_sim(args) -> int:
         with open(args.stimulus) as fh:
             stimulus = _parse_stimulus(fh.read())
         delays = _parse_delays(args.delays)
+        max_time = _natural(args.max_time, "max_time")
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        trace = run(fabric, stimulus, delays=delays, max_time=args.max_time)
+        trace = run(fabric, stimulus, delays=delays, max_time=max_time)
     except SimulationInputError as exc:
         return _fail(str(exc))
     if args.trace:
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stimulus", required=True)
     s.add_argument("--delays", default="uniform",
                    help="uniform | jitter[:seed] (default seed: 0)")
-    s.add_argument("--max-time", type=int, default=20000)
+    s.add_argument("--max-time", default="20000", help="last simulated tick (default: 20000)")
     s.add_argument("--trace", help="write the event trace CSV here")
     s.set_defaults(func=cmd_sim)
 

@@ -4,7 +4,9 @@ The block holds four 6-input LUTs (L0..L3).  L0 and L1 read the first group
 of six network inputs, L2 and L3 the second group.  Input pins 0..3 of every
 LUT can be switched, one programming point each, from the network wire to the
 output of the same-numbered LUT, which provides the internal feedback paths.
-Pins 4 and 5 are network-only.
+Pins 4 and 5 are network-only.  A LUT reads its table at the 6-bit index
+whose bit i is the level on its pin i: network pin i of its group, or the
+output of LUT i where that pin's feedback point is set.
 
 Behind the LUTs sit two memory points (a pair of C-elements plus an ack XOR
 each).  The companion input of each C-element is normally the 6-input OR of
@@ -116,26 +118,20 @@ class OscillationError(RuntimeError):
     """Internal feedback failed to settle within the iteration bound."""
 
 
-def _lut_pin_values(
-    config: PlbConfig, lut_out: Sequence[int], network: Sequence[int], k: int
-) -> Tuple[int, ...]:
-    base = 0 if k < 2 else 6
-    sel = config.feedback_sel[k]
-    return tuple(
-        lut_out[i] if (i in FEEDBACK_PINS and sel[i]) else network[base + i]
-        for i in range(LUT_INPUTS)
-    )
-
-
 def _settle_luts(
     config: PlbConfig, start: Sequence[int], network: Sequence[int]
 ) -> Tuple[int, ...]:
+    luts, sels = config.luts, config.feedback_sel
     cur = tuple(start)
     for _ in range(ITERATION_BOUND):
-        nxt = tuple(
-            config.luts[k].eval(_lut_pin_values(config, cur, network, k))
-            for k in range(4)
-        )
+        nxt = []
+        for k in range(4):
+            base, sel, idx = (0 if k < 2 else 6), sels[k], 0
+            for i in range(LUT_INPUTS):
+                level = cur[i] if i in FEEDBACK_PINS and sel[i] else network[base + i]
+                idx |= (level & 1) << i
+            nxt.append((luts[k].bits >> idx) & 1)
+        nxt = tuple(nxt)
         if nxt == cur:
             return cur
         cur = nxt
@@ -227,13 +223,15 @@ def program_rules(config: PlbConfig) -> List[str]:
     """
     diags: List[str] = []
 
+    network_only = [i for i in range(LUT_INPUTS) if i not in FEEDBACK_PINS]
     for k, sel in enumerate(config.feedback_sel):
         if len(sel) != LUT_INPUTS:
             diags.append(f"L{k}: feedback selection vector must cover 6 pins")
             continue
-        for i in (4, 5):
+        for i in network_only:
             if sel[i]:
-                diags.append(f"L{k}: illegal feedback on input {i} (pins 4,5 are network-only)")
+                diags.append(f"L{k}: illegal feedback on input {i} "
+                             f"(pins {','.join(map(str, network_only))} are network-only)")
 
     cross_a, cross_b = config.or6_bypass_sel
     if cross_a and cross_b:

@@ -10,7 +10,8 @@ check are the first versions, which classify every wire pattern afresh.  The
 programming-chain models move every stage on every tick, which costs time
 quadratic in the chain length, and read a block's chain without the
 chain's own code.  The logic block's step is the first version, one branch
-per memory-point mode.  The hex packing model builds each digit from its
+per memory-point mode, settling its LUTs on per-pin tuples through
+``LutTable.eval``.  The hex packing model builds each digit from its
 four bits.  The trace writer is the first version, which sorts every event
 and transaction pair on a composite key.  The stimulus producer is the first
 version, which computes each next code of its signal and drives the wire
@@ -37,7 +38,7 @@ from qdifab.encodings import (
     ledr_next,
     signal_parity,
 )
-from qdifab.plb import PlbConfig, PlbState, _settle_luts
+from qdifab.plb import ITERATION_BOUND, OscillationError, PlbConfig, PlbState
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.simulator import _IDLE, Simulation, SimulationInputError
 from qdifab.trace import GateInfo, Trace, TraceEvent, record_markers
@@ -427,6 +428,25 @@ def chain_reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLo
 
 
 # -- the logic block, one branch per memory-point mode ------------------------
+
+
+def _settle_luts(
+    config: PlbConfig, start: Sequence[int], network: Sequence[int]
+) -> Tuple[int, ...]:
+    cur = tuple(start)
+    for _ in range(ITERATION_BOUND):
+        nxt = []
+        for k in range(4):
+            # Pins 0..3 take feedback; L2 and L3 read the second group of six.
+            base, sel = (0 if k < 2 else 6), config.feedback_sel[k]
+            pins = tuple(cur[i] if (i < 4 and sel[i]) else network[base + i]
+                         for i in range(6))
+            nxt.append(config.luts[k].eval(pins))
+        nxt = tuple(nxt)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise OscillationError("LUT feedback loop did not settle")
 
 
 def plb_step(

@@ -266,7 +266,10 @@ def test_check_unwritable_report_exits_2(files, capsys):
     assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
 
-@pytest.mark.parametrize("flag, value", [("--max-time", "-1")])
+# The one integer rule: ASCII digits only, so no sign, '_', space or other
+# script's digits.
+@pytest.mark.parametrize("flag, value", [("--max-time", v) for v in
+                                         ("-1", "1_000", "+500", " 500", "\u0665\u0660\u0660")])
 def test_sim_negative_time_exits_2(files, capsys, flag, value):
     tmp, net, stim = files
     bit, tracef = tmp / "d.bit", tmp / "out.csv"
@@ -275,7 +278,7 @@ def test_sim_negative_time_exits_2(files, capsys, flag, value):
     assert main(["sim", str(bit), "--stimulus", str(stim), flag, value,
                  "--trace", str(tracef)]) == 2
     name = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err == f"error: {name} {value} is negative\n"
+    assert capsys.readouterr().err == f"error: {name} {value!r} is not an integer of 0 or more\n"
     assert not tracef.exists()
 
 
