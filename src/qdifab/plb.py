@@ -56,12 +56,6 @@ class LutTable:
         if not 0 <= self.bits < (1 << LUT_SIZE):
             raise ValueError("LUT table wider than 64 bits")
 
-    def eval(self, inputs: Sequence[int]) -> int:
-        idx = 0
-        for i, b in enumerate(inputs):
-            idx |= (b & 1) << i
-        return (self.bits >> idx) & 1
-
     @classmethod
     def from_function(cls, fn: Callable[..., int]) -> "LutTable":
         bits = 0
@@ -259,8 +253,9 @@ def validate_config(config: PlbConfig) -> List[str]:
     """
     diags = program_rules(config)
 
-    # Load balance: within each multi-wire signal, every wire must drive the
-    # same number of network pins, or the transitions become distinguishable.
+    # Load balance: within each signal, every wire must drive the same number
+    # of network pins, or the transitions become distinguishable.  A one-wire
+    # signal has one count, which is always balanced.
     loads: dict[str, dict[int, int]] = {}
     widths: dict[str, int] = {}
     for ref in config.input_assignment:
@@ -270,8 +265,6 @@ def validate_config(config: PlbConfig) -> List[str]:
         loads[ref.signal][ref.index] = loads[ref.signal].get(ref.index, 0) + 1
         widths[ref.signal] = max(widths.get(ref.signal, ref.width), ref.width)
     for sig, per_wire in loads.items():
-        if widths[sig] <= 1:
-            continue
         counts = [per_wire.get(i, 0) for i in range(widths[sig])]
         if len(set(counts)) > 1:
             diags.append(

@@ -642,11 +642,13 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     rule only when its ``ack`` is 1.
 
     The replay is one pass with a running state per signal (rails high and
-    wire changes) and each gate's output wires mapped, once, to the states
-    of its inputs and to its acknowledge wire; an event costs O(1), an
-    output event O(inputs).  The rails high decide the four-phase kind and
-    the LEDR phase only when every event level is 0 or 1
-    (:meth:`Trace.from_csv` ensures it).
+    wire changes) and each gate's output wires mapped, once, to the list of
+    its inputs' states and to its acknowledge wire.  An event reads its
+    wire's record once and costs O(1).  An output event then evaluates the
+    gate's rule in a plain loop over that list, which stops at the first
+    input out of step, so it costs O(inputs).  The rails high decide the
+    four-phase kind and the LEDR phase only when every event level is 0 or
+    1 (:meth:`Trace.from_csv` ensures it).
     """
     states = {name: [0, 0] for name in trace.signals}
     readers: Dict[str, List[GateInfo]] = {}
@@ -663,7 +665,8 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
     for g, ack in driven:
         # The acknowledge's record, or None where the gate does not read it.
         ack_rec = records[ack] if g.ack else None
-        gate = (g, states[g.output], [(s, states[s]) for s in g.inputs], ack_rec)
+        gate = (g.name, g.protocol, states[g.output], [states[s] for s in g.inputs],
+                ack_rec, g.inputs)
         for w in trace.signals[g.output].wire_names():
             records[w][2] = gate  # a later gate driving the wire wins
 
@@ -675,48 +678,51 @@ def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
         rec = records.get(e[1])
         if rec is None:
             continue
-        new = e[3]
-        d = new - rec[0]
-        rec[0] = new
-        st = rec[1]
+        old, st, gate = rec
+        new = rec[0] = e[3]
         if st is not None:
-            st[0] += d
+            st[0] += new - old
             st[1] += 1
-        if rec[2] is None:
+        if gate is None:
             continue
-        g, out, ins, ack = rec[2]
-        if g.protocol is four_phase:
+        name, protocol, out, ins, ack, inputs = gate
+        if protocol is four_phase:
+            # The rails high: 1 a valid code, 0 null, more forbidden.  The
+            # output may take a kind once every input has it, while the
+            # acknowledge still holds the other level.
             high = out[0]
-            if high == 1:
-                if any(st[0] != 1 for _, st in ins) or (ack is not None and ack[0] == 1):
-                    violations.append(
-                        f"{g.name}: output valid at t={e[0]} before rendez-vous"
-                    )
-            elif high == 0:
-                if any(st[0] != 0 for _, st in ins) or (ack is not None and ack[0] == 0):
-                    violations.append(
-                        f"{g.name}: output cleared at t={e[0]} before rendez-vous"
-                    )
-            else:  # more than one rail high
-                violations.append(f"{g.name}: output forbidden at t={e[0]}")
-        elif g.protocol is ledr:
+            if high > 1:
+                violations.append(f"{name}: output forbidden at t={e[0]}")
+                continue
+            if ack is None or ack[0] != high:
+                for in_st in ins:
+                    if in_st[0] != high:
+                        break
+                else:
+                    continue
+            violations.append(f"{name}: output {'valid' if high else 'cleared'} "
+                              f"at t={e[0]} before rendez-vous")
+        elif protocol is ledr:
             # The event flipped the output phase; the inputs must already
             # carry that phase and the acknowledge the old one.
             phase = out[0] & 1
-            if any((st[0] & 1) != phase for _, st in ins):
-                violations.append(
-                    f"{g.name}: output phase flip at t={e[0]} before input phases"
-                )
-            elif ack is not None and ack[0] != phase ^ 1:
-                violations.append(
-                    f"{g.name}: output phase flip at t={e[0]} before acknowledge"
-                )
+            for in_st in ins:
+                if in_st[0] & 1 != phase:
+                    violations.append(
+                        f"{name}: output phase flip at t={e[0]} before input phases"
+                    )
+                    break
+            else:
+                if ack is not None and ack[0] != phase ^ 1:
+                    violations.append(
+                        f"{name}: output phase flip at t={e[0]} before acknowledge"
+                    )
         else:  # edge: count-based rendez-vous
             out_count = out[1]
-            for s, st in ins:
-                if st[1] < out_count:
+            for s, in_st in zip(inputs, ins):
+                if in_st[1] < out_count:
                     violations.append(
-                        f"{g.name}: output toggle {out_count} at t={e[0]} "
+                        f"{name}: output toggle {out_count} at t={e[0]} "
                         f"before input {s}"
                     )
     return not violations, violations

@@ -11,7 +11,7 @@ programming-chain models move every stage on every tick, which costs time
 quadratic in the chain length, and read a block's chain without the
 chain's own code.  The logic block's step is the first version, one branch
 per memory-point mode, settling its LUTs on per-pin tuples through
-``LutTable.eval``.  The hex packing model builds each digit from its
+``_util.lut_eval``.  The hex packing model builds each digit from its
 four bits.  The trace writer is the first version, which sorts every event
 and transaction pair on a composite key.  The stimulus producer is the first
 version, which computes each next code of its signal and drives the wire
@@ -42,6 +42,8 @@ from qdifab.plb import ITERATION_BOUND, OscillationError, PlbConfig, PlbState
 from qdifab.progchain import Block, ProgrammingError, ReconfigLog
 from qdifab.simulator import _IDLE, Simulation, SimulationInputError
 from qdifab.trace import GateInfo, Trace, TraceEvent, record_markers
+
+from ._util import lut_eval
 
 
 def c_element_mux(prev: int, inputs: Sequence[int]) -> int:
@@ -441,7 +443,7 @@ def _settle_luts(
             base, sel = (0 if k < 2 else 6), config.feedback_sel[k]
             pins = tuple(cur[i] if (i < 4 and sel[i]) else network[base + i]
                          for i in range(6))
-            nxt.append(config.luts[k].eval(pins))
+            nxt.append(lut_eval(config.luts[k], pins))
         nxt = tuple(nxt)
         if nxt == cur:
             return cur

@@ -5,6 +5,15 @@ from __future__ import annotations
 from qdifab.plb import plb_step, plb_reset, ack_outputs
 
 
+def lut_eval(table, pins):
+    """A LUT table's output for its six pin levels; pin i contributes 2**i
+    to the index."""
+    idx = 0
+    for i, b in enumerate(pins):
+        idx |= (b & 1) << i
+    return (table.bits >> idx) & 1
+
+
 def step_unit(unit, state, **signals):
     """Evaluate a mapped block against named signal wire values.
 

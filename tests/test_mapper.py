@@ -12,7 +12,7 @@ from qdifab.mapper import (
     map_ledr_2in,
     map_ledr_3in,
 )
-from qdifab.plb import LutTable, WireRef, plb_reset, validate_config
+from qdifab.plb import WireRef, plb_reset, validate_config
 from ._oracles import (
     FourPhase2InOracle,
     FourPhase3InOracle,
@@ -20,7 +20,7 @@ from ._oracles import (
     Ternary2InOracle,
     all_16_functions,
 )
-from ._util import step_unit, unit_sout
+from ._util import lut_eval, step_unit, unit_sout
 
 AND2 = lambda x, y: x & y
 XOR2 = lambda x, y: x ^ y
@@ -104,7 +104,7 @@ def test_map_4ph_2in_tables_match_direct_enumeration():
                 expected = 0
             else:
                 expected = fb
-            assert unit.config.luts[lut].eval(p) == expected
+            assert lut_eval(unit.config.luts[lut], p) == expected
 
 
 def test_map_4ph_2in_without_ack():
@@ -268,10 +268,10 @@ def test_map_ledr_3in_lock_is_pointwise_on_the_equations():
         in_condition = (px == py == pz) and ack != px
         lo = (ack, xd, yd, yr, zd, zr)
         hi = (xr, xd, yd, yr, zd, zr)
-        l0 = unit.config.luts[0].eval(lo)
-        l1 = unit.config.luts[1].eval(lo)
-        l2 = unit.config.luts[2].eval(hi)
-        l3 = unit.config.luts[3].eval(hi)
+        l0 = lut_eval(unit.config.luts[0], lo)
+        l1 = lut_eval(unit.config.luts[1], lo)
+        l2 = lut_eval(unit.config.luts[2], hi)
+        l3 = lut_eval(unit.config.luts[3], hi)
         if in_condition:
             v = f(xd, yd, zd)
             assert l0 == l2 == v

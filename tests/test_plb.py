@@ -15,10 +15,11 @@ from qdifab.plb import (
     ack_outputs,
     plb_reset,
     plb_step,
+    program_rules,
     validate_config,
 )
 from . import _oracles
-from ._util import step_unit
+from ._util import lut_eval, step_unit
 
 AND2 = lambda x, y: x & y
 XOR2 = lambda x, y: x ^ y
@@ -27,13 +28,13 @@ XOR2 = lambda x, y: x ^ y
 def test_lut_eval_all_zero_table():
     t = LutTable.zero()
     for combo in itertools.product((0, 1), repeat=6):
-        assert t.eval(combo) == 0
+        assert lut_eval(t, combo) == 0
 
 
 def test_lut_eval_identity_on_i0():
     t = LutTable.from_function(lambda *p: p[0])
-    assert t.eval((1, 0, 0, 0, 0, 0)) == 1
-    assert t.eval((0, 1, 1, 1, 1, 1)) == 0
+    assert lut_eval(t, (1, 0, 0, 0, 0, 0)) == 1
+    assert lut_eval(t, (0, 1, 1, 1, 1, 1)) == 0
 
 
 def test_lut_eval_and_of_i4_i5():
@@ -44,8 +45,14 @@ def test_lut_eval_and_of_i4_i5():
             expected |= 1 << idx
     t = LutTable.from_function(lambda *p: p[4] & p[5])
     assert t.bits == expected
-    assert t.eval((0, 0, 0, 0, 1, 1)) == 1
-    assert t.eval((1, 1, 1, 1, 1, 0)) == 0
+    assert lut_eval(t, (0, 0, 0, 0, 1, 1)) == 1
+    assert lut_eval(t, (1, 1, 1, 1, 1, 0)) == 0
+
+
+def test_lut_table_wider_than_64_bits_is_refused():
+    LutTable((1 << 64) - 1)
+    with pytest.raises(ValueError, match="wider than 64 bits"):
+        LutTable(1 << 64)
 
 
 def test_plb_reset_quiescent_and_step_identity():
@@ -166,6 +173,33 @@ def test_validate_config_cross_mode_requires_memory():
     )
     diags = validate_config(cfg)
     assert any("requires its memory point active" in d for d in diags)
+
+
+def test_cross_mode_pair_a_rule_reads_pair_a_memory_point():
+    # Pair A's OR bypass needs memory point A active; B's may be bypassed.
+    for mem_bypass, diags in (((True, False), ["or6 bypass on pair A requires its memory "
+                                               "point active"]),
+                              ((False, True), [])):
+        cfg = PlbConfig(luts=(LutTable.zero(),) * 4, mem_bypass=mem_bypass,
+                        or6_bypass_sel=(True, False))
+        assert program_rules(cfg) == diags
+
+
+@pytest.mark.parametrize("consts, or6_bypass_sel, mem_out", [
+    # Pair B's memory point latches L2 against L0 and L3 against L1; pair A
+    # is parked.
+    ((1, 0, 1, 1), (False, True), (0, 0, 1, 0)),
+    # Pair A's memory point latches L0 against L2 and L1 against L3; pair B
+    # is parked.
+    ((1, 1, 1, 0), (True, False), (1, 0, 0, 0)),
+])
+def test_or6_bypass_pairs_each_lut_with_its_opposite(consts, or6_bypass_sel, mem_out):
+    # Constant LUTs whose four outputs differ tell every companion apart.
+    luts = tuple(LutTable((1 << 64) - 1 if c else 0) for c in consts)
+    cfg = PlbConfig(luts=luts, or6_bypass_sel=or6_bypass_sel)
+    st = plb_step(cfg, PlbState(), (0,) * 12)
+    assert st.lut_out == consts
+    assert st.mem_out == mem_out
 
 
 def _reachable_env_states(f):

@@ -132,6 +132,11 @@ def test_timing_spread_single_trace_zero():
     assert timing_spread({"only": tr}) == 0
 
 
+def test_timing_spread_of_no_values_is_zero():
+    # No value, so no column to take a spread over.
+    assert timing_spread({}) == 0
+
+
 def test_dpa_balanced_fabric_is_flat_zero():
     f = fab(AND_NET)
     traces = []
