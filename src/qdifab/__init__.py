@@ -6,11 +6,8 @@ from .encodings import (
     SignalSpec,
     ValueCode,
     CodeKind,
-    encode_4ph,
-    encode_4ph_null,
     decode_4ph,
-    ledr_next,
-    edge_next,
+    send_wire,
     signal_parity,
 )
 from .plb import LutTable, PlbConfig, PlbState, plb_step, plb_reset, validate_config

@@ -27,7 +27,7 @@ import gc
 import sys
 import warnings
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .bitstream import BitstreamError, read_bitstream, write_bitstream
 from .mapper import MappingError
@@ -93,8 +93,10 @@ def _parse_delays(spec: str) -> DelayModel:
     raise ValueError(f"unknown delay model {spec!r} (use uniform or jitter[:seed])")
 
 
-def _parse_stimulus(text: str) -> Dict[str, List[int]]:
+def _parse_stimulus(text: str) -> Tuple[Dict[str, List[int]], Dict[str, int]]:
+    """The stimulus and the line of each of its signals."""
     stim: Dict[str, List[int]] = {}
+    line_of: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,6 +108,7 @@ def _parse_stimulus(text: str) -> Dict[str, List[int]]:
         if name in stim:
             raise ValueError(f"stimulus line {lineno}: signal {name!r} given twice")
         vals = stim[name] = []
+        line_of[name] = lineno
         # No value after the colon is an empty sequence; an empty value would shift the rest.
         for i, v in enumerate(map(str.strip, values.split(",") if values.strip() else ())):
             if not v:
@@ -115,7 +118,7 @@ def _parse_stimulus(text: str) -> Dict[str, List[int]]:
             except NetlistError:
                 raise ValueError(f"stimulus line {lineno}: {name!r}: value {v} at index {i} "
                                  "is not an integer of 0 or more") from None
-    return stim
+    return stim, line_of
 
 
 def cmd_map(args) -> int:
@@ -146,7 +149,7 @@ def cmd_sim(args) -> int:
         return _fail(f"{args.bitstream}: {exc}")
     try:
         with open(args.stimulus) as fh:
-            stimulus = _parse_stimulus(fh.read())
+            stimulus, line_of = _parse_stimulus(fh.read())
         delays = _parse_delays(args.delays)
         max_time = _natural(args.max_time, "max_time")
     except ValueError as exc:
@@ -154,7 +157,8 @@ def cmd_sim(args) -> int:
     try:
         trace = run(fabric, stimulus, delays=delays, max_time=max_time)
     except SimulationInputError as exc:
-        return _fail(str(exc))
+        where = f"{args.stimulus}: line {line_of[exc.signal]}: " if exc.signal in line_of else ""
+        return _fail(where + str(exc))
     if args.trace:
         _write(args.trace, trace.to_csv())
     outputs = primary_signals(fabric.signals, fabric.gates)[1]

@@ -3,12 +3,18 @@
 A logical signal travels over several physical wires so that every new value
 changes exactly one wire.  Three codings are supported:
 
-* four-phase one-of-n: value i puts a 1 on wire i, values are separated by
-  the all-zero spacer (NULL), and the (1,1) pattern on a dual-rail pair is a
+* four-phase one-of-n: one wire per value, values separated by the
+  all-zero spacer (NULL); the (1,1) pattern on a dual-rail pair is a
   forbidden state that indicates a malfunction or an attack;
-* LEDR: two wires (data, repeat); the data wire level is the value, a
-  repeated value toggles the repeat wire instead;
-* edge: value i toggles wire i, instantaneous levels carry no meaning.
+* LEDR: two wires (data, repeat); the data wire level is the value;
+* edge: one wire per value; instantaneous levels carry no meaning.
+
+The send rule (:func:`send_wire`) gives the one wire a producer toggles to
+send value v from the current wire levels: wire v under four-phase (from
+NULL) and edge; under LEDR the data wire (0) when v differs from its level,
+the repeat wire (1) otherwise.  The four-phase decode (:func:`decode_4ph`)
+reads a 0/1 pattern of up to ``MAX_ARITY`` wires: all-zero is NULL, a
+single 1 on wire i is Valid(i), anything else is Forbidden.
 
 Wire index 0 is the least significant position of every bit vector.
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 Bits = Tuple[int, ...]
 
@@ -73,39 +79,19 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class ValueCode:
-    """Decoded state of a one-of-n signal."""
+    """Decoded state of a one-of-n signal: its kind and, if valid, its value."""
 
     kind: CodeKind
     value: int | None
-    wires: Bits
-
-    def __repr__(self):
-        if self.kind is CodeKind.VALID:
-            return f"Valid({self.value})"
-        return self.kind.name.capitalize()
-
-
-def encode_4ph(value: int, arity: int) -> Bits:
-    """One-hot vector for ``value``; wire ``value`` carries the 1."""
-    if not 0 <= value < arity:
-        raise EncodingError(f"value {value} out of range for arity {arity}")
-    bits = [0] * arity
-    bits[value] = 1
-    return tuple(bits)
-
-
-def encode_4ph_null(arity: int) -> Bits:
-    """The all-zero spacer separating valid four-phase values."""
-    return (0,) * arity
 
 
 def _classify_4ph(bits: Bits) -> ValueCode:
     weight = sum(bits)
     if weight == 0:
-        return ValueCode(CodeKind.NULL, None, bits)
+        return ValueCode(CodeKind.NULL, None)
     if weight == 1:
-        return ValueCode(CodeKind.VALID, bits.index(1), bits)
-    return ValueCode(CodeKind.FORBIDDEN, None, bits)
+        return ValueCode(CodeKind.VALID, bits.index(1))
+    return ValueCode(CodeKind.FORBIDDEN, None)
 
 
 # The code of every 0/1 pattern of up to MAX_ARITY wires, built once.
@@ -117,43 +103,23 @@ _CODES_4PH = {
 
 
 def decode_4ph(wires: Sequence[int]) -> ValueCode:
-    """Classify a one-of-n wire pattern.
-
-    All-zero is NULL, a single 1 at index i is Valid(i), anything else is
-    Forbidden.  Forbidden is returned as a value rather than raised so a
-    simulation can log the pattern and keep running.  A 0/1 pattern of up to
-    ``MAX_ARITY`` wires returns a shared, frozen instance from a table built
-    at import; any other input is classified by the same rule, its wires
-    converted with ``int``.
-    """
+    """The shared, frozen code of a one-of-n wire pattern.  Forbidden is
+    returned rather than raised so a simulation can log the pattern and
+    keep running; a pattern that is not 0/1 on up to ``MAX_ARITY`` wires
+    raises EncodingError."""
     key = tuple(wires)
-    code = _CODES_4PH.get(key)
-    if code is None:
-        code = _classify_4ph(tuple(int(b) for b in key))
-    return code
+    try:
+        return _CODES_4PH[key]
+    except KeyError:
+        raise EncodingError(f"wire pattern {key} is not 0/1 on up to {MAX_ARITY} wires") from None
 
 
-def ledr_next(current: Sequence[int], value: int) -> Bits:
-    """Next (data, repeat) pair after transmitting ``value``.
-
-    A changed value toggles the data wire; a repeated value toggles the
-    repeat wire.  Exactly one wire differs from ``current``.
-    """
-    if value not in (0, 1):
-        raise EncodingError(f"LEDR value {value} is not a bit")
-    d, r = current
-    if value != d:
-        return (value, r)
-    return (d, r ^ 1)
-
-
-def edge_next(current: Sequence[int], value: int) -> Bits:
-    """Toggle wire ``value``; all other wires are unchanged."""
-    if not 0 <= value < len(current):
-        raise EncodingError(f"edge value {value} out of range for {len(current)} wires")
-    bits = list(current)
-    bits[value] ^= 1
-    return tuple(bits)
+def send_wire(protocol: Protocol) -> Callable[[Sequence[int], int], int]:
+    """The send rule of ``protocol``: ``rule(levels, value)`` is the index
+    of the one wire to toggle to send ``value`` from ``levels``."""
+    if protocol is Protocol.LEDR:  # a repeated value toggles the repeat wire
+        return lambda levels, value: int(value == levels[0])
+    return lambda levels, value: value
 
 
 def signal_parity(wires: Sequence[int]) -> int:

@@ -272,13 +272,13 @@ def gate_function(gate: GateDecl, net: Netlist) -> Callable[..., int]:
 
 
 def map_gate(gate: GateDecl, net: Netlist) -> MappedGate:
-    """Compile one netlist gate; errors name the gate."""
+    """Compile one netlist gate; errors name the gate and its line."""
     out = net.signals[gate.output]
     arities = tuple(net.signals[s].arity for s in gate.inputs)
     shape = mapper.SHAPES.get((out.protocol, arities, out.arity))
     if shape is None:
-        raise MappingError(f"gate {gate.name!r}: unsupported {out.protocol.value} "
-                           f"shape {list(arities)} -> {out.arity}")
+        raise MappingError(f"line {gate.line}: gate {gate.name!r}: unsupported "
+                           f"{out.protocol.value} shape {list(arities)} -> {out.arity}")
     return shape(gate.name, gate_function(gate, net), gate.inputs, gate.output)
 
 

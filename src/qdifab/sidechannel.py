@@ -19,7 +19,7 @@ level-encoded two-phase code.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .netlist import primary_signals
 from .trace import Trace, window_counts
@@ -68,13 +68,6 @@ def _output_completions(trace: Trace) -> List[Tuple[str, List[int]]]:
     return out
 
 
-def toggles_per_transaction(trace: Trace, boundary: str) -> List[int]:
-    """Wire toggles inside each completed transaction window of the signal
-    ``boundary``, in completion order (:func:`qdifab.trace.window_counts`)."""
-    return window_counts(sorted(e[0] for e in trace.events),
-                         sorted(t for _, t in trace.records.get(boundary, ())))
-
-
 def toggle_count_profile(
     traces_by_value: Mapping[object, Trace],
 ) -> Dict[object, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
@@ -113,9 +106,8 @@ def timing_spread(traces_by_value: Mapping[object, Trace]) -> int:
     return max((max(ts) - min(ts) for ts in cols), default=0)
 
 
-def power_series(trace: Trace, length: Optional[int] = None) -> List[int]:
-    """Toggles per tick from reset to the end of the trace."""
-    end = trace.end_time() if length is None else length
+def power_series(trace: Trace, end: int) -> List[int]:
+    """Toggles per tick from reset to ``end``."""
     series = [0] * (end + 1)
     for e in trace.events:
         t = e[0]

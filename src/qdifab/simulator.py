@@ -12,11 +12,10 @@ instantaneous force-to-zero at time 0, not a wire.
 Environment drivers play the handshake roles: a producer per primary input
 feeds the stimulus values, and a consumer per primary output acknowledges
 every value a tick after it arrives and records the decoded sequence with
-its completion time.  A producer toggles one wire per handshake step: 4ph
-raises rail v to send value v, drops it (NULL) on the acknowledge's rise and
-sends the next value on its fall; two-phase sends a value per acknowledge
-toggle, edge by toggling wire v, LEDR its data wire when the value differs
-from that wire's level and its repeat wire otherwise.
+its completion time.  A producer toggles one wire per handshake step, the
+wire of its protocol's send rule (:func:`qdifab.encodings.send_wire`) to
+send a value; 4ph drops that rail (NULL) on the acknowledge's rise and sends
+the next value on its fall, two-phase sends a value per acknowledge toggle.
 
 Every element output goes through :meth:`Simulation.drive`, which lands it
 one tick after the reaction plus the wire's delay; only it and
@@ -82,7 +81,7 @@ from heapq import heappush, heappop
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .encodings import CodeKind, Protocol, SignalSpec, decode_4ph
+from .encodings import CodeKind, Protocol, SignalSpec, decode_4ph, send_wire
 from .bitstream import Fabric, reads_ack
 from .netlist import Netlist, ack_source, map_netlist, primary_signals
 from .plb import (
@@ -98,7 +97,12 @@ from .trace import GateInfo, Trace, TraceEvent, record_markers, window_counts
 
 
 class SimulationInputError(ValueError):
-    """Bad stimulus or fabric input from the caller."""
+    """Bad stimulus or fabric input from the caller; ``signal`` names the
+    stimulus signal at fault, if one is."""
+
+    def __init__(self, message: str, signal: Optional[str] = None):
+        super().__init__(message)
+        self.signal = signal
 
 
 @dataclass
@@ -333,8 +337,8 @@ class _Producer:
                         if type(v) is not int or not 0 <= v < spec.arity)
             raise SimulationInputError(
                 f"stimulus for {spec.name!r}: value {v!r} at index {i} "
-                f"is not an integer in 0..{spec.arity - 1}"
-            )
+                f"is not an integer in 0..{spec.arity - 1}", spec.name)
+        self.send_wire = send_wire(spec.protocol)
         self.idx = 0
         self.stage = _IDLE
         self.levels = [0] * len(wires)  # as last driven
@@ -342,11 +346,9 @@ class _Producer:
 
     def _send(self, sim: "Simulation", t: int):
         self.stage = _SENT
-        v = self.values[self.idx]
-        if self.protocol == "ledr":
-            v = int(v == self.levels[0])  # a repeated value toggles the repeat wire
-        self.levels[v] = level = self.levels[v] ^ 1
-        sim.drive(t, self.wires[v], level)
+        w = self.send_wire(self.levels, self.values[self.idx])
+        self.levels[w] = level = self.levels[w] ^ 1
+        sim.drive(t, self.wires[w], level)
 
     def react(self, sim: "Simulation", t: int, wire: int):
         if self.protocol != "4ph":  # two-phase: any toggle acknowledges the value
@@ -441,8 +443,8 @@ class Simulation:
         unknown = set(stimulus) - set(elab.inputs)
         if unknown:
             raise SimulationInputError(
-                f"stimulus for unknown or non-input signal(s): {sorted(unknown)}"
-            )
+                f"stimulus for unknown or non-input signal(s): {sorted(unknown)}",
+                next(s for s in stimulus if s in unknown))
         if self.delays.overrides:
             unknown = self.delays.overrides.keys() - elab.index.keys()
             if unknown:

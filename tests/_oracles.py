@@ -14,10 +14,11 @@ per memory-point mode, settling its LUTs on per-pin tuples through
 ``_util.lut_eval``.  The hex packing model builds each digit from its
 four bits.  The trace writer is the first version, which sorts every event
 and transaction pair on a composite key.  The stimulus producer is the first
-version, which computes each next code of its signal and drives the wire
-on which it differs from the last one.  The event kernel is the first
-version, one heap of every scheduled event kept in same-tick insertion order
-by a rising sequence number.  All are used as oracles.
+version, which computes each next code of its signal with its own copy of
+the first encoders and drives the wire on which it differs from the last
+one.  The event kernel is the first version, one heap of every scheduled
+event kept in same-tick insertion order by a rising sequence number.  All
+are used as oracles.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from qdifab.encodings import (
     Protocol,
     SignalSpec,
     ValueCode,
-    edge_next,
-    encode_4ph,
-    encode_4ph_null,
-    ledr_next,
     signal_parity,
 )
 from qdifab.plb import ITERATION_BOUND, OscillationError, PlbConfig, PlbState
@@ -138,10 +135,10 @@ def decode_4ph(wires: Sequence[int]) -> ValueCode:
     bits = tuple(int(b) for b in wires)
     weight = sum(bits)
     if weight == 0:
-        return ValueCode(CodeKind.NULL, None, bits)
+        return ValueCode(CodeKind.NULL, None)
     if weight == 1:
-        return ValueCode(CodeKind.VALID, bits.index(1), bits)
-    return ValueCode(CodeKind.FORBIDDEN, None, bits)
+        return ValueCode(CodeKind.VALID, bits.index(1))
+    return ValueCode(CodeKind.FORBIDDEN, None)
 
 
 def check_no_early_evaluation(trace: Trace) -> Tuple[bool, List[str]]:
@@ -552,6 +549,27 @@ def trace_to_csv(trace: Trace) -> str:
     return out.getvalue()
 
 
+def _encode_4ph(value: int, arity: int) -> Tuple[int, ...]:
+    """One-hot vector for ``value``; wire ``value`` carries the 1."""
+    bits = [0] * arity
+    bits[value] = 1
+    return tuple(bits)
+
+
+def _ledr_next(current: Sequence[int], value: int) -> Tuple[int, ...]:
+    """Next (data, repeat) pair after transmitting ``value``: a changed
+    value toggles the data wire, a repeated one the repeat wire."""
+    d, r = current
+    return (value, r) if value != d else (d, r ^ 1)
+
+
+def _edge_next(current: Sequence[int], value: int) -> Tuple[int, ...]:
+    """Toggle wire ``value``; all other wires are unchanged."""
+    bits = list(current)
+    bits[value] ^= 1
+    return tuple(bits)
+
+
 class Producer:
     """Drives one primary input signal, as the kernel's producer must, with
     the same ``react(sim, t, wire)`` and ``_send(sim, t)`` entry points: a
@@ -572,11 +590,11 @@ class Producer:
         # The NULL code of a four-phase signal; None for a two-phase one.
         self.null: Optional[Tuple[int, ...]] = None
         if spec.protocol is Protocol.FOUR_PHASE:
-            codes = [encode_4ph(v, spec.arity) for v in range(spec.arity)]
+            codes = [_encode_4ph(v, spec.arity) for v in range(spec.arity)]
             self.next_code = lambda _levels, v: codes[v]
-            self.null = encode_4ph_null(spec.arity)
+            self.null = (0,) * spec.arity
         else:
-            self.next_code = ledr_next if spec.protocol is Protocol.LEDR else edge_next
+            self.next_code = _ledr_next if spec.protocol is Protocol.LEDR else _edge_next
 
     def _drive(self, sim, levels: Tuple[int, ...], t: int):
         """Drive the wire on which ``levels`` differs from the last levels

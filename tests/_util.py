@@ -2,7 +2,21 @@
 
 from __future__ import annotations
 
+from qdifab.encodings import Protocol, send_wire
 from qdifab.plb import plb_step, plb_reset, ack_outputs
+
+
+def sent(protocol, levels, value):
+    """The wire levels after sending ``value`` from ``levels``: the wire of
+    the protocol's send rule toggled."""
+    out = list(levels)
+    out[send_wire(protocol)(levels, value)] ^= 1
+    return tuple(out)
+
+
+def one_hot(value, arity):
+    """The four-phase code of ``value``, sent from NULL."""
+    return sent(Protocol.FOUR_PHASE, (0,) * arity, value)
 
 
 def lut_eval(table, pins):

@@ -121,7 +121,7 @@ def test_map_seven_wire_gate_fails_naming_gate(tmp_path, capsys):
     rc = main(["map", str(net), "-o", str(tmp_path / "x.bit")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "error: gate 'wide': unsupported 4ph shape [3, 2, 2] -> 3\n"
+    assert err == "error: line 6: gate 'wide': unsupported 4ph shape [3, 2, 2] -> 3\n"
 
 
 def test_map_parse_error_reports_line(tmp_path, capsys):
@@ -314,6 +314,32 @@ def test_sim_negative_stimulus_value_exits_2(tmp_path, capsys, proto, fn):
     assert "'x': value -1 at index 0 " in capsys.readouterr().err
 
 
+_TWO_IN = "signal x proto={p} arity=2\nsignal y proto={p} arity={y}\nsignal o proto={p} arity={o}\n"
+
+
+@pytest.mark.parametrize("net, stim, message", [
+    (_TWO_IN.format(p="4ph", y=2, o=3) + "gate g3 fn=0 in=x,y out=o\n", None,
+     "line 4: gate 'g3': unsupported 4ph shape [2, 2] -> 3"),
+    (_TWO_IN.format(p="edge", y=3, o=2) + "gate g fn=0 in=x,y out=o\n", None,
+     "line 4: gate 'g': unsupported edge shape [2, 3] -> 2"),
+    (_TWO_IN.format(p="4ph", y=2, o=2) + "gate g fn=8 in=x,y out=o\n", "x: 1\n# none\n: 0,1\n",
+     "{stim}: line 3: stimulus for unknown or non-input signal(s): ['']"),
+    (_TWO_IN.format(p="4ph", y=2, o=2) + "gate g fn=8 in=x,y out=o\n", "x: 0,1,1,0\ny: 1,0,1,5\n",
+     "{stim}: line 2: stimulus for 'y': value 5 at index 3 is not an integer in 0..1"),
+], ids=["map-4ph-shape", "map-edge-shape", "sim-unnamed-signal", "sim-value-out-of-range"])
+def test_map_and_sim_input_errors_name_their_line(tmp_path, net, stim, message):
+    # Each input error of map and sim names the line at fault: the gate's
+    # netlist line, or the stimulus file and line.
+    net_path, bit, stim_path = tmp_path / "g.net", tmp_path / "g.bit", tmp_path / "g.stim"
+    net_path.write_text(net)
+    rc, out = _run_main("map", str(net_path), "-o", str(bit))
+    if stim is not None:
+        assert rc == 0, out
+        stim_path.write_text(stim)
+        rc, out = _run_main("sim", str(bit), "--stimulus", str(stim_path))
+    assert (rc, out) == (2, f"error: {message.format(stim=stim_path)}\n")
+
+
 # The tests below give integers that int() reads and the formats refuse:
 # signs, underscores, a hex prefix and Arabic-Indic digits.
 @pytest.mark.parametrize("value", ["+1", "\u0661", "-1", "1_0", "0x1"])
@@ -342,7 +368,8 @@ def test_sim_empty_stimulus_value_exits_2(files, capsys, values, index):
 
 
 def test_stimulus_line_without_values_is_empty():
-    assert _parse_stimulus("a: 1, 0\nb:\nc:  # none\n") == {"a": [1, 0], "b": [], "c": []}
+    assert _parse_stimulus("a: 1, 0\nb:\nc:  # none\n") == (
+        {"a": [1, 0], "b": [], "c": []}, {"a": 1, "b": 2, "c": 3})
 
 
 @pytest.mark.parametrize("seed", ["+3", "\u0663", "-1", ""])
@@ -1280,7 +1307,7 @@ def mutated_designs(draw):
 @given(case=mutated_designs())
 def test_mutated_golden_netlist_and_stimulus_map_and_sim_or_exit_2(tmp_path, case):
     # map exits 0 or 2 and sim 0, 1 or 2 on a mutated netlist or stimulus;
-    # neither raises.
+    # neither raises, and an exit 2 names the line at fault.
     net, stim = tmp_path / "mutated.net", tmp_path / "mutated.stim"
     net.write_text(case[0])
     stim.write_text(case[1])
@@ -1290,3 +1317,5 @@ def test_mutated_golden_netlist_and_stimulus_map_and_sim_or_exit_2(tmp_path, cas
     if rc == 0:
         rc, out = _run_main("sim", str(bit), "--stimulus", str(stim))
         assert rc in (0, 1, 2), (rc, out)
+    if rc == 2:
+        assert re.search(r"line \d+(, column \d+)?: ", out), out

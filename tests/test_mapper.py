@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qdifab.encodings import encode_4ph, encode_4ph_null, ledr_next
+from qdifab.encodings import Protocol
 from qdifab.mapper import (
     MappingError,
     map_4ph_2in,
@@ -20,16 +20,16 @@ from ._oracles import (
     Ternary2InOracle,
     all_16_functions,
 )
-from ._util import lut_eval, step_unit, unit_sout
+from ._util import lut_eval, one_hot, sent, step_unit, unit_sout
 
 AND2 = lambda x, y: x & y
 XOR2 = lambda x, y: x ^ y
-NULL2 = encode_4ph_null(2)
+NULL2 = (0, 0)
 
 
 def _cycle_4ph(unit, state, x, y):
     """One full four-phase handshake; returns (state, fired output pair)."""
-    state = step_unit(unit, state, x=encode_4ph(x, 2), y=encode_4ph(y, 2), ack=(0,))
+    state = step_unit(unit, state, x=one_hot(x, 2), y=one_hot(y, 2), ack=(0,))
     fired = state.mem_out[:2]
     state = step_unit(unit, state, x=NULL2, y=NULL2, ack=(1,))
     assert state.mem_out[:2] == (0, 0)
@@ -41,7 +41,7 @@ def _cycle_4ph(unit, state, x, y):
 def test_map_4ph_2in_and_examples():
     unit = map_4ph_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
+    st = step_unit(unit, st, x=one_hot(1, 2), y=one_hot(1, 2), ack=(0,))
     assert st.mem_out[:2] == (0, 1)
     st = step_unit(unit, st, x=NULL2, y=NULL2, ack=(1,))
     assert st.mem_out[:2] == (0, 0)
@@ -50,7 +50,7 @@ def test_map_4ph_2in_and_examples():
 def test_map_4ph_2in_xor_logical_zero():
     unit = map_4ph_2in("g", XOR2).plbs[0]
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
+    st = step_unit(unit, st, x=one_hot(1, 2), y=one_hot(1, 2), ack=(0,))
     assert st.mem_out[:2] == (1, 0)
 
 
@@ -60,7 +60,7 @@ def test_map_4ph_2in_matches_equation_oracle(bits, f):
     oracle = FourPhase2InOracle(f)
     st = plb_reset(unit.config)
     for x, y in itertools.product(range(2), repeat=2):
-        st = step_unit(unit, st, x=encode_4ph(x, 2), y=encode_4ph(y, 2), ack=(0,))
+        st = step_unit(unit, st, x=one_hot(x, 2), y=one_hot(y, 2), ack=(0,))
         assert st.mem_out[:2] == oracle.step(x, y, 0)
         st = step_unit(unit, st, x=NULL2, y=NULL2, ack=(1,))
         assert st.mem_out[:2] == oracle.step(None, None, 1)
@@ -69,10 +69,10 @@ def test_map_4ph_2in_matches_equation_oracle(bits, f):
 def test_map_4ph_2in_hold_outside_conditions():
     unit = map_4ph_2in("g", AND2).plbs[0]
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(0,))
+    st = step_unit(unit, st, x=one_hot(1, 2), y=one_hot(1, 2), ack=(0,))
     held = st.mem_out[:2]
     # Acknowledge arrives but inputs still valid: hold.
-    st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), ack=(1,))
+    st = step_unit(unit, st, x=one_hot(1, 2), y=one_hot(1, 2), ack=(1,))
     assert st.mem_out[:2] == held
     # Inputs NULL but acknowledge still low: hold.
     st = step_unit(unit, st, x=NULL2, y=NULL2, ack=(0,))
@@ -113,9 +113,9 @@ def test_map_4ph_2in_without_ack():
     unit = map_4ph_2in("g", AND2).plbs[0]
     assert unit.config.input_assignment[:2] == (WireRef("o.ackin", 0, 1),) * 2
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2), ack=(1,))
+    st = step_unit(unit, st, x=one_hot(0, 2), y=one_hot(1, 2), ack=(1,))
     assert st.mem_out[:2] == (0, 0)
-    st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2), ack=(0,))
+    st = step_unit(unit, st, x=one_hot(0, 2), y=one_hot(1, 2), ack=(0,))
     assert st.mem_out[:2] == (1, 0)
     st = step_unit(unit, st, x=NULL2, y=NULL2, ack=(0,))
     assert st.mem_out[:2] == (1, 0)
@@ -132,7 +132,7 @@ NULL_IN3 = dict(x=NULL2, y=NULL2, z=NULL2)
 def test_map_4ph_3in_majority():
     unit = map_4ph_3in("g", MAJ3).plbs[0]
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(1, 2), y=encode_4ph(1, 2), z=encode_4ph(1, 2))
+    st = step_unit(unit, st, x=one_hot(1, 2), y=one_hot(1, 2), z=one_hot(1, 2))
     assert st.mem_out[:2] == (0, 1)
     assert unit_sout(unit, st)[0] == 1
 
@@ -140,7 +140,7 @@ def test_map_4ph_3in_majority():
 def test_map_4ph_3in_return_to_null():
     unit = map_4ph_3in("g", MAJ3).plbs[0]
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(0, 2), y=encode_4ph(1, 2), z=encode_4ph(0, 2))
+    st = step_unit(unit, st, x=one_hot(0, 2), y=one_hot(1, 2), z=one_hot(0, 2))
     assert st.mem_out[:2] == (1, 0)
     st = step_unit(unit, st, **NULL_IN3)
     assert st.mem_out[:2] == (0, 0)
@@ -153,7 +153,7 @@ def test_map_4ph_3in_matches_oracle(f):
     st = plb_reset(unit.config)
     for x, y, z in itertools.product(range(2), repeat=3):
         st = step_unit(
-            unit, st, x=encode_4ph(x, 2), y=encode_4ph(y, 2), z=encode_4ph(z, 2)
+            unit, st, x=one_hot(x, 2), y=one_hot(y, 2), z=one_hot(z, 2)
         )
         assert st.mem_out[:2] == oracle.step(x, y, z)
         st = step_unit(unit, st, **NULL_IN3)
@@ -168,10 +168,10 @@ TMIN = lambda x, y: min(x, y)
 def test_map_ter_min_example():
     unit = map_4ph_ter_2in("g", TMIN).plbs[0]
     st = plb_reset(unit.config)
-    st = step_unit(unit, st, x=encode_4ph(2, 3), y=encode_4ph(1, 3))
+    st = step_unit(unit, st, x=one_hot(2, 3), y=one_hot(1, 3))
     assert st.mem_out == (0, 1, 0, 0)
     assert unit_sout(unit, st)[0] == 1  # grouped ack over all four outputs
-    st = step_unit(unit, st, x=encode_4ph_null(3), y=encode_4ph_null(3))
+    st = step_unit(unit, st, x=(0, 0, 0), y=(0, 0, 0))
     assert st.mem_out == (0, 0, 0, 0)
 
 
@@ -180,10 +180,10 @@ def test_map_ter_covers_all_nine_combinations():
     oracle = Ternary2InOracle(TMIN)
     st = plb_reset(unit.config)
     for x, y in itertools.product(range(3), repeat=2):
-        st = step_unit(unit, st, x=encode_4ph(x, 3), y=encode_4ph(y, 3))
+        st = step_unit(unit, st, x=one_hot(x, 3), y=one_hot(y, 3))
         assert st.mem_out[:3] == oracle.step(x, y)
         assert st.mem_out[3] == 0
-        st = step_unit(unit, st, x=encode_4ph_null(3), y=encode_4ph_null(3))
+        st = step_unit(unit, st, x=(0, 0, 0), y=(0, 0, 0))
         oracle.step(None, None)
 
 
@@ -214,7 +214,7 @@ def test_map_ledr_2in_matches_equation_oracle(bits, f):
     x = y = (0, 0)
     ack = 0
     for vx, vy in itertools.product(range(2), repeat=2):
-        x, y = ledr_next(x, vx), ledr_next(y, vy)
+        x, y = sent(Protocol.LEDR, x, vx), sent(Protocol.LEDR, y, vy)
         st = step_unit(unit, st, x=x, y=y, ack=(ack,))
         assert st.mem_out[:2] == oracle.step(x[0], x[1], y[0], y[1], ack)
         ack = st.mem_out[0] ^ st.mem_out[1]  # consumer tracks output phase
@@ -412,7 +412,7 @@ def test_constant_zero_function_tables():
     # The 1-wire never fires on the valid region.
     for x, y in itertools.product(range(2), repeat=2):
         st = plb_reset(unit.config)
-        st = step_unit(unit, st, x=encode_4ph(x, 2), y=encode_4ph(y, 2), ack=(0,))
+        st = step_unit(unit, st, x=one_hot(x, 2), y=one_hot(y, 2), ack=(0,))
         assert st.mem_out[1] == 0
         assert st.mem_out[0] == 1
 

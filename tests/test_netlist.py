@@ -160,7 +160,7 @@ def test_budget_error_names_gate():
     net = parse_netlist(src)
     with pytest.raises(MappingError) as exc:
         map_netlist(net)
-    assert str(exc.value) == "gate 'wide': unsupported 4ph shape [3, 2, 2] -> 3"
+    assert str(exc.value) == "line 5: gate 'wide': unsupported 4ph shape [3, 2, 2] -> 3"
     assert all(sum(arities) <= 6 for _, arities, _ in SHAPES)
 
 
@@ -171,7 +171,7 @@ def test_unsupported_shape_named():
     )
     with pytest.raises(MappingError) as exc:
         map_netlist(parse_netlist(src))
-    assert str(exc.value) == "gate 'odd': unsupported 4ph shape [2, 3] -> 2"
+    assert str(exc.value) == "line 4: gate 'odd': unsupported 4ph shape [2, 3] -> 2"
 
 
 def _shape_id(key) -> str:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from qdifab.encodings import encode_4ph, encode_4ph_null
 from qdifab.mapper import map_4ph_2in, map_ledr_2in
 from qdifab.plb import (
     LutTable,
@@ -19,7 +18,7 @@ from qdifab.plb import (
     validate_config,
 )
 from . import _oracles
-from ._util import lut_eval, step_unit
+from ._util import lut_eval, one_hot, step_unit
 
 AND2 = lambda x, y: x & y
 XOR2 = lambda x, y: x ^ y
@@ -68,14 +67,14 @@ def test_plb_4ph_and_fires_and_acks():
     st = plb_reset(unit.config)
     st = step_unit(
         unit, st,
-        **{"x": encode_4ph(1, 2), "y": encode_4ph(1, 2), "ack": (0,)},
+        **{"x": one_hot(1, 2), "y": one_hot(1, 2), "ack": (0,)},
     )
     assert st.mem_out[:2] == (0, 1)
     assert ack_outputs(unit.config, st)[0] == 1
     # Inputs back to NULL with the acknowledge high: output clears.
     st = step_unit(
         unit, st,
-        **{"x": encode_4ph_null(2), "y": encode_4ph_null(2), "ack": (1,)},
+        **{"x": (0, 0), "y": (0, 0), "ack": (1,)},
     )
     assert st.mem_out[:2] == (0, 0)
     assert ack_outputs(unit.config, st)[0] == 0
@@ -206,7 +205,7 @@ def _reachable_env_states(f):
     """Breadth-first exploration of the block under a well-formed
     four-phase environment; yields every reached block state."""
     unit = map_4ph_2in("g", f).plbs[0]
-    null = encode_4ph_null(2)
+    null = (0, 0)
     init = (null, null, 0, plb_reset(unit.config))
     seen = {repr(init)}
     frontier = [init]
@@ -216,11 +215,11 @@ def _reachable_env_states(f):
         sout = ack_outputs(unit.config, st)[0]
         moves = []
         if x == null and sout == 0:
-            moves += [("x", encode_4ph(v, 2)) for v in (0, 1)]
+            moves += [("x", one_hot(v, 2)) for v in (0, 1)]
         if x != null and sout == 1:
             moves.append(("x", null))
         if y == null and sout == 0:
-            moves += [("y", encode_4ph(v, 2)) for v in (0, 1)]
+            moves += [("y", one_hot(v, 2)) for v in (0, 1)]
         if y != null and sout == 1:
             moves.append(("y", null))
         if ack == 0 and sout == 1:

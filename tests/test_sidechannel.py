@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,10 +17,10 @@ from qdifab.sidechannel import (
     ComparisonError,
     dpa_difference_of_means,
     level_value_correlation,
+    power_series,
     timing_spread,
     toggle_count_constant,
     toggle_count_profile,
-    toggles_per_transaction,
 )
 from qdifab.simulator import DelayModel, check_single_toggle, fabric_from_netlist, run
 from qdifab.trace import Trace, TraceEvent
@@ -74,7 +75,7 @@ def test_ledr_output_toggles_once_per_transaction():
 
 def test_empty_trace_zero_counts():
     tr = run(fab(AND_NET), {"x": [], "y": []})
-    assert toggles_per_transaction(tr, "o") == []
+    assert tr.events == [] and power_series(tr, 0) == [0]
     # An output with no completed transaction has nothing to compare.
     for analysis in (toggle_count_profile, timing_spread):
         with pytest.raises(AnalysisError, match="^primary output 'o' completes no transaction$"):
@@ -112,6 +113,18 @@ def test_toggle_profile_rejects_mixed_configs():
         with pytest.raises(ComparisonError, match=r"^traces with different primary outputs: "
                                                   r"\[\('o',\), \('p',\)\]$"):
             analysis({"a": t1, "b": t3})
+
+
+def test_traces_under_two_routings_are_not_compared():
+    # Jitter under two seeds, or jitter and uniform delays, are two routings.
+    f = fab(AND_NET)
+    t1, t2 = (run(f, {"x": [1], "y": [1]}, delays=DelayModel(mode="jitter", seed=seed))
+              for seed in (1, 2))
+    uniform = run(f, {"x": [1], "y": [1]})
+    for other, routings in ((t2, "'jitter:1', 'jitter:2'"), (uniform, "'jitter:1', 'uniform'")):
+        with pytest.raises(ComparisonError,
+                           match=f"^{re.escape(f'traces under different delays: [{routings}]')}$"):
+            timing_spread({0: t1, 1: other})
 
 
 def test_timing_spread_zero_under_uniform_delays():
@@ -176,6 +189,20 @@ def test_dpa_identical_partitions_zero():
     diff = dpa_difference_of_means([tr0, tr1, tr0, tr1], "s")
     tr0b = _single_rail_trace([0, 1])
     assert dpa_difference_of_means([tr0, tr0b, tr1, tr1], "s") == diff
+
+
+def test_dpa_difference_of_means_per_tick():
+    # The value-1 traces toggle at t=2 and at t=2 and 4, the value-0 trace
+    # at t=4; each ends at t=5.
+    traces = [_single_rail_trace(vals) for vals in ([0, 1], [1, 1], [1, 0])]
+    assert dpa_difference_of_means(traces, "s") == [0.0, 0.0, 1.0, 0.0, -0.5, 0.0]
+
+
+def test_power_series_counts_toggles_per_tick_up_to_end():
+    tr = Trace(events=[TraceEvent(0, "s.0", 0, 1), TraceEvent(2, "s.0", 1, 0),
+                       TraceEvent(2, "s.1", 0, 1), TraceEvent(4, "s.1", 1, 0)])
+    assert power_series(tr, 3) == [1, 0, 2, 0]
+    assert power_series(tr, 4) == [1, 0, 2, 0, 1]
 
 
 def test_dpa_empty_partition_rejected():

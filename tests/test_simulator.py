@@ -89,8 +89,11 @@ def test_empty_stimulus_empty_trace():
 
 
 def test_stimulus_unknown_signal_rejected():
-    with pytest.raises(SimulationInputError):
-        run(fab(AND_NET), {"x": [1], "y": [1], "nope": [0]})
+    # The error names the first unknown signal of the stimulus, for a caller
+    # that points at its line.
+    with pytest.raises(SimulationInputError) as exc:
+        run(fab(AND_NET), {"x": [1], "zz": [0], "y": [1], "nope": [0]})
+    assert exc.value.signal == "zz"
 
 
 def test_stimulus_out_of_range_value():
@@ -119,8 +122,9 @@ def test_stimulus_value_outside_arity_rejected_at_build(proto, stimulus, signal,
     # late in a sequence is refused as early as one at its head.
     net = {"4ph": AND_NET, "ledr": LEDR_XOR_NET, "edge": EDGE_AND_NET}[proto]
     with pytest.raises(SimulationInputError,
-                       match=rf"'{signal}': value {value} at index {index} "):
+                       match=rf"'{signal}': value {value} at index {index} ") as exc:
         Simulation(fab(net), stimulus=stimulus)
+    assert exc.value.signal == signal
 
 
 @pytest.mark.parametrize("delays, message", [

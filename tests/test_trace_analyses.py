@@ -14,7 +14,6 @@ from qdifab.sidechannel import (
     AnalysisError,
     level_value_correlation,
     toggle_count_profile,
-    toggles_per_transaction,
 )
 from qdifab.simulator import check_no_early_evaluation, check_single_toggle
 from qdifab.trace import GateInfo, Trace, TraceEvent
@@ -60,7 +59,6 @@ def traces(draw):
 @given(tr=traces())
 def test_one_pass_analyses_match_quadratic_oracles(tr):
     for name in tr.signals:
-        assert toggles_per_transaction(tr, name) == _oracles.toggles_per_transaction(tr, name)
         assert level_value_correlation(tr, name) == \
             _oracles.level_value_correlation(tr, name)
     # The profile windows one event-time list on every primary output.
