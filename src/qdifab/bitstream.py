@@ -7,11 +7,13 @@ input pins 0..3 (for each pin, LUTs 0..3), the two memory-point bypasses,
 the two OR-bypass selectors and the output-grouping selector.  277 bits per
 block, zero-padded to 280 and written as lowercase hex, one block per
 line; the first bit of the stream is the most significant bit of the first
-hex digit.
+hex digit.  A hex line is one ``plb.PlbConfig``, bit for bit.
 
-The signals, the gates and the pin and output wiring of each block travel
-in comment headers above the hex lines, so a bitstream file is a complete,
-simulatable design.  Its text is the design's identity:
+The signals, the gates and the routing of each block travel in comment
+headers above the hex lines, so a bitstream file is a complete, simulatable
+design.  A ``# plb`` header is one ``mapper.PlbUnit``'s routing: ``in=``,
+``out=`` and ``sout=`` are its ``input_map``, ``output_map`` and
+``sout_map``.  Its text is the design's identity:
 :meth:`Fabric.fingerprint` hashes it, and every trace names that hash.
 
 :func:`read_bitstream` holds a file to the design rules of a netlist,
@@ -87,7 +89,7 @@ def reads_ack(mg: MappedGate, output: str) -> bool:
     its gate."""
     feed = f"{output}.ackin"
     return any(ref is not None and ref.signal == feed
-               for unit in mg.plbs for ref in unit.config.input_assignment)
+               for unit in mg.plbs for ref in unit.input_map)
 
 
 # Bit characters to bit values and back.
@@ -105,7 +107,7 @@ def config_bits(config: PlbConfig) -> List[int]:
     return bits
 
 
-def config_from_bits(bits: Sequence[int], assignment) -> PlbConfig:
+def config_from_bits(bits: Sequence[int]) -> PlbConfig:
     """Inverse of :func:`config_bits` over bits of 0 and 1; bits past
     ``CONFIG_BITS`` are padding."""
     if len(bits) < CONFIG_BITS:
@@ -114,11 +116,10 @@ def config_from_bits(bits: Sequence[int], assignment) -> PlbConfig:
     flags = [bool(b) for b in bits[256:CONFIG_BITS]]
     return PlbConfig(
         luts=tuple(LutTable(int(luts[i:i + 64][::-1], 2)) for i in range(0, 256, 64)),
-        feedback_sel=tuple((*flags[k:16:4], False, False) for k in range(4)),
+        feedback_sel=tuple(tuple(flags[k:16:4]) for k in range(4)),
         mem_bypass=tuple(flags[16:18]),
         or6_bypass_sel=tuple(flags[18:20]),
         combine_sel=flags[20],
-        input_assignment=assignment,
     )
 
 
@@ -138,7 +139,7 @@ def hex_to_bits(text: str) -> List[int]:
 
 
 def _ref_str(ref: Optional[WireRef]) -> str:
-    if ref is NC or ref is None:
+    if ref is NC:
         return "-"
     return f"{ref.signal}:{ref.index}:{ref.width}"
 
@@ -159,7 +160,7 @@ def write_bitstream(fabric: Fabric) -> str:
     for mg in fabric.mapped:
         lines += [f"# internal {name} {width}" for name, width in mg.internal_signals]
         for unit in mg.plbs:
-            ins = ";".join(_ref_str(r) for r in unit.config.input_assignment)
+            ins = ";".join(_ref_str(r) for r in unit.input_map)
             outs = ";".join(_ref_str(r) for r in unit.output_map)
             souts = ";".join(s if s else "-" for s in unit.sout_map)
             lines.append(f"# plb {len(hex_lines)} gate={mg.name} role={unit.role} "
@@ -214,13 +215,13 @@ def read_bitstream(text: str) -> Fabric:
                 pending_internals.append((name, _natural(width, "width")))
             elif tag == "plb":
                 kv = _fields(toks[2:])
-                assignment = tuple(_ref_parse(t) for t in kv["in"].split(";"))
+                ins = tuple(_ref_parse(t) for t in kv["in"].split(";"))
                 outs = tuple(_ref_parse(t) for t in kv["out"].split(";"))
                 souts = tuple(None if t == "-" else t for t in kv["sout"].split(";"))
-                if (len(assignment), len(outs), len(souts)) != (12, 4, 2):
+                if (len(ins), len(outs), len(souts)) != (12, 4, 2):
                     raise ValueError("wrong number of bindings")
                 plb_meta.append(dict(
-                    lineno=lineno, gate=kv["gate"], role=kv["role"], assignment=assignment,
+                    lineno=lineno, gate=kv["gate"], role=kv["role"], ins=ins,
                     outs=outs, souts=souts, internals=tuple(pending_internals),
                 ))
                 pending_internals = []
@@ -254,9 +255,9 @@ def read_bitstream(text: str) -> Fabric:
         drives = {g.output: signals[g.output].wire_count, **dict(internals[g.name])}
         reads = {**drives, **{s: signals[s].wire_count for s in g.inputs},
                  f"{g.output}.ackin": 1}
-        bound = [(ref, reads) for ref in meta["assignment"] if ref is not None]
+        bound = [(ref, reads) for ref in meta["ins"] if ref is not None]
         bound += [(ref, drives) for ref in meta["outs"] if ref is not None]
-        bound += [(WireRef(name, 0), {f"{g.output}.sout": 1})
+        bound += [(WireRef(name, 0, 1), {f"{g.output}.sout": 1})
                   for name in meta["souts"] if name is not None]
         for ref, widths in bound:
             if ref.signal not in widths:
@@ -279,13 +280,13 @@ def read_bitstream(text: str) -> Fabric:
 
     by_gate: Dict[str, List[PlbUnit]] = {}
     for meta, (lineno, bits) in zip(plb_meta, hex_lines):
-        config = config_from_bits(bits, meta["assignment"])
+        config = config_from_bits(bits)
         broken = program_rules(config)
         if broken:
             raise BitstreamError(f"line {lineno}: block breaks the block rules: "
                                  + "; ".join(broken))
         by_gate.setdefault(meta["gate"], []).append(
-            PlbUnit(meta["role"], config, meta["outs"], meta["souts"]))
+            PlbUnit(meta["role"], config, meta["ins"], meta["outs"], meta["souts"]))
     mapped = {gname: MappedGate(gname, tuple(units), internals[gname])
               for gname, units in by_gate.items()}
     for g, lineno in zip(gates, gate_lines):

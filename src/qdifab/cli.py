@@ -102,21 +102,21 @@ def _parse_stimulus(text: str) -> Tuple[Dict[str, List[int]], Dict[str, int]]:
         if not line:
             continue
         if ":" not in line:
-            raise ValueError(f"stimulus line {lineno}: expected '<signal>: v1,v2,...'")
+            raise ValueError(f"line {lineno}: expected '<signal>: v1,v2,...'")
         name, values = line.split(":", 1)
         name = name.strip()
         if name in stim:
-            raise ValueError(f"stimulus line {lineno}: signal {name!r} given twice")
+            raise ValueError(f"line {lineno}: signal {name!r} given twice")
         vals = stim[name] = []
         line_of[name] = lineno
         # No value after the colon is an empty sequence; an empty value would shift the rest.
         for i, v in enumerate(map(str.strip, values.split(",") if values.strip() else ())):
             if not v:
-                raise ValueError(f"stimulus line {lineno}: {name!r}: empty value at index {i}")
+                raise ValueError(f"line {lineno}: {name!r}: empty value at index {i}")
             try:
                 vals.append(_natural(v, "value"))
             except NetlistError:
-                raise ValueError(f"stimulus line {lineno}: {name!r}: value {v} at index {i} "
+                raise ValueError(f"line {lineno}: {name!r}: value {v} at index {i} "
                                  "is not an integer of 0 or more") from None
     return stim, line_of
 
@@ -150,6 +150,9 @@ def cmd_sim(args) -> int:
     try:
         with open(args.stimulus) as fh:
             stimulus, line_of = _parse_stimulus(fh.read())
+    except ValueError as exc:  # names the line
+        return _fail(f"{args.stimulus}: {exc}")
+    try:
         delays = _parse_delays(args.delays)
         max_time = _natural(args.max_time, "max_time")
     except ValueError as exc:

@@ -4,11 +4,11 @@
 (protocol, input arities, output arity) to the routine that compiles that
 shape.  Every routine takes ``(name, f, inputs, out)``: the gate's name, its
 truth function over logical values, and the names of its input and output
-signals.  It returns a :class:`MappedGate`: per block, LUT tables,
-programming points and a pin assignment.  The four-phase two-input, LEDR
-and edge routines read the consumer's acknowledge on ``<out>.ackin``; the
-four-phase three-input and ternary ones have no wire left for it.  The
-conventions:
+signals.  It returns a :class:`MappedGate`: per block, its programming
+bits (a ``plb.PlbConfig``) and its routing, the wire on each of its pins
+and outputs (a :class:`PlbUnit`).  The four-phase two-input, LEDR and edge
+routines read the consumer's acknowledge on ``<out>.ackin``; the four-phase
+three-input and ternary ones have no wire left for it.  The conventions:
 
 * Four-phase gates fire when every data input has left NULL and the
   acknowledge input (when present) is 0, and return to NULL when every input
@@ -34,12 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .encodings import CodeKind, Protocol, decode_4ph
-from .plb import (
-    NC,
-    LutTable,
-    PlbConfig,
-    WireRef,
-)
+from .plb import FEEDBACK_PINS, NC, LutTable, PlbConfig, WireRef
 
 GateFn = Callable[..., int]
 
@@ -54,17 +49,18 @@ def _refs(signal: str, width: int) -> Tuple[WireRef, ...]:
 
 
 def _feedback(pins_per_lut: Sequence[Sequence[int]]) -> Tuple[Tuple[bool, ...], ...]:
-    return tuple(
-        tuple(i in pins for i in range(6)) for pins in pins_per_lut
-    )
+    return tuple(tuple(i in pins for i in FEEDBACK_PINS) for pins in pins_per_lut)
 
 
 @dataclass(frozen=True)
 class PlbUnit:
-    """One placed block of a mapped gate."""
+    """One placed block of a mapped gate: its programming bits and its
+    routing."""
 
     role: str  # "main" or "decision_wait"
     config: PlbConfig
+    # Signal wire read by network pins group' 0..5, group'' 0..5.
+    input_map: Tuple[Optional[WireRef], ...]
     output_map: Tuple[Optional[WireRef], ...]  # signal wire driven by O0..O3
     sout_map: Tuple[Optional[str], Optional[str]]  # wires driven by the ack XORs
 
@@ -87,11 +83,12 @@ def _fires(func: GateFn, for_wire: int, *inputs: Sequence[int]) -> int:
     return 0
 
 
-def _one_block(name: str, config: PlbConfig, out: str, width: int) -> MappedGate:
-    """A one-block gate driving the ``width`` wires of ``out`` from O0
-    upwards, with its acknowledge on the first XOR."""
+def _one_block(name: str, config: PlbConfig, pins: Tuple[Optional[WireRef], ...],
+               out: str, width: int) -> MappedGate:
+    """A one-block gate reading ``pins`` and driving the ``width`` wires of
+    ``out`` from O0 upwards, with its acknowledge on the first XOR."""
     outputs = _refs(out, width) + (None,) * (4 - width)
-    return MappedGate(name, (PlbUnit("main", config, outputs, (f"{out}.sout", None)),))
+    return MappedGate(name, (PlbUnit("main", config, pins, outputs, (f"{out}.sout", None)),))
 
 
 def _two_input_block(name: str, lut: Callable[[int], LutTable],
@@ -110,9 +107,9 @@ def _two_input_block(name: str, lut: Callable[[int], LutTable],
         luts=(lut(0), lut(1), LutTable.zero(), LutTable.zero()),
         feedback_sel=_feedback([(0,), (1,), (), ()]),
         mem_bypass=(True, True),
-        input_assignment=(ack_ref, ack_ref) + _refs(xn, 2) + _refs(yn, 2) + (NC,) * 6,
     )
-    return _one_block(name, config, out, 2)
+    pins = (ack_ref, ack_ref) + _refs(xn, 2) + _refs(yn, 2) + (NC,) * 6
+    return _one_block(name, config, pins, out, 2)
 
 
 # -- four-phase, one-of-2, two inputs ---------------------------------------
@@ -167,9 +164,8 @@ def map_4ph_3in(
     config = PlbConfig(
         luts=(lut(0), lut(1), LutTable.zero(), LutTable.zero()),
         mem_bypass=(False, True),
-        input_assignment=data + (NC,) * 6,
     )
-    return _one_block(name, config, out, 2)
+    return _one_block(name, config, data + (NC,) * 6, out, 2)
 
 
 # -- four-phase, one-of-3, two inputs ----------------------------------------
@@ -199,9 +195,8 @@ def map_4ph_ter_2in(
     config = PlbConfig(
         luts=(lut(0), lut(1), lut(2), LutTable.zero()),
         combine_sel=True,
-        input_assignment=data + data,
     )
-    return _one_block(name, config, out, 3)
+    return _one_block(name, config, data + data, out, 3)
 
 
 # -- LEDR, two inputs ---------------------------------------------------------
@@ -296,9 +291,8 @@ def map_ledr_3in(
     config = PlbConfig(
         luts=(lut_lo(False), lut_lo(True), lut_hi(False), lut_hi(True)),
         or6_bypass_sel=(True, False),
-        input_assignment=(ack,) + shared + (WireRef(xn, 1, 2),) + shared,
     )
-    return _one_block(name, config, out, 2)
+    return _one_block(name, config, (ack,) + shared + (WireRef(xn, 1, 2),) + shared, out, 2)
 
 
 # -- edge protocol, two inputs ------------------------------------------------
@@ -313,7 +307,7 @@ def _dw_lut(cell: int) -> LutTable:
     Pin layout per cell follows the block's feedback reach: each cell reads
     itself and its two neighbours on the feedback pins, its B wire on the
     remaining low pin, and A0/A1 on pins 4/5.  The unused A wire is part of
-    the pin assignment (equal loading) but ignored by the table.
+    the input map (equal loading) but ignored by the table.
     """
     i, j = _DW_CELLS[cell]
 
@@ -357,12 +351,11 @@ def map_edge_2in(
         luts=tuple(_dw_lut(c) for c in range(4)),
         feedback_sel=_feedback([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
         mem_bypass=(True, True),
-        input_assignment=(NC, NC) + b_swapped + _refs(an, 2)
-        + b_swapped + (NC, NC) + _refs(an, 2),
     )
     dw = PlbUnit(
         role="decision_wait",
         config=dw_config,
+        input_map=(NC, NC) + b_swapped + _refs(an, 2) + b_swapped + (NC, NC) + _refs(an, 2),
         output_map=_refs(cn, 4),
         sout_map=(None, None),
     )
@@ -389,13 +382,13 @@ def map_edge_2in(
     comp_config = PlbConfig(
         luts=(parity_lut(ones), parity_lut(zeros), dw21_lut(0), dw21_lut(1)),
         or6_bypass_sel=(True, False),
-        input_assignment=_refs(cn, 4) + (NC, NC)
-        + _refs(out, 2) + (NC, NC, WireRef(f"{out}.ackin", 0, 1), NC),
     )
     # O0 = C(L0, L2) carries the 1-wire, O1 = C(L1, L3) the 0-wire.
     comp = PlbUnit(
         role="main",
         config=comp_config,
+        input_map=_refs(cn, 4) + (NC, NC)
+        + _refs(out, 2) + (NC, NC, WireRef(f"{out}.ackin", 0, 1), NC),
         output_map=_refs(out, 2)[::-1] + (None, None),
         sout_map=(f"{out}.sout", None),
     )

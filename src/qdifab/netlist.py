@@ -54,7 +54,7 @@ class GateDecl:
     fn: int
     inputs: Tuple[str, ...]
     output: str
-    line: int = 0
+    line: int
 
 
 def primary_signals(signals: Iterable[str], gates) -> Tuple[List[str], List[str]]:

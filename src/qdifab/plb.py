@@ -26,6 +26,12 @@ C-element of the package: the simulator's acknowledge joins use it too.
 Both OR bypasses set is illegal (:func:`program_rules`); :func:`plb_step`
 then follows A's.
 
+A :class:`PlbConfig` is exactly the block's 277 programming bits, in
+bitstream order: ``luts`` (four 64-bit tables), ``feedback_sel`` (pins 0..3
+of each LUT), ``mem_bypass`` (A, B), ``or6_bypass_sel`` (A, B) and
+``combine_sel``.  Which wire drives each pin is routing, not programming:
+it lives on ``mapper.PlbUnit``.
+
 Everything is evaluated with zero internal delay inside one step.  Internal
 feedback is settled by iterating the LUT stage to a fixpoint; a step that
 fails to settle within ITERATION_BOUND rounds reports an oscillation
@@ -34,6 +40,7 @@ diagnostic instead of silently picking a state.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -76,7 +83,7 @@ class WireRef:
 
     signal: str
     index: int
-    width: int = 1
+    width: int
 
     def __str__(self):
         # Single-wire signals (acknowledges) go by their bare name.
@@ -92,12 +99,11 @@ NC = None
 @dataclass(frozen=True)
 class PlbConfig:
     luts: Tuple[LutTable, LutTable, LutTable, LutTable]
-    feedback_sel: Tuple[Tuple[bool, ...], ...] = tuple((False,) * 6 for _ in range(4))
+    # feedback_sel[k][i]: pin i of Lk reads Li's output.
+    feedback_sel: Tuple[Tuple[bool, ...], ...] = ((False,) * 4,) * 4
     mem_bypass: Tuple[bool, bool] = (False, False)
     or6_bypass_sel: Tuple[bool, bool] = (False, False)
     combine_sel: bool = False
-    # 12 pins: group' 0..5, group'' 0..5.
-    input_assignment: Tuple[Optional[WireRef], ...] = (NC,) * 12
 
 
 @dataclass(frozen=True)
@@ -192,8 +198,7 @@ def plb_reset(config: PlbConfig) -> PlbState:
     1 there by design, e.g. locked rendez-vous companions).  The block's
     outputs must still read 0.
     """
-    settled = plb_step(config, PlbState(), (0,) * 12)
-    return settled
+    return plb_step(config, PlbState(), (0,) * 12)
 
 
 def ack_outputs(config: PlbConfig, state: PlbState) -> Tuple[int, int]:
@@ -211,21 +216,14 @@ def ack_outputs(config: PlbConfig, state: PlbState) -> Tuple[int, int]:
 def program_rules(config: PlbConfig) -> List[str]:
     """Diagnostics on a block's programming points alone; empty means legal.
 
-    Feedback stays on pins 0..3, the mode selectors are mutually
-    consistent, and the block is quiescent at reset.  A bitstream block is
-    held to these (``bitstream.read_bitstream``).
+    Each LUT has one feedback point per pin 0..3, the mode selectors are
+    mutually consistent, and the block is quiescent at reset.  A bitstream
+    block is held to these (``bitstream.read_bitstream``).
     """
-    diags: List[str] = []
-
-    network_only = [i for i in range(LUT_INPUTS) if i not in FEEDBACK_PINS]
-    for k, sel in enumerate(config.feedback_sel):
-        if len(sel) != LUT_INPUTS:
-            diags.append(f"L{k}: feedback selection vector must cover 6 pins")
-            continue
-        for i in network_only:
-            if sel[i]:
-                diags.append(f"L{k}: illegal feedback on input {i} "
-                             f"(pins {','.join(map(str, network_only))} are network-only)")
+    diags = [f"L{k}: feedback selection must cover pins 0..3"
+             for k, sel in enumerate(config.feedback_sel) if len(sel) != len(FEEDBACK_PINS)]
+    if diags:
+        return diags
 
     cross_a, cross_b = config.or6_bypass_sel
     if cross_a and cross_b:
@@ -245,29 +243,19 @@ def program_rules(config: PlbConfig) -> List[str]:
     return diags
 
 
-def validate_config(config: PlbConfig) -> List[str]:
-    """Legality diagnostics for a block configuration; empty means legal.
+def validate_config(config: PlbConfig, pins: Sequence[Optional[WireRef]]) -> List[str]:
+    """Legality diagnostics for a block configuration whose 12 network pins
+    read ``pins``; empty means legal.
 
     The :func:`program_rules`, and every wire of a multi-wire signal
-    presents the same number of network pin loads.
+    presents the same number of network pin loads: otherwise its
+    transitions become distinguishable.  A one-wire signal has one count,
+    which is always balanced.
     """
     diags = program_rules(config)
-
-    # Load balance: within each signal, every wire must drive the same number
-    # of network pins, or the transitions become distinguishable.  A one-wire
-    # signal has one count, which is always balanced.
-    loads: dict[str, dict[int, int]] = {}
-    widths: dict[str, int] = {}
-    for ref in config.input_assignment:
-        if ref is NC:
-            continue
-        loads.setdefault(ref.signal, {})
-        loads[ref.signal][ref.index] = loads[ref.signal].get(ref.index, 0) + 1
-        widths[ref.signal] = max(widths.get(ref.signal, ref.width), ref.width)
-    for sig, per_wire in loads.items():
-        counts = [per_wire.get(i, 0) for i in range(widths[sig])]
+    loads = Counter(ref for ref in pins if ref is not NC)
+    for sig, width in {ref.signal: ref.width for ref in loads}.items():
+        counts = [loads[WireRef(sig, i, width)] for i in range(width)]
         if len(set(counts)) > 1:
-            diags.append(
-                f"signal {sig}: unbalanced pin loads {counts} across its wires"
-            )
+            diags.append(f"signal {sig}: unbalanced pin loads {counts} across its wires")
     return diags

@@ -213,7 +213,7 @@ class _Elaboration:
         for mg in fabric.mapped:
             for unit in mg.plbs:
                 masks: Dict[int, int] = {}
-                for i, ref in enumerate(unit.config.input_assignment):
+                for i, ref in enumerate(unit.input_map):
                     if ref is not None:
                         w = resolve(str(ref))
                         masks[w] = masks.get(w, 0) | 1 << i

@@ -35,7 +35,7 @@ def step_unit(unit, state, **signals):
     for the block's acknowledge input ``<out>.ackin``; unbound pins read 0.
     """
     values = []
-    for ref in unit.config.input_assignment:
+    for ref in unit.input_map:
         if ref is None:
             values.append(0)
         else:

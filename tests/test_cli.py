@@ -31,6 +31,7 @@ from qdifab.trace import Trace, TraceFormatError
 from . import _oracles
 from .test_golden_traces import DESIGNS as GOLDEN_DESIGNS
 from .test_golden_traces import _stimulus as golden_stimulus
+from .test_plb import configs
 
 THREE_GATE_NET = """
 # half adder plus a carry tap
@@ -67,15 +68,16 @@ def files(tmp_path):
     return tmp_path, net, stim
 
 
-def test_config_bits_roundtrip():
-    unit = map_4ph_2in("g", lambda x, y: x & y).plbs[0]
-    bits = config_bits(unit.config)
+@given(configs())
+@example(map_4ph_2in("g", lambda x, y: x & y).plbs[0].config)
+def test_config_bits_roundtrip(config):
+    # Any tables, feedback points and flags: the bits are the configuration.
+    bits = config_bits(config)
     assert len(bits) == CONFIG_BITS
     hx = bits_to_hex(bits)
     assert len(hx) == 70
     assert hex_to_bits(hx)[:CONFIG_BITS] == bits
-    back = config_from_bits(bits, unit.config.input_assignment)
-    assert back == unit.config
+    assert config_from_bits(bits) == config
 
 
 @given(st.lists(st.integers(0, 1), max_size=300))
@@ -289,7 +291,7 @@ def test_sim_repeated_stimulus_signal_exits_2_naming_line(files, capsys):
     stim.write_text("a: 0,1,1\nb: 1,1,0\n# again\na: 1\n")
     capsys.readouterr()
     assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
-    assert capsys.readouterr().err == "error: stimulus line 4: signal 'a' given twice\n"
+    assert capsys.readouterr().err == f"error: {stim}: line 4: signal 'a' given twice\n"
 
 
 def test_sim_unknown_stimulus_signal(files, capsys):
@@ -350,7 +352,7 @@ def test_sim_stimulus_value_other_than_ascii_digits_exits_2(files, capsys, value
     stim.write_text(f"a: 1,0\nb: 1,{value}\n")
     capsys.readouterr()
     assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
-    assert capsys.readouterr().err == (f"error: stimulus line 2: 'b': value {value} at index 1 "
+    assert capsys.readouterr().err == (f"error: {stim}: line 2: 'b': value {value} at index 1 "
                                        "is not an integer of 0 or more\n")
 
 
@@ -364,7 +366,7 @@ def test_sim_empty_stimulus_value_exits_2(files, capsys, values, index):
     capsys.readouterr()
     assert main(["sim", str(bit), "--stimulus", str(stim)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: stimulus line 2: 'b': empty value at index {index}\n"
+    assert err == f"error: {stim}: line 2: 'b': empty value at index {index}\n"
 
 
 def test_stimulus_line_without_values_is_empty():

@@ -111,7 +111,7 @@ def test_map_4ph_2in_without_ack():
     # No caller can leave out the acknowledge: the block reads o.ackin on
     # both feedback-free pins and waits for it in both phases.
     unit = map_4ph_2in("g", AND2).plbs[0]
-    assert unit.config.input_assignment[:2] == (WireRef("o.ackin", 0, 1),) * 2
+    assert unit.input_map[:2] == (WireRef("o.ackin", 0, 1),) * 2
     st = plb_reset(unit.config)
     st = step_unit(unit, st, x=one_hot(0, 2), y=one_hot(1, 2), ack=(1,))
     assert st.mem_out[:2] == (0, 0)
@@ -229,7 +229,7 @@ def _ledr3_pins(unit, x, y, z, ack):
     sig = {"x": x, "y": y, "z": z, "o.ackin": (ack,)}
     return tuple(
         0 if ref is None else sig[ref.signal][ref.index]
-        for ref in unit.config.input_assignment
+        for ref in unit.input_map
     )
 
 
@@ -428,12 +428,13 @@ def test_every_emitted_config_validates():
     mg = map_edge_2in("g", AND2)
     units.extend(mg.plbs)
     for unit in units:
-        assert validate_config(unit.config) == [], unit.role
+        assert validate_config(unit.config, unit.input_map) == [], unit.role
 
 
 def test_ledr_3in_known_load_diagnostic():
     # Seven wires over twelve pins cannot balance the first repeat wire;
     # the legality check reports it and nothing else.
-    diags = validate_config(map_ledr_3in("g", XOR3).plbs[0].config)
+    unit = map_ledr_3in("g", XOR3).plbs[0]
+    diags = validate_config(unit.config, unit.input_map)
     assert len(diags) == 1
     assert "unbalanced" in diags[0] and "x" in diags[0]

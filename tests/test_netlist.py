@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import pytest
@@ -6,7 +7,9 @@ from qdifab.bitstream import read_bitstream, write_bitstream
 from qdifab.encodings import Protocol
 from qdifab.mapper import SHAPES, MappingError
 from qdifab.netlist import (
+    GateDecl,
     NetlistError,
+    ack_source,
     gate_function,
     map_netlist,
     parse_netlist,
@@ -26,6 +29,9 @@ def test_parse_minimal():
     assert set(net.signals) == {"x", "y", "o"}
     assert net.primary_inputs() == ["x", "y"]
     assert net.primary_outputs() == ["o"]
+    assert net.gates == [GateDecl("g", 8, ("x", "y"), "o", 5)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.gates[0].fn = 6
 
 
 def test_unconnected_signal_rejected_naming_its_line():
@@ -57,6 +63,18 @@ def test_parse_error_carries_line():
     with pytest.raises(NetlistError) as exc:
         parse_netlist("signal x proto=4ph arity=2\nwat x\n")
     assert "line 2" in str(exc.value)
+    # An unknown directive also names its column.
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("signal x proto=4ph arity=2\n  wat x\n")
+    assert str(exc.value) == "line 2, column 3: unknown directive 'wat'"
+
+
+def test_ack_source_follows_the_readers():
+    # The environment, one reader's acknowledge XOR, or the join of several.
+    g, h = (GateDecl(n, 8, ("x", "y"), f"{n}o", 1) for n in "gh")
+    assert ack_source("x", []) == "x.cack"
+    assert ack_source("x", [g]) == "go.sout"
+    assert ack_source("x", [g, h]) == ack_source("x", [g, g]) == "x.ackin"
 
 
 def test_unknown_protocol_and_bad_arity():
@@ -218,7 +236,32 @@ def test_legacy_ack_token_warns_once_per_netlist():
         warnings.simplefilter("always")
         net = parse_netlist(src)
     assert [w.category for w in caught] == [DeprecationWarning]
+    assert str(caught[0].message).startswith("line 5: ")  # the first of the two
     assert [g.name for g in net.gates] == ["g1", "g2"]
+
+
+def test_legacy_ack_token_right_after_the_gate_name_warns():
+    src = (
+        "".join(f"signal {n} proto=4ph arity=2\n" for n in "abst")
+        + "gate g1 fn=6 in=a,b out=s\ngate g2 ack fn=8 in=a,b out=t\n"
+    )
+    with pytest.warns(DeprecationWarning, match="^line 6: the 'ack' gate token is ignored") as rec:
+        net = parse_netlist(src)
+    assert net.gates[1] == GateDecl("g2", 8, ("a", "b"), "t", 6)
+    # The warning is attributed to the caller of parse_netlist, here this file.
+    assert rec[0].filename == __file__
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("fn=8 in=x,y zz=1", "gate needs in=<sig,...> and out=<sig>"),
+    ("fn=8 out=o zz=1", "gate needs in=<sig,...> and out=<sig>"),
+    ("in=x,y out=o zz=1", "gate needs fn=<hex>"),
+    ("fn=8 in=x,y", "gate needs a name, fn=, in= and out="),
+], ids=["no-out", "no-in", "no-fn", "too-few-fields"])
+def test_gate_without_its_fields_rejected(tail, message):
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(_BINARY_AND + f"gate g {tail}\n")
+    assert str(exc.value) == f"line 4: {message}"
 
 
 _BINARY_AND = "".join(f"signal {s} proto=4ph arity=2\n" for s in "xyo")
@@ -260,6 +303,12 @@ def test_ternary_table_entry_outside_the_output_rejected(fn, message):
 def test_quaternary_table_takes_every_entry():
     src = "".join(f"signal {s} proto=4ph arity=4\n" for s in "tv")
     assert parse_netlist(src + "gate g fn=e4 in=t out=v\n").gates[0].fn == 0xE4
+
+
+def test_signal_arity_error_states_the_integer_rule():
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist("signal x proto=4ph arity=+2\n")
+    assert str(exc.value) == "line 1: arity '+2' is not an integer of 0 or more"
 
 
 @pytest.mark.parametrize("arity", ["\u0662", "+2", "2 arity=3"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -52,6 +53,28 @@ def test_lut_table_wider_than_64_bits_is_refused():
     LutTable((1 << 64) - 1)
     with pytest.raises(ValueError, match="wider than 64 bits"):
         LutTable(1 << 64)
+
+
+def test_block_values_are_hashable_and_immutable():
+    # The kernel's memo and the benchmark's distinct-step count hash them.
+    values = [LutTable(1), WireRef("x", 0, 2), PlbConfig(luts=(LutTable(1),) * 4), PlbState()]
+    assert len(set(values)) == 4
+    for v in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, dataclasses.fields(v)[0].name, None)
+
+
+def test_config_of_tables_alone_has_every_point_off():
+    luts = (LutTable(1),) * 4
+    assert PlbConfig(luts=luts) == PlbConfig(
+        luts=luts, feedback_sel=((False,) * 4,) * 4, mem_bypass=(False, False),
+        or6_bypass_sel=(False, False), combine_sel=False)
+
+
+def test_wire_ref_names_its_wire():
+    # A one-wire signal (an acknowledge) goes by its bare name.
+    assert str(WireRef("x", 1, 2)) == "x.1"
+    assert str(WireRef("o.ackin", 0, 1)) == "o.ackin"
 
 
 def test_plb_reset_quiescent_and_step_identity():
@@ -117,6 +140,28 @@ def test_memory_point_latches_against_the_or_companion():
         assert ack_outputs(cfg, st)[0] == out[0] ^ out[1]
 
 
+def test_plb_reset_settles_from_zero_against_zero_inputs():
+    # Self-holding LUTs keep the LUT outputs they start from, and
+    # constant-1 LUTs keep the memory outputs they start from while their
+    # group is quiet: both reset to all 0.
+    hold = tuple(LutTable.from_function(lambda *p, k=k: p[k]) for k in range(4))
+    fb = tuple(tuple(i == k for i in range(4)) for k in range(4))
+    for cfg in (PlbConfig(luts=hold, feedback_sel=fb, mem_bypass=(True, True)),
+                PlbConfig(luts=(LutTable((1 << 64) - 1),) * 4)):
+        assert plb_reset(cfg).mem_out == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("pin, mem_out", [(0, (1, 0, 0, 0)), (6, (0, 0, 1, 0))])
+def test_or_companion_reads_the_first_pin_of_its_group(pin, mem_out):
+    # L0 and L2 read the first pin of their group; only that pin is high,
+    # so only its group's OR companion lets its memory point rise.
+    first = LutTable.from_function(lambda *p: p[0])
+    cfg = PlbConfig(luts=(first, LutTable.zero(), first, LutTable.zero()))
+    levels = [0] * 12
+    levels[pin] = 1
+    assert plb_step(cfg, PlbState(), levels).mem_out == mem_out
+
+
 def test_plb_step_deterministic():
     unit = map_4ph_2in("g", XOR2).plbs[0]
     st = plb_reset(unit.config)
@@ -132,36 +177,36 @@ def test_plb_oscillation_diagnostic():
     # A LUT inverting its own feedback cannot settle.
     ring = PlbConfig(
         luts=(LutTable.from_function(lambda *p: 1 ^ p[0]),) + (LutTable.zero(),) * 3,
-        feedback_sel=((True,) + (False,) * 5, (False,) * 6, (False,) * 6, (False,) * 6),
+        feedback_sel=((True, False, False, False),) + ((False,) * 4,) * 3,
         mem_bypass=(True, True),
     )
     with pytest.raises(OscillationError):
         plb_reset(ring)
-    assert any("oscillates" in d for d in validate_config(ring))
+    assert program_rules(ring) == ["block oscillates in the all-zero reset state"]
 
 
 def test_validate_config_accepts_mapped():
-    assert validate_config(map_4ph_2in("g", AND2).plbs[0].config) == []
-    assert validate_config(map_ledr_2in("g", XOR2).plbs[0].config) == []
+    for unit in (map_4ph_2in("g", AND2).plbs[0], map_ledr_2in("g", XOR2).plbs[0]):
+        assert validate_config(unit.config, unit.input_map) == []
 
 
 def test_validate_config_load_balance():
-    # x.0 on three pins, x.1 on two: distinguishable loads.
-    refs = [WireRef("x", 0, 2)] * 3 + [WireRef("x", 1, 2)] * 2 + [None] * 7
-    cfg = PlbConfig(luts=(LutTable.zero(),) * 4, input_assignment=tuple(refs))
-    diags = validate_config(cfg)
-    assert any("unbalanced" in d and "x" in d for d in diags)
+    # x.0 on three pins and x.1 on two, or x.1 on none: distinguishable
+    # loads.
+    for loads in ((3, 2), (1, 0)):
+        pins = sum(((WireRef("x", i, 2),) * n for i, n in enumerate(loads)), ())
+        pins += (None,) * (12 - len(pins))
+        assert validate_config(PlbConfig(luts=(LutTable.zero(),) * 4), pins) == [
+            f"signal x: unbalanced pin loads {list(loads)} across its wires"]
 
 
 def test_validate_config_illegal_feedback_pin():
-    sel = [[False] * 6 for _ in range(4)]
-    sel[2][5] = True
-    cfg = PlbConfig(
-        luts=(LutTable.zero(),) * 4,
-        feedback_sel=tuple(tuple(s) for s in sel),
-    )
-    diags = validate_config(cfg)
-    assert any("illegal feedback" in d and "5" in d for d in diags)
+    # Pins 4 and 5 have no feedback point: a selection that names them is
+    # refused, not cut to pins 0..3.
+    sel = [(False,) * 4] * 4
+    sel[2] = (False,) * 5 + (True,)
+    cfg = PlbConfig(luts=(LutTable.zero(),) * 4, feedback_sel=tuple(sel))
+    assert program_rules(cfg) == ["L2: feedback selection must cover pins 0..3"]
 
 
 def test_validate_config_cross_mode_requires_memory():
@@ -170,7 +215,7 @@ def test_validate_config_cross_mode_requires_memory():
         mem_bypass=(True, True),
         or6_bypass_sel=(True, False),
     )
-    diags = validate_config(cfg)
+    diags = validate_config(cfg, (None,) * 12)
     assert any("requires its memory point active" in d for d in diags)
 
 
@@ -181,6 +226,16 @@ def test_cross_mode_pair_a_rule_reads_pair_a_memory_point():
                               ((False, True), [])):
         cfg = PlbConfig(luts=(LutTable.zero(),) * 4, mem_bypass=mem_bypass,
                         or6_bypass_sel=(True, False))
+        assert program_rules(cfg) == diags
+
+
+def test_cross_mode_pair_b_rule_reads_pair_b_memory_point():
+    # Pair B's OR bypass needs memory point B active; A's may be bypassed.
+    for mem_bypass, diags in (((False, True), ["or6 bypass on pair B requires its memory "
+                                               "point active"]),
+                              ((True, False), [])):
+        cfg = PlbConfig(luts=(LutTable.zero(),) * 4, mem_bypass=mem_bypass,
+                        or6_bypass_sel=(False, True))
         assert program_rules(cfg) == diags
 
 
@@ -263,9 +318,7 @@ def configs(draw):
     two = hst.tuples(hst.booleans(), hst.booleans())
     return PlbConfig(
         luts=tuple(LutTable(draw(hst.integers(0, (1 << 64) - 1))) for _ in range(4)),
-        feedback_sel=tuple(
-            draw(hst.tuples(*[hst.booleans()] * 4)) + (False, False) for _ in range(4)
-        ),
+        feedback_sel=tuple(draw(hst.tuples(*[hst.booleans()] * 4)) for _ in range(4)),
         mem_bypass=draw(two),
         or6_bypass_sel=draw(two),
         combine_sel=draw(hst.booleans()),

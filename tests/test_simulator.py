@@ -530,14 +530,14 @@ def test_trace_csv_roundtrip():
 def _oscillating_fabric():
     """One block whose L0 feeds back on itself as ``(x.0 or x.1) and not
     L0``: quiet at reset, oscillating whenever a rail of x is high."""
-    no_fb = (False,) * 6
+    no_fb = (False,) * 4
     config = PlbConfig(
         luts=(LutTable.from_function(lambda l0, a, b, *_: (a | b) & (1 - l0)),
               LutTable.zero(), LutTable.zero(), LutTable.zero()),
-        feedback_sel=((True,) + (False,) * 5, no_fb, no_fb, no_fb),
-        input_assignment=(None, WireRef("x", 1, 2), WireRef("x", 0, 2)) + (None,) * 9,
+        feedback_sel=((True,) + (False,) * 3, no_fb, no_fb, no_fb),
     )
-    unit = PlbUnit("main", config, (WireRef("o", 0, 2), WireRef("o", 1, 2), None, None),
+    pins = (None, WireRef("x", 1, 2), WireRef("x", 0, 2)) + (None,) * 9
+    unit = PlbUnit("main", config, pins, (WireRef("o", 0, 2), WireRef("o", 1, 2), None, None),
                    ("o.sout", None))
     signals = {s: SignalSpec(s, Protocol.FOUR_PHASE, 2) for s in "xo"}
     return Fabric(signals, [MappedGate("g", (unit,))],
