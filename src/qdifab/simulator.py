@@ -95,6 +95,9 @@ from .plb import (
 )
 from .trace import GateInfo, Trace, TraceEvent, record_markers, window_counts
 
+# The last simulated tick, unless the caller names another.
+MAX_TIME = 20000
+
 
 class SimulationInputError(ValueError):
     """Bad stimulus or fabric input from the caller; ``signal`` names the
@@ -421,7 +424,7 @@ class Simulation:
         fabric: Fabric,
         delays: Optional[DelayModel] = None,
         stimulus: Optional[Dict[str, List[int]]] = None,
-        max_time: int = 20000,
+        max_time: int = MAX_TIME,
     ):
         if max_time < 0:
             raise SimulationInputError(f"max_time {max_time} is negative")
@@ -555,7 +558,7 @@ def run(
     fabric: Fabric,
     stimulus: Dict[str, List[int]],
     delays: Optional[DelayModel] = None,
-    max_time: int = 20000,
+    max_time: int = MAX_TIME,
     inject: Optional[List[Tuple[int, str, int]]] = None,
 ) -> Trace:
     sim = Simulation(fabric, delays, stimulus, max_time)

@@ -343,16 +343,12 @@ def chain_load_block(block: Block, bits: Sequence[int]) -> Block:
     """
     if any(b is not None for b in block.stages):
         raise ProgrammingError("chain must be drained before loading")
-    if not block.tail_held:
-        raise ProgrammingError("tail acknowledge must be held during loading")
     if len(bits) > block.length:
         raise ProgrammingError(
             f"{len(bits)} bits overflow a {block.length}-stage chain"
         )
     if not bits:
-        block.state = "unconfigured"
         return block
-    block.state = "programming"
     pending = list(bits)
     waiting: Optional[int] = None
     guard = 0
@@ -364,22 +360,17 @@ def chain_load_block(block: Block, bits: Sequence[int]) -> Block:
         if guard > 4 * block.length * (len(bits) + 1):
             raise ProgrammingError("chain did not accept all bits")
     chain_settle(block)
-    block.state = "active"
     return block
 
 
 def chain_drain_block(block: Block) -> Tuple[int, ...]:
     """Release the tail acknowledge and collect the bits in FIFO order."""
-    block.tail_held = False
-    block.state = "programming"
     out: List[int] = []
     while any(b is not None for b in block.stages):
         if block.stages[-1] is not None:
             out.append(block.stages[-1])
             block.stages[-1] = None
         chain_shift_tick(block, None)
-    block.tail_held = True
-    block.state = "unconfigured"
     return tuple(out)
 
 
@@ -395,18 +386,18 @@ def chain_reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLo
         raise ProgrammingError(
             f"{len(new_bits)} bits overflow a {block.length}-stage chain"
         )
+    # The block programs from the drain's first tick to the final settle,
+    # and its logic outputs are forced to 0 while it programs.
+    programming = True
     zero_log: List[bool] = []
 
-    block.tail_held = False
-    block.state = "programming"
     drained: List[int] = []
     while any(b is not None for b in block.stages):
         if block.stages[-1] is not None:
             drained.append(block.stages[-1])
             block.stages[-1] = None
         chain_shift_tick(block, None)
-        zero_log.append(block.outputs_forced_zero())
-    block.tail_held = True
+        zero_log.append(programming)
 
     pending = list(new_bits)
     waiting: Optional[int] = None
@@ -414,11 +405,10 @@ def chain_reconfigure_block(block: Block, new_bits: Sequence[int]) -> ReconfigLo
         if waiting is None:
             waiting = pending.pop(0)
         waiting = chain_shift_tick(block, waiting)
-        zero_log.append(block.outputs_forced_zero())
+        zero_log.append(programming)
     chain_settle(block)
-    zero_log.append(block.outputs_forced_zero())
+    zero_log.append(programming)
 
-    block.state = "active" if new_bits else "unconfigured"
     return ReconfigLog(
         drained=tuple(drained),
         ticks=len(zero_log),

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import gc
+import inspect
 import io
 import os
 import re
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qdifab
+import qdifab.cli
 from qdifab.bitstream import (
     CONFIG_BITS,
     bits_to_hex,
@@ -282,6 +284,21 @@ def test_sim_negative_time_exits_2(files, capsys, flag, value):
     name = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"error: {name} {value!r} is not an integer of 0 or more\n"
     assert not tracef.exists()
+
+
+def test_sim_without_max_time_uses_the_bound_of_run(files, monkeypatch):
+    tmp, net, stim = files
+    bit = tmp / "d.bit"
+    assert main(["map", str(net), "-o", str(bit)]) == 0
+    bounds = []
+
+    def spy(*args, max_time, **kwargs):
+        bounds.append(max_time)
+        return run(*args, max_time=max_time, **kwargs)
+
+    monkeypatch.setattr(qdifab.cli, "run", spy)
+    assert main(["sim", str(bit), "--stimulus", str(stim)]) == 0
+    assert bounds == [inspect.signature(run).parameters["max_time"].default]
 
 
 def test_sim_repeated_stimulus_signal_exits_2_naming_line(files, capsys):
@@ -561,13 +578,21 @@ def _missing_hex_line(lines):
     return next(i for i, ln in enumerate(lines, 1) if ln.startswith("# plb "))
 
 
+def _block_index_not_its_position(lines):
+    where = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# plb 0 "))
+    lines[where - 1] = lines[where - 1].replace("# plb 0 ", "# plb zz ")
+    return where
+
+
 @pytest.mark.parametrize("edit, message", [
     (_long_block_line, "expected 70 lowercase hex digits whose last 3 bits are 0"),
     (_padding_bit_set, "expected 70 lowercase hex digits whose last 3 bits are 0"),
     (_uppercase_block_line, "expected 70 lowercase hex digits whose last 3 bits are 0"),
     (_extra_hex_line, "1 block headers but 2 hex lines"),
     (_missing_hex_line, "1 block headers but 0 hex lines"),
-], ids=["long-line", "padding-bit", "uppercase", "extra-hex-line", "missing-hex-line"])
+    (_block_index_not_its_position, "expected block index 0, got 'zz'"),
+], ids=["long-line", "padding-bit", "uppercase", "extra-hex-line", "missing-hex-line",
+        "block-index"])
 def test_sim_non_canonical_block_lines_exit_2_naming_the_line(tmp_path, capsys, edit, message):
     # Each of these once read as the fabric of the unedited file, so two
     # files named one design.
@@ -874,6 +899,7 @@ def test_sim_block_binding_undeclared_signal_exits_2(files, capsys, old, new):
     if new is None:  # delete the block: its header and its hex line
         block = next(i for i, ln in enumerate(lines) if ln.startswith(old))
         del lines[block], lines[-2]
+        lines[block] = lines[block].replace("# plb 2 ", "# plb 1 ", 1)  # the next block
         where = next(i for i, ln in enumerate(lines, 1) if ln.startswith("# gate g2 "))
         new = "g2"
     else:
@@ -921,6 +947,55 @@ def test_sim_bitstream_breaking_a_design_rule_exits_2_naming_line(
     capsys.readouterr()
     assert main(["sim", str(bad), "--stimulus", str(stim)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: ")
+
+
+EDGE_CHAIN_NET = (
+    "".join(f"signal {n} proto=edge arity=2\n" for n in "xyzao")
+    + "gate g1 fn=6 in=x,y out=a\ngate g2 fn=8 in=a,z out=o\n"
+)
+
+
+def _replace(old, new, count=1):
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, count)
+    return edit
+
+
+@pytest.mark.parametrize("net, edit, named, message", [
+    # Two outputs of one block on o.0: x 1,0,1 and y 1,1,1 once gave o 0,0,0.
+    ("and", _replace("out=o:0:2;o:1:2", "out=o:0:2;o:0:2"), "# plb 0 ",
+     "block drives o:0:2, already driven by line 6"),
+    # Two blocks, of one gate, on a.sout.
+    ("chain", _replace("sout=-;-", "sout=a.sout;-"), "# plb 1 ",
+     "block drives a.sout, already driven by line 10"),
+    # g2's wait stage on g1's: the chain once gave o 0,0,1,0 for 0,1.
+    ("chain", _replace("g2.c", "g1.c", -1), "# internal g1.c 4",
+     "internal signal 'g1.c' declared twice"),
+    # An internal signal over a primary input once stalled the run.
+    ("and", _replace("# plb 0 ", "# internal x 4\n# plb 0 "), "# internal x 4",
+     "internal signal 'x' has the name of the signal on line 3"),
+    ("chain", lambda text: text + "# signal g1.c proto=edge arity=2\n", "# signal g1.c",
+     "signal 'g1.c' has the name of the internal signal on line 9"),
+    # A signal that no SignalSpec admits names its reason.
+    ("and", _replace("# signal o proto=4ph arity=2", "# signal o proto=ledr arity=3"),
+     "# signal o ", "signal 'o': LEDR is restricted to binary signals"),
+], ids=["two-outputs-one-wire", "two-souts-one-wire", "internal-twice",
+        "internal-over-signal", "signal-over-internal", "signal-spec-reason"])
+def test_sim_bitstream_refusal_names_its_line_and_reason(
+        tmp_path, capsys, net, edit, named, message):
+    net, stim = {"and": (AND_NET, "x: 1,0,1\ny: 1,1,1\n"),
+                 "chain": (EDGE_CHAIN_NET, "x: 0,1\ny: 0,0\nz: 1,1\n")}[net]
+    (tmp_path / "d.net").write_text(net)
+    (tmp_path / "d.stim").write_text(stim)
+    good, bad = tmp_path / "good.bit", tmp_path / "bad.bit"
+    assert main(["map", str(tmp_path / "d.net"), "-o", str(good)]) == 0
+    bad.write_text(edit(good.read_text()))
+    where = max(i for i, ln in enumerate(bad.read_text().splitlines(), 1)
+                if ln.startswith(named))
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(tmp_path / "d.stim")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {where}: {message}\n"
 
 
 def _sim_trace(tmp, name, net, stim, delays="uniform"):

@@ -95,7 +95,6 @@ def test_drain_without_reload_leaves_block_dark():
     log = reconfigure_block(block, [])
     assert log.drained == (1, 1, 0)
     assert not block.configured
-    assert block.outputs_forced_zero()
 
 
 def test_reconfigure_requires_configured_block():
@@ -136,7 +135,7 @@ def test_bit_other_than_0_or_1_rejected(bits, position, shown):
     with pytest.raises(ProgrammingError, match=f"bit {position} is {shown};"):
         reconfigure_block(block, bits)
     # A refused reconfiguration leaves the block as it was.
-    assert _oracles.snapshot(block) == before and block.configured and block.tail_held
+    assert _oracles.snapshot(block) == before and block.configured
 
 
 def test_full_chain_reconfigure_takes_2L_plus_1_ticks():
@@ -154,8 +153,8 @@ def test_gapped_chain_reconfigure_drains_from_the_head_most_bit():
     # The filled stage nearest the head is stage 1, so the drain takes
     # 8 - 1 = 7 ticks; three new bits and the settle add 3 + 1.
     stages = (None, 1, None, None, 0, None, None, 1)
-    block = Block(8, stages=list(stages), state="active")
-    ref = Block(8, stages=list(stages), state="active")
+    block = Block(8, stages=list(stages))
+    ref = Block(8, stages=list(stages))
     log = reconfigure_block(block, [0, 1, 1])
     assert log.drained == (1, 0, 1)
     assert log.ticks == 11
@@ -182,8 +181,7 @@ def chains(draw):
         st.just([None] * length),
         st.lists(stage, min_size=length, max_size=length),
     ))
-    state = draw(st.sampled_from(["unconfigured", "programming", "active"]))
-    return length, stages, draw(st.booleans()), state
+    return length, stages
 
 
 def _apply(fn, block, op, bits):
@@ -193,7 +191,7 @@ def _apply(fn, block, op, bits):
         result = ("ProgrammingError", str(exc))
     if result is block:
         result = "the block"
-    return result, _oracles.snapshot(block), block.state, block.tail_held
+    return result, _oracles.snapshot(block), block.configured
 
 
 @settings(max_examples=400, deadline=None)
@@ -202,9 +200,9 @@ def _apply(fn, block, op, bits):
     st.lists(st.integers(min_value=0, max_value=1), max_size=28),
 ), min_size=1, max_size=4))
 def test_chain_matches_stage_by_stage_oracle(chain, ops):
-    length, stages, tail_held, state = chain
-    new = Block(length, stages=list(stages), tail_held=tail_held, state=state)
-    old = Block(length, stages=list(stages), tail_held=tail_held, state=state)
+    length, stages = chain
+    new = Block(length, stages=list(stages))
+    old = Block(length, stages=list(stages))
     for op, bits in ops:
         fn, oracle = OPS[op]
         # Results (stored or drained bits, ticks, whether outputs read 0 on

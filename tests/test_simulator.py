@@ -13,6 +13,7 @@ from qdifab.mapper import MappedGate, PlbUnit
 from qdifab.netlist import parse_netlist, primary_signals
 from qdifab.plb import LutTable, PlbConfig, WireRef
 from qdifab.simulator import (
+    MAX_TIME,
     DelayModel,
     Fabric,
     Simulation,
@@ -192,6 +193,14 @@ def test_event_at_max_time_is_applied_and_the_next_tick_times_out():
     assert tr.events == [TraceEvent(2, "x.1", 0, 1), TraceEvent(2, "y.1", 0, 1)]
     assert tr.diagnostics == ["max_time 2 reached while active"]
     assert tr.deadlock
+
+
+def test_default_max_time_is_tick_20000_for_run_and_simulation():
+    # An event at the bound is applied; one a tick later times out.
+    tr = run(fab(AND_NET), {}, inject=[(20000, "x.0", 1), (20001, "x.0", 0)])
+    assert tr.events == [TraceEvent(20000, "x.0", 0, 1)]
+    assert tr.diagnostics == ["max_time 20000 reached while active"]
+    assert Simulation(fab(AND_NET)).max_time == MAX_TIME == 20000
 
 
 def test_two_injections_on_one_wire_at_one_tick_apply_in_call_order():
