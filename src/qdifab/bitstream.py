@@ -29,9 +29,11 @@ wire; and a block binds nothing outside its own gate: its pins read only
 the gate's inputs, its output, its ``# internal`` signals (declared above
 one of the gate's blocks) and ``<output>.ackin``; its outputs drive only
 the output or the internal signals, and its ``sout`` only
-``<output>.sout``.  A binding ``<signal>:<index>:<width>`` has the
-width of its signal (its wire count, the width of an ``# internal`` line,
-or 1 for ``<output>.ackin``) and an index below it.  Every gate has at
+``<output>.sout``.  Every ``# internal`` line comes above a ``# plb``
+line, and a block of its gate binds it.  A binding
+``<signal>:<index>:<width>`` has the width of its signal (its wire count,
+the width of an ``# internal`` line, or 1 for ``<output>.ackin``) and an
+index below it.  Every gate has at
 least one block, and its ``ack=`` says whether one of them reads
 ``<output>.ackin`` (:func:`reads_ack`).  Each block keeps the rules of
 ``plb.program_rules``: at most one OR bypass, set only on an active memory
@@ -40,7 +42,9 @@ rule of ``plb.validate_config`` is left out: ``mapper.map_ledr_3in``
 breaks it by design.  A ``key=`` comes once per line, every integer (an
 arity, a binding's index and width, an ``# internal`` width) is ASCII
 decimal digits, and each block line is exactly 70 lowercase ASCII hex
-digits with its padding bits 0, so that one fabric has one file.
+digits with its padding bits 0, so that one fabric has one file.  A
+malformed integer or a key given twice is refused with its reason, as
+``netlist.parse_netlist`` refuses it.
 """
 
 from __future__ import annotations
@@ -178,7 +182,6 @@ _USAGE = {
     "internal": "# internal <signal> <width>",
     "plb": "# plb <index> gate=<name> role=<role> in=<12 pins> out=<4 pins> sout=<2 wires>"
            " (a pin is - or <signal>:<index>:<width>, pins and wires joined by ;)",
-    "hex": "<hex digits of one block>",
 }
 
 
@@ -228,7 +231,9 @@ def read_bitstream(text: str) -> Fabric:
                     outs=outs, souts=souts, internals=tuple(pending_internals),
                 ))
                 pending_internals = []
-        except EncodingError as exc:  # a signal that no SignalSpec admits
+        # A signal that no SignalSpec admits, a key given twice or a
+        # malformed integer: its reason.
+        except (EncodingError, NetlistError) as exc:
             raise BitstreamError(f"line {lineno}: {exc}") from None
         except (IndexError, KeyError, ValueError):
             raise BitstreamError(f"line {lineno}: expected '{_USAGE[tag]}'") from None
@@ -252,6 +257,10 @@ def read_bitstream(text: str) -> Fabric:
             if tag == "signal":
                 signals[name] = spec
 
+    if pending_internals:
+        name = pending_internals[0][0]
+        raise BitstreamError(f"line {declared[name][1]}: internal signal {name!r} follows "
+                             f"the last '# plb' line")
     try:
         _check(signals, {name: declared[name][1] for name in signals}, gates, gate_lines)
     except NetlistError as exc:
@@ -259,6 +268,7 @@ def read_bitstream(text: str) -> Fabric:
     gate_of = {g.name: g for g in gates}
     internals: Dict[str, Tuple[Tuple[str, int], ...]] = {}
     driven: Dict[str, int] = {}  # every wire a block drives -> the block's line
+    bound_by: Dict[str, set] = {}  # gate -> the signals its blocks bind
     for meta in plb_meta:
         g = gate_of.get(meta["gate"])
         if g is None:
@@ -273,6 +283,7 @@ def read_bitstream(text: str) -> Fabric:
         bound += [(ref, drives) for ref in meta["outs"] if ref is not None]
         bound += [(WireRef(name, 0, 1), {f"{g.output}.sout": 1})
                   for name in meta["souts"] if name is not None]
+        bound_by.setdefault(g.name, set()).update(ref.signal for ref, _ in bound)
         for ref, widths in bound:
             if ref.signal not in widths:
                 raise BitstreamError(
@@ -291,6 +302,11 @@ def read_bitstream(text: str) -> Fabric:
     for g, lineno in zip(gates, gate_lines):
         if g.name not in internals:
             raise BitstreamError(f"line {lineno}: gate {g.name!r} has no '# plb' block")
+    for gname, names in internals.items():
+        for name, _ in names:
+            if name not in bound_by[gname]:
+                raise BitstreamError(f"line {declared[name][1]}: internal signal {name!r} is "
+                                     f"bound by no block of gate {gname!r}")
     if len(hex_lines) != len(plb_meta):
         # The first hex line past the headers, or header past the hex lines.
         lineno = (hex_lines[len(plb_meta)][0] if len(hex_lines) > len(plb_meta)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .encodings import CodeKind, Protocol, decode_4ph
-from .plb import FEEDBACK_PINS, NC, LutTable, PlbConfig, WireRef
+from .plb import NC, LutTable, PlbConfig, WireRef
 
 GateFn = Callable[..., int]
 
@@ -49,7 +49,7 @@ def _refs(signal: str, width: int) -> Tuple[WireRef, ...]:
 
 
 def _feedback(pins_per_lut: Sequence[Sequence[int]]) -> Tuple[Tuple[bool, ...], ...]:
-    return tuple(tuple(i in pins for i in FEEDBACK_PINS) for pins in pins_per_lut)
+    return tuple(tuple(i in pins for i in range(4)) for pins in pins_per_lut)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,20 @@ LUT can be switched, one programming point each, from the network wire to the
 output of the same-numbered LUT, which provides the internal feedback paths.
 Pins 4 and 5 are network-only.  A LUT reads its table at the 6-bit index
 whose bit i is the level on its pin i: network pin i of its group, or the
-output of LUT i where that pin's feedback point is set.
+output of LUT i where that pin's feedback point is set.  With a group's six
+levels packed into its group word and the four LUT outputs into the LUT
+word (pin i, and Li, at bit i), LUT k's index is
+``(group_word & ~fb_k) | (lut_word & fb_k)``, ``fb_k`` being the 4-bit
+mask of its set feedback points.
 
 Behind the LUTs sit two memory points (a pair of C-elements plus an ack XOR
 each).  The companion input of each C-element is normally the 6-input OR of
-the group's network pins (the return-to-NULL detector).  A programming point
-per memory point replaces that companion with the opposite pair's LUT
-outputs, turning O0 into rendez-vous(L0, L2) and O1 into rendez-vous(L1, L3);
-the opposite memory point is parked at 0 while its LUTs are borrowed.  A
-final selector groups the four memory outputs under a single acknowledge XOR
-instead of one XOR per pair.
+the group's network pins (the return-to-NULL detector): 1 when the group word
+is not 0.  A programming point per memory point replaces that companion with
+the opposite pair's LUT outputs, turning O0 into rendez-vous(L0, L2) and O1
+into rendez-vous(L1, L3); the opposite memory point is parked at 0 while its
+LUTs are borrowed.  A final selector groups the four memory outputs under a
+single acknowledge XOR instead of one XOR per pair.
 
 So every memory output follows one rule.  Its companion is the group's OR,
 the opposite pair's LUT under the memory point's ``or6_bypass_sel``, or
@@ -35,7 +39,9 @@ it lives on ``mapper.PlbUnit``.
 Everything is evaluated with zero internal delay inside one step.  Internal
 feedback is settled by iterating the LUT stage to a fixpoint; a step that
 fails to settle within ITERATION_BOUND rounds reports an oscillation
-diagnostic instead of silently picking a state.
+diagnostic instead of silently picking a state.  A block with no feedback
+point set settles in one round, as its LUT outputs then read the network
+alone.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ ITERATION_BOUND = 16
 
 LUT_INPUTS = 6
 LUT_SIZE = 1 << LUT_INPUTS
-FEEDBACK_PINS = (0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -118,26 +123,6 @@ class OscillationError(RuntimeError):
     """Internal feedback failed to settle within the iteration bound."""
 
 
-def _settle_luts(
-    config: PlbConfig, start: Sequence[int], network: Sequence[int]
-) -> Tuple[int, ...]:
-    luts, sels = config.luts, config.feedback_sel
-    cur = tuple(start)
-    for _ in range(ITERATION_BOUND):
-        nxt = []
-        for k in range(4):
-            base, sel, idx = (0 if k < 2 else 6), sels[k], 0
-            for i in range(LUT_INPUTS):
-                level = cur[i] if i in FEEDBACK_PINS and sel[i] else network[base + i]
-                idx |= (level & 1) << i
-            nxt.append((luts[k].bits >> idx) & 1)
-        nxt = tuple(nxt)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise OscillationError("LUT feedback loop did not settle")
-
-
 def c_element(prev: int, high: int, n: int) -> int:
     """The C-element (Muller rendez-vous) of ``n`` inputs, ``high`` of them
     at 1: 1 when all are high, 0 when none is, ``prev`` otherwise."""
@@ -164,11 +149,26 @@ def plb_step(
     Raises :class:`OscillationError` when the internal feedback oscillates;
     the caller is expected to turn that into a simulation diagnostic.
     """
-    network = tuple(int(b) for b in network_inputs)
-    if len(network) != 12:
-        raise ValueError(f"expected 12 network inputs, got {len(network)}")
-
-    lut_out = _settle_luts(config, state.lut_out, network)
+    n = tuple(network_inputs)
+    if len(n) != 12:
+        raise ValueError(f"expected 12 network inputs, got {len(n)}")
+    # The group words and the feedback masks (module docstring).
+    lo = hi = 0
+    for i in range(6):
+        lo |= n[i] << i
+        hi |= n[6 + i] << i
+    masks = [s[0] | s[1] << 1 | s[2] << 2 | s[3] << 3 for s in config.feedback_sel]
+    groups = (lo, lo, hi, hi)
+    cur = state.lut_out
+    for _ in range(ITERATION_BOUND):
+        word = cur[0] | cur[1] << 1 | cur[2] << 2 | cur[3] << 3
+        lut_out = tuple((lut.bits >> ((group & ~fb) | (word & fb))) & 1
+                        for lut, group, fb in zip(config.luts, groups, masks))
+        if lut_out == cur or not any(masks):
+            break
+        cur = lut_out
+    else:
+        raise OscillationError("LUT feedback loop did not settle")
     # Memory point A guards (L0, L1), B guards (L2, L3); None marks a
     # parked output.
     cross_a, cross_b = config.or6_bypass_sel
@@ -177,7 +177,7 @@ def plb_step(
     elif cross_b:
         companions = (None, None, lut_out[0], lut_out[1])
     else:
-        lo, hi = any(network[0:6]), any(network[6:12])
+        lo, hi = lo != 0, hi != 0
         companions = (lo, lo, hi, hi)
     by_a, by_b = config.mem_bypass
     m = state.mem_out
@@ -221,7 +221,7 @@ def program_rules(config: PlbConfig) -> List[str]:
     block is held to these (``bitstream.read_bitstream``).
     """
     diags = [f"L{k}: feedback selection must cover pins 0..3"
-             for k, sel in enumerate(config.feedback_sel) if len(sel) != len(FEEDBACK_PINS)]
+             for k, sel in enumerate(config.feedback_sel) if len(sel) != 4]
     if diags:
         return diags
 

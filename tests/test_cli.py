@@ -412,19 +412,22 @@ def test_map_netlist_arity_other_than_ascii_digits_exits_2(tmp_path, capsys, ari
         f"error: line 3: arity {arity!r} is not an integer of 0 or more\n")
 
 
-@pytest.mark.parametrize("design, old, new", [
-    ("4ph_2in", "arity=2", "arity=\u0662"),
-    ("4ph_2in", "arity=2", "arity=+2"),
-    ("4ph_2in", "x:0:2", "x:+0:2"),  # a binding's index
-    ("4ph_2in", "x:0:2", "x:\u0660:2"),
-    ("4ph_2in", "x:0:2", "x:0:+2"),  # its width
-    ("edge_2in", "g.c 4", "g.c +4"),  # an `# internal` width
-    ("edge_2in", "g.c 4", "g.c \u0664"),
-    ("4ph_2in", "0000000000", "000000000\u0660"),  # a block line
+@pytest.mark.parametrize("design, old, new, reason", [
+    ("4ph_2in", "arity=2", "arity=\u0662", "arity '\u0662' is not an integer of 0 or more"),
+    ("4ph_2in", "arity=2", "arity=+2", "arity '+2' is not an integer of 0 or more"),
+    # a binding's index
+    ("4ph_2in", "x:0:2", "x:+0:2", "index '+0' is not an integer of 0 or more"),
+    ("4ph_2in", "x:0:2", "x:\u0660:2", "index '\u0660' is not an integer of 0 or more"),
+    # its width
+    ("4ph_2in", "x:0:2", "x:0:+2", "width '+2' is not an integer of 0 or more"),
+    # an `# internal` width
+    ("edge_2in", "g.c 4", "g.c +4", "width '+4' is not an integer of 0 or more"),
+    ("edge_2in", "g.c 4", "g.c \u0664", "width '\u0664' is not an integer of 0 or more"),
+    ("4ph_2in", "0000000000", "000000000\u0660", "is not ASCII hex digits"),  # a block line
 ], ids=["arity-non-ascii", "arity-sign", "index-sign", "index-non-ascii", "width-sign",
         "internal-sign", "internal-non-ascii", "block-non-ascii"])
 def test_sim_bitstream_integer_other_than_ascii_digits_exits_2(tmp_path, capsys, design,
-                                                                old, new):
+                                                                old, new, reason):
     lines, stim = _golden_bitstream(design)
     text = "\n".join(lines) + "\n"
     assert old in text
@@ -434,14 +437,16 @@ def test_sim_bitstream_integer_other_than_ascii_digits_exits_2(tmp_path, capsys,
     where = next(i for i, ln in enumerate(bad.read_text().splitlines(), 1) if new in ln)
     capsys.readouterr()
     assert main(["sim", str(bad), "--stimulus", str(stim_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: expected ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {where}: ") and err.endswith(f"{reason}\n")
 
 
-@pytest.mark.parametrize("old, new", [
-    ("# signal x proto=4ph arity=2", "# signal x proto=ledr arity=2 proto=4ph"),
-    ("# plb 0 gate=g ", "# plb 0 gate=zz gate=g "),
+@pytest.mark.parametrize("old, new, reason", [
+    ("# signal x proto=4ph arity=2", "# signal x proto=ledr arity=2 proto=4ph",
+     "proto= given twice"),
+    ("# plb 0 gate=g ", "# plb 0 gate=zz gate=g ", "gate= given twice"),
 ], ids=["signal", "plb"])
-def test_sim_bitstream_key_given_twice_exits_2(tmp_path, capsys, old, new):
+def test_sim_bitstream_key_given_twice_exits_2(tmp_path, capsys, old, new, reason):
     # Read as its last value, a key given twice made a second file of one
     # fabric.
     lines, stim = _golden_bitstream("4ph_2in")
@@ -453,7 +458,7 @@ def test_sim_bitstream_key_given_twice_exits_2(tmp_path, capsys, old, new):
     where = next(i for i, ln in enumerate(bad.read_text().splitlines(), 1) if new in ln)
     capsys.readouterr()
     assert main(["sim", str(bad), "--stimulus", str(stim_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: line {where}: expected ")
+    assert capsys.readouterr().err == f"error: {bad}: line {where}: {reason}\n"
 
 
 def test_map_ternary_table_entry_3_exits_2(tmp_path, capsys):
@@ -980,8 +985,23 @@ def _replace(old, new, count=1):
     # A signal that no SignalSpec admits names its reason.
     ("and", _replace("# signal o proto=4ph arity=2", "# signal o proto=ledr arity=3"),
      "# signal o ", "signal 'o': LEDR is restricted to binary signals"),
+    # So do a malformed arity and a key given twice.
+    ("and", _replace("# signal o proto=4ph arity=2", "# signal o proto=4ph arity=two"),
+     "# signal o ", "arity 'two' is not an integer of 0 or more"),
+    ("and", _replace("# signal o proto=4ph arity=2", "# signal o proto=4ph arity=2 arity=2"),
+     "# signal o ", "arity= given twice"),
+    # An internal signal that no block binds once simulated as a second
+    # file of one design, and one after the last block was dropped.
+    ("and", _replace("# plb 0 ", "# internal zz 4\n# plb 0 "), "# internal zz 4",
+     "internal signal 'zz' is bound by no block of gate 'g'"),
+    ("chain", _replace("# plb 2 ", "# internal zz 4\n# plb 2 "), "# internal zz 4",
+     "internal signal 'zz' is bound by no block of gate 'g2'"),
+    ("and", _replace("sout=o.sout;-\n", "sout=o.sout;-\n# internal zz 4\n"), "# internal zz 4",
+     "internal signal 'zz' follows the last '# plb' line"),
 ], ids=["two-outputs-one-wire", "two-souts-one-wire", "internal-twice",
-        "internal-over-signal", "signal-over-internal", "signal-spec-reason"])
+        "internal-over-signal", "signal-over-internal", "signal-spec-reason",
+        "arity-not-an-integer", "arity-twice", "internal-unbound", "internal-unbound-second-gate",
+        "internal-after-last-block"])
 def test_sim_bitstream_refusal_names_its_line_and_reason(
         tmp_path, capsys, net, edit, named, message):
     net, stim = {"and": (AND_NET, "x: 1,0,1\ny: 1,1,1\n"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from qdifab.mapper import map_4ph_2in, map_ledr_2in
+from qdifab.mapper import SHAPES, map_4ph_2in, map_ledr_2in
 from qdifab.plb import (
     LutTable,
     OscillationError,
@@ -306,6 +306,79 @@ def test_4ph_output_pair_never_forbidden(fn_bits):
         assert st.mem_out[:2] != (1, 1)
 
 
+# -- every pin word against the oracle, on named blocks -------------------------
+
+
+def _settled(step, config, state, levels):
+    try:
+        return step(config, state, levels)
+    except OscillationError:
+        return "OscillationError"
+
+
+def _feedback(*pins_per_lut):
+    return tuple(tuple(i in pins for i in range(4)) for pins in pins_per_lut)
+
+
+def _mapped_blocks():
+    """(id, config) of every block of every ``mapper.SHAPES`` shape."""
+    blocks = []
+    for (proto, arities, out), route in SHAPES.items():
+        ins = tuple(f"i{k}" for k in range(len(arities)))
+        mg = route("g", lambda *v, m=out: sum(v) % m, ins, "o")
+        shape = f"{proto.value}-{'x'.join(map(str, arities))}-{out}"
+        blocks += [(f"{shape}-{u.role}", u.config) for u in mg.plbs]
+    return blocks
+
+
+# Four tables that read all six pins, so that each bit of a group word and
+# of the LUT word picks its own half of every table.
+SCRAMBLED = tuple(LutTable(b) for b in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                                        0x165667B19E3779F9, 0xD6E8FEB86659FD93))
+# L0 = not pin 4 and L1 = pin 0 fed back from L0, xor pin 5: from reset on
+# quiet pins L0 rises in the first round and L1 in the second.
+TWO_ROUNDS = (LutTable.from_function(lambda *p: 1 - p[4]),
+              LutTable.from_function(lambda *p: p[0] ^ p[5]))
+HAND_BUILT = [
+    ("scrambled", PlbConfig(luts=SCRAMBLED)),
+    # Each LUT reads the LUTs below it, or above it: together every
+    # feedback point but a LUT's own (the edge decision-wait block sets
+    # those), and neither oscillates.
+    ("feedback-from-below", PlbConfig(
+        luts=SCRAMBLED, feedback_sel=_feedback((), (0,), (0, 1), (0, 1, 2)))),
+    ("feedback-from-above", PlbConfig(
+        luts=SCRAMBLED, feedback_sel=_feedback((1, 2, 3), (2, 3), (3,), ()),
+        or6_bypass_sel=(False, True))),
+    ("two-rounds", PlbConfig(luts=TWO_ROUNDS + SCRAMBLED[2:],
+                             feedback_sel=_feedback((), (0,), (), ()))),
+    # L0 toggles its own feedback while pins 4 and 5 are high and holds it
+    # otherwise: a quarter of the pin words oscillate.
+    ("ring", PlbConfig(luts=(LutTable.from_function(lambda *p: p[0] ^ (p[4] & p[5])),)
+                       + SCRAMBLED[1:], feedback_sel=_feedback((0,), (), (), ()),
+                       or6_bypass_sel=(True, False))),
+]
+BLOCKS = _mapped_blocks() + HAND_BUILT
+NON_RESET = PlbState(lut_out=(1, 0, 1, 1), mem_out=(1, 1, 0, 1))
+
+
+def test_two_round_block_settles_in_its_second_round_and_ring_oscillates():
+    blocks, quiet = dict(HAND_BUILT), (0,) * 12
+    assert plb_step(blocks["two-rounds"], PlbState(), quiet).lut_out[:2] == (1, 1)
+    assert plb_step(blocks["ring"], PlbState(), quiet).lut_out[0] == 0
+    with pytest.raises(OscillationError):
+        plb_step(blocks["ring"], PlbState(), (0,) * 4 + (1, 1) + (0,) * 6)
+
+
+@pytest.mark.parametrize("config", [c for _, c in BLOCKS], ids=[name for name, _ in BLOCKS])
+def test_plb_step_matches_oracle_on_every_pin_word(config):
+    # From reset and from one other state, every level of the 12 pins.
+    for state in (plb_reset(config), NON_RESET):
+        for word in range(1 << 12):
+            levels = tuple((word >> i) & 1 for i in range(12))
+            assert _settled(plb_step, config, state, levels) == \
+                _settled(_oracles.plb_step, config, state, levels), (state, levels)
+
+
 # -- one memory-point rule against the branch-per-mode step ---------------------
 
 level = hst.integers(min_value=0, max_value=1)
@@ -323,13 +396,6 @@ def configs(draw):
         or6_bypass_sel=draw(two),
         combine_sel=draw(hst.booleans()),
     )
-
-
-def _settled(step, config, state, levels):
-    try:
-        return step(config, state, levels)
-    except OscillationError:
-        return "OscillationError"
 
 
 @settings(max_examples=400, deadline=None)
