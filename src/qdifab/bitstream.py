@@ -16,41 +16,43 @@ design.  A ``# plb`` header is one ``mapper.PlbUnit``'s routing: ``in=``,
 ``sout_map``.  Its text is the design's identity:
 :meth:`Fabric.fingerprint` hashes it, and every trace names that hash.
 
-:func:`read_bitstream` holds a file to the design rules of a netlist,
+The writer is the format: :func:`read_bitstream` accepts exactly the text
+that :func:`write_bitstream` writes for the fabric it reads, line for line
+(only the line-ending convention is free), so one fabric has one file.
+Before that comparison it holds the file to the design rules of a netlist,
 through the one function that checks both (``netlist._check``): gate names
-are unique, every gate signal is declared, each signal has one driver, a
-gate uses one protocol, the one its ``# gate`` line declares, every
-declared signal connects to a gate, and the gates form a DAG.  On top of
-those, a name is declared once in the file, as a ``# signal`` or as an
-``# internal`` signal; ``# plb <index>`` is the block's position in the
-file (0, 1, ...); every ``# plb`` names a gate that has a ``# gate`` line;
-no two block outputs (O0..O3) or ``sout`` bindings in the file drive one
-wire; and a block binds nothing outside its own gate: its pins read only
-the gate's inputs, its output, its ``# internal`` signals (declared above
-one of the gate's blocks) and ``<output>.ackin``; its outputs drive only
-the output or the internal signals, and its ``sout`` only
-``<output>.sout``.  Every ``# internal`` line comes above a ``# plb``
-line, and a block of its gate binds it.  A binding
-``<signal>:<index>:<width>`` has the width of its signal (its wire count,
-the width of an ``# internal`` line, or 1 for ``<output>.ackin``) and an
-index below it.  Every gate has at
-least one block, and its ``ack=`` says whether one of them reads
-``<output>.ackin`` (:func:`reads_ack`).  Each block keeps the rules of
-``plb.program_rules``: at most one OR bypass, set only on an active memory
-point, and a reset that settles with every output at 0.  The load-balance
-rule of ``plb.validate_config`` is left out: ``mapper.map_ledr_3in``
-breaks it by design.  A ``key=`` comes once per line, every integer (an
-arity, a binding's index and width, an ``# internal`` width) is ASCII
-decimal digits, and each block line is exactly 70 lowercase ASCII hex
-digits with its padding bits 0, so that one fabric has one file.  A
-malformed integer or a key given twice is refused with its reason, as
-``netlist.parse_netlist`` refuses it.
+are unique, every gate signal is declared, each signal has one
+driver, a gate uses one protocol, the one its ``# gate`` line declares,
+every declared signal connects to a gate, and the gates form a DAG.  On
+top of those, a name is declared once in the file, as a ``# signal`` or as
+an ``# internal`` signal; every ``# plb`` names a gate that has a
+``# gate`` line; no two block outputs (O0..O3) or ``sout`` bindings in the
+file drive one wire; and a block binds nothing outside its own gate: its
+pins read only the gate's inputs, its output, its ``# internal`` signals
+(declared above one of the gate's blocks) and ``<output>.ackin``; its
+outputs drive only the output or the internal signals, and its ``sout``
+only ``<output>.sout``.  A block of its gate binds every ``# internal``
+line.  A binding ``<signal>:<index>:<width>`` has the width of its signal
+(its wire count, the width of an ``# internal`` line, or 1 for
+``<output>.ackin``) and an index below it.  Every gate has at least one
+block, and its ``ack=`` says whether one of them reads ``<output>.ackin``
+(:func:`reads_ack`).  Each block keeps the rules of ``plb.program_rules``:
+at most one OR bypass, set only on an active memory point, and a reset
+that settles with every output at 0.  The load-balance rule of
+``plb.validate_config`` is left out: ``mapper.map_ledr_3in`` breaks it by
+design.  A ``key=`` comes once per line, and every integer (an arity, a
+binding's index and width, an ``# internal`` width) is ASCII decimal
+digits; a malformed integer or a key given twice is refused with its
+reason, as ``netlist.parse_netlist`` refuses it.  A file that breaks one of
+these rules is refused by that rule, whatever else differs from the
+writer's text.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .encodings import EncodingError, Protocol, SignalSpec
@@ -60,7 +62,6 @@ from .plb import NC, LutTable, PlbConfig, WireRef, program_rules
 from .trace import GATE_USAGE, GateInfo
 
 CONFIG_BITS = 4 * 64 + 16 + 2 + 2 + 1  # 277
-HEX_DIGITS = -(-CONFIG_BITS // 4)  # 70, one block line
 
 
 class BitstreamError(ValueError):
@@ -81,7 +82,7 @@ class Fabric:
     signals: Dict[str, SignalSpec]
     mapped: List[MappedGate]
     gates: List[GateInfo]
-    elaboration: object = field(default=None, init=False, repr=False, compare=False)
+    elaboration: object = field(default=None, compare=False)
 
     def __post_init__(self):
         self.signals = dict(sorted(self.signals.items()))
@@ -119,7 +120,7 @@ def config_from_bits(bits: Sequence[int]) -> PlbConfig:
     ``CONFIG_BITS`` are padding."""
     if len(bits) < CONFIG_BITS:
         raise BitstreamError(f"expected {CONFIG_BITS} bits, got {len(bits)}")
-    luts = bytes(bits[:256]).translate(_TO_CHARS).decode()
+    luts = bytes(bits).translate(_TO_CHARS).decode()
     flags = [bool(b) for b in bits[256:CONFIG_BITS]]
     return PlbConfig(
         luts=tuple(LutTable(int(luts[i:i + 64][::-1], 2)) for i in range(0, 256, 64)),
@@ -138,11 +139,8 @@ def bits_to_hex(bits: Sequence[int]) -> str:
 
 
 def hex_to_bits(text: str) -> List[int]:
-    bits: List[int] = []
-    for ch in text.strip():
-        v = int(ch, 16)
-        bits.extend(((v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1))
-    return bits
+    """Inverse of :func:`bits_to_hex` over ASCII hex digits."""
+    return list(f"{int(text, 16):0{4 * len(text)}b}".encode().translate(_TO_BITS))
 
 
 def _ref_str(ref: Optional[WireRef]) -> str:
@@ -186,15 +184,16 @@ _USAGE = {
 
 
 def read_bitstream(text: str) -> Fabric:
-    """Inverse of :func:`write_bitstream`.  A malformed line or a broken
-    rule of the module docstring raises :class:`BitstreamError`, whose
+    """Inverse of :func:`write_bitstream`.  A malformed line, a broken rule
+    of the module docstring or, past those, the first line that differs
+    from the fabric's own text raises :class:`BitstreamError`, whose
     message starts with ``line <n>:``."""
     signals: Dict[str, SignalSpec] = {}
     declared: Dict[str, Tuple[str, int]] = {}  # signal or internal -> its kind, its line
     gates: List[GateInfo] = []
     gate_lines: List[int] = []
     plb_meta: List[dict] = []
-    hex_lines: List[Tuple[int, List[int]]] = []
+    hex_lines: List[Tuple[int, PlbConfig]] = []
     pending_internals: List[Tuple[str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -208,8 +207,8 @@ def read_bitstream(text: str) -> Fabric:
             tag = "hex"
         try:
             if tag == "hex":
-                _natural(line, "block", base=16)  # hex_to_bits reads any script's digits
-                bits = hex_to_bits(line)
+                _natural(line, "block", base=16)  # int() also reads signs, _ and 0x
+                hex_lines.append((lineno, config_from_bits(hex_to_bits(line))))
             elif tag == "signal":
                 kv = _fields(toks[2:])
                 spec = SignalSpec(toks[1], Protocol(kv["proto"]), _natural(kv["arity"], "arity"))
@@ -231,22 +230,13 @@ def read_bitstream(text: str) -> Fabric:
                     outs=outs, souts=souts, internals=tuple(pending_internals),
                 ))
                 pending_internals = []
-        # A signal that no SignalSpec admits, a key given twice or a
-        # malformed integer: its reason.
-        except (EncodingError, NetlistError) as exc:
+        # A signal that no SignalSpec admits, a key given twice, a
+        # malformed integer or a short block line: its reason.
+        except (EncodingError, NetlistError, BitstreamError) as exc:
             raise BitstreamError(f"line {lineno}: {exc}") from None
         except (IndexError, KeyError, ValueError):
             raise BitstreamError(f"line {lineno}: expected '{_USAGE[tag]}'") from None
-        if tag == "hex":
-            # Only the canonical line, so that one fabric has one file.
-            if len(line) != HEX_DIGITS or line != line.lower() or any(bits[CONFIG_BITS:]):
-                raise BitstreamError(f"line {lineno}: expected {HEX_DIGITS} lowercase hex digits "
-                                     f"whose last {4 * HEX_DIGITS - CONFIG_BITS} bits are 0")
-            hex_lines.append((lineno, bits))
-        elif tag == "plb" and toks[1] != str(len(plb_meta) - 1):
-            raise BitstreamError(
-                f"line {lineno}: expected block index {len(plb_meta) - 1}, got {toks[1]!r}")
-        elif tag in ("signal", "internal"):
+        if tag in ("signal", "internal"):
             name, kind = toks[1], ("signal" if tag == "signal" else "internal signal")
             if name in declared:
                 first, first_line = declared[name]
@@ -257,10 +247,6 @@ def read_bitstream(text: str) -> Fabric:
             if tag == "signal":
                 signals[name] = spec
 
-    if pending_internals:
-        name = pending_internals[0][0]
-        raise BitstreamError(f"line {declared[name][1]}: internal signal {name!r} follows "
-                             f"the last '# plb' line")
     try:
         _check(signals, {name: declared[name][1] for name in signals}, gates, gate_lines)
     except NetlistError as exc:
@@ -309,14 +295,13 @@ def read_bitstream(text: str) -> Fabric:
                                      f"bound by no block of gate {gname!r}")
     if len(hex_lines) != len(plb_meta):
         # The first hex line past the headers, or header past the hex lines.
-        lineno = (hex_lines[len(plb_meta)][0] if len(hex_lines) > len(plb_meta)
-                  else plb_meta[len(hex_lines)]["lineno"])
+        lineno = min([ln for ln, _ in hex_lines[len(plb_meta):]]
+                     + [meta["lineno"] for meta in plb_meta[len(hex_lines):]])
         raise BitstreamError(
             f"line {lineno}: {len(plb_meta)} block headers but {len(hex_lines)} hex lines")
 
     by_gate: Dict[str, List[PlbUnit]] = {}
-    for meta, (lineno, bits) in zip(plb_meta, hex_lines):
-        config = config_from_bits(bits)
+    for meta, (lineno, config) in zip(plb_meta, hex_lines):
         broken = program_rules(config)
         if broken:
             raise BitstreamError(f"line {lineno}: block breaks the block rules: "
@@ -330,4 +315,11 @@ def read_bitstream(text: str) -> Fabric:
             raise BitstreamError(
                 f"line {lineno}: gate {g.name!r} has ack={int(g.ack)}, but its blocks "
                 f"{'do not read' if g.ack else 'read'} {g.output}.ackin")
-    return Fabric(signals, list(mapped.values()), gates)
+    fabric = Fabric(signals, list(mapped.values()), gates)
+    # The writer is the format: so that one fabric has one file.
+    for lineno, (line, canonical) in enumerate(
+            zip_longest(text.splitlines(), write_bitstream(fabric).splitlines()), start=1):
+        if line != canonical:
+            raise BitstreamError(f"line {lineno}: expected " + (
+                f"'{canonical}'" if canonical is not None else "the end of the file"))
+    return fabric

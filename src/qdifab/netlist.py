@@ -7,6 +7,9 @@ The format is line oriented and diff friendly:
     gate <name> fn=<hex truth table> in=<sig,...> out=<sig>
 
 Every declared signal must connect to a gate, as an input or as the output.
+A signal or gate name holds no ``,`` or ``;``, the list separators of
+traces and bitstreams, and no signal has the name of a gate's internal
+signal (``mapper.MappedGate.internal_signals``).
 A ``key=`` is given once per line, and an arity is ASCII decimal digits.
 The truth table ``fn`` is ASCII hex digits, indexed in mixed radix with the
 first listed input as the least significant digit.  Binary-output gates use
@@ -130,6 +133,8 @@ def parse_netlist(text: str) -> Netlist:
             continue
         toks = line.split()
         kind = toks[0]
+        if kind in ("signal", "gate") and len(toks) > 1 and {",", ";"} & set(toks[1]):
+            raise NetlistError(f"{kind} name {toks[1]!r} holds ',' or ';'", lineno)
         if kind == "signal":
             if len(toks) < 4:
                 raise NetlistError("signal needs a name, proto= and arity=", lineno)
@@ -279,7 +284,12 @@ def map_gate(gate: GateDecl, net: Netlist) -> MappedGate:
     if shape is None:
         raise MappingError(f"line {gate.line}: gate {gate.name!r}: unsupported "
                            f"{out.protocol.value} shape {list(arities)} -> {out.arity}")
-    return shape(gate.name, gate_function(gate, net), gate.inputs, gate.output)
+    mg = shape(gate.name, gate_function(gate, net), gate.inputs, gate.output)
+    for name, _ in mg.internal_signals:
+        if name in net.signals:
+            raise MappingError(f"line {gate.line}: gate {gate.name!r}: its internal signal "
+                               f"{name!r} has the name of a signal")
+    return mg
 
 
 def map_netlist(net: Netlist) -> List[MappedGate]:

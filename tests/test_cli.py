@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import gc
+import hashlib
 import inspect
 import io
 import os
@@ -54,6 +55,14 @@ signal z proto=4ph arity=2
 signal o proto=4ph arity=3
 gate wide fn=0 in=x,y,z out=o
 """
+
+AND_NET = (
+    "".join(f"signal {n} proto=4ph arity=2\n" for n in "xyo") + "gate g fn=8 in=x,y out=o\n"
+)
+# Its one block: the `# plb` line and the hex line that the writer gives it.
+AND_PLB = ("# plb 0 gate=g role=main in=o.ackin:0:1;o.ackin:0:1;x:0:2;x:1:2;y:0:2;y:1:2;"
+           "-;-;-;-;-;- out=o:0:2;o:1:2;-;- sout=o.sout;-")
+AND_BLOCK = "45555dd55d1555552333311331b33333000000000000000000000000000000008400c0"
 
 STIM = "a: 1,0,1,1\nb: 1,1,0,1\n"
 
@@ -110,6 +119,32 @@ def test_bitstream_roundtrip_edge_gate_with_internals():
     assert run(fab2, stim).values_of("o") == [1 ^ 1, 0 ^ 1, 1 ^ 0]
 
 
+def test_simulated_fabric_equals_its_bitstream_read_back():
+    # The elaboration that a run stores on its fabric is no part of the
+    # fabric.
+    fab = fabric_from_netlist(parse_netlist(AND_NET))
+    run(fab, {"x": [1], "y": [1]})
+    assert fab.elaboration is not None
+    assert read_bitstream(write_bitstream(fab)) == fab
+
+
+def test_bitstream_keeps_a_signal_name_holding_colons():
+    # A binding <signal>:<index>:<width> is split from the right.
+    net = AND_NET.replace("signal o ", "signal o:1 ").replace("out=o", "out=o:1")
+    text = write_bitstream(fabric_from_netlist(parse_netlist(net)))
+    assert " out=o:1:0:2;o:1:1:2;" in text
+    assert write_bitstream(read_bitstream(text)) == text
+
+
+@pytest.mark.parametrize("design, ack", [("4ph_2in", 1), ("4ph_3in", 0)])
+def test_bitstream_gate_ack_says_whether_its_blocks_read_the_acknowledge(design, ack):
+    # The 3-input 4ph shape reads no <output>.ackin.
+    lines, _ = _golden_bitstream(design)
+    gate = next(ln for ln in lines if ln.startswith("# gate "))
+    assert gate.endswith(f" ack={ack}")
+    assert any(".ackin:" in ln for ln in lines if ln.startswith("# plb ")) == bool(ack)
+
+
 def test_map_writes_deterministic_bitstream(files, capsys):
     tmp, net, _ = files
     out1, out2 = tmp / "a.bit", tmp / "b.bit"
@@ -133,6 +168,40 @@ def test_map_parse_error_reports_line(tmp_path, capsys):
     net.write_text("signal a proto=4ph arity=2\nbogus line here\n")
     assert main(["map", str(net), "-o", str(tmp_path / "x.bit")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("net, where, name", [
+    (AND_NET.replace("x", "a;b"), 1, "signal name 'a;b'"),
+    (AND_NET.replace("gate g ", "gate g;h "), 4, "gate name 'g;h'"),
+    (AND_NET.replace("signal o ", "signal o,p ").replace("out=o", "out=o,p"), 3,
+     "signal name 'o,p'"),
+    # its internal signals would be g,h.c.0 ... in the trace
+    (AND_NET.replace("4ph", "edge").replace("gate g ", "gate g,h "), 4, "gate name 'g,h'"),
+], ids=["signal-semicolon", "gate-semicolon", "signal-comma", "edge-gate-comma"])
+def test_map_name_holding_a_list_separator_exits_2_naming_line(tmp_path, capsys, net, where,
+                                                               name):
+    # Each once mapped to a bitstream that sim refused, or to a trace that
+    # check refused.
+    (tmp_path / "d.net").write_text(net)
+    bit = tmp_path / "d.bit"
+    capsys.readouterr()
+    assert main(["map", str(tmp_path / "d.net"), "-o", str(bit)]) == 2
+    assert capsys.readouterr().err == f"error: line {where}: {name} holds ',' or ';'\n"
+    assert not bit.exists()
+
+
+def test_map_signal_with_the_name_of_an_internal_signal_exits_2(tmp_path, capsys):
+    # g owns g.c; mapped, its bitstream declared g.c twice, which sim
+    # refused, and a fabric built in process merged the two signals' wires.
+    net = tmp_path / "d.net"
+    net.write_text("".join(f"signal {n} proto=edge arity=2\n" for n in ("x", "g.c", "y", "o"))
+                   + "gate g fn=6 in=x,y out=g.c\ngate h fn=6 in=g.c,y out=o\n")
+    bit = tmp_path / "d.bit"
+    capsys.readouterr()
+    assert main(["map", str(net), "-o", str(bit)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 5: gate 'g': its internal signal 'g.c' has the name of a signal\n")
+    assert not bit.exists()
 
 
 def test_map_legacy_ack_token_warns_in_one_line(files, capsys):
@@ -590,12 +659,12 @@ def _block_index_not_its_position(lines):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_long_block_line, "expected 70 lowercase hex digits whose last 3 bits are 0"),
-    (_padding_bit_set, "expected 70 lowercase hex digits whose last 3 bits are 0"),
-    (_uppercase_block_line, "expected 70 lowercase hex digits whose last 3 bits are 0"),
+    (_long_block_line, f"expected '{AND_BLOCK}'"),
+    (_padding_bit_set, f"expected '{AND_BLOCK}'"),
+    (_uppercase_block_line, f"expected '{AND_BLOCK}'"),
     (_extra_hex_line, "1 block headers but 2 hex lines"),
     (_missing_hex_line, "1 block headers but 0 hex lines"),
-    (_block_index_not_its_position, "expected block index 0, got 'zz'"),
+    (_block_index_not_its_position, f"expected '{AND_PLB}'"),
 ], ids=["long-line", "padding-bit", "uppercase", "extra-hex-line", "missing-hex-line",
         "block-index"])
 def test_sim_non_canonical_block_lines_exit_2_naming_the_line(tmp_path, capsys, edit, message):
@@ -611,6 +680,75 @@ def test_sim_non_canonical_block_lines_exit_2_naming_the_line(tmp_path, capsys, 
     capsys.readouterr()
     assert main(["sim", str(bad), "--stimulus", str(tmp_path / "and.stim")]) == 2
     assert capsys.readouterr().err == f"error: {bad}: line {where}: {message}\n"
+
+
+def _swap_lines(a, b):
+    def edit(lines):
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+        return a
+    return edit
+
+
+def _edit_line(where, edit_text):
+    def edit(lines):
+        lines[where - 1] = edit_text(lines[where - 1])
+        return where
+    return edit
+
+
+def _insert_line(where, text):
+    def edit(lines):
+        lines.insert(where - 1, text)
+        return where
+    return edit
+
+
+def _delete_header(lines):
+    del lines[0]
+    return 1
+
+
+@pytest.mark.parametrize("edit", [
+    _swap_lines(2, 3),  # the `# signal` lines in another order
+    _edit_line(5, lambda ln: ln.replace("in=x,y out=o", "out=o in=x,y")),  # `# gate` fields
+    _edit_line(6, lambda ln: ln + " note=x"),  # an unknown `# plb` field
+    _insert_line(5, ""),  # a blank line
+    _edit_line(5, lambda ln: ln.replace(" ", "  ")),  # doubled spaces
+    _insert_line(2, "# a comment"),  # an extra comment line
+    _delete_header,  # no `# qdifab-bitstream v1` line
+    _insert_line(8, "# a comment"),  # a line past the end
+    _edit_line(2, lambda ln: ln.replace("# ", "#", 1)),  # `#signal`
+], ids=["signal-order", "gate-field-order", "plb-unknown-field", "blank-line",
+        "doubled-spaces", "comment-line", "no-header-line", "past-the-end", "no-space-after-hash"])
+def test_sim_non_canonical_bitstream_exits_2_naming_the_expected_line(tmp_path, capsys, edit):
+    # Each of these once read as the fabric of the unedited file, with its
+    # fingerprint: the writer is the format, so one fabric has one file.
+    (tmp_path / "and.net").write_text(AND_NET)
+    (tmp_path / "and.stim").write_text("x: 0,1\ny: 1,1\n")
+    good, bad = tmp_path / "and.bit", tmp_path / "bad.bit"
+    assert main(["map", str(tmp_path / "and.net"), "-o", str(good)]) == 0
+    canonical = good.read_text().splitlines()
+    lines = list(canonical)
+    where = edit(lines)
+    bad.write_text("\n".join(lines) + "\n")
+    expected = f"'{canonical[where - 1]}'" if where <= len(canonical) else "the end of the file"
+    capsys.readouterr()
+    assert main(["sim", str(bad), "--stimulus", str(tmp_path / "and.stim")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {where}: expected {expected}\n"
+
+
+def test_sim_reads_a_bitstream_with_any_line_ending(tmp_path, capsys):
+    # Only the line-ending convention is left free.
+    (tmp_path / "and.net").write_text(AND_NET)
+    (tmp_path / "and.stim").write_text("x: 0,1\ny: 1,1\n")
+    bit = tmp_path / "and.bit"
+    assert main(["map", str(tmp_path / "and.net"), "-o", str(bit)]) == 0
+    text = bit.read_text()
+    for ending in ("\r\n", "\r"):
+        bit.write_bytes(text.replace("\n", ending).encode())
+        assert main(["sim", str(bit), "--stimulus", str(tmp_path / "and.stim")]) == 0
+    bit.write_text(text.rstrip("\n"))  # no line ending after the last line
+    assert main(["sim", str(bit), "--stimulus", str(tmp_path / "and.stim")]) == 0
 
 
 @pytest.mark.parametrize("prop", ["toggle-count", "timing", "dpa"])
@@ -890,12 +1028,13 @@ def test_sim_gate_ack_other_than_0_or_1_exits_2(tmp_path, capsys, ack):
     ("sout=s.sout", "sout=t.sout"),  # another gate's acknowledge
     ("gate=g1", "gate=zz"),  # a gate with no `# gate` line
     ("a:1:2", "a:7:2"),  # a wire past the signal's width
+    ("a:1:2", "a:2:2"),  # the wire one past it
     ("a:1:2", "a:1:4"),  # a width other than the signal's
     ("s.ackin:0:1", "s.ackin:1:2"),  # an acknowledge is one wire
     ("# plb 1 ", None),  # g2 without its block: its `# gate` line is named
 ], ids=["pin", "pin-ack", "output", "sout", "sout-not-ack", "pin-other-gate",
         "output-other-gate", "sout-other-gate", "gate-without-header", "pin-index",
-        "pin-width", "ack-width", "gate-without-block"])
+        "pin-index-at-width", "pin-width", "ack-width", "gate-without-block"])
 def test_sim_block_binding_undeclared_signal_exits_2(files, capsys, old, new):
     tmp, net, stim = files
     good = tmp / "good.bit"
@@ -997,7 +1136,7 @@ def _replace(old, new, count=1):
     ("chain", _replace("# plb 2 ", "# internal zz 4\n# plb 2 "), "# internal zz 4",
      "internal signal 'zz' is bound by no block of gate 'g2'"),
     ("and", _replace("sout=o.sout;-\n", "sout=o.sout;-\n# internal zz 4\n"), "# internal zz 4",
-     "internal signal 'zz' follows the last '# plb' line"),
+     f"expected '{AND_BLOCK}'"),
 ], ids=["two-outputs-one-wire", "two-souts-one-wire", "internal-twice",
         "internal-over-signal", "signal-over-internal", "signal-spec-reason",
         "arity-not-an-integer", "arity-twice", "internal-unbound", "internal-unbound-second-gate",
@@ -1029,18 +1168,15 @@ def _sim_trace(tmp, name, net, stim, delays="uniform"):
     return str(trace)
 
 
-AND_NET = (
-    "".join(f"signal {n} proto=4ph arity=2\n" for n in "xyo") + "gate g fn=8 in=x,y out=o\n"
-)
-
-
 def test_fingerprint_is_the_bitstream_identity(tmp_path, capsys):
     # AND is symmetric, so only the pin bindings tell the two fabrics apart.
     swapped = AND_NET.replace("in=x,y", "in=y,x")
     fabrics = [fabric_from_netlist(parse_netlist(n)) for n in (AND_NET, swapped)]
     assert fabrics[0].fingerprint() != fabrics[1].fingerprint()
     for fabric in fabrics:
-        assert read_bitstream(write_bitstream(fabric)).fingerprint() == fabric.fingerprint()
+        text = write_bitstream(fabric)
+        assert fabric.fingerprint() == hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert read_bitstream(text).fingerprint() == fabric.fingerprint()
     paths = [_sim_trace(tmp_path, f"and{i}", net, f"x: {i}\ny: 1\n")
              for i, net in enumerate((AND_NET, swapped))]
     capsys.readouterr()
@@ -1367,7 +1503,8 @@ def _run_main(*args):
 @given(case=mutated_bitstreams())
 def test_mutated_golden_bitstream_sims_or_exits_2(tmp_path, case):
     # A mutated bitstream is simulated or refused naming a line: exit 0, 1
-    # or 2, never a traceback.
+    # or 2, never a traceback.  One it accepts is the text the writer gives
+    # for its fabric, line for line.
     text, stim = case
     bit, stim_path = tmp_path / "mutated.bit", tmp_path / "in.stim"
     bit.write_text(text)
@@ -1376,6 +1513,8 @@ def test_mutated_golden_bitstream_sims_or_exits_2(tmp_path, case):
     assert rc in (0, 1, 2), (rc, out)
     if rc == 2:
         assert re.match(f"error: {re.escape(str(bit))}: line \\d+: ", out), out
+    else:
+        assert text.splitlines() == write_bitstream(read_bitstream(text)).splitlines()
 
 
 # Words a netlist or stimulus token may be renamed to: the formats' own and
